@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every check comes out as expected, 2 when the documented
 small-n obstruction path was taken, 1 for genuine failures (including bad
-flags and malformed specs).  GERMOID_SEED sets the default seed.
+flags, malformed specs and failed internal verifications, each reported as a
+one-line error).  GERMOID_SEED sets the default seed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from .experiments import (
     selftest_experiment,
     star_experiment,
 )
+from .finite import CenterSplitError
 from .perms import CycleParseError, parse_cycles
+from .rep import InternalCheckError
 from .reports import EXIT_FAILURE
 
 
@@ -101,11 +104,11 @@ def main(argv=None) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = _default_seed()
+    if getattr(args, "trials", 0) < 0:
+        print("error: --trials must be nonnegative", file=sys.stderr)
+        return EXIT_FAILURE
     try:
         if args.command == "cross":
-            if args.trials < 0:
-                print("error: --trials must be nonnegative", file=sys.stderr)
-                return EXIT_FAILURE
             return _emit(cross_experiment(args.trials, seed), args.json)
         if args.command == "star":
             if args.n < 2:
@@ -139,6 +142,9 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return EXIT_FAILURE
         raise
+    except (InternalCheckError, CenterSplitError) as exc:
+        print(f"error: verification failed: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     raise AssertionError("unreachable")
 
 

@@ -149,7 +149,9 @@ def star_experiment(
 
     group = PermGroup.alternating(n)
     bt = bitransitivity_check(group)
-    basis, dim = commutant_basis([perm_rep(s) for s in group])
+    # the generators span the same commutant as the whole group
+    gens = group.generators or (group.identity,)
+    basis, dim = commutant_basis([perm_rep(s) for s in gens])
 
     if n >= 4:
         report.exact("alternating action is bi-transitive", bt)

@@ -8,6 +8,7 @@ functions: (sigma * tau)(i) = sigma(tau(i)).
 from __future__ import annotations
 
 import re as _re
+from functools import cached_property
 from math import factorial
 
 
@@ -227,6 +228,13 @@ class PermGroup:
     def klein_cross(cls) -> "PermGroup":
         """The order-4 group on a 4-edge star: <(1 2), (3 4)>."""
         return cls.generate(4, [parse_cycles("(1 2)", 4), parse_cycles("(3 4)", 4)])
+
+    @cached_property
+    def is_two_transitive(self) -> bool:
+        """Burnside's count: the orbits on ordered pairs of points number
+        sum_s fix(s)^2 / |G|, and exactly two orbits (the diagonal and its
+        complement) means the action is 2-transitive."""
+        return sum(len(s.fixed_points()) ** 2 for s in self.elements) == 2 * len(self)
 
     def __len__(self):
         return len(self.elements)

@@ -1,14 +1,17 @@
 """Permutation representations, group-algebra elements, commutants, and the
 constructive normalizer pipeline.
 
-Everything here is exact: commutants and preimages come from rational row
-reduction, and the unitary produced for a target permutation is verified
-algebraically with zero tolerance rather than assumed.
+Everything here is exact.  Commutants come from rational row reduction.
+Minimum-norm preimages come from Fourier inversion in closed form when the
+group acts 2-transitively, and from rational row reduction otherwise.  The
+unitary produced for a target permutation is verified algebraically with
+zero tolerance rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (
     AlgebraElement,
@@ -216,14 +219,55 @@ def min_norm_preimage(target: Matrix, group: PermGroup) -> GroupAlgebraElement:
     """The unique preimage of target under the integrated representation that
     is orthogonal to its kernel in the coefficient inner product.
 
-    Solves the linear system exactly, then subtracts the projection of the
-    particular solution onto the kernel (Gram solve, all rational).  Raises
+    A 2-transitive group gets the closed form of _fourier_preimage; any other
+    group gets the rational solve of _rref_preimage.  Raises
     PreimageObstruction when the target is outside the image, which is how
     the small-n obstruction shows up.
     """
     n = group.n
     if target.nrows != n or target.ncols != n:
         raise ValueError("target has the wrong shape")
+    if not group.is_two_transitive:
+        return _rref_preimage(target, group)
+    result = _fourier_preimage(target, group)
+    # the closed form maps onto the image; landing elsewhere than the target
+    # means the target was never in it
+    if integrated_rep(result) != target:
+        raise PreimageObstruction(
+            "target is not in the span of the group's permutation matrices"
+        )
+    return result
+
+
+def _fourier_preimage(target: Matrix, group: PermGroup) -> GroupAlgebraElement:
+    """Fourier inversion for a 2-transitive group, whose permutation
+    representation is the trivial one plus one irreducible of degree n-1
+    (Serre, Linear Representations of Finite Groups, 6.2):
+
+        a_s = ((n-1) tr(pi(s)^T T) - (n-2) c) / |G|,   c = 1^T T 1 / n.
+
+    Each a_s is a combination of the rows of the integrated system (the
+    constant vector is their sum divided by n), so the result is orthogonal
+    to the kernel by construction.
+    """
+    n = group.n
+    rows = target.rows
+    c = sum((x for row in rows for x in row), ZERO) * Scalar(Fraction(1, n))
+    shift = c * (n - 2)
+    scale = Scalar(Fraction(1, len(group)))
+    coeffs = {}
+    for s in group:
+        trace = ZERO
+        for i, j in enumerate(s.images):
+            trace = trace + rows[j - 1][i]
+        coeffs[s] = (trace * (n - 1) - shift) * scale
+    return GroupAlgebraElement(group, coeffs)
+
+
+def _rref_preimage(target: Matrix, group: PermGroup) -> GroupAlgebraElement:
+    """min_norm_preimage for any group: solve the linear system exactly, then
+    subtract the projection of the particular solution onto the kernel (Gram
+    solve, all rational).  The oracle for the closed form."""
     elems, rows = _integrated_system(group)
     rhs = target.vec()
     x0 = solve(rows, rhs)

@@ -46,6 +46,44 @@ def test_malformed_tau_is_a_real_failure(capsys):
     assert run(["star", "--n", "1", "--tau", "()"]) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["cross"],
+    ["star", "--n", "4"],
+    ["finite", "--spec", "unread.json"],
+])
+def test_negative_trials_rejected(command, capsys):
+    assert run(command + ["--trials", "-3"]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: --trials must be nonnegative"
+
+
+def test_failed_exact_verification_is_a_one_line_error(monkeypatch, capsys):
+    from germoid.rep import GroupAlgebraElement
+
+    # every exact equality in the group algebra now fails, so the
+    # idempotence check on the kernel projection raises InternalCheckError
+    monkeypatch.setattr(GroupAlgebraElement, "__eq__", lambda self, other: False)
+    assert run(["star", "--n", "4", "--trials", "1"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: verification failed: ")
+    assert "\n" not in err and "Traceback" not in err
+
+
+def test_failed_center_split_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    import germoid.finite
+
+    # the self-adjointness residual of every central projection blows up
+    monkeypatch.setattr(germoid.finite, "_vec_adjoint", lambda G, v: 0 * v)
+    spec = tmp_path / "z3.json"
+    spec.write_text(
+        json.dumps({"transformation": {"points": 3, "group_generators": ["(1 2 3)"]}})
+    )
+    assert run(["finite", "--spec", str(spec), "--trials", "2"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: verification failed: ")
+    assert "\n" not in err and "Traceback" not in err
+
+
 def test_bad_flags_exit_one():
     with pytest.raises(SystemExit) as err:
         run(["star", "--n", "notanumber"])

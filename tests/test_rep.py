@@ -6,9 +6,11 @@ from germoid.algebra import AlgebraElement, embed_C0, is_bisection_support
 from germoid.germs import CenterGerm, EdgeGerm, GermGroupoid
 from germoid.linalg import Matrix, rank
 from germoid.perms import PermGroup, Permutation, parse_cycles
+import germoid.rep
 from germoid.rep import (
     GroupAlgebraElement,
     PreimageObstruction,
+    _rref_preimage,
     bitransitivity_check,
     build_strange_normalizer,
     build_unitary_v,
@@ -143,6 +145,23 @@ def test_commutant_of_alternating_action(n):
             assert b * perm_rep(s) == perm_rep(s) * b
 
 
+@pytest.mark.parametrize("group", [
+    PermGroup.alternating(3),
+    PermGroup.alternating(4),
+    PermGroup.alternating(5),
+    PermGroup.alternating(6),
+    PermGroup.symmetric(4),
+    PermGroup.cyclic(5),
+    PermGroup.klein_cross(),
+    PermGroup.trivial(3),
+], ids=repr)
+def test_generators_span_the_whole_commutant(group):
+    gens = group.generators or (group.identity,)
+    assert commutant_basis([perm_rep(s) for s in gens]) == commutant_basis(
+        [perm_rep(s) for s in group]
+    )
+
+
 def test_commutant_of_identity_is_everything():
     _, dim = commutant_basis([Matrix.identity(3)])
     assert dim == 9
@@ -179,6 +198,23 @@ def test_bitransitivity():
     assert bitransitivity_check(PermGroup.symmetric(2)) is True
 
 
+@pytest.mark.parametrize("group", [
+    PermGroup.alternating(3),
+    PermGroup.alternating(4),
+    PermGroup.alternating(5),
+    PermGroup.alternating(6),
+    PermGroup.symmetric(2),
+    PermGroup.symmetric(4),
+    PermGroup.trivial(2),
+    PermGroup.trivial(3),
+    PermGroup.cyclic(4),
+    PermGroup.cyclic(5),
+    PermGroup.klein_cross(),
+], ids=repr)
+def test_burnside_count_agrees_with_brute_force(group):
+    assert group.is_two_transitive is bitransitivity_check(group)
+
+
 # -- minimum-norm preimages ---------------------------------------------------------------
 
 def test_min_norm_preimage_roundtrip(rng):
@@ -206,10 +242,55 @@ def test_min_norm_preimage_is_the_orthogonal_one(rng):
         assert x == a - p * a
 
 
-def test_obstruction_for_small_n():
+def test_obstruction_for_small_n(monkeypatch):
+    # the documented obstruction comes from the rref path
+    monkeypatch.delattr(germoid.rep, "_fourier_preimage")
     group = PermGroup.alternating(3)
     with pytest.raises(PreimageObstruction):
         min_norm_preimage(perm_rep(parse_cycles("(1 2)", 3)), group)
+
+
+# the closed form for 2-transitive groups against the rref oracle
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("cycles", ["(1 2)", "(1 2 3)", "()"])
+def test_closed_form_preimage_matches_rref_oracle(n, cycles):
+    group = PermGroup.alternating(n)
+    assert group.is_two_transitive
+    target = perm_rep(parse_cycles(cycles, n))
+    assert min_norm_preimage(target, group) == _rref_preimage(target, group)
+
+
+@pytest.mark.parametrize("group, samples", [
+    (PermGroup.symmetric(4), 6),
+    (PermGroup.alternating(5), 2),
+], ids=repr)
+def test_closed_form_preimage_of_random_complex_targets(group, samples, rng):
+    for _ in range(samples):
+        target = integrated_rep(random_group_algebra_element(group, rng))
+        assert min_norm_preimage(target, group) == _rref_preimage(target, group)
+
+
+@pytest.mark.parametrize("group", [
+    PermGroup.alternating(4), PermGroup.symmetric(4), PermGroup.alternating(5)
+], ids=repr)
+def test_closed_form_rejects_a_target_outside_the_image(group):
+    # the image is the commutant of {I, J}, and E_11 does not commute with J
+    e11 = Matrix([[ONE if r == c == 0 else ZERO for c in range(group.n)]
+                  for r in range(group.n)])
+    with pytest.raises(PreimageObstruction):
+        min_norm_preimage(e11, group)
+
+
+@pytest.mark.parametrize("group", [
+    PermGroup.alternating(3), PermGroup.klein_cross(), PermGroup.cyclic(4)
+], ids=repr)
+def test_groups_that_are_not_two_transitive_take_the_rref_path(group, monkeypatch):
+    monkeypatch.delattr(germoid.rep, "_fourier_preimage")
+    assert not group.is_two_transitive
+    target = perm_rep(group.generators[0])
+    assert min_norm_preimage(target, group) == _rref_preimage(target, group)
+    kernel_projection(group)
 
 
 def test_kernel_projection_properties():
