@@ -13,7 +13,6 @@ from .algebra import (
     NotNormalizerError,
     UnitSpaceFunction,
     conditional_expectation,
-    convolve,
     cross_central_element,
     embed_C0,
     from_sheet,
@@ -26,7 +25,6 @@ from .algebra import (
 from .finite import (
     FiniteAlgebraElement,
     FiniteGroupoid,
-    build_finite,
     diagonal_masa_check,
     faithfulness_check,
     intersection_property_check,

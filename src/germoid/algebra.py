@@ -227,10 +227,6 @@ def embed_C0(groupoid: GermGroupoid, h) -> "AlgebraElement":
     return from_sheet(groupoid, groupoid.group.identity, h)
 
 
-def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    return f * g
-
-
 def evaluate_convolution_pointwise(f: AlgebraElement, g: AlgebraElement, germ) -> Scalar:
     """Sum f(a)g(b) over factorizations ab = germ, straight from the definition.
 
@@ -529,10 +525,15 @@ def induced_point_map(u: AlgebraElement) -> PointMap:
     Requires u*u = uu* = 1 and a single-valued map; a multi-valued support
     map means u does not implement a transformation of the star.
     """
-    G = u.groupoid
-    one = AlgebraElement.unit(G)
+    one = AlgebraElement.unit(u.groupoid)
     if u.adjoint() * u != one or u * u.adjoint() != one:
         raise NotNormalizerError("element is not unitary")
+    return _support_point_map(u)
+
+
+def _support_point_map(u: AlgebraElement) -> PointMap:
+    """induced_point_map for a u already checked to be unitary."""
+    G = u.groupoid
     segments = []
     for i in range(1, G.n + 1):
         row = {j: pp for (si, j), pp in u.strips.items() if si == i}

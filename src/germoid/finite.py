@@ -734,6 +734,3 @@ def parse_finite_spec(spec: dict) -> FiniteGroupoid:
             inverse = dict(inverse.items()) if isinstance(inverse, dict) else dict(inverse)
         return FiniteGroupoid.explicit(spec["units"], arrow_specs, triples, inverse)
     raise ValueError("unrecognized finite-groupoid spec")
-
-
-build_finite = parse_finite_spec

@@ -126,15 +126,16 @@ def rref(rows):
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = ONE / rows[r][c]
-        rows[r] = [inv * x if (x.re or x.im) else x for x in rows[r]]
-        pivot = rows[r]
+        rows[r] = [inv * x if x else x for x in rows[r]]
+        # eliminate with the pivot row's nonzero entries only
+        live = [(j, x) for j, x in enumerate(rows[r]) if x]
         for k in range(len(rows)):
-            if k != r and not rows[k][c].is_zero():
-                factor = rows[k][c]
-                rows[k] = [
-                    a - factor * b if (b.re or b.im) else a
-                    for a, b in zip(rows[k], pivot)
-                ]
+            factor = rows[k][c]
+            if k != r and factor:
+                row = list(rows[k])
+                for j, b in live:
+                    row[j] = row[j] - factor * b
+                rows[k] = row
         pivots.append(c)
         r += 1
         if r == len(rows):

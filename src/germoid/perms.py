@@ -16,6 +16,9 @@ class CycleParseError(ValueError):
     pass
 
 
+_new = object.__new__
+
+
 class Permutation:
     """A bijection of {1..n}, stored as the tuple of images of 1..n."""
 
@@ -29,8 +32,15 @@ class Permutation:
         self.images = images
 
     @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """A permutation from an image tuple known to be valid, unchecked."""
+        p = _new(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @property
     def n(self) -> int:
@@ -42,13 +52,14 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        return Permutation(self.images[j - 1] for j in other.images)
+        images = self.images
+        return Permutation._trusted(tuple([images[j - 1] for j in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(j == i for i, j in enumerate(self.images, start=1))

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraElement,
+    NotNormalizerError,
+    _support_point_map,
     embed_C0,
-    induced_point_map,
     is_bisection_support,
     open_support,
 )
@@ -304,7 +305,7 @@ def _rref_preimage(target: Matrix, group: PermGroup) -> GroupAlgebraElement:
 def _hdot(xs, ys) -> Scalar:
     acc = ZERO
     for x, y in zip(xs, ys):
-        if (x.re or x.im) and (y.re or y.im):
+        if x and y:
             acc = acc + x * y.conjugate()
     return acc
 
@@ -317,13 +318,23 @@ def kernel_projection(group: PermGroup) -> GroupAlgebraElement:
     p = GroupAlgebraElement.unit(group) - q
     if p * p != p or p.adjoint() != p:
         raise InternalCheckError("kernel projection is not a self-adjoint idempotent")
-    for s in group:
-        d = GroupAlgebraElement.delta(group, s)
-        if p * d != d * p:
-            raise InternalCheckError("kernel projection is not central")
+    if not _is_central(p):
+        raise InternalCheckError("kernel projection is not central")
     if not integrated_rep(p).is_zero():
         raise InternalCheckError("kernel projection is not killed by the representation")
     return p
+
+
+def _is_central(x: GroupAlgebraElement) -> bool:
+    """Whether x commutes with every delta_s.  The deltas of a generating set
+    generate the group algebra, so those of the generators decide it; a group
+    built without recorded generators is checked on all its elements."""
+    group = x.group
+    for s in group.generators or group.elements:
+        d = GroupAlgebraElement.delta(group, s)
+        if x * d != d * x:
+            return False
+    return True
 
 
 def build_unitary_v(group: PermGroup, tau: Permutation) -> GroupAlgebraElement:
@@ -426,7 +437,8 @@ def build_strange_normalizer(n: int, tau: Permutation, trials: int = 8, seed: in
     u = phi(v, G)
 
     one = AlgebraElement.unit(G)
-    unitary_ok = (u.adjoint() * u == one) and (u * u.adjoint() == one)
+    u_adj = u.adjoint()
+    unitary_ok = (u_adj * u == one) and (u * u_adj == one)
 
     expected_strips = {
         (i, tau(i)): PiecewisePoly.const(1) for i in range(1, n + 1)
@@ -439,14 +451,16 @@ def build_strange_normalizer(n: int, tau: Permutation, trials: int = 8, seed: in
     conj_ok = True
     for _ in range(trials):
         h = random_ppfun(n, rng)
-        lhs = u.adjoint() * embed_C0(G, h) * u
+        lhs = u_adj * embed_C0(G, h) * u
         rhs = embed_C0(G, act(tau.inverse(), h))  # h composed with the tau action
         if lhs != rhs:
             conj_ok = False
             break
 
     bis_flag, bis_witness = is_bisection_support(u)
-    pm = induced_point_map(u)
+    if not unitary_ok:
+        raise NotNormalizerError("element is not unitary")
+    pm = _support_point_map(u)
     point_map_is_tau = pm.as_permutation() == tau and pm.center_fixed
     ep_flag, _ = G.essentially_principal_check()
 

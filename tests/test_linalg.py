@@ -92,3 +92,37 @@ def test_shape_errors():
 def test_nullspace_dimension_theorem(data):
     basis = nullspace([list(r) for r in data], 3)
     assert len(basis) == 3 - rank(data)
+
+
+def _dense_rref(rows):
+    """Textbook Gauss-Jordan over every cell; the reference for rref."""
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r:
+                factor = rows[k][c]
+                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+sparse_entry_st = st.one_of(st.just(ZERO), st.just(ZERO), scalars_st)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda w: st.lists(st.lists(sparse_entry_st, min_size=w, max_size=w), min_size=1, max_size=6)
+))
+def test_rref_matches_dense_elimination(data):
+    fast = [tuple(r) for r in data]  # rref also takes tuple rows
+    slow = [list(r) for r in data]
+    assert rref(fast) == _dense_rref(slow)
+    assert [list(r) for r in fast] == slow

@@ -52,6 +52,21 @@ def test_inverse(s):
     assert s.inverse().inverse() == s
 
 
+@pytest.mark.parametrize("images", [(1, 1, 3), (0, 1, 2), (2, 3, 4), (1, 2, 2, 5), (3, 1)])
+def test_constructor_rejects_non_permutations(images):
+    with pytest.raises(ValueError):
+        Permutation(images)
+
+
+@given(perm4_st, perm4_st)
+def test_unchecked_products_and_inverses_are_permutations(s, t):
+    # products and inverses skip validation; the checked constructor agrees
+    for p in (s * t, s.inverse(), Permutation.identity(4)):
+        assert type(p.images) is tuple
+        assert Permutation(p.images) == p
+        assert hash(Permutation(list(p.images))) == hash(p)
+
+
 def test_sign():
     assert parse_cycles("(1 2)", 4).sign() == -1
     assert parse_cycles("(1 2 3)", 4).sign() == 1

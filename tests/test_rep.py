@@ -10,6 +10,7 @@ import germoid.rep
 from germoid.rep import (
     GroupAlgebraElement,
     PreimageObstruction,
+    _is_central,
     _rref_preimage,
     bitransitivity_check,
     build_strange_normalizer,
@@ -304,6 +305,38 @@ def test_kernel_projection_properties():
     assert not p.is_zero()  # the kernel is nontrivial for the 4-point action
 
 
+@pytest.mark.parametrize("group", [
+    PermGroup.alternating(3),
+    PermGroup.alternating(4),
+    PermGroup.alternating(5),
+    PermGroup.alternating(6),
+    PermGroup.symmetric(4),
+    PermGroup.klein_cross(),
+    PermGroup.cyclic(5),
+    PermGroup.trivial(3),
+], ids=repr)
+def test_generator_centrality_matches_all_elements(group, rng):
+    def central_on_all(x):
+        return all(x * delta(group, s) == delta(group, s) * x for s in group)
+
+    p = kernel_projection(group)
+    assert _is_central(p) and central_on_all(p)
+    samples = [delta(group, s) for s in group.elements[:24]]
+    samples += [random_group_algebra_element(group, rng) for _ in range(3)]
+    for x in samples:
+        assert _is_central(x) == central_on_all(x)
+    if not group.generators:
+        assert _is_central(GroupAlgebraElement.unit(group))  # vacuous on a trivial group
+
+
+def test_centrality_without_recorded_generators_checks_every_element():
+    full = PermGroup.symmetric(4)
+    bare = PermGroup(4, full.elements)
+    x = delta(bare, parse_cycles("(1 2)", 4))
+    assert not bare.generators and not _is_central(x)
+    assert _is_central(kernel_projection(bare))
+
+
 # -- the constructive unitary ----------------------------------------------------------------
 
 def test_build_unitary_v_for_a_transposition():
@@ -408,6 +441,24 @@ def test_strange_normalizer_identity_tau():
     G = GermGroupoid.star(4)
     assert u == AlgebraElement.unit(G)
     assert report.ok
+
+
+def test_strange_normalizer_point_map_matches_the_checked_one():
+    from germoid.algebra import induced_point_map
+
+    tau = parse_cycles("(1 2)", 5)
+    u, report = build_strange_normalizer(5, tau, trials=1, seed=2)
+    assert report.point_map == induced_point_map(u)
+
+
+def test_strange_normalizer_rejects_a_non_unitary_lift(monkeypatch):
+    from germoid.algebra import NotNormalizerError
+    from germoid.scalars import Scalar
+
+    real_phi = germoid.rep.phi
+    monkeypatch.setattr(germoid.rep, "phi", lambda v, G: real_phi(v, G).scale(Scalar(2)))
+    with pytest.raises(NotNormalizerError):
+        build_strange_normalizer(4, parse_cycles("(1 2)", 4), trials=1, seed=0)
 
 
 def test_strange_normalizer_small_n_rejected():

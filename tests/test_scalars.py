@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from germoid.scalars import ONE, ZERO, Scalar, parse_scalar, render_scalar
 
@@ -64,3 +65,87 @@ def test_render_forms():
     assert parse_scalar("1/2+3/4i") == Scalar(Fraction(1, 2), Fraction(3, 4))
     with pytest.raises(ValueError):
         parse_scalar("nonsense")
+
+
+# -- the (a + b*i)/d integer representation, against two-Fraction references --
+
+wide_fractions_st = st.one_of(
+    st.integers(-(10**12), 10**12).map(Fraction),
+    st.fractions(max_denominator=10**9),
+)
+wide_scalars_st = st.builds(Scalar, wide_fractions_st, wide_fractions_st)
+
+
+def _is_canonical(s):
+    return s._d > 0 and gcd(s._a, s._b, s._d) == 1
+
+
+@given(wide_scalars_st, wide_scalars_st)
+def test_arithmetic_matches_fraction_pairs(x, y):
+    a, b, c, e = x.re, x.im, y.re, y.im
+    assert type(a) is Fraction and type(b) is Fraction
+    cases = [
+        (x + y, a + c, b + e),
+        (x - y, a - c, b - e),
+        (x * y, a * c - b * e, a * e + b * c),
+        (-x, -a, -b),
+        (x.conjugate(), a, -b),
+    ]
+    norm = c * c + e * e
+    if norm:
+        cases.append((x / y, (a * c + b * e) / norm, (b * c - a * e) / norm))
+    for got, re, im in cases:
+        assert (got.re, got.im) == (re, im)
+        assert _is_canonical(got)
+    assert x.abs2() == a * a + b * b
+    assert type(x.abs2()) is Fraction
+    assert complex(x) == complex(float(a), float(b))
+
+
+@given(wide_scalars_st, wide_scalars_st)
+def test_equal_values_have_equal_fields_and_hashes(x, y):
+    assert _is_canonical(x)
+    same = [Scalar(x.re, x.im), (x + y) - y, parse_scalar(render_scalar(x))]
+    if y:
+        same.append((x * y) / y)
+    for z in same:
+        assert z == x
+        assert (z._a, z._b, z._d) == (x._a, x._b, x._d)
+        assert hash(z) == hash(x)
+    zero = x - x
+    assert (zero._a, zero._b, zero._d) == (0, 0, 1)
+    assert not zero and zero.is_zero()
+    assert bool(x) == (x.re != 0 or x.im != 0) == (not x.is_zero())
+
+
+def test_scalar_equals_int_and_fraction():
+    assert Scalar(5) == 5 and Scalar(5) == Fraction(5)
+    assert 5 == Scalar(5) and Fraction(5) == Scalar(5)
+    assert Scalar(Fraction(10, 4)) == Fraction(5, 2)
+    assert Scalar(Fraction(10, 4)) != 2
+    assert Scalar(5, 1) != 5 and Scalar(5, 1) != Fraction(5)
+    assert Scalar("3/6", "-2") == Scalar(Fraction(1, 2), -2)
+
+
+def test_float_parts_are_rejected():
+    with pytest.raises(TypeError):
+        Scalar(0.5)
+    with pytest.raises(TypeError):
+        Scalar(1, 0.5)
+
+
+def test_parts_are_read_only():
+    x = Scalar(Fraction(1, 2), 3)
+    with pytest.raises(AttributeError):
+        x.re = Fraction(1)
+    with pytest.raises(AttributeError):
+        x.im = Fraction(1)
+    assert (x.re, x.im) == (Fraction(1, 2), Fraction(3))
+
+
+def test_real_and_complex_divisors():
+    assert Scalar(1, 2) / Scalar(-2) == Scalar(Fraction(-1, 2), -1)
+    assert Scalar(1, 2) / Scalar(Fraction(-1, 3)) == Scalar(-3, -6)
+    assert Scalar(1) / Scalar(1, 1) == Scalar(Fraction(1, 2), Fraction(-1, 2))
+    with pytest.raises(ZeroDivisionError):
+        Scalar(1, 1) / 0
