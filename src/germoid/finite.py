@@ -4,21 +4,51 @@ algebras as explicit matrix algebras.
 This module hosts every floating-point computation in the package: operator
 norms, center splitting, and rank tests all carry explicit tolerances and
 report their residuals.  The algebraic layer underneath (composition tables,
-center equations, diagonal commutants) stays exact.
+center, diagonal commutant) stays exact.
+
+Each groupoid carries one integer composition index over its arrow order
+``G.index``: the ``np.intp`` arrays ``ia, ib, ic`` with one row per entry of
+the composition table (``ia[r] * ib[r] = ic[r]``), the same data as an m x m
+table (-1 where undefined), the index of each arrow's inverse, and the arrow
+indices of each source fiber.  Convolution is one scatter-add over the rows,
+the adjoint one scatter, the regular representation one gather, and the
+associativity axiom is checked on the table one unit at a time.
+
+The center and the diagonal commutant come from closed forms.  A function on
+the arrows is central iff it vanishes off the isotropy bundle and is
+constant on each conjugacy class {g h g^-1}, so the class sums (one per orbit
+and conjugacy class of its isotropy group) are a basis; the commutant of the
+diagonal is spanned by the isotropy-arrow indicators.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import nullspace
-from .perms import PermGroup, Permutation, extend_homomorphism, parse_cycles
-from .scalars import ONE, ZERO, Scalar
+from .perms import (
+    GroupTooLarge,
+    PermGroup,
+    Permutation,
+    extend_homomorphism,
+    parse_cycles,
+)
+from .scalars import ONE, ZERO
 
 DEFAULT_TOL = 1e-9
+
+# A transformation spec is refused before its table is built when
+# max(points, group_degree) * |group|^2 exceeds this; for a faithful action
+# that product is the number of composition entries.  S5 on 5 points needs
+# 72,000, S6 on 6 points 3.1M.
+MAX_COMPOSE_ENTRIES = 100_000
+
+# The composition table and the centrality check hold m x m arrays.
+MAX_ARROWS = 2000
 
 
 class GroupoidAxiomError(ValueError):
@@ -33,6 +63,11 @@ class CenterSplitError(RuntimeError):
     """Numeric splitting of the center did not resolve within tolerance."""
 
 
+def _check_arrow_count(m: int):
+    if m > MAX_ARROWS:
+        raise ValueError(f"{m} arrows: at most {MAX_ARROWS} are supported")
+
+
 class FiniteGroupoid:
     """An explicit finite groupoid: arrows, source/range, composition, inverse.
 
@@ -43,68 +78,118 @@ class FiniteGroupoid:
     def __init__(self, units, arrows, src, rng, unit_arrow, compose, inv):
         self.units = tuple(units)
         self.arrows = tuple(sorted(arrows, key=repr))
+        _check_arrow_count(len(self.arrows))
         self.src = dict(src)
         self.rng = dict(rng)
         self.unit_arrow = dict(unit_arrow)
         self.compose = dict(compose)
         self.inv = dict(inv)
         self.index = {a: k for k, a in enumerate(self.arrows)}
+        self._splits = {}  # minimal_central_projections by (tol, seed, attempts)
         self._validate()
 
     # -- validation -----------------------------------------------------------
 
     def _validate(self):
+        """Check the axioms, building the composition index on the way."""
         units = set(self.units)
-        arrows = set(self.arrows)
+        if len(units) != len(self.units):
+            raise GroupoidAxiomError("repeated unit", self.units)
+        index, src, rng = self.index, self.src, self.rng
         for a in self.arrows:
-            if self.src.get(a) not in units or self.rng.get(a) not in units:
+            if src.get(a) not in units or rng.get(a) not in units:
                 raise GroupoidAxiomError("arrow without source/range in units", a)
         for x in self.units:
             u = self.unit_arrow.get(x)
-            if u not in arrows or self.src[u] != x or self.rng[u] != x:
+            if u not in index or src[u] != x or rng[u] != x:
                 raise GroupoidAxiomError("missing or misplaced unit arrow", x)
-        composable = {
+        extra = [
             (a, b)
-            for a in self.arrows
-            for b in self.arrows
-            if self.src[a] == self.rng[b]
-        }
-        if set(self.compose) != composable:
-            missing = composable - set(self.compose)
-            extra = set(self.compose) - composable
-            raise GroupoidAxiomError(
-                "composition table domain mismatch",
-                next(iter(missing or extra)),
+            for (a, b) in self.compose
+            if a not in index or b not in index or src[a] != rng[b]
+        ]
+        by_src = Counter(src[a] for a in self.arrows)
+        by_rng = Counter(rng[a] for a in self.arrows)
+        if extra or len(self.compose) != sum(by_src[x] * by_rng[x] for x in units):
+            missing = next(
+                (
+                    (a, b)
+                    for a in self.arrows
+                    for b in self.arrows
+                    if src[a] == rng[b] and (a, b) not in self.compose
+                ),
+                None,
             )
+            raise GroupoidAxiomError("composition table domain mismatch", missing or extra[0])
+        rows = []
         for (a, b), c in self.compose.items():
-            if c not in arrows:
+            k = index.get(c)
+            if k is None:
                 raise GroupoidAxiomError("composition lands outside arrows", (a, b, c))
-            if self.src[c] != self.src[b] or self.rng[c] != self.rng[a]:
+            if src[c] != src[b] or rng[c] != rng[a]:
                 raise GroupoidAxiomError(
                     "composition breaks source/range laws", (a, b, c)
                 )
+            rows.append((index[a], index[b], k))
         for a in self.arrows:
-            if self.compose[(self.unit_arrow[self.rng[a]], a)] != a:
+            if self.compose[(self.unit_arrow[rng[a]], a)] != a:
                 raise GroupoidAxiomError("left unit law fails", a)
-            if self.compose[(a, self.unit_arrow[self.src[a]])] != a:
+            if self.compose[(a, self.unit_arrow[src[a]])] != a:
                 raise GroupoidAxiomError("right unit law fails", a)
         for a in self.arrows:
             ai = self.inv.get(a)
-            if ai not in arrows:
+            if ai not in index:
                 raise GroupoidAxiomError("missing inverse", a)
-            if self.src[ai] != self.rng[a] or self.rng[ai] != self.src[a]:
+            if src[ai] != rng[a] or rng[ai] != src[a]:
                 raise GroupoidAxiomError("inverse swaps source and range", a)
-            if self.compose[(ai, a)] != self.unit_arrow[self.src[a]]:
+            if self.compose[(ai, a)] != self.unit_arrow[src[a]]:
                 raise GroupoidAxiomError("inverse law a^-1 a fails", a)
-            if self.compose[(a, ai)] != self.unit_arrow[self.rng[a]]:
+            if self.compose[(a, ai)] != self.unit_arrow[rng[a]]:
                 raise GroupoidAxiomError("inverse law a a^-1 fails", a)
-        for (a, b) in self.compose:
-            for c in self.arrows:
-                if self.src[b] == self.rng[c]:
-                    left = self.compose[(self.compose[(a, b)], c)]
-                    right = self.compose[(a, self.compose[(b, c)])]
-                    if left != right:
-                        raise GroupoidAxiomError("associativity fails", (a, b, c))
+        self._build_index(rows)
+        # (ab)c == a(bc), one unit y = src(b) = rng(c) at a time: the rows
+        # (a, b, ab) with src(b) = y against every c with rng(c) = y
+        T = self.table
+        row_unit = self.src_unit[self.ib]
+        for y in range(len(self.units)):
+            r = np.flatnonzero(row_unit == y)
+            a, b, ab = self.ia[r, None], self.ib[r, None], self.ic[r, None]
+            c = np.flatnonzero(self.rng_unit == y)
+            bad = np.argwhere(T[ab, c] != T[a, T[b, c]])
+            if bad.size:
+                i, j = bad[0]
+                raise GroupoidAxiomError(
+                    "associativity fails",
+                    (self.arrows[a[i, 0]], self.arrows[b[i, 0]], self.arrows[c[j]]),
+                )
+
+    def _build_index(self, rows):
+        """The composition index of the (validated) table rows."""
+        m = len(self.arrows)
+        unit_pos = {x: k for k, x in enumerate(self.units)}
+        self.ia, self.ib, self.ic = np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy()
+        self.table = np.full((m, m), -1, dtype=np.intp)
+        self.table[self.ia, self.ib] = self.ic
+        self.inv_index = np.array([self.index[self.inv[a]] for a in self.arrows], dtype=np.intp)
+        self.src_unit = np.array([unit_pos[self.src[a]] for a in self.arrows], dtype=np.intp)
+        self.rng_unit = np.array([unit_pos[self.rng[a]] for a in self.arrows], dtype=np.intp)
+        self.fibers = {x: np.flatnonzero(self.src_unit == k) for x, k in unit_pos.items()}
+        # the regular representation: the row (a, b, c) with src(b) = x puts
+        # f(a) at (c, b) of the block of x, and every cell gets exactly one row
+        pos = np.empty(m, dtype=np.intp)
+        sizes = np.zeros(len(self.units), dtype=np.intp)
+        for k, x in enumerate(self.units):
+            fiber = self.fibers[x]
+            pos[fiber] = np.arange(len(fiber))
+            sizes[k] = len(fiber)
+        offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
+        x = self.src_unit[self.ib]
+        cell = offsets[x] + pos[self.ic] * sizes[x] + pos[self.ib]
+        self.rep_gather = np.empty(len(self.ia), dtype=np.intp)
+        self.rep_gather[cell] = self.ia
+        self.rep_blocks = [
+            (x, int(offsets[k]), int(sizes[k])) for k, x in enumerate(self.units)
+        ]
 
     # -- constructors -----------------------------------------------------------
 
@@ -117,6 +202,7 @@ class FiniteGroupoid:
         group elements to permutations of the points) covers non-faithful
         cases such as a nontrivial group acting trivially.
         """
+        _check_arrow_count(points * len(group))
         if action is None:
             if group.n != points:
                 raise ValueError("group does not act on the given points")
@@ -131,25 +217,24 @@ class FiniteGroupoid:
                     if action[g * h] != action[g] * action[h]:
                         raise ValueError("action is not a homomorphism")
         units = list(range(1, points + 1))
+        label = {g: g.cycle_string() for g in group}
         arrows = []
         src, rng, inv = {}, {}, {}
+        into = {x: [] for x in units}  # into[x]: the arrows with range x, as (h, y)
         for g in group:
-            gs = g.cycle_string()
-            for x in units:
-                a = (gs, x)
+            for y in units:
+                a = (label[g], y)
                 arrows.append(a)
-                src[a] = x
-                rng[a] = action[g](x)
-                inv[a] = (g.inverse().cycle_string(), action[g](x))
+                src[a] = y
+                rng[a] = action[g](y)
+                inv[a] = (label[g.inverse()], action[g](y))
+                into[action[g](y)].append((g, y))
         unit_arrow = {x: ("()", x) for x in units}
         compose = {}
-        by_label = {g.cycle_string(): g for g in group}
-        for (gs, x) in arrows:
-            g = by_label[gs]
-            for (hs, y) in arrows:
-                h = by_label[hs]
-                if action[h](y) == x:  # src of first = rng of second
-                    compose[((gs, x), (hs, y))] = ((g * h).cycle_string(), y)
+        for g in group:
+            for x in units:
+                for h, y in into[x]:
+                    compose[((label[g], x), (label[h], y))] = (label[g * h], y)
         return cls(units, arrows, src, rng, unit_arrow, compose, inv)
 
     @classmethod
@@ -164,6 +249,7 @@ class FiniteGroupoid:
         units = sorted({p for blk in blocks for p in blk})
         if len(units) != sum(len(b) for b in blocks):
             raise ValueError("blocks are not disjoint")
+        _check_arrow_count(sum(len(b) ** 2 for b in blocks))
         arrows, src, rng, inv = [], {}, {}, {}
         compose = {}
         for blk in blocks:
@@ -174,10 +260,8 @@ class FiniteGroupoid:
                     src[a] = y
                     rng[a] = x
                     inv[a] = (y, x)
-        for (x, y) in arrows:
-            for (y2, z) in arrows:
-                if y == y2:
-                    compose[((x, y), (y2, z))] = (x, z)
+                    for z in blk:
+                        compose[((x, y), (y, z))] = (x, z)
         unit_arrow = {x: (x, x) for x in units}
         return cls(units, arrows, src, rng, unit_arrow, compose, inv)
 
@@ -194,6 +278,7 @@ class FiniteGroupoid:
         """From raw data: arrow_specs maps id -> (src, rng); units must appear
         as their own identity arrows.  The inverse map is inferred when omitted."""
         arrows = list(arrow_specs)
+        _check_arrow_count(len(arrows))
         src = {a: arrow_specs[a][0] for a in arrows}
         rng = {a: arrow_specs[a][1] for a in arrows}
         unit_arrow = {}
@@ -316,13 +401,10 @@ class FiniteAlgebraElement:
         return FiniteAlgebraElement(self.groupoid, {a: c * v for a, v in self.coeffs.items()})
 
     def __mul__(self, other):
-        out = {}
-        for (a, b), c in self.groupoid.compose.items():
-            fa = self.coeffs.get(a)
-            gb = other.coeffs.get(b)
-            if fa and gb:
-                out[c] = out.get(c, 0j) + fa * gb
-        return FiniteAlgebraElement(self.groupoid, out)
+        G = self.groupoid
+        return FiniteAlgebraElement.from_vector(
+            G, _vec_convolve(G, self.vector(), other.vector())
+        )
 
     def adjoint(self):
         return FiniteAlgebraElement(
@@ -338,7 +420,7 @@ class FiniteAlgebraElement:
 
     @classmethod
     def from_vector(cls, G, v):
-        return cls(G, {a: v[G.index[a]] for a in G.arrows})
+        return cls(G, dict(zip(G.arrows, v.tolist())))
 
     def norm_inf(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
@@ -348,21 +430,13 @@ class FiniteAlgebraElement:
 
 
 def regular_rep(f: FiniteAlgebraElement) -> dict:
-    """Block matrices of left convolution on the source fibers, one per unit."""
+    """Block matrices of left convolution on the source fibers, one per unit.
+
+    Rows and columns of the block of x follow ``G.fibers[x]``; the entry at
+    (a b, b) is f(a), gathered in one step through the composition index."""
     G = f.groupoid
-    blocks = {}
-    for x in G.units:
-        fiber = G.source_fiber(x)
-        pos = {a: k for k, a in enumerate(fiber)}
-        M = np.zeros((len(fiber), len(fiber)), dtype=complex)
-        for b in fiber:
-            for a in G.arrows:
-                if G.src[a] == G.rng[b]:
-                    c = f.coeffs.get(a)
-                    if c:
-                        M[pos[G.compose[(a, b)]], pos[b]] += c
-        blocks[x] = M
-    return blocks
+    flat = f.vector()[G.rep_gather]
+    return {x: flat[off:off + n * n].reshape(n, n) for x, off, n in G.rep_blocks}
 
 
 def operator_norm(f: FiniteAlgebraElement) -> float:
@@ -397,48 +471,42 @@ def algebra_image_rank(G: FiniteGroupoid) -> int:
 # exact structure: center and diagonal commutant
 
 
-def _exact_nullspace_vectors(rows, ncols):
-    basis = nullspace(rows, ncols)
-    return basis
-
-
 def center_basis_exact(G: FiniteGroupoid):
     """Exact rational basis of the center of the convolution algebra.
 
-    Builds the commutation constraints against every arrow indicator from the
-    structure constants and solves over the rationals.
-    """
-    m = len(G.arrows)
-    rows = []
-    for g in G.arrows:
-        gi = G.inv[g]
-        for w in G.arrows:
-            row = [ZERO] * m
-            nonzero = False
-            if G.src[w] == G.src[g]:
-                row[G.index[G.compose[(w, gi)]]] = row[G.index[G.compose[(w, gi)]]] + ONE
-                nonzero = True
-            if G.rng[w] == G.rng[g]:
-                k = G.index[G.compose[(gi, w)]]
-                row[k] = row[k] - ONE
-                nonzero = True
-            if nonzero and any(x for x in row):
-                rows.append(row)
-    return _exact_nullspace_vectors(rows, m)
+    f is central iff it vanishes off the isotropy bundle and is constant on
+    each conjugacy class {g h g^-1}, so the basis is the class indicators.
+    They come in the order of each class's last arrow index, the free-column
+    order of row reduction on the commutation constraints."""
+    T, inv = G.table, G.inv_index
+    seen = np.zeros(len(G.arrows), dtype=bool)
+    classes = []
+    for h in np.flatnonzero(G.src_unit == G.rng_unit):
+        if not seen[h]:
+            g = G.fibers[G.src[G.arrows[h]]]  # every g with g h g^-1 defined
+            in_class = np.zeros(len(G.arrows), dtype=bool)
+            in_class[T[T[g, h], inv[g]]] = True
+            seen |= in_class
+            classes.append(np.flatnonzero(in_class))
+    classes.sort(key=lambda members: members[-1])
+    return [_indicator(len(G.arrows), members) for members in classes]
 
 
 def diagonal_commutant_exact(G: FiniteGroupoid):
-    """Exact basis of the commutant of the diagonal subalgebra."""
+    """Exact basis of the commutant of the diagonal subalgebra.
+
+    delta_x f = f delta_x for every unit x forces f to vanish off the
+    isotropy bundle, so the basis is the isotropy-arrow indicators, in index
+    order."""
     m = len(G.arrows)
-    rows = []
-    for x in G.units:
-        for w in G.arrows:
-            coeff = (1 if G.src[w] == x else 0) - (1 if G.rng[w] == x else 0)
-            if coeff:
-                row = [ZERO] * m
-                row[G.index[w]] = Scalar(coeff)
-                rows.append(row)
-    return _exact_nullspace_vectors(rows, m)
+    return [_indicator(m, [k]) for k in np.flatnonzero(G.src_unit == G.rng_unit)]
+
+
+def _indicator(m, support):
+    vec = [ZERO] * m
+    for k in support:
+        vec[k] = ONE
+    return vec
 
 
 @dataclass
@@ -481,19 +549,16 @@ class CenterSplit:
 
 
 def _vec_adjoint(G, v):
-    out = np.zeros_like(v)
-    for a in G.arrows:
-        out[G.index[G.inv[a]]] = np.conjugate(v[G.index[a]])
+    out = np.empty_like(v)
+    out[G.inv_index] = np.conjugate(v)
     return out
 
 
 def _vec_convolve(G, u, v):
-    out = np.zeros_like(u)
-    for (a, b), c in G.compose.items():
-        ua = u[G.index[a]]
-        vb = v[G.index[b]]
-        if ua != 0 and vb != 0:
-            out[G.index[c]] += ua * vb
+    """Convolution of coefficient vectors: (u * v)(c) is the sum of
+    u(a) v(b) over the table rows a b = c, one scatter-add."""
+    out = np.zeros(len(G.arrows), dtype=complex)
+    np.add.at(out, G.ic, u[G.ia] * v[G.ib])
     return out
 
 
@@ -502,7 +567,13 @@ def minimal_central_projections(
 ) -> CenterSplit:
     """Numeric splitting of the exactly computed center into its minimal
     projections: eigen-split a random self-adjoint central element, normalize
-    the eigenvectors to idempotents, and report every residual."""
+    the eigenvectors to idempotents, and report every residual.
+
+    The split is memoized on the groupoid by (tol, seed, attempts), so the
+    checks that need it share one; callers must not modify it."""
+    key = (tol, seed, attempts)
+    if key in G._splits:
+        return G._splits[key]
     exact = center_basis_exact(G)
     k = len(exact)
     Zmat = np.array(
@@ -548,16 +619,12 @@ def minimal_central_projections(
             projections.append(z)
             idem_res = max(idem_res, float(np.linalg.norm(_vec_convolve(G, z, z) - z)))
             sa_res = max(sa_res, float(np.linalg.norm(_vec_adjoint(G, z) - z)))
-            for a in G.arrows:
-                da = FiniteAlgebraElement.delta(G, a).vector()
-                central_res = max(
-                    central_res,
-                    float(
-                        np.linalg.norm(
-                            _vec_convolve(G, z, da) - _vec_convolve(G, da, z)
-                        )
-                    ),
-                )
+            # column a is z delta_a - delta_a z: the row (p, a, c) puts z(p)
+            # at (c, a), the row (a, q, c) puts -z(q) there
+            D = np.zeros((len(G.arrows), len(G.arrows)), dtype=complex)
+            D[G.ic, G.ib] = z[G.ia]
+            D[G.ic, G.ia] -= z[G.ib]
+            central_res = max(central_res, float(np.linalg.norm(D, axis=0).max()))
         total = sum(projections)
         unit_vec = FiniteAlgebraElement.unit(G).vector()
         part_res = float(np.linalg.norm(total - unit_vec))
@@ -565,6 +632,7 @@ def minimal_central_projections(
         worst = max(idem_res, sa_res, part_res, central_res)
         if worst > tol * 100 and worst > 1e-7:
             raise CenterSplitError(f"projection residual {worst:.2e} exceeds tolerance")
+        G._splits[key] = split
         return split
     raise CenterSplitError(
         f"could not separate center eigenvalues (min gap {last_gap:.2e})"
@@ -593,11 +661,12 @@ def _diagonal_meets(G, zvecs, tol):
     """Does {c diagonal : z c = c} have a nonzero solution, for z the sum of
     the given projections?  Rank test over the units."""
     z = sum(zvecs)
-    cols = []
-    for x in G.units:
-        dx = FiniteAlgebraElement.delta(G, G.unit_arrow[x]).vector()
-        cols.append(_vec_convolve(G, z, dx) - dx)
-    K = np.array(cols).T
+    # column x is z delta_x - delta_x, and z delta_x is z on the source fiber of x
+    K = np.zeros((len(G.arrows), len(G.units)), dtype=complex)
+    for j, x in enumerate(G.units):
+        fiber = G.fibers[x]
+        K[fiber, j] = z[fiber]
+        K[G.index[G.unit_arrow[x]], j] -= 1
     sv = np.linalg.svd(K, compute_uv=False)
     sv_min = float(sv.min()) if sv.size else 0.0
     return sv_min < max(tol, 1e-9 * (float(sv.max()) if sv.size else 1.0)), sv_min
@@ -674,6 +743,9 @@ def key_inequality_check(
     the diagonal matrix coefficient at the unit recovers f(x) on the nose."""
     rng = random.Random(seed)
     free_units = [x for x in G.units if G.has_no_isotropy(x)]
+    # where the unit arrow of x sits in the block of x
+    diag = {x: int(np.flatnonzero(G.fibers[x] == G.index[G.unit_arrow[x]])[0])
+            for x in free_units}
     violations = []
     max_excess = 0.0
     pairing_exact = True
@@ -689,9 +761,7 @@ def key_inequality_check(
             max_excess = max(max_excess, excess)
             if excess > tol:
                 violations.append((trial, x, abs(val), norm))
-            fiber = G.source_fiber(x)
-            pos = fiber.index(G.unit_arrow[x])
-            if blocks[x][pos, pos] != val:
+            if blocks[x][diag[x], diag[x]] != val:
                 pairing_exact = False
     return KeyInequalityReport(trials, len(free_units), violations, max_excess, pairing_exact)
 
@@ -707,13 +777,35 @@ def parse_finite_spec(spec: dict) -> FiniteGroupoid:
     {"equivalence": {"blocks": [[1,2],[3]]}}
     {"units": [...], "arrows": [{"id":..,"src":..,"rng":..},...],
      "compose": [[a,b,c], ...], "inverse": {a: b}}   (inverse optional)
+
+    A malformed spec raises ``ValueError``, and so does a transformation spec
+    with max(points, group_degree) * |G|^2 > ``MAX_COMPOSE_ENTRIES``: its
+    group build stops at that order, before any table is built.
     """
+    try:
+        return _parse_finite_spec(spec)
+    except (KeyError, TypeError, AttributeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"malformed spec ({type(exc).__name__}: {exc})") from None
+
+
+def _parse_finite_spec(spec):
     if "transformation" in spec:
         t = spec["transformation"]
         k = int(t["points"])
         degree = int(t.get("group_degree", k))
+        if k < 1 or degree < 1:
+            raise ValueError("points and group_degree must be positive")
+        max_order = math.isqrt(MAX_COMPOSE_ENTRIES // max(k, degree))
+        too_large = ValueError(
+            f"too large: max(points, group_degree) * |group|^2 exceeds {MAX_COMPOSE_ENTRIES}"
+        )
+        if max_order < 1:
+            raise too_large
         gens = [parse_cycles(s, degree) for s in t.get("group_generators", [])]
-        group = PermGroup.generate(degree, gens)
+        try:
+            group = PermGroup.generate(degree, gens, limit=max_order)
+        except GroupTooLarge:
+            raise too_large from None
         if "action" in t:
             images = [parse_cycles(s, k) for s in t["action"]]
             if gens:

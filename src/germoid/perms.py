@@ -16,6 +16,10 @@ class CycleParseError(ValueError):
     pass
 
 
+class GroupTooLarge(ValueError):
+    """A closure grew past its element limit."""
+
+
 _new = object.__new__
 
 
@@ -156,9 +160,12 @@ def parse_cycles(text: str, n: int) -> Permutation:
 
 
 def mulclose(generators, limit=None):
-    """Breadth-first closure of a generator set under products."""
+    """Breadth-first closure of a generator set under products; raises
+    ``GroupTooLarge`` once it holds more than ``limit`` elements."""
     gens = list(generators)
     els = set(gens)
+    if limit is not None and len(els) > limit:
+        raise GroupTooLarge(f"closure exceeded {limit} elements")
     boundary = list(els)
     while boundary:
         new = []
@@ -169,7 +176,7 @@ def mulclose(generators, limit=None):
                     els.add(c)
                     new.append(c)
                     if limit is not None and len(els) > limit:
-                        raise ValueError("closure exceeded limit")
+                        raise GroupTooLarge(f"closure exceeded {limit} elements")
         boundary = new
     return els
 
@@ -191,7 +198,9 @@ class PermGroup:
         self.identity = ident
 
     @classmethod
-    def generate(cls, n: int, generators) -> "PermGroup":
+    def generate(cls, n: int, generators, limit=None) -> "PermGroup":
+        """Closure of the generators; raises ``GroupTooLarge`` past ``limit``
+        elements."""
         gens = list(generators)
         for g in gens:
             if not isinstance(g, Permutation):
@@ -199,7 +208,7 @@ class PermGroup:
             if g.n != n:
                 raise ValueError(f"generator {g} does not act on 1..{n}")
         ident = Permutation.identity(n)
-        els = mulclose(gens + [ident])
+        els = mulclose(gens + [ident], limit)
         return cls(n, els, gens)
 
     @classmethod
