@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .germs import CenterGerm, EdgeGerm, GermError, GermGroupoid
 from .perms import Permutation
-from .poly import PiecewisePoly
+from .poly import PiecewisePoly, common_refinement
 from .scalars import ZERO, Scalar, as_scalar, render_scalar
 from .starspace import CENTER, CenterPoint, EdgePoint, PPFun
 
@@ -69,13 +69,17 @@ class AlgebraElement:
 
     def check_compatible(self):
         """Raise unless every strip's limit at 0 equals its center-value sum."""
-        for (i, j) in self.groupoid.admissible_pairs:
-            lim = self.strips[(i, j)].at0() if (i, j) in self.strips else ZERO
-            total = ZERO
-            for s, c in self.center.items():
-                if s(i) == j:
-                    total = total + c
+        # sigma contributes its center value to the n pairs (i, sigma(i))
+        sums = {}
+        for s, c in self.center.items():
+            for pair in enumerate(s.images, 1):
+                sums[pair] = sums[pair] + c if pair in sums else c
+        strips = self.strips
+        for pair in self.groupoid.admissible_pairs:
+            lim = strips[pair].at0() if pair in strips else ZERO
+            total = sums.get(pair, ZERO)
             if lim != total:
+                i, j = pair
                 raise CompatibilityError(
                     f"strip ({i},{j}) has limit {lim} at the center but the "
                     f"center values sum to {total}"
@@ -144,11 +148,13 @@ class AlgebraElement:
     def __mul__(self, other):
         """Convolution: (f*g)(germ) = sum of f(a)g(b) over factorizations ab."""
         self._check(other)
+        # g's strips by range edge: f's strip (k, j) meets g's strips (i, k)
+        by_range = {}
+        for (i, k), gs in other.strips.items():
+            by_range.setdefault(k, []).append((i, gs))
         strips = {}
         for (k, j), fs in self.strips.items():
-            for (i, k2), gs in other.strips.items():
-                if k2 != k:
-                    continue
+            for i, gs in by_range.get(k, ()):
                 term = fs * gs
                 pair = (i, j)
                 strips[pair] = strips[pair] + term if pair in strips else term
@@ -433,15 +439,14 @@ def _collision_on_common_piece(strips_by_key):
     simultaneously nonzero at some point iff they are both not identically
     zero on a common refined piece.
     """
+    if len(strips_by_key) < 2:
+        return None
     keys = sorted(strips_by_key)
-    breaks = sorted({b for pp in strips_by_key.values() for b in pp.breaks})
-    for lo, hi in zip(breaks, breaks[1:]):
-        live = [
-            k for k in keys
-            if strips_by_key[k].polys[strips_by_key[k]._piece_index(lo)]
-        ]
+    breaks, columns = common_refinement([strips_by_key[k] for k in keys])
+    for m in range(len(breaks) - 1):
+        live = [k for k, col in zip(keys, columns) if col[m]]
         if len(live) >= 2:
-            return live[0], live[1], (lo, hi)
+            return live[0], live[1], (breaks[m], breaks[m + 1])
     return None
 
 
@@ -536,11 +541,16 @@ def _support_point_map(u: AlgebraElement) -> PointMap:
     G = u.groupoid
     segments = []
     for i in range(1, G.n + 1):
-        row = {j: pp for (si, j), pp in u.strips.items() if si == i}
-        breaks = sorted({b for pp in row.values() for b in pp.breaks} | {Fraction(0), Fraction(1)})
+        row = sorted((j, pp) for (si, j), pp in u.strips.items() if si == i)
         segs = []
-        for lo, hi in zip(breaks, breaks[1:]):
-            live = [j for j, pp in sorted(row.items()) if pp.polys[pp._piece_index(lo)]]
+        if not row:
+            segments.append((i, ()))
+            continue
+        keys = [j for j, _pp in row]
+        breaks, columns = common_refinement([pp for _j, pp in row])
+        for m in range(len(breaks) - 1):
+            lo, hi = breaks[m], breaks[m + 1]
+            live = [j for j, col in zip(keys, columns) if col[m]]
             if len(live) > 1:
                 raise NotNormalizerError(
                     f"support map is multi-valued on edge {i} over ({lo},{hi}]"

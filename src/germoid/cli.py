@@ -22,7 +22,7 @@ from .experiments import (
     star_experiment,
 )
 from .finite import CenterSplitError
-from .perms import CycleParseError, parse_cycles
+from .perms import CycleParseError, GroupTooLarge, parse_cycles
 from .rep import InternalCheckError
 from .reports import EXIT_FAILURE
 
@@ -119,7 +119,12 @@ def main(argv=None) -> int:
             except CycleParseError as exc:
                 print(f"error: --tau: {exc}", file=sys.stderr)
                 return EXIT_FAILURE
-            return _emit(star_experiment(args.n, tau, args.trials, seed), args.json)
+            try:
+                report = star_experiment(args.n, tau, args.trials, seed)
+            except GroupTooLarge as exc:
+                print(f"error: --n: {exc}", file=sys.stderr)
+                return EXIT_FAILURE
+            return _emit(report, args.json)
         if args.command == "diagnose":
             try:
                 return _emit(diagnose_experiment(_load_spec(args.spec)), args.json)

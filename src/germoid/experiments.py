@@ -23,7 +23,14 @@ from .finite import (
     random_finite_element,
     restrict_to_units,
 )
-from .germs import CenterGerm, EdgeGerm, GermError, GermGroupoid, parse_star_spec
+from .germs import (
+    CenterGerm,
+    EdgeGerm,
+    GermError,
+    GermGroupoid,
+    parse_star_spec,
+    require_star_group_order,
+)
 from .linalg import Matrix
 from .perms import PermGroup, Permutation, parse_cycles
 from .rep import (
@@ -53,6 +60,13 @@ DEFAULT_SEED = 7
 def _finish(report: ExperimentReport, started: float) -> ExperimentReport:
     report.wall_time_s = time.monotonic() - started
     return report
+
+
+def _pair_strings(group, pairs):
+    """Render inseparable pairs as "{a, b}", each group element's cycle
+    string computed once."""
+    names = {s: str(s) for s in group}
+    return [f"{{{names[a]}, {names[b]}}}" for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +139,7 @@ def cross_experiment(trials: int = 200, seed: int = DEFAULT_SEED) -> ExperimentR
     report.exact(
         "non-Hausdorff with inseparable center pairs",
         (not h_flag) and len(pairs) > 0,
-        witness=[f"{{{a}, {b}}}" for a, b in pairs],
+        witness=_pair_strings(G.group, pairs),
     )
     report.exact(
         "central element (exact serialized form)", True, witness=f.to_json_dict()
@@ -146,6 +160,7 @@ def star_experiment(
     )
     if n < 2:
         raise ValueError("need at least 2 edges")
+    require_star_group_order("A", n)
 
     group = PermGroup.alternating(n)
     bt = bitransitivity_check(group)
@@ -253,7 +268,7 @@ def diagnose_experiment(spec: dict) -> ExperimentReport:
     report.exact(
         f"hausdorff: {hflag}",
         True,
-        witness=[f"{{{a}, {b}}}" for a, b in pairs] or None,
+        witness=_pair_strings(G.group, pairs) or None,
     )
     ep_flag, witnesses = G.essentially_principal_check()
     report.exact(

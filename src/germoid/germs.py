@@ -10,8 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .perms import PermGroup, Permutation
+from .perms import GroupTooLarge, PermGroup, Permutation
 from .starspace import CENTER, CenterPoint, EdgePoint
+
+# |A7|: star groups past this order are refused before they are built
+MAX_STAR_GROUP_ORDER = 2520
+# star specs with more edges are refused before any permutation is built
+MAX_STAR_EDGES = 100
 
 
 class GermError(ValueError):
@@ -209,13 +214,43 @@ class GermGroupoid:
         return f"GermGroupoid(n={self.n}, group order {len(self.group)})"
 
 
+def require_star_group_order(kind: str, n: int) -> int:
+    """The order of A_n, S_n or Z_n (kind "A", "S" or "Z"), computed without
+    building the group; raises ``GroupTooLarge`` once it passes
+    ``MAX_STAR_GROUP_ORDER``."""
+    too_large = GroupTooLarge(f"group {kind}{n} has more than {MAX_STAR_GROUP_ORDER} elements")
+    if kind == "Z":
+        if n > MAX_STAR_GROUP_ORDER:
+            raise too_large
+        return n
+    order = 1
+    for k in range(3 if kind == "A" else 2, n + 1):
+        order *= k
+        if order > MAX_STAR_GROUP_ORDER:
+            raise too_large
+    return order
+
+
 def parse_star_spec(spec: dict) -> GermGroupoid:
     """Build a germ groupoid from its JSON description.
 
     {"n": 4, "group": "A4"}               named group: A<n>, S<n>, Z<n>,
                                           "trivial", "klein_cross"
     {"n": 4, "generators": ["(1 2)", "(3 4)"]}   generated subgroup
+
+    A malformed spec raises ``ValueError``, and so do more than
+    ``MAX_STAR_EDGES`` edges and a group with more than
+    ``MAX_STAR_GROUP_ORDER`` elements (``GroupTooLarge``): a named group's
+    order is computed before the group is built, and a generated group's
+    closure stops at that order.
     """
+    try:
+        return _parse_star_spec(spec)
+    except (KeyError, TypeError, AttributeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"malformed spec ({type(exc).__name__}: {exc})") from None
+
+
+def _parse_star_spec(spec):
     from .perms import parse_cycles
 
     if "n" not in spec:
@@ -223,9 +258,11 @@ def parse_star_spec(spec: dict) -> GermGroupoid:
     n = int(spec["n"])
     if n < 1:
         raise ValueError("edge count must be positive")
+    if n > MAX_STAR_EDGES:
+        raise ValueError(f"edge count {n} exceeds {MAX_STAR_EDGES}")
     if "generators" in spec:
         gens = [parse_cycles(s, n) for s in spec["generators"]]
-        return GermGroupoid(n, PermGroup.generate(n, gens))
+        return GermGroupoid(n, PermGroup.generate(n, gens, limit=MAX_STAR_GROUP_ORDER))
     name = spec.get("group", "trivial")
     if name == "trivial":
         return GermGroupoid(n, PermGroup.trivial(n))
@@ -236,5 +273,6 @@ def parse_star_spec(spec: dict) -> GermGroupoid:
     kind, num = name[0], name[1:]
     if not num.isdigit() or int(num) != n or kind not in "ASZ":
         raise ValueError(f"unknown group name {name!r} for n={n}")
+    require_star_group_order(kind, n)
     maker = {"A": PermGroup.alternating, "S": PermGroup.symmetric, "Z": PermGroup.cyclic}[kind]
     return GermGroupoid(n, maker(n))

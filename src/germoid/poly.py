@@ -4,17 +4,34 @@ A polynomial is a tuple of Scalar coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  A PiecewisePoly
 carries rational breakpoints 0 = b0 < ... < bm = 1 and one polynomial per
 piece (b_k, b_{k+1}], with matching values at interior breakpoints.
+
+Binary operations work piece by piece on the common refinement of the two
+breakpoint tuples.  ``_merge`` builds it in one linear pass, comparing two
+breakpoints x, y by the integers x.numerator*y.denominator and
+y.numerator*x.denominator; equal tuples come back as they are.
+``common_refinement`` folds the same merge over any number of piecewise
+polynomials.  ``pmul`` multiplies over the integers: it scales each factor's
+coefficients to one common denominator, accumulates every output coefficient
+as an integer pair (re, im), and reduces it once by a gcd.
+
+Trusted path: ``PiecewisePoly(breaks, polys, _checked=True)`` takes its
+arguments as given.  Its caller must pass ``Fraction`` breakpoints and
+trimmed polynomials forming a valid continuous function; every caller inside
+this package does (the operations below keep both properties).  Outside
+input goes through the validating path, ``_checked=False``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 
-from .scalars import ZERO, Scalar, as_scalar
+from .scalars import ZERO, Scalar, _make, as_scalar
 
 PZERO = ()
 PONE = (Scalar(1),)
+_UNIT_INTERVAL = (Fraction(0), Fraction(1))
 
 
 def ptrim(coeffs):
@@ -48,14 +65,37 @@ def psub(p, q):
     return padd(p, pneg(q))
 
 
+def _common_denominator(p):
+    """(lcm of the coefficient denominators, [(a, b) scaled to it, ...])."""
+    den = 1
+    for c in p:
+        d = c._d
+        if den % d:
+            den = den * d // gcd(den, d)
+    return den, [(c._a * (den // c._d), c._b * (den // c._d)) for c in p]
+
+
 def pmul(p, q):
     if not p or not q:
         return PZERO
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return ptrim(out)
+    dp, ps = _common_denominator(p)
+    dq, qs = _common_denominator(q)
+    size = len(p) + len(q) - 1
+    re = [0] * size
+    im = [0] * size
+    for i, (a, b) in enumerate(ps):
+        for j, (c, e) in enumerate(qs, i):
+            re[j] += a * c - b * e
+            im[j] += a * e + b * c
+    while size and not (re[size - 1] or im[size - 1]):
+        size -= 1
+    den = dp * dq
+    out = []
+    for k in range(size):
+        a, b = re[k], im[k]
+        g = gcd(a, b, den)
+        out.append(_make(a // g, b // g, den // g))
+    return tuple(out)
 
 
 def pscale(c, p):
@@ -88,9 +128,9 @@ class PiecewisePoly:
     __slots__ = ("breaks", "polys")
 
     def __init__(self, breaks, polys, _checked=False):
-        breaks = tuple(Fraction(b) for b in breaks)
-        polys = tuple(ptrim(p) for p in polys)
         if not _checked:
+            breaks = tuple(Fraction(b) for b in breaks)
+            polys = tuple(ptrim(p) for p in polys)
             if len(breaks) < 2 or len(polys) != len(breaks) - 1:
                 raise ValueError("breakpoint/piece count mismatch")
             if breaks[0] != 0 or breaks[-1] != 1:
@@ -100,6 +140,9 @@ class PiecewisePoly:
             for k in range(1, len(polys)):
                 if peval(polys[k - 1], breaks[k]) != peval(polys[k], breaks[k]):
                     raise ValueError(f"discontinuity at t={breaks[k]}")
+        if len(polys) == 1:
+            self.breaks, self.polys = tuple(breaks), tuple(polys)
+            return
         # merge adjacent identical pieces
         mb = [breaks[0]]
         mp = []
@@ -114,15 +157,15 @@ class PiecewisePoly:
 
     @classmethod
     def zero(cls) -> "PiecewisePoly":
-        return cls((Fraction(0), Fraction(1)), (PZERO,), _checked=True)
+        return cls(_UNIT_INTERVAL, (PZERO,), _checked=True)
 
     @classmethod
     def const(cls, c) -> "PiecewisePoly":
-        return cls((Fraction(0), Fraction(1)), (pconst(c),), _checked=True)
+        return cls(_UNIT_INTERVAL, (pconst(c),), _checked=True)
 
     @classmethod
     def from_poly(cls, p) -> "PiecewisePoly":
-        return cls((Fraction(0), Fraction(1)), (ptrim(p),), _checked=True)
+        return cls(_UNIT_INTERVAL, (ptrim(p),), _checked=True)
 
     def at0(self) -> Scalar:
         """Limit value as t -> 0+ (the first piece evaluated at 0)."""
@@ -137,17 +180,8 @@ class PiecewisePoly:
         return peval(self.polys[k], t)
 
     def _aligned(self, other):
-        breaks = sorted(set(self.breaks) | set(other.breaks))
-        mine = [self.polys[self._piece_index(lo)] for lo in breaks[:-1]]
-        theirs = [other.polys[other._piece_index(lo)] for lo in breaks[:-1]]
-        return breaks, mine, theirs
-
-    def _piece_index(self, lo: Fraction) -> int:
-        # index of the piece covering the interval just right of lo
-        k = bisect_left(self.breaks, lo)
-        if k < len(self.breaks) and self.breaks[k] == lo:
-            return min(k, len(self.polys) - 1)
-        return k - 1
+        """(breaks, mine, theirs): both functions' pieces on the common refinement."""
+        return _merge(self.breaks, self.polys, other.breaks, other.polys)
 
     def _zip(self, other, op):
         breaks, mine, theirs = self._aligned(other)
@@ -203,3 +237,64 @@ class PiecewisePoly:
     def __repr__(self):
         bits = ", ".join(f"({lo},{hi}]:{list(map(str, p))}" for lo, hi, p in self.pieces())
         return f"PiecewisePoly[{bits}]"
+
+
+def _merge(xs, a, ys, b):
+    """Align the per-piece sequences a (over breaks xs) and b (over ys).
+
+    xs and ys are strictly increasing Fraction tuples from 0 to 1.  Returns
+    (breaks, a', b') where breaks is their common refinement and a'[k], b'[k]
+    are the entries of a and b whose pieces contain refined piece k.
+    """
+    if len(xs) == 2:
+        return ys, [a[0]] * len(b), b
+    if len(ys) == 2:
+        return xs, a, [b[0]] * len(a)
+    if len(xs) == len(ys) and xs == ys:
+        return xs, a, b
+    breaks = [xs[0]]
+    ma = []
+    mb = []
+    i = j = 1
+    last = len(xs) - 1
+    x, y = xs[1], ys[1]
+    xn, xd = x.numerator, x.denominator
+    yn, yd = y.numerator, y.denominator
+    while True:
+        ma.append(a[i - 1])
+        mb.append(b[j - 1])
+        left, right = xn * yd, yn * xd
+        if left < right:
+            breaks.append(x)
+            i += 1
+            x = xs[i]
+            xn, xd = x.numerator, x.denominator
+        elif left > right:
+            breaks.append(y)
+            j += 1
+            y = ys[j]
+            yn, yd = y.numerator, y.denominator
+        else:
+            breaks.append(x)
+            if i == last:  # both tuples end at 1
+                return breaks, ma, mb
+            i += 1
+            j += 1
+            x, y = xs[i], ys[j]
+            xn, xd = x.numerator, x.denominator
+            yn, yd = y.numerator, y.denominator
+
+
+def common_refinement(pps):
+    """(breaks, columns) for a nonempty sequence of piecewise polynomials:
+    breaks is the common refinement of their breakpoints, and columns[m][k]
+    the polynomial of pps[m] on refined piece k."""
+    breaks = pps[0].breaks
+    columns = [pps[0].polys]
+    for pp in pps[1:]:
+        merged, left, right = _merge(breaks, range(len(breaks) - 1), pp.breaks, pp.polys)
+        if len(merged) != len(breaks):
+            columns = [[col[k] for k in left] for col in columns]
+        columns.append(right)
+        breaks = merged
+    return breaks, columns

@@ -8,7 +8,8 @@ form: d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1).  Equal values have
 equal fields, which makes equality a compare of three ints and lets the hash
 use the triple.  Arithmetic works on the integers directly; the real part,
 imaginary part and squared modulus are handed out as ``Fraction`` only when
-asked for.
+asked for.  ``poly.pmul`` reads the triples directly and builds its results
+with ``_make``, so it follows any change to this representation.
 """
 
 from __future__ import annotations
@@ -210,6 +211,15 @@ _BOTH = _re.compile(r"^\s*([+-]?\d+(?:/\d+)?)\s*([+-])\s*(\d+(?:/\d+)?)i\s*$")
 
 
 def parse_scalar(text: str) -> Scalar:
+    """Parse a literal in the format of render_scalar; raise ``ValueError``
+    on any other text, a zero denominator included."""
+    try:
+        return _parse_scalar(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar literal: {text!r}") from None
+
+
+def _parse_scalar(text: str) -> Scalar:
     m = _PURE_RE.match(text)
     if m:
         return Scalar(Fraction(m.group(1)))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -110,6 +111,41 @@ def test_diagnose_bad_spec(tmp_path, capsys):
     assert "line" in err
     spec.write_text(json.dumps({"n": 4, "group": "Q8"}))
     assert run(["diagnose", "--spec", str(spec)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["star", "--n", "9"],
+        ["star", "--n", "8", "--trials", "1"],
+        ["diagnose", {"n": 9, "group": "S9"}],
+        ["diagnose", {"n": 9, "generators": ["(1 2)", "(1 2 3 4 5 6 7 8 9)"]}],
+    ],
+)
+def test_oversized_star_groups_exit_one_fast(argv, tmp_path, capsys):
+    if isinstance(argv[-1], dict):
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps(argv[-1]))
+        argv = [argv[0], "--spec", str(spec)]
+    started = time.monotonic()
+    assert run(argv) == 1
+    assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert "more than 2520" in err or "exceeded 2520" in err
+    assert captured.out == ""
+
+
+def test_diagnose_renders_each_pair_as_before(tmp_path):
+    from germoid.experiments import diagnose_experiment
+    from germoid.germs import parse_star_spec
+
+    spec = {"n": 5, "group": "A5"}
+    pairs = parse_star_spec(spec).hausdorff_check()[1]
+    report = diagnose_experiment(spec)
+    check = next(c for c in report.checks if c.name.startswith("hausdorff"))
+    assert check.witness == [f"{{{a}, {b}}}" for a, b in pairs]
 
 
 def test_finite_positive_and_negative(tmp_path):

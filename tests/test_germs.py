@@ -1,9 +1,21 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from germoid.germs import CenterGerm, EdgeGerm, GermError, GermGroupoid, parse_star_spec
-from germoid.perms import PermGroup, Permutation, parse_cycles
+from germoid.germs import (
+    MAX_STAR_EDGES,
+    MAX_STAR_GROUP_ORDER,
+    CenterGerm,
+    EdgeGerm,
+    GermError,
+    GermGroupoid,
+    parse_star_spec,
+    require_star_group_order,
+)
+from germoid.perms import GroupTooLarge, PermGroup, Permutation, parse_cycles
 from germoid.sampling import random_germ
 from germoid.starspace import CENTER, EdgePoint, act
 
@@ -161,3 +173,91 @@ def test_parse_star_spec():
         parse_star_spec({"n": 4, "group": "B4"})
     with pytest.raises(ValueError):
         parse_star_spec({"n": 3, "group": "A4"})
+
+
+# -- the star-group order cap ---------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_named_group_orders_match_the_built_groups(n):
+    for kind, make in (("A", PermGroup.alternating), ("S", PermGroup.symmetric),
+                       ("Z", PermGroup.cyclic)):
+        if n == 7 and kind == "S":
+            with pytest.raises(GroupTooLarge):
+                require_star_group_order("S", 7)
+            continue
+        assert require_star_group_order(kind, n) == len(make(n))
+
+
+def test_a7_is_the_largest_alternating_star_group_admitted():
+    assert MAX_STAR_GROUP_ORDER == 2520
+    assert require_star_group_order("A", 7) == 2520
+    assert require_star_group_order("Z", 2520) == 2520
+    for kind, n in (("A", 8), ("Z", 2521), ("S", 10**6)):
+        with pytest.raises(GroupTooLarge, match="more than 2520"):
+            require_star_group_order(kind, n)
+    assert len(parse_star_spec({"n": 7, "group": "A7"}).group) == 2520
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"n": 9, "group": "S9"},
+        {"n": 8, "group": "A8"},
+        {"n": 7, "group": "S7"},
+        {"n": 99, "group": "S99"},
+        {"n": 100, "group": "A100"},
+        {"n": 9, "generators": ["(1 2)", "(1 2 3 4 5 6 7 8 9)"]},
+        {"n": 7, "generators": ["(1 2)", "(1 2 3 4 5 6 7)"]},
+    ],
+)
+def test_oversized_star_groups_are_refused_fast(spec):
+    started = time.monotonic()
+    with pytest.raises(GroupTooLarge):
+        parse_star_spec(spec)
+    assert time.monotonic() - started < 1.0
+
+
+@pytest.mark.parametrize("n", [MAX_STAR_EDGES + 1, 10**6, 1e17, "33660080802"])
+def test_star_specs_past_the_edge_bound_are_refused_fast(n):
+    started = time.monotonic()
+    for spec in ({"n": n}, {"n": n, "group": "Z101"}, {"n": n, "generators": ["(1 2)"]}):
+        with pytest.raises(ValueError, match="edge count"):
+            parse_star_spec(spec)
+    assert time.monotonic() - started < 1.0
+    assert len(parse_star_spec({"n": MAX_STAR_EDGES}).group) == 1
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=6,
+)
+_cycle_texts = st.one_of(
+    st.lists(st.lists(st.integers(-1, 7), max_size=4), max_size=3).map(
+        lambda cycles: "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+    ),
+    st.text(alphabet="()0123456789 ,-x", max_size=12),
+)
+_group_names = st.one_of(
+    st.builds(lambda k, m: f"{k}{m}", st.sampled_from("ASZBa"), st.integers(-1, 9)),
+    st.sampled_from(["trivial", "klein_cross", "", "A", "S٣", "Z²", "A04"]),
+    _json,
+)
+_star_specs = st.one_of(
+    st.fixed_dictionaries(
+        {"n": st.integers(-1, 7) | _json},
+        optional={"group": _group_names, "generators": st.lists(_cycle_texts, max_size=3) | _json},
+    ),
+    _json,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_star_specs)
+def test_parse_star_spec_parses_or_raises_value_error(spec):
+    try:
+        G = parse_star_spec(spec)
+    except ValueError:
+        return
+    assert isinstance(G, GermGroupoid) and len(G.group) <= MAX_STAR_GROUP_ORDER

@@ -1,0 +1,430 @@
+"""The exact strip kernel against the implementations it replaced.
+
+The one-pass breakpoint merge is checked against the set/sort/bisect
+alignment, the integer ``pmul`` against the schoolbook ``Scalar`` loop, the
+k-way refinement against the collision and point-map scans that bisected
+every strip, the bucketed gluing check against the per-pair center scan, and
+the indexed strip pairing against the all-pairs scan.
+"""
+
+import random
+from bisect import bisect_left
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import germoid.poly
+from germoid.algebra import (
+    AlgebraElement,
+    CompatibilityError,
+    NotNormalizerError,
+    PointMap,
+    _collision_on_common_piece,
+    _support_point_map,
+    from_sheet,
+)
+from germoid.experiments import cross_experiment, selftest_experiment, star_experiment
+from germoid.germs import GermGroupoid
+from germoid.perms import parse_cycles
+from germoid.poly import (
+    PZERO,
+    PiecewisePoly,
+    common_refinement,
+    padd,
+    pconst,
+    peval,
+    pmul,
+    ptrim,
+)
+from germoid.sampling import random_algebra_element, random_poly, random_scalar
+from germoid.scalars import ZERO, Scalar
+
+# the sampling pool's denominators plus two it never draws
+_POOL = sorted({Fraction(a, b) for b in (2, 3, 4, 5) for a in range(1, b)}
+               | {Fraction(1, 7), Fraction(3, 11), Fraction(5, 7)})
+
+
+# -- oracles: the implementations the kernel replaced ---------------------------------
+
+def _piece_index(pp, lo):
+    # index of the piece covering the interval just right of lo
+    k = bisect_left(pp.breaks, lo)
+    if k < len(pp.breaks) and pp.breaks[k] == lo:
+        return min(k, len(pp.polys) - 1)
+    return k - 1
+
+
+def _aligned_oracle(f, g):
+    breaks = sorted(set(f.breaks) | set(g.breaks))
+    mine = [f.polys[_piece_index(f, lo)] for lo in breaks[:-1]]
+    theirs = [g.polys[_piece_index(g, lo)] for lo in breaks[:-1]]
+    return breaks, mine, theirs
+
+
+def _pmul_oracle(p, q):
+    if not p or not q:
+        return PZERO
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return ptrim(out)
+
+
+def _collision_oracle(strips_by_key):
+    keys = sorted(strips_by_key)
+    breaks = sorted({b for pp in strips_by_key.values() for b in pp.breaks})
+    for lo, hi in zip(breaks, breaks[1:]):
+        live = [k for k in keys if strips_by_key[k].polys[_piece_index(strips_by_key[k], lo)]]
+        if len(live) >= 2:
+            return live[0], live[1], (lo, hi)
+    return None
+
+
+def _point_map_oracle(u):
+    G = u.groupoid
+    segments = []
+    for i in range(1, G.n + 1):
+        row = {j: pp for (si, j), pp in u.strips.items() if si == i}
+        breaks = sorted({b for pp in row.values() for b in pp.breaks} | {Fraction(0), Fraction(1)})
+        segs = []
+        for lo, hi in zip(breaks, breaks[1:]):
+            live = [j for j, pp in sorted(row.items()) if pp.polys[_piece_index(pp, lo)]]
+            if len(live) > 1:
+                raise NotNormalizerError(
+                    f"support map is multi-valued on edge {i} over ({lo},{hi}]"
+                )
+            if live:
+                j = live[0]
+                if segs and segs[-1][1] == lo and segs[-1][2] == j:
+                    segs[-1] = (segs[-1][0], hi, j)
+                else:
+                    segs.append((lo, hi, j))
+        segments.append((i, tuple(segs)))
+    return PointMap(G.n, tuple(segments), center_fixed=bool(u.center))
+
+
+def _compatible_oracle(el):
+    """The per-pair center scan: the CompatibilityError text, or None."""
+    for (i, j) in el.groupoid.admissible_pairs:
+        lim = el.strips[(i, j)].at0() if (i, j) in el.strips else ZERO
+        total = ZERO
+        for s, c in el.center.items():
+            if s(i) == j:
+                total = total + c
+        if lim != total:
+            return (f"strip ({i},{j}) has limit {lim} at the center but the "
+                    f"center values sum to {total}")
+    return None
+
+
+def _convolve_oracle(f, g):
+    """Strips of f*g by scanning every pair of strips."""
+    strips = {}
+    for (k, j), fs in f.strips.items():
+        for (i, k2), gs in g.strips.items():
+            if k2 == k:
+                strips[(i, j)] = strips[(i, j)] + fs * gs if (i, j) in strips else fs * gs
+    return {pair: pp for pair, pp in strips.items() if not pp.is_zero()}
+
+
+# -- random strips ------------------------------------------------------------------
+
+def _random_breaks(rng, pool=_POOL, max_interior=4):
+    interior = rng.sample(pool, rng.randint(0, max_interior))
+    return tuple(sorted({Fraction(0), Fraction(1), *interior}))
+
+
+def _continuous_strip(rng, breaks):
+    """A random continuous strip over breaks, through the validating path."""
+    polys = []
+    level = random_scalar(rng)
+    for lo, hi in zip(breaks, breaks[1:]):
+        p = random_poly(rng)
+        p = padd(p, pconst(level - peval(p, lo)))
+        polys.append(p)
+        level = peval(p, hi)
+    return PiecewisePoly(breaks, polys)
+
+
+def _bump_strip(rng, breaks):
+    """A strip vanishing at every breakpoint, zero on a random set of pieces."""
+    polys = []
+    for lo, hi in zip(breaks, breaks[1:]):
+        if rng.random() < 0.4:
+            polys.append(PZERO)
+        else:
+            c = random_scalar(rng) or Scalar(1)
+            # c (t - lo)(t - hi)
+            polys.append((c * lo * hi, -c * (lo + hi), c))
+    return PiecewisePoly(breaks, polys)
+
+
+# -- the merge ------------------------------------------------------------------------
+
+def _same_alignment(f, g):
+    breaks, mine, theirs = f._aligned(g)
+    o_breaks, o_mine, o_theirs = _aligned_oracle(f, g)
+    assert tuple(breaks) == tuple(o_breaks)
+    assert all(isinstance(b, Fraction) for b in breaks)
+    assert list(mine) == o_mine and list(theirs) == o_theirs
+
+
+def test_merge_matches_the_bisect_oracle_on_random_strips():
+    rng = random.Random(5150)
+    for _ in range(400):
+        f = _continuous_strip(rng, _random_breaks(rng))
+        g = _continuous_strip(rng, _random_breaks(rng))
+        _same_alignment(f, g)
+        _same_alignment(g, f)
+
+
+def test_merge_with_denominators_outside_the_sampling_pool():
+    rng = random.Random(7)
+    odd = (Fraction(0), Fraction(1, 7), Fraction(3, 11), Fraction(1, 2), Fraction(1))
+    for other in [odd, (Fraction(0), Fraction(3, 11), Fraction(1)),
+                  (Fraction(0), Fraction(2, 7), Fraction(3, 10), Fraction(1))]:
+        f = _continuous_strip(rng, odd)
+        g = _continuous_strip(rng, other)
+        _same_alignment(f, g)
+        _same_alignment(g, f)
+
+
+def test_merge_returns_equal_break_tuples_as_they_are():
+    rng = random.Random(11)
+    breaks = (Fraction(0), Fraction(1, 7), Fraction(3, 11), Fraction(1))
+    f = _continuous_strip(rng, breaks)
+    g = _continuous_strip(rng, tuple(Fraction(b) for b in breaks))
+    assert f.breaks == g.breaks
+    merged, mine, theirs = f._aligned(g)
+    assert merged is f.breaks and mine is f.polys and theirs is g.polys
+    _same_alignment(f, g)
+
+
+def test_merge_with_the_trivial_breaks():
+    rng = random.Random(13)
+    trivial = PiecewisePoly.from_poly(random_poly(rng, max_deg=3))
+    assert trivial.breaks == (0, 1)
+    for _ in range(50):
+        f = _continuous_strip(rng, _random_breaks(rng))
+        _same_alignment(trivial, f)
+        _same_alignment(f, trivial)
+        merged, _, _ = trivial._aligned(f)
+        assert merged is f.breaks
+    _same_alignment(trivial, PiecewisePoly.zero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=13), max_size=6),
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=13), max_size=6),
+)
+def test_merge_matches_the_oracle_on_arbitrary_breaks(xs, ys):
+    def strip(points):
+        breaks = tuple(sorted({Fraction(0), Fraction(1), *points}))
+        # (k + 1)(t - lo)(t - hi) on piece k: continuous, and no two pieces equal
+        return PiecewisePoly(breaks, [
+            (Scalar((k + 1) * lo * hi), Scalar(-(k + 1) * (lo + hi)), Scalar(k + 1))
+            for k, (lo, hi) in enumerate(zip(breaks, breaks[1:]))
+        ])
+
+    _same_alignment(strip(xs), strip(ys))
+
+
+def test_common_refinement_matches_pairwise_alignment():
+    rng = random.Random(17)
+    for _ in range(100):
+        pps = [_continuous_strip(rng, _random_breaks(rng)) for _ in range(rng.randint(1, 4))]
+        breaks, columns = common_refinement(pps)
+        assert list(breaks) == sorted({b for pp in pps for b in pp.breaks})
+        for pp, col in zip(pps, columns):
+            assert list(col) == [pp.polys[_piece_index(pp, lo)] for lo in breaks[:-1]]
+
+
+# -- pmul -----------------------------------------------------------------------------
+
+_small = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+_coefficients = st.one_of(
+    st.builds(Scalar, _small),                       # real
+    st.builds(lambda im: Scalar(0, im), _small),     # imaginary
+    st.just(Scalar(0)),                              # zero
+    st.builds(Scalar, _small, _small),               # general
+)
+_polys = st.lists(_coefficients, max_size=5).map(tuple)
+
+
+def _canonical(c):
+    return c._d > 0 and gcd(c._a, c._b, c._d) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _polys)
+def test_pmul_matches_the_schoolbook_loop(p, q):
+    product = pmul(p, q)
+    assert product == _pmul_oracle(p, q)
+    assert all(_canonical(c) for c in product)
+    assert not product or not product[-1].is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _polys)
+def test_pmul_of_trimmed_polynomials(p, q):
+    p, q = ptrim(p), ptrim(q)
+    assert pmul(p, q) == _pmul_oracle(p, q) == pmul(q, p)
+
+
+# -- the trusted constructor path -----------------------------------------------------
+
+def test_every_internally_built_piecewise_poly_is_well_formed(monkeypatch):
+    """The trusted path gets Fraction breaks and trimmed Scalar polynomials."""
+    built = []
+    init = PiecewisePoly.__init__
+
+    def checking_init(self, breaks, polys, _checked=False):
+        if _checked:
+            breaks, polys = tuple(breaks), tuple(polys)
+            assert all(isinstance(b, Fraction) for b in breaks)
+            assert breaks[0] == 0 and breaks[-1] == 1
+            assert all(a < b for a, b in zip(breaks, breaks[1:]))
+            assert len(polys) == len(breaks) - 1
+            for p in polys:
+                assert isinstance(p, tuple) and p == ptrim(p)
+                assert all(isinstance(c, Scalar) for c in p)
+            for k in range(1, len(polys)):
+                assert peval(polys[k - 1], breaks[k]) == peval(polys[k], breaks[k])
+            built.append(1)
+        init(self, breaks, polys, _checked)
+        assert isinstance(self.breaks, tuple) and isinstance(self.polys, tuple)
+
+    monkeypatch.setattr(germoid.poly.PiecewisePoly, "__init__", checking_init)
+    assert selftest_experiment(3).exit_code == 0
+    assert cross_experiment(10, 3).exit_code == 0
+    assert star_experiment(4, parse_cycles("(1 2)", 4), 3, 3).exit_code == 0
+    assert len(built) > 1000
+
+
+@pytest.mark.parametrize(
+    "breaks, polys, message",
+    [
+        ((0, Fraction(1, 2), 1), ((Scalar(1),),), "breakpoint/piece count mismatch"),
+        ((0,), (), "breakpoint/piece count mismatch"),
+        ((Fraction(1, 3), 1), ((Scalar(1),),), "breakpoints must run from 0 to 1"),
+        ((0, Fraction(1, 2), Fraction(1, 2), 1), ((), (), ()),
+         "breakpoints must be strictly increasing"),
+        ((0, Fraction(1, 2), 1), ((Scalar(0),), (Scalar(5),)), "discontinuity at t=1/2"),
+    ],
+)
+def test_validating_constructor_errors(breaks, polys, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PiecewisePoly(breaks, polys)
+
+
+def test_validating_constructor_normalizes_its_input():
+    pp = PiecewisePoly(("0", "1/2", 1), ((Scalar(1), Scalar(0)), (Scalar(1),)))
+    assert pp.breaks == (Fraction(0), Fraction(1)) and pp.polys == ((Scalar(1),),)
+    assert all(isinstance(b, Fraction) for b in pp.breaks)
+
+
+# -- collision and point-map witnesses ---------------------------------------------
+
+def test_collision_witnesses_match_the_old_scan():
+    rng = random.Random(23)
+    hits = 0
+    for _ in range(300):
+        strips = {k: _bump_strip(rng, _random_breaks(rng)) for k in rng.sample(range(1, 6),
+                                                                               rng.randint(0, 4))}
+        expected = _collision_oracle(strips)
+        assert _collision_on_common_piece(strips) == expected
+        hits += expected is not None
+    assert 30 < hits < 270
+
+
+def test_point_maps_match_the_old_scan():
+    rng = random.Random(29)
+    G = GermGroupoid.star(4)
+    outcomes = {"map": 0, "multi": 0}
+    for _ in range(200):
+        strips = {}
+        for i in range(1, 5):
+            for j in rng.sample(range(1, 5), rng.randint(0, 2)):
+                strips[(i, j)] = _bump_strip(rng, _random_breaks(rng, max_interior=2))
+        u = AlgebraElement(G, strips, {})
+        try:
+            expected = _point_map_oracle(u)
+        except NotNormalizerError as exc:
+            with pytest.raises(NotNormalizerError) as err:
+                _support_point_map(u)
+            assert str(err.value) == str(exc)
+            outcomes["multi"] += 1
+            continue
+        assert _support_point_map(u) == expected
+        outcomes["map"] += 1
+    assert min(outcomes.values()) > 20
+
+
+def test_point_map_of_a_sheet_matches_the_old_scan():
+    G = GermGroupoid.star(5)
+    for tau in ("()", "(1 2 3)", "(1 2)(3 4)", "(1 5 4 3 2)"):
+        u = from_sheet(G, parse_cycles(tau, 5), 1)
+        assert _support_point_map(u) == _point_map_oracle(u)
+
+
+# -- the gluing check ---------------------------------------------------------------
+
+def _unchecked(groupoid, strips, center):
+    el = object.__new__(AlgebraElement)
+    el.groupoid, el.strips, el.center = groupoid, strips, center
+    return el
+
+
+@pytest.mark.parametrize("groupoid", [GermGroupoid.cross(), GermGroupoid.star(4),
+                                      GermGroupoid.star(5)])
+def test_check_compatible_matches_the_pointwise_sum(groupoid):
+    rng = random.Random(31)
+    failures = 0
+    for _ in range(40):
+        el = random_algebra_element(groupoid, rng, sheets=3)
+        assert _compatible_oracle(el) is None
+        center = dict(el.center)
+        strips = dict(el.strips)
+        if rng.random() < 0.5 and center:
+            s = rng.choice(sorted(center))
+            center[s] = center[s] + random_scalar(rng)
+        elif strips:
+            pair = rng.choice(sorted(strips))
+            strips[pair] = strips[pair] + PiecewisePoly.const(random_scalar(rng))
+        bad = _unchecked(groupoid, strips, center)
+        expected = _compatible_oracle(bad)
+        if expected is None:
+            bad.check_compatible()
+            continue
+        failures += 1
+        with pytest.raises(CompatibilityError) as err:
+            bad.check_compatible()
+        assert str(err.value) == expected
+    assert failures > 20
+
+
+def test_center_values_cancelling_in_a_bucket_are_compatible():
+    G = GermGroupoid.star(4)
+    s, t = parse_cycles("(1 2 3)", 4), parse_cycles("(1 2 4)", 4)
+    # s and t both send 1 to 2, so +1 and -1 meet in the bucket (1, 2)
+    el = _unchecked(G, {}, {s: Scalar(1), t: Scalar(-1)})
+    assert _compatible_oracle(el) is not None
+    with pytest.raises(CompatibilityError) as err:
+        el.check_compatible()
+    assert str(err.value) == _compatible_oracle(el)
+
+
+# -- indexed strip pairing ------------------------------------------------------------
+
+@pytest.mark.parametrize("groupoid", [GermGroupoid.cross(), GermGroupoid.star(4)])
+def test_indexed_strip_pairing_matches_the_all_pairs_scan(groupoid):
+    rng = random.Random(37)
+    for _ in range(25):
+        f = random_algebra_element(groupoid, rng, sheets=2)
+        g = random_algebra_element(groupoid, rng, sheets=2)
+        assert (f * g).strips == _convolve_oracle(f, g)

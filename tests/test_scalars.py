@@ -149,3 +149,45 @@ def test_real_and_complex_divisors():
     assert Scalar(1) / Scalar(1, 1) == Scalar(Fraction(1, 2), Fraction(-1, 2))
     with pytest.raises(ZeroDivisionError):
         Scalar(1, 1) / 0
+
+
+# -- parse_scalar fuzzing ------------------------------------------------------------
+
+_literal_texts = st.one_of(
+    st.text(alphabet="0123456789/+-i ", max_size=12),
+    st.text(max_size=8),
+    st.builds(
+        lambda a, sign, b, tail: f"{a}{sign}{b}{tail}",
+        st.integers(-30, 30).map(str) | st.sampled_from(["1/0", "0/0", "-2/3", ""]),
+        st.sampled_from(["", "+", "-", " + ", "/"]),
+        st.integers(0, 30).map(str) | st.sampled_from(["3/0", "4/6", "i"]),
+        st.sampled_from(["", "i", " i", "ii", "/0i", "\n"]),
+    ),
+)
+
+
+@given(_literal_texts)
+def test_parse_scalar_parses_or_raises_value_error(text):
+    try:
+        s = parse_scalar(text)
+    except ValueError:
+        return
+    assert isinstance(s, Scalar)
+    assert parse_scalar(render_scalar(s)) == s
+
+
+def test_parse_scalar_rejects_zero_denominators():
+    for text in ("1/0", "0/0i", "1+1/0i", "1/0-2i"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text)
+
+
+_wide_fractions = st.fractions(max_denominator=10**12).filter(lambda x: abs(x) < 10**15)
+
+
+@given(_wide_fractions, _wide_fractions)
+def test_render_parse_roundtrip_on_wide_fractions(re, im):
+    s = Scalar(re, im)
+    text = render_scalar(s)
+    assert parse_scalar(text) == s
+    assert render_scalar(parse_scalar(text)) == text
