@@ -34,12 +34,11 @@ from .finite import (
     regular_rep,
 )
 from .germs import CenterGerm, EdgeGerm, GermError, GermGroupoid, parse_star_spec
-from .perms import CycleParseError, PermGroup, Permutation, build_group, parse_cycles
+from .perms import CycleParseError, PermGroup, Permutation, parse_cycles
 from .poly import PiecewisePoly
 from .rep import (
     GroupAlgebraElement,
     PreimageObstruction,
-    bitransitivity_check,
     build_strange_normalizer,
     build_unitary_v,
     commutant_basis,

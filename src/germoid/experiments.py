@@ -35,7 +35,6 @@ from .linalg import Matrix
 from .perms import PermGroup, Permutation, parse_cycles
 from .rep import (
     PreimageObstruction,
-    bitransitivity_check,
     build_strange_normalizer,
     build_unitary_v,
     commutant_basis,
@@ -163,13 +162,12 @@ def star_experiment(
     require_star_group_order("A", n)
 
     group = PermGroup.alternating(n)
-    bt = bitransitivity_check(group)
     # the generators span the same commutant as the whole group
     gens = group.generators or (group.identity,)
     basis, dim = commutant_basis([perm_rep(s) for s in gens])
 
     if n >= 4:
-        report.exact("alternating action is bi-transitive", bt)
+        report.exact("alternating action is bi-transitive", group.is_two_transitive)
         ident = Matrix.identity(n)
         offdiag = Matrix.ones(n) - ident
         report.exact(
@@ -231,7 +229,7 @@ def star_experiment(
         )
         report.exact(
             "bi-transitivity fails for n < 4 as documented",
-            not bt,
+            not group.is_two_transitive,
         )
         report.exact(
             "commutant dimension differs from 2",
@@ -346,7 +344,7 @@ def finite_experiment(
         e = restrict_to_units(g.adjoint() * g)
         if any(v.real < -1e-12 or abs(v.imag) > 1e-12 for v in e.values()):
             positivity_ok = False
-        if g.coeffs and all(abs(v) < 1e-15 for v in e.values()):
+        if g.vec.any() and all(abs(v) < 1e-15 for v in e.values()):
             faithful_ok = False
     report.exact("conditional expectation is positive and faithful", positivity_ok and faithful_ok)
     return _finish(report, started)

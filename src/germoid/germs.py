@@ -120,11 +120,6 @@ class GermGroupoid:
     def unit_at(self, p):
         return self.germ_of(self.group.identity, p)
 
-    def is_unit(self, germ) -> bool:
-        if isinstance(germ, EdgeGerm):
-            return germ.i == germ.j
-        return germ.sigma.is_identity()
-
     def source(self, germ):
         self._require(germ)
         if isinstance(germ, EdgeGerm):

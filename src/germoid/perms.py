@@ -279,11 +279,6 @@ class PermGroup:
         return f"PermGroup(n={self.n}, order={len(self)})"
 
 
-def build_group(n: int, generators) -> PermGroup:
-    """Closure of a generating set; the generators must permute {1..n}."""
-    return PermGroup.generate(n, generators)
-
-
 def extend_homomorphism(group: PermGroup, gens, images) -> dict:
     """Extend generator assignments gens[k] -> images[k] to a homomorphism
     defined on the whole group, or fail if the assignment is inconsistent.

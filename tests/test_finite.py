@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from functools import lru_cache
 
@@ -14,7 +15,6 @@ from germoid.finite import (
     FiniteAlgebraElement,
     FiniteGroupoid,
     GroupoidAxiomError,
-    _vec_adjoint,
     algebra_image_rank,
     center_basis_exact,
     diagonal_commutant_exact,
@@ -126,8 +126,8 @@ def test_convolution_associativity_numeric(z3_free, rng):
         f = random_finite_element(z3_free, rng)
         g = random_finite_element(z3_free, rng)
         h = random_finite_element(z3_free, rng)
-        lhs = ((f * g) * h).vector()
-        rhs = (f * (g * h)).vector()
+        lhs = ((f * g) * h).vec
+        rhs = (f * (g * h)).vec
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -261,7 +261,7 @@ def test_expectation_positive_and_faithful(z3_free, rng):
                 abs(f.coeff(a)) ** 2 for a in z3_free.source_fiber(x)
             )
             assert abs(v - expected) < 1e-9
-        if f.coeffs:
+        if f.vec.any():
             assert any(abs(v) > 1e-12 for v in e.values())
 
 
@@ -311,6 +311,28 @@ def test_parse_explicit_spec():
     assert not diagonal_masa_check(G).is_masa
 
 
+_Z2_ARROWS = [{"id": "x", "src": "x", "rng": "x"}, {"id": "g", "src": "x", "rng": "x"}]
+_Z2_COMPOSE = [["x", "x", "x"], ["x", "g", "g"], ["g", "x", "g"], ["g", "g", "x"]]
+
+
+@pytest.mark.parametrize("spec, message, witness", [
+    ({"units": ["x"], "arrows": [_Z2_ARROWS[0]] + _Z2_ARROWS, "compose": _Z2_COMPOSE},
+     "repeated arrow id", "x"),
+    ({"units": ["x"], "arrows": _Z2_ARROWS, "compose": [["g", "g", "g"]] + _Z2_COMPOSE},
+     "conflicting compositions", ("g", "g")),
+], ids=["repeated-arrow-id", "conflicting-compositions"])
+def test_explicit_spec_rejects_repeated_ids(spec, message, witness, tmp_path, capsys):
+    with pytest.raises(GroupoidAxiomError) as err:
+        parse_finite_spec(spec)
+    assert str(err.value).startswith(message + ";")
+    assert err.value.witness == witness
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(spec))
+    assert cli_main(["finite", "--spec", str(path)]) == 1
+    line = capsys.readouterr().err.strip()
+    assert line.startswith(f"error: bad finite spec: {message};") and "\n" not in line
+
+
 def test_parse_rejects_unknown():
     with pytest.raises(ValueError):
         parse_finite_spec({"nonsense": 1})
@@ -336,12 +358,21 @@ def test_partial_faithfulness_verdict_is_reported():
 # -- index and the closed forms replaced
 
 def _pointwise_mul(f, g):
-    out = {}
-    for (a, b), c in f.groupoid.compose.items():
-        fa, gb = f.coeffs.get(a), g.coeffs.get(b)
+    G = f.groupoid
+    out = np.zeros(len(G.arrows), dtype=complex)
+    for (a, b), c in G.compose.items():
+        fa, gb = f.coeff(a), g.coeff(b)
         if fa and gb:
-            out[c] = out.get(c, 0j) + fa * gb
-    return FiniteAlgebraElement(f.groupoid, out)
+            out[G.index[c]] += fa * gb
+    return FiniteAlgebraElement(G, out)
+
+
+def _pointwise_adjoint(f):
+    G = f.groupoid
+    out = np.zeros(len(G.arrows), dtype=complex)
+    for a in G.arrows:
+        out[G.index[G.inv[a]]] = f.coeff(a).conjugate()
+    return FiniteAlgebraElement(G, out)
 
 
 def _loop_regular_rep(f):
@@ -354,7 +385,7 @@ def _loop_regular_rep(f):
         for b in fiber:
             for a in G.arrows:
                 if G.src[a] == G.rng[b]:
-                    c = f.coeffs.get(a)
+                    c = f.coeff(a)
                     if c:
                         M[pos[G.compose[(a, b)]], pos[b]] += c
         blocks[x] = M
@@ -416,6 +447,9 @@ ORACLE_SPECS = {
                                 ["g", "g", "x"]]},
     "s5_on_5": {"transformation": {"points": 5, "group_generators": ["(1 2)", "(1 2 3 4 5)"]}},
     "a5_on_5": {"transformation": {"points": 5, "group_generators": ["(1 2 3)", "(1 2 3 4 5)"]}},
+    "units_only_13": {"equivalence": {"blocks": [[x] for x in range(1, 14)]}},
+    # free units 1 and 2 beside the unit 3 with isotropy
+    "z2_on_3": {"transformation": {"points": 3, "group_generators": ["(1 2)"]}},
 }
 
 
@@ -429,9 +463,9 @@ def test_convolution_and_adjoint_match_the_loops(name, rng):
     G = _oracle_groupoid(name)
     for _ in range(3):
         f, g = random_finite_element(G, rng), random_finite_element(G, rng)
-        assert np.allclose((f * g).vector(), _pointwise_mul(f, g).vector(),
+        assert np.allclose((f * g).vec, _pointwise_mul(f, g).vec,
                            rtol=0, atol=1e-12 * len(G.arrows))
-        assert np.array_equal(_vec_adjoint(G, f.vector()), f.adjoint().vector())
+        assert np.array_equal(f.adjoint().vec, _pointwise_adjoint(f).vec)
 
 
 @pytest.mark.parametrize("name", ORACLE_SPECS)
@@ -451,15 +485,72 @@ def test_center_and_commutant_equal_the_rref_bases(name):
     assert diagonal_commutant_exact(G) == _rref_commutant(G)
 
 
+def _loop_key_inequality(G, trials, seed, tol=TOL):
+    """One SVD per block per trial, every trial drawn whether or not a unit
+    is isotropy-free."""
+    rng = random.Random(seed)
+    free_units = [x for x in G.units if G.has_no_isotropy(x)]
+    diag = {x: int(np.flatnonzero(G.fibers[x] == G.index[G.unit_arrow[x]])[0])
+            for x in free_units}
+    violations = []
+    max_excess = 0.0
+    pairing_exact = True
+    for trial in range(trials):
+        f = random_finite_element(G, rng)
+        blocks = regular_rep(f)
+        norm = max(
+            (np.linalg.norm(M, 2) for M in blocks.values() if M.size), default=0.0
+        )
+        for x in free_units:
+            val = f.coeff(G.unit_arrow[x])
+            excess = abs(val) - norm
+            max_excess = max(max_excess, excess)
+            if excess > tol:
+                violations.append((trial, x, abs(val), norm))
+            if blocks[x][diag[x], diag[x]] != val:
+                pairing_exact = False
+    return trials, len(free_units), violations, max_excess, pairing_exact
+
+
+@pytest.mark.parametrize("name", ORACLE_SPECS)
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_key_inequality_matches_the_per_block_loop(name, seed):
+    G = _oracle_groupoid(name)
+    report = key_inequality_check(G, trials=10, seed=seed)
+    assert (report.trials, report.units_tested, report.violations, report.max_excess,
+            report.pairing_exact) == _loop_key_inequality(G, 10, seed)
+
+
+@pytest.mark.parametrize("name", ORACLE_SPECS)
+def test_operator_norm_matches_the_per_block_loop(name, rng):
+    G = _oracle_groupoid(name)
+    for _ in range(3):
+        f = random_finite_element(G, rng)
+        expected = max(np.linalg.norm(M, 2) for M in _loop_regular_rep(f).values())
+        assert abs(operator_norm(f) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("name", ["s4_on_4", "s5_on_5", "explicit_z2", "s3_trivial_on_1"])
+def test_key_inequality_draws_nothing_without_a_free_unit(name, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("no element may be drawn or factored")
+
+    monkeypatch.setattr(germoid.finite, "random_finite_element", forbidden)
+    monkeypatch.setattr(germoid.finite, "operator_norm", forbidden)
+    report = key_inequality_check(_oracle_groupoid(name), trials=200, seed=0)
+    assert (report.trials, report.units_tested, report.violations, report.max_excess,
+            report.pairing_exact) == (200, 0, [], 0.0, True)
+
+
 def test_centrality_residual_matches_the_pointwise_products():
     G = _oracle_groupoid("s4_on_4")
     split = minimal_central_projections(G, seed=3)
     worst = 0.0
     for z in split.projections:
-        ze = FiniteAlgebraElement.from_vector(G, z)
+        ze = FiniteAlgebraElement(G, z)
         for a in G.arrows:
             da = FiniteAlgebraElement.delta(G, a)
-            diff = _pointwise_mul(ze, da).vector() - _pointwise_mul(da, ze).vector()
+            diff = _pointwise_mul(ze, da).vec - _pointwise_mul(da, ze).vec
             worst = max(worst, float(np.linalg.norm(diff)))
     assert abs(split.centrality_residual - worst) < 1e-14
 

@@ -5,7 +5,6 @@ from germoid.perms import (
     CycleParseError,
     PermGroup,
     Permutation,
-    build_group,
     extend_homomorphism,
     parse_cycles,
 )
@@ -75,19 +74,19 @@ def test_sign():
 
 
 def test_build_group_closures():
-    klein = build_group(4, [parse_cycles("(1 2)", 4), parse_cycles("(3 4)", 4)])
+    klein = PermGroup.generate(4, [parse_cycles("(1 2)", 4), parse_cycles("(3 4)", 4)])
     assert len(klein) == 4
-    assert len(build_group(4, [])) == 1
-    a4 = build_group(4, [parse_cycles("(1 2 3)", 4), parse_cycles("(1 2 4)", 4)])
+    assert len(PermGroup.generate(4, [])) == 1
+    a4 = PermGroup.generate(4, [parse_cycles("(1 2 3)", 4), parse_cycles("(1 2 4)", 4)])
     assert len(a4) == 12
     assert a4 == PermGroup.alternating(4)
 
 
 def test_build_group_rejects_bad_generators():
     with pytest.raises(ValueError):
-        build_group(4, [parse_cycles("(1 2 3)", 3)])  # wrong degree
+        PermGroup.generate(4, [parse_cycles("(1 2 3)", 3)])  # wrong degree
     with pytest.raises(ValueError):
-        build_group(4, ["(1 2)"])  # not a Permutation
+        PermGroup.generate(4, ["(1 2)"])  # not a Permutation
 
 
 def test_named_groups():

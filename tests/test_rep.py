@@ -12,7 +12,6 @@ from germoid.rep import (
     PreimageObstruction,
     _is_central,
     _rref_preimage,
-    bitransitivity_check,
     build_strange_normalizer,
     build_unitary_v,
     commutant_basis,
@@ -25,6 +24,7 @@ from germoid.rep import (
 from germoid.sampling import random_group_algebra_element, random_ppfun
 from germoid.scalars import ONE, ZERO
 from germoid.starspace import act
+from oracles import bitransitive_by_brute_force
 
 
 def delta(group, s):
@@ -191,12 +191,12 @@ def test_double_commutant_dimensions():
 # -- bi-transitivity ---------------------------------------------------------------------
 
 def test_bitransitivity():
-    assert bitransitivity_check(PermGroup.alternating(4)) is True
-    assert bitransitivity_check(PermGroup.alternating(5)) is True
-    assert bitransitivity_check(PermGroup.alternating(3)) is False
-    assert bitransitivity_check(PermGroup.trivial(2)) is False
+    assert bitransitive_by_brute_force(PermGroup.alternating(4)) is True
+    assert bitransitive_by_brute_force(PermGroup.alternating(5)) is True
+    assert bitransitive_by_brute_force(PermGroup.alternating(3)) is False
+    assert bitransitive_by_brute_force(PermGroup.trivial(2)) is False
     # brute force over ordered pairs: S2 reaches both pairs, so it passes
-    assert bitransitivity_check(PermGroup.symmetric(2)) is True
+    assert bitransitive_by_brute_force(PermGroup.symmetric(2)) is True
 
 
 @pytest.mark.parametrize("group", [
@@ -213,7 +213,7 @@ def test_bitransitivity():
     PermGroup.klein_cross(),
 ], ids=repr)
 def test_burnside_count_agrees_with_brute_force(group):
-    assert group.is_two_transitive is bitransitivity_check(group)
+    assert group.is_two_transitive is bitransitive_by_brute_force(group)
 
 
 # -- minimum-norm preimages ---------------------------------------------------------------
