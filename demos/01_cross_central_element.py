@@ -50,8 +50,8 @@ print("f commutes with a random diagonal element:", f * e == e * f)
 
 # None of this would be possible over a Hausdorff groupoid; the diagnostics
 # show where Hausdorffness dies.
-flag, pairs = G.hausdorff_check()
-print("\nhausdorff:", flag)
-print("inseparable center germs:", [f"{{{a}, {b}}}" for a, b in pairs])
+result = G.hausdorff_check()
+print("\nhausdorff:", result.hausdorff)
+print("inseparable center germs:", [f"{{{a}, {b}}}" for a, b in result.witnesses])
 ep, _ = G.essentially_principal_check()
 print("essentially principal anyway:", ep)

@@ -28,7 +28,7 @@ print("v is unitary, exactly (verified inside the builder)")
 
 # Step 2: pushing v into the convolution algebra yields u with the 0/1
 # strip pattern of tau; the full pipeline re-verifies everything.
-u, report = build_strange_normalizer(n, tau, trials=10, seed=0)
+u, report = build_strange_normalizer(GermGroupoid.star(n), tau, trials=10, seed=0)
 print("\nu strips match [tau(i) = j]:", report.strips_match_tau)
 print("u* h u = h o tau for", report.conjugation_trials, "random h:", report.conjugation_ok)
 

@@ -9,20 +9,106 @@ The normal form must satisfy the gluing law tying each strip's limit at the
 center to the sum of center values over the group elements inducing that
 edge pair; this is the computational signature of a non-Hausdorff groupoid,
 and it is checked on every construction.
+
+The center values multiply like a group algebra.  ``group_convolve`` is the
+one exact kernel for that product, here and for ``rep.GroupAlgebraElement``:
+it works on integer numerators over a common denominator and reads every
+product of group elements from the group's Cayley table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+
+import numpy as np
 
 from .germs import CenterGerm, EdgeGerm, GermError, GermGroupoid
-from .perms import Permutation
+from .perms import PermGroup, Permutation
 from .poly import PiecewisePoly, common_refinement
-from .scalars import ZERO, Scalar, as_scalar, render_scalar
+from .scalars import ZERO, Scalar, _make, as_scalar, render_scalar
 from .starspace import CENTER, CenterPoint, EdgePoint, PPFun
 
 _PPZERO = PiecewisePoly.zero()
+
+# products with at most this many pairs of support elements are summed in a
+# Python loop; past it, numpy's fixed cost per call is the smaller one
+SMALL_PRODUCT = 64
+# the numpy path scatters at most this many pairs per call
+_CHUNK = 1 << 16
+
+
+def _numerators(values):
+    """The scalars as (re[k] + im[k] i) / d over one common denominator d."""
+    d = 1
+    for v in values:
+        d = lcm(d, v._d)
+    re, im = [], []
+    for v in values:
+        k = d // v._d
+        re.append(v._a * k)
+        im.append(v._b * k)
+    return re, im, d
+
+
+def group_convolve(group: PermGroup, f: dict, g: dict) -> dict:
+    """The group-algebra product (f*g)(t) = sum of f(a) g(b) over ab = t.
+
+    f and g map group elements to nonzero scalars, and so does the result.
+    The kernel is exact and works on integers: each operand's values become
+    (re, im) numerators over one common denominator, the position of every
+    product ab is read from ``group.table``, and the sums become scalars
+    again only at the end.  A small product is summed in a Python loop; a
+    larger one is scattered with numpy, in int64 when
+    2 min(|f|, |g|) max|f| max|g| < 2^63 bounds every partial sum (a row or
+    column of the table hits each position once) and in Python ints held in
+    object arrays otherwise.
+    """
+    if not f or not g:
+        return {}
+    index = group.index
+    fi = [index[s] for s in f]
+    gi = [index[s] for s in g]
+    fre, fim, fd = _numerators(f.values())
+    gre, gim, gd = _numerators(g.values())
+    if len(fi) * len(gi) <= SMALL_PRODUCT:
+        sums = {}
+        product = group.table.item
+        for x, a, b in zip(fi, fre, fim):
+            for y, c, e in zip(gi, gre, gim):
+                t = product(x, y)
+                re, im = a * c - b * e, a * e + b * c
+                if t in sums:
+                    r0, i0 = sums[t]
+                    sums[t] = (r0 + re, i0 + im)
+                else:
+                    sums[t] = (re, im)
+        items = sums.items()
+    else:
+        bound = 2 * min(len(fi), len(gi)) * max(map(abs, fre + fim)) * max(map(abs, gre + gim))
+        dtype = np.int64 if bound < 1 << 63 else object
+        fi, gi = np.array(fi), np.array(gi)
+        fre, fim = np.array(fre, dtype=dtype)[:, None], np.array(fim, dtype=dtype)[:, None]
+        gre, gim = np.array(gre, dtype=dtype), np.array(gim, dtype=dtype)
+        re = np.zeros(len(group), dtype=dtype)
+        im = np.zeros(len(group), dtype=dtype)
+        step = max(1, _CHUNK // len(gi))
+        for lo in range(0, len(fi), step):
+            hit = group.table[np.ix_(fi[lo:lo + step], gi)].ravel()
+            a, b = fre[lo:lo + step], fim[lo:lo + step]
+            np.add.at(re, hit, (a * gre - b * gim).ravel())
+            np.add.at(im, hit, (a * gim + b * gre).ravel())
+        live = np.flatnonzero((re != 0) | (im != 0))
+        items = zip(live.tolist(), zip(re[live].tolist(), im[live].tolist()))
+    d = fd * gd
+    els = group.elements
+    out = {}
+    for t, (re, im) in items:
+        if re or im:
+            k = gcd(re, im, d)
+            out[els[t]] = _make(re // k, im // k, d // k)
+    return out
 
 
 class AlgebraError(ValueError):
@@ -158,12 +244,7 @@ class AlgebraElement:
                 term = fs * gs
                 pair = (i, j)
                 strips[pair] = strips[pair] + term if pair in strips else term
-        center = {}
-        for a, fa in self.center.items():
-            for b, gb in other.center.items():
-                ab = a * b
-                prod = fa * gb
-                center[ab] = center[ab] + prod if ab in center else prod
+        center = group_convolve(self.groupoid.group, self.center, other.center)
         return AlgebraElement(self.groupoid, strips, center, _checked=True)
 
     # -- equality ------------------------------------------------------------

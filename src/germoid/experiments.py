@@ -61,11 +61,9 @@ def _finish(report: ExperimentReport, started: float) -> ExperimentReport:
     return report
 
 
-def _pair_strings(group, pairs):
-    """Render inseparable pairs as "{a, b}", each group element's cycle
-    string computed once."""
-    names = {s: str(s) for s in group}
-    return [f"{{{names[a]}, {names[b]}}}" for a, b in pairs]
+def _pair_strings(pairs):
+    """Render inseparable pairs as "{a, b}"."""
+    return [f"{{{a}, {b}}}" for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +132,11 @@ def cross_experiment(trials: int = 200, seed: int = DEFAULT_SEED) -> ExperimentR
 
     ep_flag, ep_witnesses = G.essentially_principal_check()
     report.exact("essentially principal", ep_flag and not ep_witnesses)
-    h_flag, pairs = G.hausdorff_check()
+    verdict = G.hausdorff_check()
     report.exact(
         "non-Hausdorff with inseparable center pairs",
-        (not h_flag) and len(pairs) > 0,
-        witness=_pair_strings(G.group, pairs),
+        (not verdict.hausdorff) and verdict.count > 0,
+        witness=_pair_strings(verdict.witnesses),
     )
     report.exact(
         "central element (exact serialized form)", True, witness=f.to_json_dict()
@@ -167,6 +165,7 @@ def star_experiment(
     basis, dim = commutant_basis([perm_rep(s) for s in gens])
 
     if n >= 4:
+        G = GermGroupoid(n, group)
         report.exact("alternating action is bi-transitive", group.is_two_transitive)
         ident = Matrix.identity(n)
         offdiag = Matrix.ones(n) - ident
@@ -175,7 +174,7 @@ def star_experiment(
             dim == 2 and basis == [ident, offdiag],
             witness={"dim": dim},
         )
-        u, norm_report = build_strange_normalizer(n, tau, trials=trials, seed=seed)
+        u, norm_report = build_strange_normalizer(G, tau, trials=trials, seed=seed)
         report.exact("constructed element is unitary (exact)", norm_report.unitary_ok)
         report.exact(
             "strips are the 0/1 pattern of tau", norm_report.strips_match_tau
@@ -194,7 +193,7 @@ def star_experiment(
                 witness=str(norm_report.bisection_witness),
             )
         else:
-            alt = from_sheet(GermGroupoid.star(n), tau, 1)
+            alt = from_sheet(G, tau, 1)
             alt_flag, _ = alg.is_bisection_support(alt)
             report.exact(
                 "even tau: the sheet indicator of tau is a bisection normalizer",
@@ -211,10 +210,10 @@ def star_experiment(
             norm_report.essentially_principal
             and norm_report.isotropy_classes == len(group) - 1,
         )
-        hflag, pairs = GermGroupoid.star(n).hausdorff_check()
+        verdict = G.hausdorff_check()
         report.exact(
             "non-Hausdorff with inseparable center pairs",
-            (not hflag) and len(pairs) > 0,
+            (not verdict.hausdorff) and verdict.count > 0,
         )
         report.inputs["center_support_size"] = len(norm_report.center_support)
         report.exact(
@@ -262,11 +261,12 @@ def diagnose_experiment(spec: dict) -> ExperimentReport:
     report.inputs["edges"] = G.n
     report.inputs["group_order"] = len(G.group)
 
-    hflag, pairs = G.hausdorff_check()
+    verdict = G.hausdorff_check()
+    report.inputs["inseparable_pairs"] = verdict.count
     report.exact(
-        f"hausdorff: {hflag}",
+        f"hausdorff: {verdict.hausdorff}",
         True,
-        witness=_pair_strings(G.group, pairs) or None,
+        witness=_pair_strings(verdict.witnesses) or None,
     )
     ep_flag, witnesses = G.essentially_principal_check()
     report.exact(
@@ -419,7 +419,7 @@ def selftest_experiment(seed: int = DEFAULT_SEED) -> ExperimentReport:
                 ok = False
     report.exact("convolution associates, respects *, matches pointwise sums", ok)
 
-    group = PermGroup.alternating(4)
+    group = G.group
     ok = True
     for _ in range(20):
         a = random_group_algebra_element(group, rng)
@@ -435,7 +435,7 @@ def selftest_experiment(seed: int = DEFAULT_SEED) -> ExperimentReport:
     report.exact("integration is multiplicative and matches sheet sums", ok)
 
     tau = parse_cycles("(1 2)", 4)
-    _, norm_report = build_strange_normalizer(4, tau, trials=3, seed=seed)
+    _, norm_report = build_strange_normalizer(G, tau, trials=3, seed=seed)
     report.exact("normalizer pipeline verifies on (1 2)", norm_report.ok)
 
     corpus = [

@@ -211,6 +211,7 @@ class FiniteGroupoid:
         cases such as a nontrivial group acting trivially.
         """
         _check_arrow_count(points * len(group))
+        els = group.elements
         if action is None:
             if group.n != points:
                 raise ValueError("group does not act on the given points")
@@ -220,29 +221,32 @@ class FiniteGroupoid:
                 if g not in action or action[g].n != points:
                     raise ValueError("action must assign every group element a "
                                      "permutation of the points")
-            for g in group:
-                for h in group:
-                    if action[g * h] != action[g] * action[h]:
+            acts = [action[g] for g in els]
+            for act_g, row in zip(acts, group.table):
+                for act_h, gh in zip(acts, row.tolist()):
+                    if acts[gh] != act_g * act_h:
                         raise ValueError("action is not a homomorphism")
         units = list(range(1, points + 1))
-        label = {g: g.cycle_string() for g in group}
+        label = [g.cycle_string() for g in els]
+        inverse = group.inverse_index.tolist()
         arrows = []
         src, rng, inv = {}, {}, {}
-        into = {x: [] for x in units}  # into[x]: the arrows with range x, as (h, y)
-        for g in group:
+        into = {x: [] for x in units}  # into[x]: the arrows with range x, as (position of h, y)
+        for k, g in enumerate(els):
             for y in units:
-                a = (label[g], y)
+                a = (label[k], y)
                 arrows.append(a)
                 src[a] = y
                 rng[a] = action[g](y)
-                inv[a] = (label[g.inverse()], action[g](y))
-                into[action[g](y)].append((g, y))
+                inv[a] = (label[inverse[k]], action[g](y))
+                into[action[g](y)].append((k, y))
         unit_arrow = {x: ("()", x) for x in units}
         compose = {}
-        for g in group:
+        for k, row in enumerate(group.table):
+            row = row.tolist()
             for x in units:
                 for h, y in into[x]:
-                    compose[((label[g], x), (label[h], y))] = (label[g * h], y)
+                    compose[((label[k], x), (label[h], y))] = (label[row[h]], y)
         return cls(units, arrows, src, rng, unit_arrow, compose, inv)
 
     @classmethod

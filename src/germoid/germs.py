@@ -8,6 +8,7 @@ group elements.  Composition follows source(first) = range(second).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .perms import GroupTooLarge, PermGroup, Permutation
@@ -17,6 +18,8 @@ from .starspace import CENTER, CenterPoint, EdgePoint
 MAX_STAR_GROUP_ORDER = 2520
 # star specs with more edges are refused before any permutation is built
 MAX_STAR_EDGES = 100
+# hausdorff_check lists at most this many inseparable pairs
+WITNESS_LIMIT = 64
 
 
 class GermError(ValueError):
@@ -63,6 +66,16 @@ class CenterGerm:
 
     def __repr__(self):
         return f"CenterGerm({self.sigma})"
+
+
+@dataclass(frozen=True)
+class HausdorffResult:
+    """The Hausdorff verdict on the center germs of a star groupoid."""
+
+    hausdorff: bool
+    count: int           # inseparable pairs of center germs, |G||F|/2
+    witnesses: list      # the first pairs (a, b), a before b in group order
+    exhaustive: bool     # witnesses lists every inseparable pair
 
 
 class GermGroupoid:
@@ -179,21 +192,33 @@ class GermGroupoid:
         ]
         return (not witnesses), witnesses
 
-    def hausdorff_check(self):
-        """Hausdorff flag plus the inseparable pairs of center germs.
+    def hausdorff_check(self) -> HausdorffResult:
+        """The Hausdorff flag, the number of inseparable pairs of center
+        germs and the first ``WITNESS_LIMIT`` of them.
 
         Center germs of sigma and sigma' cannot be separated exactly when
         sigma and sigma' agree on some edge: the edge germs (t,i,j) with
-        j = sigma(i) = sigma'(i) converge to both as t -> 0.
+        j = sigma(i) = sigma'(i) converge to both as t -> 0.  That is,
+        sigma' = sigma g for some g in F, the non-identity elements fixing
+        an edge, so there are |G||F|/2 such pairs and the groupoid is
+        Hausdorff exactly when F is empty.  The witnesses are listed by the
+        position a of sigma, then of sigma' = sigma g, read off row a of
+        the Cayley table.
         """
-        pairs = []
-        els = list(self.group)
-        for a in range(len(els)):
-            for b in range(a + 1, len(els)):
-                s, sp = els[a], els[b]
-                if any(s(i) == sp(i) for i in range(1, self.n + 1)):
-                    pairs.append((s, sp))
-        return (not pairs), pairs
+        group = self.group
+        fixing = group.fixing
+        count = len(group) * len(fixing) // 2
+        witnesses = []
+        if len(fixing):
+            els, table = group.elements, group.table
+            for a in range(len(els)):
+                if len(witnesses) >= WITNESS_LIMIT:
+                    break
+                partners = sorted(b for b in table[a, fixing].tolist() if b > a)
+                witnesses.extend(
+                    (els[a], els[b]) for b in partners[: WITNESS_LIMIT - len(witnesses)]
+                )
+        return HausdorffResult(not len(fixing), count, witnesses, len(witnesses) == count)
 
     def __eq__(self, other):
         return (

@@ -3,6 +3,13 @@
 Groups are stored as explicit element sets closed under product and inverse,
 built by breadth-first closure from generators.  Products compose like
 functions: (sigma * tau)(i) = sigma(tau(i)).
+
+Each group also carries an index over the positions of its elements in
+``elements``, built lazily and cached on the group object: ``index`` (element
+to position), ``inverse_index``, ``fixing`` (the non-identity elements with a
+fixed point) and the integer Cayley table ``table``.  Every loop over pairs
+of group elements reads its products from the table instead of multiplying
+``Permutation`` objects.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ from __future__ import annotations
 import re as _re
 from functools import cached_property
 from math import factorial
+
+import numpy as np
 
 
 class CycleParseError(ValueError):
@@ -256,6 +265,83 @@ class PermGroup:
         complement) means the action is 2-transitive."""
         return sum(len(s.fixed_points()) ** 2 for s in self.elements) == 2 * len(self)
 
+    # -- the index over element positions -------------------------------------
+
+    @cached_property
+    def index(self) -> dict:
+        """Position of each element in ``elements``."""
+        return {s: k for k, s in enumerate(self.elements)}
+
+    @cached_property
+    def _images(self) -> np.ndarray:
+        """Row k holds the images of elements[k], shifted to 0..n-1."""
+        return np.array([s.images for s in self.elements], dtype=np.intp) - 1
+
+    @cached_property
+    def _image_positions(self) -> dict:
+        return {row: k for k, row in enumerate(map(tuple, self._images.tolist()))}
+
+    def _positions(self, images: np.ndarray) -> np.ndarray:
+        """Positions of the elements whose 0-based image rows are given."""
+        pos = self._image_positions
+        return np.array([pos[row] for row in map(tuple, images.tolist())], dtype=np.int32)
+
+    @cached_property
+    def inverse_index(self) -> np.ndarray:
+        """inverse_index[k] is the position of elements[k]^-1."""
+        return self._positions(np.argsort(self._images, axis=1))
+
+    @cached_property
+    def fixing(self) -> np.ndarray:
+        """Positions, ascending, of the non-identity elements that fix a point."""
+        return np.array(
+            [k for k, s in enumerate(self.elements) if s.fixed_points() and not s.is_identity()],
+            dtype=np.intp,
+        )
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The Cayley table: table[a, b] is the position of
+        elements[a] * elements[b], as int32.
+
+        Row a is the left multiplication by elements[a].  A generator's row
+        is looked up from its image array, and every other row a = g * a'
+        is row a' relabelled through the row of the generator g, one gather
+        per row, in breadth-first order from the identity.  Rows that the
+        recorded generators do not reach (a group built without them) are
+        looked up directly.
+        """
+        m = len(self)
+        img = self._images
+        table = np.empty((m, m), dtype=np.int32)
+        done = [False] * m
+        e = self.index[self.identity]
+        table[e] = np.arange(m)
+        done[e] = True
+        gens = []
+        frontier = [e]
+        for g in self.generators:
+            k = self.index[g]
+            if not done[k]:
+                table[k] = self._positions(img[k][img])
+                done[k] = True
+                frontier.append(k)
+            gens.append(k)
+        while frontier:
+            new = []
+            for b in frontier:
+                for g in gens:
+                    a = table.item(g, b)
+                    if not done[a]:
+                        table[a] = table[g][table[b]]
+                        done[a] = True
+                        new.append(a)
+            frontier = new
+        for a in range(m):
+            if not done[a]:
+                table[a] = self._positions(img[a][img])
+        return table
+
     def __len__(self):
         return len(self.elements)
 
@@ -289,13 +375,16 @@ def extend_homomorphism(group: PermGroup, gens, images) -> dict:
     if len(gens) != len(images):
         raise ValueError("one image per generator required")
     target_n = images[0].n if images else group.n
+    els, index, table = group.elements, group.index, group.table
+    gen_rows = [table[index[gen]].tolist() for gen in gens]
     hom = {group.identity: Permutation.identity(target_n)}
     frontier = [group.identity]
     while frontier:
         new_frontier = []
         for g in frontier:
-            for gen, img in zip(gens, images):
-                h = gen * g
+            k = index[g]
+            for row, img in zip(gen_rows, images):
+                h = els[row[k]]
                 cand = img * hom[g]
                 if h in hom:
                     if hom[h] != cand:
@@ -306,8 +395,9 @@ def extend_homomorphism(group: PermGroup, gens, images) -> dict:
         frontier = new_frontier
     if len(hom) != len(group):
         raise ValueError("generators do not generate the group")
-    for g in group:
-        for h in group:
-            if hom[g * h] != hom[g] * hom[h]:
+    images_of = [hom[g] for g in els]
+    for hg, row in zip(images_of, table):
+        for hh, gh in zip(images_of, row.tolist()):
+            if images_of[gh] != hg * hh:
                 raise ValueError("generator images do not define a homomorphism")
     return hom

@@ -5,7 +5,9 @@ Everything here is exact.  Commutants come from rational row reduction.
 Minimum-norm preimages come from Fourier inversion in closed form when the
 group acts 2-transitively, and from rational row reduction otherwise.  The
 unitary produced for a target permutation is verified algebraically with
-zero tolerance rather than assumed.
+zero tolerance rather than assumed.  Group-algebra elements keep their
+coefficients keyed by permutation; their product is the exact integer
+kernel ``algebra.group_convolve`` over the group's Cayley table.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .algebra import (
     NotNormalizerError,
     _support_point_map,
     embed_C0,
+    group_convolve,
     is_bisection_support,
     open_support,
 )
@@ -106,13 +109,8 @@ class GroupAlgebraElement:
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                ab = a * b
-                prod = ca * cb
-                out[ab] = out[ab] + prod if ab in out else prod
-        return GroupAlgebraElement(self.group, out)
+        coeffs = group_convolve(self.group, self.coeffs, other.coeffs)
+        return GroupAlgebraElement(self.group, coeffs)
 
     def adjoint(self) -> "GroupAlgebraElement":
         return GroupAlgebraElement(
@@ -410,18 +408,22 @@ class NormalizerReport:
         return base and not self.bisection_flag
 
 
-def build_strange_normalizer(n: int, tau: Permutation, trials: int = 8, seed: int = 0):
-    """Unitary u in the star algebra whose strips are the 0/1 pattern of tau,
-    conjugating diagonal elements to their tau-translates; for odd tau its
-    open support is not a bisection even though the groupoid is essentially
-    principal.  Returns (u, report)."""
+def build_strange_normalizer(
+    groupoid: GermGroupoid, tau: Permutation, trials: int = 8, seed: int = 0
+):
+    """Unitary u in the algebra of a star groupoid (the alternating star in
+    the paper) whose strips are the 0/1 pattern of tau, conjugating diagonal
+    elements to their tau-translates; for odd tau its open support is not a
+    bisection even though the groupoid is essentially principal.  Returns
+    (u, report)."""
+    G = groupoid
+    n = G.n
     if n < 4:
         raise ValueError("the construction needs at least 4 edges")
     if tau.n != n:
         raise ValueError("tau acts on the wrong number of edges")
     from .sampling import random_ppfun
 
-    G = GermGroupoid.star(n)
     v = build_unitary_v(G.group, tau)
     u = phi(v, G)
 

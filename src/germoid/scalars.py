@@ -8,8 +8,9 @@ form: d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1).  Equal values have
 equal fields, which makes equality a compare of three ints and lets the hash
 use the triple.  Arithmetic works on the integers directly; the real part,
 imaginary part and squared modulus are handed out as ``Fraction`` only when
-asked for.  ``poly.pmul`` reads the triples directly and builds its results
-with ``_make``, so it follows any change to this representation.
+asked for.  ``poly.pmul`` and ``algebra.group_convolve`` read the triples
+directly and build their results with ``_make``, so they follow any change
+to this representation.
 """
 
 from __future__ import annotations

@@ -10,3 +10,28 @@ def bitransitive_by_brute_force(group) -> bool:
         if any(p not in reached for p in pairs):
             return False
     return True
+
+
+def convolve_by_dict(f: dict, g: dict) -> dict:
+    """Group-algebra convolution of {Permutation: Scalar} dicts straight
+    from permutation products, zero values dropped."""
+    out = {}
+    for a, fa in f.items():
+        for b, gb in g.items():
+            ab = a * b
+            prod = fa * gb
+            out[ab] = out[ab] + prod if ab in out else prod
+    return {s: c for s, c in out.items() if c}
+
+
+def inseparable_pairs(groupoid) -> list:
+    """Every pair of group elements that agree on some edge, enumerated:
+    (a, b) with a before b in group order."""
+    els = groupoid.group.elements
+    pairs = []
+    for a in range(len(els)):
+        for b in range(a + 1, len(els)):
+            s, sp = els[a], els[b]
+            if any(s(i) == sp(i) for i in range(1, groupoid.n + 1)):
+                pairs.append((s, sp))
+    return pairs

@@ -168,7 +168,9 @@ def test_criterion_05_constructive_unitary_and_conjugation():
 
 
 def test_criterion_06_support_is_not_a_bisection():
-    u, report = build_strange_normalizer(4, parse_cycles("(1 2)", 4), trials=3, seed=SEED)
+    u, report = build_strange_normalizer(
+        GermGroupoid.star(4), parse_cycles("(1 2)", 4), trials=3, seed=SEED
+    )
     flag, witness = is_bisection_support(u)
     verdict(
         6,
@@ -259,17 +261,18 @@ def test_criterion_09_finite_controls():
 
 
 def test_criterion_10_hausdorff_diagnostics():
-    cross_flag, cross_pairs = GermGroupoid.cross().hausdorff_check()
-    star_flag, star_pairs = GermGroupoid.star(4).hausdorff_check()
-    cyc_flag, cyc_pairs = GermGroupoid.cyclic_star(4).hausdorff_check()
+    cross = GermGroupoid.cross().hausdorff_check()
+    star = GermGroupoid.star(4).hausdorff_check()
+    cyc = GermGroupoid.cyclic_star(4).hausdorff_check()
     verdict(
         10,
-        (not cross_flag)
-        and len(cross_pairs) > 0
-        and (not star_flag)
-        and len(star_pairs) > 0
-        and cyc_flag
-        and cyc_pairs == [],
+        (not cross.hausdorff)
+        and len(cross.witnesses) > 0
+        and (not star.hausdorff)
+        and len(star.witnesses) > 0
+        and cyc.hausdorff
+        and cyc.witnesses == []
+        and cyc.count == 0,
         "cross and alternating stars are non-Hausdorff with witnesses; the "
         "free cyclic star is Hausdorff",
     )

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import germoid.algebra
 from germoid.algebra import (
     AlgebraElement,
     CompatibilityError,
@@ -12,6 +14,7 @@ from germoid.algebra import (
     embed_C0,
     evaluate_convolution_pointwise,
     from_sheet,
+    group_convolve,
     has_nonunit_value,
     induced_point_map,
     is_bisection_support,
@@ -20,11 +23,12 @@ from germoid.algebra import (
     verify_central_ideal,
 )
 from germoid.germs import CenterGerm, EdgeGerm, GermError, GermGroupoid
-from germoid.perms import Permutation, parse_cycles
+from germoid.perms import PermGroup, Permutation, parse_cycles
 from germoid.poly import PiecewisePoly
-from germoid.sampling import random_algebra_element, random_germ, random_ppfun
+from germoid.sampling import random_algebra_element, random_germ, random_ppfun, random_scalar
 from germoid.scalars import Scalar
 from germoid.starspace import CENTER, EdgePoint, PPFun
+from oracles import convolve_by_dict
 
 
 @pytest.fixture
@@ -350,3 +354,67 @@ def test_scaled_rows_are_not_unitary(cross):
     half = AlgebraElement.unit(cross).scale(Scalar(Fraction(1, 2)))
     with pytest.raises(NotNormalizerError):
         induced_point_map(half)
+
+
+# -- the group-algebra convolution kernel -------------------------------------------
+
+def _random_function(group, rng, size, span=4):
+    out = {}
+    for s in rng.sample(group.elements, size):
+        c = random_scalar(rng, span)
+        out[s] = c if c else Scalar(1)
+    return out
+
+
+def _canonical(c):
+    return (
+        type(c._a) is int and type(c._b) is int and type(c._d) is int
+        and c._d > 0 and gcd(c._a, c._b, c._d) == 1 and bool(c)
+    )
+
+
+KERNEL_GROUPS = {
+    "trivial": lambda: PermGroup.trivial(2),
+    "klein_cross": PermGroup.klein_cross,
+    "A4": lambda: PermGroup.alternating(4),
+    "A5": lambda: PermGroup.alternating(5),
+}
+
+
+@pytest.mark.parametrize("make", KERNEL_GROUPS.values(), ids=KERNEL_GROUPS.keys())
+def test_group_convolve_matches_the_dict_loop(make, rng):
+    G = make()
+    m = len(G)
+    sizes = sorted({0, 1, min(2, m), m // 2, m})
+    for p in sizes:
+        for q in sizes:
+            f = _random_function(G, rng, p)
+            g = _random_function(G, rng, q)
+            got = group_convolve(G, f, g)
+            assert got == convolve_by_dict(f, g)
+            assert all(_canonical(c) for c in got.values())
+
+
+@pytest.mark.parametrize("small", [0, 10**9], ids=["numpy", "python"])
+def test_group_convolve_paths_agree(small, rng, monkeypatch):
+    monkeypatch.setattr(germoid.algebra, "SMALL_PRODUCT", small)
+    G = PermGroup.alternating(4)
+    for p, q in ((1, 12), (12, 1), (3, 5), (12, 12)):
+        f = _random_function(G, rng, p)
+        g = _random_function(G, rng, q)
+        assert group_convolve(G, f, g) == convolve_by_dict(f, g)
+
+
+def test_group_convolve_beyond_int64_uses_python_ints(rng):
+    def near_2_40():
+        return Fraction(2**40 + rng.randint(-99, 99), rng.randint(1, 3))
+
+    G = PermGroup.alternating(5)
+    f = {s: Scalar(near_2_40(), -near_2_40()) for s in rng.sample(G.elements, 40)}
+    g = {s: Scalar(near_2_40(), near_2_40()) for s in rng.sample(G.elements, 30)}
+    assert len(f) * len(g) > germoid.algebra.SMALL_PRODUCT  # the numpy path
+    got = group_convolve(G, f, g)
+    assert got == convolve_by_dict(f, g)
+    assert all(_canonical(c) for c in got.values())
+    # numerators past 2^63 could not have come out of int64 sums
+    assert max(max(abs(c._a), abs(c._b)) for c in got.values()) >= 2**63

@@ -139,13 +139,28 @@ def test_oversized_star_groups_exit_one_fast(argv, tmp_path, capsys):
 
 def test_diagnose_renders_each_pair_as_before(tmp_path):
     from germoid.experiments import diagnose_experiment
-    from germoid.germs import parse_star_spec
+    from germoid.germs import WITNESS_LIMIT, parse_star_spec
+    from oracles import inseparable_pairs
 
     spec = {"n": 5, "group": "A5"}
-    pairs = parse_star_spec(spec).hausdorff_check()[1]
+    pairs = inseparable_pairs(parse_star_spec(spec))
     report = diagnose_experiment(spec)
     check = next(c for c in report.checks if c.name.startswith("hausdorff"))
-    assert check.witness == [f"{{{a}, {b}}}" for a, b in pairs]
+    assert check.witness == [f"{{{a}, {b}}}" for a, b in pairs[:WITNESS_LIMIT]]
+    assert report.inputs["inseparable_pairs"] == len(pairs)
+
+
+def test_diagnose_a7_counts_its_pairs_in_a_small_report(tmp_path):
+    spec = tmp_path / "a7.json"
+    spec.write_text(json.dumps({"n": 7, "group": "A7"}))
+    out = tmp_path / "a7-report.json"
+    assert run(["diagnose", "--spec", str(spec), "--json", str(out)]) == 0
+    assert out.stat().st_size < 10_000
+    report = json.loads(out.read_text())
+    assert report["inputs"]["group_order"] == 2520
+    assert report["inputs"]["inseparable_pairs"] == 2_002_140
+    check = next(c for c in report["checks"] if c["name"] == "hausdorff: False")
+    assert check["passed"] and len(check["witness"]) == 64
 
 
 def test_finite_positive_and_negative(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from germoid.germs import (
     MAX_STAR_EDGES,
     MAX_STAR_GROUP_ORDER,
+    WITNESS_LIMIT,
     CenterGerm,
     EdgeGerm,
     GermError,
@@ -18,6 +19,7 @@ from germoid.germs import (
 from germoid.perms import GroupTooLarge, PermGroup, Permutation, parse_cycles
 from germoid.sampling import random_germ
 from germoid.starspace import CENTER, EdgePoint, act
+from oracles import inseparable_pairs
 
 
 @pytest.fixture
@@ -133,26 +135,47 @@ def test_essentially_principal(cross, star4):
 
 
 def test_hausdorff_cross(cross):
-    flag, pairs = cross.hausdorff_check()
-    assert flag is False
+    result = cross.hausdorff_check()
+    assert result.hausdorff is False
     ident = Permutation.identity(4)
     sy = parse_cycles("(3 4)", 4)
-    assert any({a, b} == {ident, sy} for a, b in pairs)  # (3 4) fixes edges 1,2
+    assert any({a, b} == {ident, sy} for a, b in result.witnesses)  # (3 4) fixes edges 1,2
 
 
 def test_hausdorff_free_actions():
-    flag, pairs = GermGroupoid.cyclic_star(4).hausdorff_check()
-    assert flag is True and pairs == []
-    flag, pairs = GermGroupoid(3, PermGroup.trivial(3)).hausdorff_check()
-    assert flag is True and pairs == []
+    for G in (GermGroupoid.cyclic_star(4), GermGroupoid(3, PermGroup.trivial(3))):
+        result = G.hausdorff_check()
+        assert result.hausdorff is True and result.witnesses == [] and result.count == 0
 
 
 def test_hausdorff_star4(star4):
-    flag, pairs = star4.hausdorff_check()
-    assert flag is False and len(pairs) > 0
+    result = star4.hausdorff_check()
+    assert result.hausdorff is False and len(result.witnesses) > 0
     # every reported pair really does agree on some edge
-    for a, b in pairs:
+    for a, b in result.witnesses:
         assert any(a(i) == b(i) for i in range(1, 5))
+
+
+@pytest.mark.parametrize(
+    "groupoid",
+    [
+        GermGroupoid.cross(),
+        GermGroupoid.star(4),
+        GermGroupoid(4, PermGroup.symmetric(4)),
+        GermGroupoid.star(5),
+        GermGroupoid.cyclic_star(5),
+        GermGroupoid.star(6),
+        GermGroupoid(3, PermGroup.trivial(3)),
+    ],
+    ids=["cross", "A4", "S4", "A5", "Z5", "A6", "trivial"],
+)
+def test_hausdorff_count_and_witnesses_match_the_enumeration(groupoid):
+    pairs = inseparable_pairs(groupoid)
+    result = groupoid.hausdorff_check()
+    assert result.count == len(pairs)
+    assert result.witnesses == pairs[:WITNESS_LIMIT]
+    assert result.exhaustive == (len(pairs) <= WITNESS_LIMIT)
+    assert result.hausdorff == (not pairs)
 
 
 def test_group_must_match_edge_count():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,3 +121,51 @@ def test_extend_homomorphism_rejects_inconsistent():
     # (1 2) has order 2 but a 3-cycle does not: no homomorphism
     with pytest.raises(ValueError):
         extend_homomorphism(z2, [parse_cycles("(1 2)", 2)], [parse_cycles("(1 2 3)", 3)])
+
+
+# -- the index over element positions --------------------------------------------
+
+INDEXED_GROUPS = {
+    "trivial": lambda: PermGroup.trivial(3),
+    "klein_cross": PermGroup.klein_cross,
+    "Z5": lambda: PermGroup.cyclic(5),
+    "S3": lambda: PermGroup.symmetric(3),
+    "S4": lambda: PermGroup.symmetric(4),
+    "A4": lambda: PermGroup.alternating(4),
+    "A5": lambda: PermGroup.alternating(5),
+    "A6": lambda: PermGroup.alternating(6),
+    "S4 without generators": lambda: PermGroup(4, PermGroup.symmetric(4).elements),
+}
+
+
+@pytest.mark.parametrize("make", INDEXED_GROUPS.values(), ids=INDEXED_GROUPS.keys())
+def test_table_and_inverse_index_match_permutation_products(make):
+    G = make()
+    els = G.elements
+    assert G.index == {s: k for k, s in enumerate(els)}
+    table = G.table
+    assert table.shape == (len(G), len(G))
+    for a, row in zip(els, table.tolist()):
+        assert [els[k] for k in row] == [a * b for b in els]
+    assert [els[k] for k in G.inverse_index] == [s.inverse() for s in els]
+    assert [els[k] for k in G.fixing] == [
+        s for s in els if not s.is_identity() and s.fixed_points()
+    ]
+
+
+def test_table_sampled_on_a7():
+    G = PermGroup.alternating(7)
+    els, table, inverse = G.elements, G.table, G.inverse_index
+    rng = random.Random(7)
+    for _ in range(3000):
+        a, b = rng.randrange(len(els)), rng.randrange(len(els))
+        assert els[table[a, b]] == els[a] * els[b]
+        assert els[inverse[a]] == els[a].inverse()
+    assert len(G.fixing) == 1589
+
+
+def test_index_is_built_once_per_group():
+    G = PermGroup.alternating(4)
+    assert G.table is G.table
+    assert G.inverse_index is G.inverse_index
+    assert G.fixing is G.fixing

@@ -398,7 +398,7 @@ def test_phi_is_multiplicative(rng):
 
 def test_strange_normalizer_for_odd_tau():
     tau = parse_cycles("(1 2)", 4)
-    u, report = build_strange_normalizer(4, tau, trials=5, seed=11)
+    u, report = build_strange_normalizer(GermGroupoid.star(4), tau, trials=5, seed=11)
     assert report.unitary_ok
     assert report.strips_match_tau
     assert report.conjugation_ok
@@ -414,7 +414,7 @@ def test_strange_normalizer_for_odd_tau():
 def test_strange_normalizer_conjugation_identity(rng):
     G = GermGroupoid.star(4)
     tau = parse_cycles("(1 2)", 4)
-    u, _ = build_strange_normalizer(4, tau, trials=2, seed=1)
+    u, _ = build_strange_normalizer(GermGroupoid.star(4), tau, trials=2, seed=1)
     for _ in range(5):
         h = random_ppfun(4, rng)
         assert u.adjoint() * embed_C0(G, h) * u == embed_C0(G, act(tau.inverse(), h))
@@ -422,13 +422,13 @@ def test_strange_normalizer_conjugation_identity(rng):
 
 def test_strange_normalizer_even_tau_runs():
     tau = parse_cycles("(1 2 3)", 4)
-    u, report = build_strange_normalizer(4, tau, trials=3, seed=5)
+    u, report = build_strange_normalizer(GermGroupoid.star(4), tau, trials=3, seed=5)
     assert report.unitary_ok and report.strips_match_tau and report.conjugation_ok
     assert report.note  # points at the plain sheet indicator alternative
     assert report.ok
     # and a Klein-four element lifts to its own sheet indicator exactly
     tau2 = parse_cycles("(1 2)(3 4)", 4)
-    u2, _ = build_strange_normalizer(4, tau2, trials=2, seed=5)
+    u2, _ = build_strange_normalizer(GermGroupoid.star(4), tau2, trials=2, seed=5)
     from germoid.algebra import from_sheet
 
     G = GermGroupoid.star(4)
@@ -437,7 +437,9 @@ def test_strange_normalizer_even_tau_runs():
 
 
 def test_strange_normalizer_identity_tau():
-    u, report = build_strange_normalizer(4, Permutation.identity(4), trials=2, seed=0)
+    u, report = build_strange_normalizer(
+        GermGroupoid.star(4), Permutation.identity(4), trials=2, seed=0
+    )
     G = GermGroupoid.star(4)
     assert u == AlgebraElement.unit(G)
     assert report.ok
@@ -447,7 +449,7 @@ def test_strange_normalizer_point_map_matches_the_checked_one():
     from germoid.algebra import induced_point_map
 
     tau = parse_cycles("(1 2)", 5)
-    u, report = build_strange_normalizer(5, tau, trials=1, seed=2)
+    u, report = build_strange_normalizer(GermGroupoid.star(5), tau, trials=1, seed=2)
     assert report.point_map == induced_point_map(u)
 
 
@@ -458,9 +460,9 @@ def test_strange_normalizer_rejects_a_non_unitary_lift(monkeypatch):
     real_phi = germoid.rep.phi
     monkeypatch.setattr(germoid.rep, "phi", lambda v, G: real_phi(v, G).scale(Scalar(2)))
     with pytest.raises(NotNormalizerError):
-        build_strange_normalizer(4, parse_cycles("(1 2)", 4), trials=1, seed=0)
+        build_strange_normalizer(GermGroupoid.star(4), parse_cycles("(1 2)", 4), trials=1, seed=0)
 
 
 def test_strange_normalizer_small_n_rejected():
     with pytest.raises(ValueError):
-        build_strange_normalizer(3, parse_cycles("(1 2)", 3))
+        build_strange_normalizer(GermGroupoid.star(3), parse_cycles("(1 2)", 3))
