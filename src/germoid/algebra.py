@@ -25,7 +25,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .germs import CenterGerm, EdgeGerm, GermError, GermGroupoid
-from .perms import PermGroup, Permutation
+from .perms import PermGroup, Permutation, parse_cycles
 from .poly import PiecewisePoly, common_refinement
 from .scalars import ZERO, Scalar, _make, as_scalar, render_scalar
 from .starspace import CENTER, CenterPoint, EdgePoint, PPFun
@@ -394,8 +394,15 @@ def conditional_expectation(f: AlgebraElement) -> UnitSpaceFunction:
 # the cross example: central element and its ideal
 
 
+# built once: every cross-specific operation compares its groupoid with this one
+_CROSS = GermGroupoid.cross()
+_SX = parse_cycles("(1 2)", 4)
+_SY = parse_cycles("(3 4)", 4)
+_SXY = _SX * _SY
+
+
 def _require_cross(groupoid: GermGroupoid):
-    if groupoid != GermGroupoid.cross():
+    if groupoid != _CROSS:
         raise AlgebraError("this operation is specific to the 4-edge cross groupoid")
 
 
@@ -412,30 +419,23 @@ def cross_central_element(groupoid: GermGroupoid) -> AlgebraElement:
     spans a one-dimensional two-sided ideal meeting the diagonal only in 0.
     """
     _require_cross(groupoid)
-    ident = groupoid.group.identity
-    sx = next(s for s in groupoid.group if s.cycle_string() == "(1 2)")
-    sy = next(s for s in groupoid.group if s.cycle_string() == "(3 4)")
     one = PPFun.one(4)
     return (
-        from_sheet(groupoid, ident, one)
-        - from_sheet(groupoid, sx, one)
-        - from_sheet(groupoid, sy, one)
-        + from_sheet(groupoid, sx * sy, one)
+        from_sheet(groupoid, groupoid.group.identity, one)
+        - from_sheet(groupoid, _SX, one)
+        - from_sheet(groupoid, _SY, one)
+        + from_sheet(groupoid, _SXY, one)
     )
 
 
 def lambda_scalar(g: AlgebraElement) -> Scalar:
     """The scalar by which multiplication against the central element acts."""
     _require_cross(g.groupoid)
-    group = g.groupoid.group
-    ident = group.identity
-    sx = next(s for s in group if s.cycle_string() == "(1 2)")
-    sy = next(s for s in group if s.cycle_string() == "(3 4)")
     return (
-        g.center_value(ident)
-        - g.center_value(sx)
-        - g.center_value(sy)
-        + g.center_value(sx * sy)
+        g.center_value(g.groupoid.group.identity)
+        - g.center_value(_SX)
+        - g.center_value(_SY)
+        + g.center_value(_SXY)
     )
 
 

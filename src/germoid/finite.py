@@ -343,9 +343,6 @@ class FiniteGroupoid:
             groups.setdefault(find(x), []).append(x)
         return sorted(groups.values())
 
-    def source_fiber(self, x):
-        return [a for a in self.arrows if self.src[a] == x]
-
     def describe(self) -> dict:
         return {
             "units": len(self.units),
@@ -457,12 +454,6 @@ def random_finite_element(G: FiniteGroupoid, rng: random.Random) -> FiniteAlgebr
     # real then imaginary part, arrow by arrow: this order fixes every seeded report
     draws = np.array([rng.gauss(0, 1) for _ in range(2 * len(G.arrows))])
     return FiniteAlgebraElement(G, draws.view(complex))
-
-
-def algebra_image_rank(G: FiniteGroupoid) -> int:
-    """Rank of the regular representation over the arrow basis (numeric)."""
-    # column a is the gathered blocks of delta_a
-    return int(np.linalg.matrix_rank(np.eye(len(G.arrows))[G.rep_gather], tol=1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -693,32 +684,28 @@ class FaithfulnessReport:
     holds: bool
     kernels_checked: int
     failing_kernel: object = None
-    exhaustive: bool = True
 
 
 def faithfulness_check(
-    G: FiniteGroupoid, tol: float = DEFAULT_TOL, seed: int = 0, subset_cap: int = 12
+    G: FiniteGroupoid, tol: float = DEFAULT_TOL, seed: int = 0
 ) -> FaithfulnessReport:
     """Representations are enumerated up to kernel, i.e. by the sums of
     minimal central blocks they kill.  Faithful-on-diagonal implies faithful
-    exactly when every candidate kernel meets the diagonal."""
+    exactly when every candidate kernel meets the diagonal.
+
+    Single blocks decide this.  Let z be a sum of blocks containing z_i, and
+    let z_i meet the diagonal: z_i c = c for a nonzero diagonal c.  The
+    blocks are orthogonal idempotents, so z z_i = z_i and z c = z z_i c = c:
+    z meets the diagonal too.  So a sum misses the diagonal only if each of
+    its blocks does, and the first of the 2^k - 1 sums in bitmask order to
+    miss it is the lowest-index block that misses it.  Trying the k blocks in
+    order gives the verdict and the failing kernel of the full enumeration."""
     split = minimal_central_projections(G, tol=tol, seed=seed)
-    k = split.blocks
-    exhaustive = k <= subset_cap
-    if exhaustive:
-        subsets = [
-            [i for i in range(k) if mask >> i & 1]
-            for mask in range(1, 1 << k)
-        ]
-    else:
-        subsets = [[i] for i in range(k)]
-    checked = 0
-    for S in subsets:
-        meets, _ = _diagonal_meets(G, [split.projections[i] for i in S], tol)
-        checked += 1
+    for i, z in enumerate(split.projections):
+        meets, _ = _diagonal_meets(G, [z], tol)
         if not meets:
-            return FaithfulnessReport(False, checked, tuple(S), exhaustive)
-    return FaithfulnessReport(True, checked, None, exhaustive)
+            return FaithfulnessReport(False, i + 1, (i,))
+    return FaithfulnessReport(True, split.blocks)
 
 
 @dataclass

@@ -130,9 +130,6 @@ class GermGroupoid:
             return EdgeGerm(p.t, p.edge, sigma(p.edge))
         raise TypeError(f"not a star point: {p!r}")
 
-    def unit_at(self, p):
-        return self.germ_of(self.group.identity, p)
-
     def source(self, germ):
         self._require(germ)
         if isinstance(germ, EdgeGerm):

@@ -72,9 +72,6 @@ class Matrix:
     def __neg__(self):
         return Matrix([[-x for x in row] for row in self.rows])
 
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
-
     def conj_transpose(self) -> "Matrix":
         return Matrix([[x.conjugate() for x in row] for row in zip(*self.rows)])
 

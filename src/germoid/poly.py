@@ -18,7 +18,12 @@ Trusted path: ``PiecewisePoly(breaks, polys, _checked=True)`` takes its
 arguments as given.  Its caller must pass ``Fraction`` breakpoints and
 trimmed polynomials forming a valid continuous function; every caller inside
 this package does (the operations below keep both properties).  Outside
-input goes through the validating path, ``_checked=False``.
+input, and every function the sampler draws, goes through the validating
+path, ``_checked=False``.  It checks over the integers: breakpoints that are
+already ``Fraction`` and tuple polynomials that are already trimmed are kept
+as they are, "strictly increasing" compares cross products as ``_merge``
+does, and continuity evaluates both neighbouring pieces at each interior
+breakpoint by ``_horner`` and compares the two values by cross products.
 """
 
 from __future__ import annotations
@@ -110,6 +115,23 @@ def pconj(p):
     return tuple(a.conjugate() for a in p)
 
 
+def _horner(p, num: int, den: int):
+    """(re, im, d) with p(num/den) = (re + im*i)/d and d > 0, not reduced."""
+    if not p:
+        return 0, 0, 1
+    top = p[-1]
+    re, im, d = top._a, top._b, top._d
+    for k in range(len(p) - 2, -1, -1):
+        c = p[k]
+        # (re + im*i)/d * num/den + c
+        cd = c._d
+        scale = d * den
+        re = re * num * cd + c._a * scale
+        im = im * num * cd + c._b * scale
+        d = scale * cd
+    return re, im, d
+
+
 def peval(p, t) -> Scalar:
     t = as_scalar(t) if not isinstance(t, Fraction) else Scalar(t)
     acc = ZERO
@@ -129,17 +151,24 @@ class PiecewisePoly:
 
     def __init__(self, breaks, polys, _checked=False):
         if not _checked:
-            breaks = tuple(Fraction(b) for b in breaks)
-            polys = tuple(ptrim(p) for p in polys)
+            breaks = tuple(b if b.__class__ is Fraction else Fraction(b) for b in breaks)
+            polys = tuple(
+                p if p.__class__ is tuple and not (p and p[-1].is_zero()) else ptrim(p)
+                for p in polys
+            )
             if len(breaks) < 2 or len(polys) != len(breaks) - 1:
                 raise ValueError("breakpoint/piece count mismatch")
             if breaks[0] != 0 or breaks[-1] != 1:
                 raise ValueError("breakpoints must run from 0 to 1")
-            if any(a >= b for a, b in zip(breaks, breaks[1:])):
+            if any(a.numerator * b.denominator >= b.numerator * a.denominator
+                   for a, b in zip(breaks, breaks[1:])):
                 raise ValueError("breakpoints must be strictly increasing")
             for k in range(1, len(polys)):
-                if peval(polys[k - 1], breaks[k]) != peval(polys[k], breaks[k]):
-                    raise ValueError(f"discontinuity at t={breaks[k]}")
+                t = breaks[k]
+                a, b, d = _horner(polys[k - 1], t.numerator, t.denominator)
+                c, e, f = _horner(polys[k], t.numerator, t.denominator)
+                if a * f != c * d or b * f != e * d:
+                    raise ValueError(f"discontinuity at t={t}")
         if len(polys) == 1:
             self.breaks, self.polys = tuple(breaks), tuple(polys)
             return

@@ -1,30 +1,45 @@
 """Seeded random generators for scalars, functions, algebra elements, and germs.
 
 Deterministic given a random.Random instance; the CLI and the property-test
-suites share these so reported trials are reproducible.
+suites share these so reported trials are reproducible.  The sequence of
+``rng`` calls each generator makes is part of its contract: every seeded
+report depends on it, so a change to what is drawn, or in which order,
+changes the reports.
+
+Scalars and coefficient functions are built over the integers that
+``Scalar`` stores.  ``random_scalar`` turns its four draws p, q, r, s into
+the canonical triple of p/q + (r/s) i with one gcd.  ``random_piecewise``
+shifts each piece's constant term by level - p(lo), and takes the next
+level p(hi), from ``poly._horner`` at the rational breakpoint.  Its result
+still goes through the validating ``PiecewisePoly`` constructor.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .algebra import AlgebraElement, from_sheet
 from .germs import CenterGerm, EdgeGerm, GermGroupoid
 from .perms import PermGroup
-from .poly import PiecewisePoly, padd, pconst, peval, ptrim
-from .scalars import Scalar
+from .poly import PiecewisePoly, _horner, ptrim
+from .scalars import ZERO, Scalar, _make
 from .starspace import OpenStarSet, PPFun
 
 _BREAK_POOL = [Fraction(a, b) for b in (2, 3, 4, 5) for a in range(1, b)]
-
-
-def random_fraction(rng: random.Random, span: int = 4) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
+_F0, _F1 = Fraction(0), Fraction(1)
 
 
 def random_scalar(rng: random.Random, span: int = 4) -> Scalar:
-    return Scalar(random_fraction(rng, span), random_fraction(rng, span))
+    """p/q + (r/s) i, drawn in the order p, q, r, s."""
+    p = rng.randint(-span, span)
+    q = rng.randint(1, span)
+    r = rng.randint(-span, span)
+    s = rng.randint(1, span)
+    a, b, d = p * s, r * q, q * s
+    g = gcd(a, b, d)
+    return _make(a // g, b // g, d // g)
 
 
 def random_poly(rng: random.Random, max_deg: int = 2):
@@ -33,21 +48,29 @@ def random_poly(rng: random.Random, max_deg: int = 2):
 
 
 def random_breaks(rng: random.Random, max_interior: int = 2):
+    # the pool holds neither 0 nor 1, and 1/2 twice (from 1/2 and 2/4)
     interior = rng.sample(_BREAK_POOL, rng.randint(0, max_interior))
-    return sorted({Fraction(0), Fraction(1), *interior})
+    return [_F0, *sorted(set(interior)), _F1]
 
 
 def random_piecewise(rng: random.Random, value_at_0: Scalar, max_interior: int = 2) -> PiecewisePoly:
     """Random continuous piecewise polynomial with the given limit at 0."""
     breaks = random_breaks(rng, max_interior)
     polys = []
-    level = value_at_0
+    # level: the chain's value at lo, as (re + im*i)/d, not reduced
+    la, lb, ld = value_at_0._a, value_at_0._b, value_at_0._d
     for lo, hi in zip(breaks, breaks[1:]):
         p = random_poly(rng)
-        # shift the constant term so the chain stays continuous at lo
-        p = padd(p, pconst(level - peval(p, lo)))
+        # shift the constant term c by level - p(lo) so the chain stays continuous at lo
+        c = p[0] if p else ZERO
+        ra, rb, rd = _horner(p, lo.numerator, lo.denominator)
+        d = c._d * ld * rd
+        a = (c._a * ld + la * c._d) * rd - ra * c._d * ld
+        b = (c._b * ld + lb * c._d) * rd - rb * c._d * ld
+        g = gcd(a, b, d)
+        p = ptrim((_make(a // g, b // g, d // g), *p[1:]))
         polys.append(p)
-        level = peval(p, hi)
+        la, lb, ld = _horner(p, hi.numerator, hi.denominator)
     return PiecewisePoly(breaks, polys)
 
 

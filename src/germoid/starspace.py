@@ -58,7 +58,10 @@ class EdgePoint:
 def _norm_intervals(intervals):
     ivs = []
     for a, b, inc in intervals:
-        a, b = Fraction(a), Fraction(b)
+        if a.__class__ is not Fraction:
+            a = Fraction(a)
+        if b.__class__ is not Fraction:
+            b = Fraction(b)
         if inc and b != 1:
             raise ValueError("a closed right endpoint is only allowed at 1")
         if not (0 <= a < b <= 1):

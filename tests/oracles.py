@@ -1,5 +1,12 @@
 """Brute-force oracles shared by several test modules."""
 
+from fractions import Fraction
+
+from germoid.finite import DEFAULT_TOL, _diagonal_meets, minimal_central_projections
+from germoid.poly import PiecewisePoly, padd, pconst, peval, ptrim
+from germoid.scalars import Scalar
+from germoid.starspace import PPFun
+
 
 def bitransitive_by_brute_force(group) -> bool:
     """Every ordered pair of distinct points reaches every other."""
@@ -35,3 +42,92 @@ def inseparable_pairs(groupoid) -> list:
             if any(s(i) == sp(i) for i in range(1, groupoid.n + 1)):
                 pairs.append((s, sp))
     return pairs
+
+
+# -- the sampler over Fraction and Scalar arithmetic, as it was before it drew
+# -- canonical triples; it makes the same rng calls in the same order
+
+_BREAK_POOL = [Fraction(a, b) for b in (2, 3, 4, 5) for a in range(1, b)]
+
+
+def fraction_scalar(rng, span: int = 4) -> Scalar:
+    re = Fraction(rng.randint(-span, span), rng.randint(1, span))
+    im = Fraction(rng.randint(-span, span), rng.randint(1, span))
+    return Scalar(re, im)
+
+
+def fraction_poly(rng, max_deg: int = 2):
+    deg = rng.randint(0, max_deg)
+    return ptrim(fraction_scalar(rng) for _ in range(deg + 1))
+
+
+def fraction_piecewise(rng, value_at_0, max_interior: int = 2) -> PiecewisePoly:
+    interior = rng.sample(_BREAK_POOL, rng.randint(0, max_interior))
+    breaks = sorted({Fraction(0), Fraction(1), *interior})
+    polys = []
+    level = value_at_0
+    for lo, hi in zip(breaks, breaks[1:]):
+        p = fraction_poly(rng)
+        p = padd(p, pconst(level - peval(p, lo)))
+        polys.append(p)
+        level = peval(p, hi)
+    return PiecewisePoly(breaks, polys)
+
+
+def fraction_ppfun(n: int, rng) -> PPFun:
+    center = fraction_scalar(rng)
+    return PPFun(n, center, [fraction_piecewise(rng, center) for _ in range(n)])
+
+
+def validate_by_fractions(breaks, polys) -> PiecewisePoly:
+    """The validating constructor's checks over Fraction and Scalar values,
+    in the same order and with the same messages."""
+    breaks = tuple(Fraction(b) for b in breaks)
+    polys = tuple(ptrim(p) for p in polys)
+    if len(breaks) < 2 or len(polys) != len(breaks) - 1:
+        raise ValueError("breakpoint/piece count mismatch")
+    if breaks[0] != 0 or breaks[-1] != 1:
+        raise ValueError("breakpoints must run from 0 to 1")
+    if any(a >= b for a, b in zip(breaks, breaks[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    for k in range(1, len(polys)):
+        if peval(polys[k - 1], breaks[k]) != peval(polys[k], breaks[k]):
+            raise ValueError(f"discontinuity at t={breaks[k]}")
+    return PiecewisePoly(breaks, polys, _checked=True)
+
+
+def norm_intervals_by_wrapping(intervals):
+    """Open edge intervals normalized with every endpoint wrapped in Fraction."""
+    ivs = []
+    for a, b, inc in intervals:
+        a, b = Fraction(a), Fraction(b)
+        if inc and b != 1:
+            raise ValueError("a closed right endpoint is only allowed at 1")
+        if not (0 <= a < b <= 1):
+            raise ValueError(f"bad interval ({a},{b})")
+        ivs.append((a, b, bool(inc)))
+    ivs.sort()
+    out = []
+    for a, b, inc in ivs:
+        if out and a < out[-1][1]:
+            pa, pb, pinc = out[-1]
+            if b > pb:
+                out[-1] = (pa, b, inc)
+            elif b == pb:
+                out[-1] = (pa, pb, pinc or inc)
+        else:
+            out.append((a, b, inc))
+    return tuple(out)
+
+
+def faithfulness_by_subsets(G, tol: float = DEFAULT_TOL, seed: int = 0):
+    """(holds, failing kernel): every one of the 2^k - 1 sums of minimal
+    central blocks tried in bitmask order for a nonzero diagonal fixed point."""
+    split = minimal_central_projections(G, tol=tol, seed=seed)
+    k = split.blocks
+    for mask in range(1, 1 << k):
+        S = [i for i in range(k) if mask >> i & 1]
+        meets, _ = _diagonal_meets(G, [split.projections[i] for i in S], tol)
+        if not meets:
+            return False, tuple(S)
+    return True, None

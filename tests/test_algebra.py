@@ -6,6 +6,7 @@ import pytest
 import germoid.algebra
 from germoid.algebra import (
     AlgebraElement,
+    AlgebraError,
     CompatibilityError,
     NotNormalizerError,
     conditional_expectation,
@@ -256,6 +257,28 @@ def test_lambda_values(cross, f):
 def test_lambda_requires_the_cross(star4):
     with pytest.raises(Exception):
         lambda_scalar(AlgebraElement.unit(star4))
+
+
+def test_lambda_scalar_builds_no_group(cross, rng, monkeypatch):
+    elements = [random_algebra_element(cross, rng) for _ in range(4)]
+    built = []
+    init = PermGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting_init)
+    for k in range(100):
+        lambda_scalar(elements[k % 4])
+    assert built == []
+    for G in (GermGroupoid.star(4), GermGroupoid.cyclic_star(4)):
+        for refused in (lambda: lambda_scalar(AlgebraElement.unit(G)),
+                        lambda: cross_central_element(G)):
+            with pytest.raises(
+                AlgebraError, match="^this operation is specific to the 4-edge cross groupoid$"
+            ):
+                refused()
 
 
 def test_central_identity_for_generators_and_random_elements(cross, f, rng):

@@ -3,8 +3,11 @@ import time
 
 import pytest
 
+import germoid.experiments
+import germoid.sampling
 from germoid.cli import main
 from germoid.reports import ExperimentReport
+from oracles import fraction_piecewise, fraction_poly, fraction_ppfun, fraction_scalar
 
 
 def run(args):
@@ -206,6 +209,28 @@ def test_json_report_roundtrip_and_determinism(tmp_path):
     redumped = r.to_dict()
     redumped.pop("wall_time_s")
     assert redumped == d1
+
+
+def _report_without_wall_time(args, path):
+    assert run(args + ["--json", str(path)]) == 0
+    d = json.loads(path.read_text())
+    d.pop("wall_time_s")
+    return d
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["cross", "--trials", "20", "--seed", "3"], ["selftest", "--seed", "11"],
+     ["star", "--n", "4"]],
+)
+def test_reports_equal_those_of_the_fraction_sampler(args, tmp_path, monkeypatch):
+    mine = _report_without_wall_time(args, tmp_path / "mine.json")
+    for name, oracle in [("random_scalar", fraction_scalar), ("random_poly", fraction_poly),
+                         ("random_piecewise", fraction_piecewise),
+                         ("random_ppfun", fraction_ppfun)]:
+        monkeypatch.setattr(germoid.sampling, name, oracle)
+    monkeypatch.setattr(germoid.experiments, "random_ppfun", fraction_ppfun)
+    assert _report_without_wall_time(args, tmp_path / "oracle.json") == mine
 
 
 def test_star_report_serializes_the_element(tmp_path):

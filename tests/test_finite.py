@@ -12,10 +12,10 @@ import germoid.finite
 from germoid.cli import main as cli_main
 from germoid.experiments import finite_experiment
 from germoid.finite import (
+    FaithfulnessReport,
     FiniteAlgebraElement,
     FiniteGroupoid,
     GroupoidAxiomError,
-    algebra_image_rank,
     center_basis_exact,
     diagonal_commutant_exact,
     diagonal_masa_check,
@@ -33,8 +33,19 @@ from germoid.finite import (
 from germoid.linalg import nullspace
 from germoid.perms import PermGroup, Permutation, parse_cycles
 from germoid.scalars import ONE, ZERO
+from oracles import faithfulness_by_subsets
 
 TOL = 1e-9
+
+
+def algebra_image_rank(G: FiniteGroupoid) -> int:
+    """Rank of the regular representation over the arrow basis (numeric)."""
+    # column a is the gathered blocks of delta_a
+    return int(np.linalg.matrix_rank(np.eye(len(G.arrows))[G.rep_gather], tol=1e-9))
+
+
+def source_fiber(G: FiniteGroupoid, x):
+    return [a for a in G.arrows if G.src[a] == x]
 
 
 @pytest.fixture
@@ -258,7 +269,7 @@ def test_expectation_positive_and_faithful(z3_free, rng):
             assert v.real >= -1e-12 and abs(v.imag) < 1e-12
             # fiber sum oracle
             expected = sum(
-                abs(f.coeff(a)) ** 2 for a in z3_free.source_fiber(x)
+                abs(f.coeff(a)) ** 2 for a in source_fiber(z3_free, x)
             )
             assert abs(v - expected) < 1e-9
         if f.vec.any():
@@ -338,20 +349,44 @@ def test_parse_rejects_unknown():
         parse_finite_spec({"nonsense": 1})
 
 
-def test_partial_faithfulness_verdict_is_reported():
-    # 13 one-point blocks: more than subset_cap=12, so only single blocks are tried
-    assert faithfulness_check(FiniteGroupoid.units_only(13)).exhaustive is False
+def test_faithfulness_verdict_is_complete():
+    # 13 one-point blocks: each block is tried once, and single blocks decide every sum
     spec = {"equivalence": {"blocks": [[x] for x in range(1, 14)]}}
     report = finite_experiment(spec, trials=2, seed=1)
     check = report.checks[3]
-    assert check.name.startswith("faithful-on-diagonal implies faithful")
-    assert "(partial: single-block kernels only)" in report.render_text()
-    assert check.witness == {"kernels_checked": 13, "exhaustive": False}
+    assert check.name == "faithful-on-diagonal implies faithful agrees with the ideal check"
+    assert "partial" not in report.render_text()
+    assert check.witness == {"kernels_checked": 13}
     full = finite_experiment({"equivalence": {"blocks": [[1, 2], [3]]}}, trials=2, seed=1)
     assert full.checks[3].name == (
         "faithful-on-diagonal implies faithful agrees with the ideal check"
     )
-    assert full.checks[3].witness == {"kernels_checked": 3, "exhaustive": True}
+    assert full.checks[3].witness == {"kernels_checked": 2}
+
+
+# the six specs of the finite_controls benchmark workload
+BENCH_CORPUS = [
+    {"transformation": {"points": 4, "group_generators": ["(1 2)", "(1 2 3 4)"]}},
+    {"transformation": {"points": 5, "group_generators": ["(1 2 3 4 5)"]}},
+    {"transformation": {"points": 4, "group_generators": ["(1 2)", "(3 4)"]}},
+    {"equivalence": {"blocks": [[1, 2, 3], [4, 5], [6]]}},
+    {"transformation": {"points": 1, "group_degree": 3,
+                        "group_generators": ["(1 2)", "(1 2 3)"], "action": ["()", "()"]}},
+    {"units": ["x"],
+     "arrows": [{"id": "x", "src": "x", "rng": "x"}, {"id": "g", "src": "x", "rng": "x"}],
+     "compose": [["x", "x", "x"], ["x", "g", "g"], ["g", "x", "g"], ["g", "g", "x"]]},
+]
+
+
+def test_single_blocks_decide_faithfulness_like_every_subset(z2_point):
+    groupoids = [parse_finite_spec(s) for s in BENCH_CORPUS]
+    groupoids += [z2_point] + [FiniteGroupoid.units_only(k) for k in range(1, 11)]
+    assert len(groupoids) == 17
+    for G in groupoids:
+        for seed in (0, 3):
+            check = faithfulness_check(G, seed=seed)
+            assert (check.holds, check.failing_kernel) == faithfulness_by_subsets(G, seed=seed)
+    assert faithfulness_check(z2_point) == FaithfulnessReport(False, 1, (0,))
 
 
 # -- oracles: the dict loops and the rational row reduction that the composition
@@ -379,7 +414,7 @@ def _loop_regular_rep(f):
     G = f.groupoid
     blocks = {}
     for x in G.units:
-        fiber = G.source_fiber(x)
+        fiber = source_fiber(G, x)
         pos = {a: k for k, a in enumerate(fiber)}
         M = np.zeros((len(fiber), len(fiber)), dtype=complex)
         for b in fiber:

@@ -41,6 +41,7 @@ from germoid.poly import (
 )
 from germoid.sampling import random_algebra_element, random_poly, random_scalar
 from germoid.scalars import ZERO, Scalar
+from oracles import validate_by_fractions
 
 # the sampling pool's denominators plus two it never draws
 _POOL = sorted({Fraction(a, b) for b in (2, 3, 4, 5) for a in range(1, b)}
@@ -138,8 +139,8 @@ def _random_breaks(rng, pool=_POOL, max_interior=4):
     return tuple(sorted({Fraction(0), Fraction(1), *interior}))
 
 
-def _continuous_strip(rng, breaks):
-    """A random continuous strip over breaks, through the validating path."""
+def _continuous_polys(rng, breaks):
+    """The pieces of a random continuous function over breaks."""
     polys = []
     level = random_scalar(rng)
     for lo, hi in zip(breaks, breaks[1:]):
@@ -147,7 +148,12 @@ def _continuous_strip(rng, breaks):
         p = padd(p, pconst(level - peval(p, lo)))
         polys.append(p)
         level = peval(p, hi)
-    return PiecewisePoly(breaks, polys)
+    return polys
+
+
+def _continuous_strip(rng, breaks):
+    """A random continuous strip over breaks, through the validating path."""
+    return PiecewisePoly(breaks, _continuous_polys(rng, breaks))
 
 
 def _bump_strip(rng, breaks):
@@ -326,6 +332,59 @@ def test_validating_constructor_normalizes_its_input():
     pp = PiecewisePoly(("0", "1/2", 1), ((Scalar(1), Scalar(0)), (Scalar(1),)))
     assert pp.breaks == (Fraction(0), Fraction(1)) and pp.polys == ((Scalar(1),),)
     assert all(isinstance(b, Fraction) for b in pp.breaks)
+
+
+def _outcome(build, breaks, polys):
+    try:
+        return build(breaks, polys)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_integer_validation_matches_the_fraction_validation(rng):
+    """Valid input, and input perturbed to hit each of the four messages, with
+    int, str and Fraction breaks and tuple, list and untrimmed polynomials."""
+    seen = set()
+    for _ in range(600):
+        breaks = list(_random_breaks(rng))
+        polys = _continuous_polys(rng, breaks)
+        fault = rng.choice(["none", "count", "ends", "order", "continuity"])
+        if fault == "count":
+            polys = polys[:-1]
+        elif fault == "ends":
+            breaks[rng.choice([0, -1])] = Fraction(1, 13)
+        elif fault == "order" and len(breaks) > 2:
+            k = rng.randint(1, len(breaks) - 2)
+            breaks[k] = breaks[rng.choice([k - 1, k + 1])]
+        elif fault == "continuity" and len(polys) > 1:
+            k = rng.randint(1, len(polys) - 1)
+            polys[k] = padd(polys[k], pconst(Scalar(0, 1)))
+        form = rng.choice(["fraction", "str", "int"])
+        if form == "str":
+            breaks = [str(b) for b in breaks]
+        elif form == "int":
+            breaks = [int(b) if b.denominator == 1 else b for b in breaks]
+        shape = rng.choice(["tuple", "list", "untrimmed"])
+        if shape == "list":
+            polys = [list(p) for p in polys]
+        elif shape == "untrimmed":
+            polys = [p + (ZERO,) * rng.randint(1, 2) for p in polys]
+        mine = _outcome(PiecewisePoly, breaks, polys)
+        theirs = _outcome(validate_by_fractions, breaks, polys)
+        assert mine == theirs
+        if isinstance(mine, PiecewisePoly):
+            assert all(b.__class__ is Fraction for b in mine.breaks)
+            assert all(p.__class__ is tuple for p in mine.polys)
+            seen.add("valid")
+        else:
+            seen.add(mine.split(" at t=")[0])
+    assert seen == {
+        "valid",
+        "breakpoint/piece count mismatch",
+        "breakpoints must run from 0 to 1",
+        "breakpoints must be strictly increasing",
+        "discontinuity",
+    }
 
 
 # -- collision and point-map witnesses ---------------------------------------------

@@ -11,9 +11,11 @@ from germoid.starspace import (
     EdgePoint,
     OpenStarSet,
     PPFun,
+    _norm_intervals,
     act,
     membership,
 )
+from oracles import norm_intervals_by_wrapping
 
 perm4_st = st.permutations(range(1, 5)).map(Permutation)
 
@@ -55,6 +57,33 @@ def test_interval_merge():
     c = OpenStarSet.edge_interval(4, 1, Fraction(1, 2), Fraction(3, 4))
     assert len(a.union(c).edges[0]) == 2
     assert EdgePoint(1, Fraction(1, 2)) not in a.union(c)
+
+
+def _normalized(norm, intervals):
+    try:
+        return norm(intervals)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_norm_intervals_matches_the_wrapping_oracle(rng):
+    ends = [Fraction(k, 6) for k in range(-1, 8)]
+    seen = set()
+    for _ in range(2000):
+        intervals = []
+        for _ in range(rng.randint(0, 4)):
+            a, b = rng.choice(ends), rng.choice(ends)
+            if rng.random() < 0.8:
+                a, b = min(a, b), max(a, b)
+            a, b = (rng.choice([x, str(x), int(x) if x.denominator == 1 else x])
+                    for x in (a, b))
+            intervals.append((a, b, rng.random() < 0.3))
+        mine = _normalized(_norm_intervals, intervals)
+        assert mine == _normalized(norm_intervals_by_wrapping, intervals)
+        if isinstance(mine, tuple):
+            assert all(x.__class__ is Fraction for iv in mine for x in iv[:2])
+        seen.add(mine.split(" (")[0] if isinstance(mine, str) else "valid")
+    assert seen == {"valid", "bad interval", "a closed right endpoint is only allowed at 1"}
 
 
 def test_membership_endpoints():
