@@ -28,7 +28,7 @@ from .germs import CenterGerm, EdgeGerm, GermError, GermGroupoid
 from .perms import PermGroup, Permutation, parse_cycles
 from .poly import PiecewisePoly, common_refinement
 from .scalars import ZERO, Scalar, _make, as_scalar, render_scalar
-from .starspace import CENTER, CenterPoint, EdgePoint, PPFun
+from .starspace import CENTER, CenterPoint, EdgePoint, PPFun, edge_index
 
 _PPZERO = PiecewisePoly.zero()
 
@@ -359,7 +359,7 @@ class UnitSpaceFunction:
         if isinstance(p, CenterPoint):
             return self.center
         if isinstance(p, EdgePoint):
-            return self.edges[p.edge - 1](p.t)
+            return self.edges[edge_index(p, self.n)](p.t)
         raise TypeError(f"not a star point: {p!r}")
 
     __call__ = eval

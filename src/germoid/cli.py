@@ -49,8 +49,12 @@ def _default_seed() -> int:
 def _emit(report, json_path):
     print(report.render_text())
     if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(report.to_json())
+        try:
+            with open(json_path, "w") as fh:
+                fh.write(report.to_json())
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_FAILURE
         print(f"wrote {json_path}")
     return report.exit_code
 

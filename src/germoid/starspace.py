@@ -3,11 +3,26 @@
 The star is n copies of (0,1] (the edges, indexed 1..n) glued at a single
 center point.  Edge coordinates are rationals; the center is its own point,
 not t=0 on any edge, which keeps every membership question decidable.
+
+An open set keeps each edge's intervals in normal form: sorted by left
+endpoint, with overlapping intervals merged (touching open intervals (a,b)
+and (b,c) stay apart, since b is missing).  Endpoints are ``Fraction``s and
+are compared over the integers: x < y is x.numerator*y.denominator <
+y.numerator*x.denominator, as in ``poly._merge``.  Trusted path:
+``OpenStarSet(n, contains_center, edges, _checked=True)`` takes its
+arguments as given.  Its caller must pass a tuple of n normal interval
+tuples, each starting at 0 if the set contains the center; ``act``,
+``union`` and ``intersect`` do (``union`` merges two normal tuples in one
+linear pass, ``intersect`` sweeps them with two pointers).  Outside input,
+and every set the sampler draws, goes through the validating path,
+``_norm_intervals``: it checks each interval, sorts them by left endpoint
+over one common denominator, and merges.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .perms import Permutation
 from .poly import PiecewisePoly
@@ -36,9 +51,12 @@ class EdgePoint:
     __slots__ = ("edge", "t")
 
     def __init__(self, edge: int, t):
-        t = Fraction(t)
-        if not 0 < t <= 1:
+        if t.__class__ is not Fraction:
+            t = Fraction(t)
+        if not 0 < t.numerator <= t.denominator:
             raise ValueError(f"edge coordinate {t} outside (0,1]")
+        if edge < 1:
+            raise ValueError(f"edge {edge} is not positive")
         self.edge = edge
         self.t = t
 
@@ -52,50 +70,106 @@ class EdgePoint:
         return f"EdgePoint({self.edge}, {self.t})"
 
 
+def edge_index(p: EdgePoint, n: int) -> int:
+    """The 0-based index of p's edge on a star with n edges."""
+    if p.edge > n:
+        raise ValueError(f"edge {p.edge} outside 1..{n}")
+    return p.edge - 1
+
+
 # ---------------------------------------------------------------------------
 # open edge intervals: (a, b) or (a, 1], encoded (a, b, include_b)
 
 def _norm_intervals(intervals):
+    """Validate intervals from outside and return their normal form."""
     ivs = []
     for a, b, inc in intervals:
         if a.__class__ is not Fraction:
             a = Fraction(a)
         if b.__class__ is not Fraction:
             b = Fraction(b)
-        if inc and b != 1:
+        bn, bd = b.numerator, b.denominator
+        if inc and bn != bd:
             raise ValueError("a closed right endpoint is only allowed at 1")
-        if not (0 <= a < b <= 1):
+        an, ad = a.numerator, a.denominator
+        if not (an >= 0 and an * bd < bn * ad and bn <= bd):
             raise ValueError(f"bad interval ({a},{b})")
         ivs.append((a, b, bool(inc)))
-    ivs.sort()
+    if len(ivs) > 1:
+        den = lcm(*(iv[0].denominator for iv in ivs))
+        ivs.sort(key=lambda iv: iv[0].numerator * (den // iv[0].denominator))
+    return _merge_sorted(ivs)
+
+
+def _merge_sorted(ivs):
+    """Normal form of valid intervals given in order of left endpoint."""
     out = []
     for a, b, inc in ivs:
-        if out and a < out[-1][1]:
+        if out:
             pa, pb, pinc = out[-1]
-            if b > pb:
-                out[-1] = (pa, b, inc)
-            elif b == pb:
-                out[-1] = (pa, pb, pinc or inc)
-            # else the new interval is contained in the previous one
-        else:
-            out.append((a, b, inc))
+            pn, pd = pb.numerator, pb.denominator
+            if a.numerator * pd < pn * a.denominator:
+                x, y = b.numerator * pd, pn * b.denominator
+                if x > y:
+                    out[-1] = (pa, b, inc)
+                elif x == y:
+                    out[-1] = (pa, pb, pinc or inc)
+                # else the new interval is contained in the previous one
+                continue
+        out.append((a, b, inc))
     return tuple(out)
 
 
+def _interleave(xs, ys):
+    """The intervals of two normal tuples in order of left endpoint."""
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        x, y = xs[i][0], ys[j][0]
+        if y.numerator * x.denominator < x.numerator * y.denominator:
+            yield ys[j]
+            j += 1
+        else:
+            yield xs[i]
+            i += 1
+    yield from xs[i:]
+    yield from ys[j:]
+
+
+def _union_intervals(xs, ys):
+    if not ys or xs is ys:
+        return xs
+    if not xs:
+        return ys
+    return _merge_sorted(_interleave(xs, ys))
+
+
 def _intersect_intervals(xs, ys):
+    """Pairwise intersections of two normal tuples, swept with two pointers;
+    they come out sorted and disjoint, so already normal."""
+    if xs is ys:
+        return xs
     out = []
-    for a1, b1, c1 in xs:
-        for a2, b2, c2 in ys:
-            a = max(a1, a2)
-            if b1 < b2:
-                b, inc = b1, c1
-            elif b2 < b1:
-                b, inc = b2, c2
-            else:
-                b, inc = b1, c1 and c2
-            if a < b:
-                out.append((a, b, inc))
-    return _norm_intervals(out)
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        a1, b1, c1 = xs[i]
+        a2, b2, c2 = ys[j]
+        a = a2 if a1.numerator * a2.denominator < a2.numerator * a1.denominator else a1
+        x, y = b1.numerator * b2.denominator, b2.numerator * b1.denominator
+        if x < y:
+            b, inc = b1, c1
+            i += 1
+        elif y < x:
+            b, inc = b2, c2
+            j += 1
+        else:
+            b, inc = b1, c1 and c2
+            i += 1
+            j += 1
+        if a.numerator * b.denominator < b.numerator * a.denominator:
+            out.append((a, b, inc))
+    return tuple(out)
 
 
 def _member(t: Fraction, intervals) -> bool:
@@ -103,6 +177,9 @@ def _member(t: Fraction, intervals) -> bool:
         if a < t < b or (t == b and inc):
             return True
     return False
+
+
+_FULL_EDGE = ((Fraction(0), Fraction(1), True),)
 
 
 class OpenStarSet:
@@ -114,43 +191,48 @@ class OpenStarSet:
 
     __slots__ = ("n", "contains_center", "edges")
 
-    def __init__(self, n: int, contains_center: bool, edges):
-        edges = tuple(_norm_intervals(e) for e in edges)
-        if len(edges) != n:
-            raise ValueError(f"expected interval data for {n} edges")
-        if contains_center:
-            for i, ivs in enumerate(edges, start=1):
-                if not ivs or ivs[0][0] != 0:
-                    raise ValueError(
-                        f"set contains the center but misses (0,eps) on edge {i}"
-                    )
+    def __init__(self, n: int, contains_center: bool, edges, _checked=False):
+        if not _checked:
+            edges = tuple(_norm_intervals(e) for e in edges)
+            if len(edges) != n:
+                raise ValueError(f"expected interval data for {n} edges")
+            if contains_center:
+                for i, ivs in enumerate(edges, start=1):
+                    if not ivs or ivs[0][0].numerator != 0:
+                        raise ValueError(
+                            f"set contains the center but misses (0,eps) on edge {i}"
+                        )
         self.n = n
         self.contains_center = bool(contains_center)
         self.edges = edges
 
     @classmethod
     def full(cls, n: int) -> "OpenStarSet":
-        return cls(n, True, [[(0, 1, True)]] * n)
+        return cls(n, True, (_FULL_EDGE,) * n, _checked=True)
 
     @classmethod
     def empty(cls, n: int) -> "OpenStarSet":
-        return cls(n, False, [[]] * n)
+        return cls(n, False, ((),) * n, _checked=True)
 
     @classmethod
     def edge_interval(cls, n: int, edge: int, a, b, include_b=False) -> "OpenStarSet":
+        if not 1 <= edge <= n:
+            raise ValueError(f"edge {edge} outside 1..{n}")
         edges = [[] for _ in range(n)]
         edges[edge - 1] = [(a, b, include_b)]
         return cls(n, False, edges)
 
     def union(self, other: "OpenStarSet") -> "OpenStarSet":
         self._check(other)
-        edges = [_norm_intervals(a + b) for a, b in zip(self.edges, other.edges)]
-        return OpenStarSet(self.n, self.contains_center or other.contains_center, edges)
+        edges = tuple(_union_intervals(a, b) for a, b in zip(self.edges, other.edges))
+        return OpenStarSet(self.n, self.contains_center or other.contains_center, edges,
+                           _checked=True)
 
     def intersect(self, other: "OpenStarSet") -> "OpenStarSet":
         self._check(other)
-        edges = [_intersect_intervals(a, b) for a, b in zip(self.edges, other.edges)]
-        return OpenStarSet(self.n, self.contains_center and other.contains_center, edges)
+        edges = tuple(_intersect_intervals(a, b) for a, b in zip(self.edges, other.edges))
+        return OpenStarSet(self.n, self.contains_center and other.contains_center, edges,
+                           _checked=True)
 
     __or__ = union
     __and__ = intersect
@@ -159,7 +241,7 @@ class OpenStarSet:
         if isinstance(p, CenterPoint):
             return self.contains_center
         if isinstance(p, EdgePoint):
-            return _member(p.t, self.edges[p.edge - 1])
+            return _member(p.t, self.edges[edge_index(p, self.n)])
         raise TypeError(f"not a star point: {p!r}")
 
     def _check(self, other):
@@ -231,7 +313,7 @@ class PPFun:
         if isinstance(p, CenterPoint):
             return self.center
         if isinstance(p, EdgePoint):
-            return self.edges[p.edge - 1](p.t)
+            return self.edges[edge_index(p, self.n)](p.t)
         raise TypeError(f"not a star point: {p!r}")
 
     __call__ = eval
@@ -293,8 +375,8 @@ def act(sigma: Permutation, x):
     if isinstance(x, OpenStarSet):
         edges = [None] * x.n
         for i in range(1, x.n + 1):
-            edges[sigma(i) - 1] = list(x.edges[i - 1])
-        return OpenStarSet(x.n, x.contains_center, edges)
+            edges[sigma(i) - 1] = x.edges[i - 1]
+        return OpenStarSet(x.n, x.contains_center, tuple(edges), _checked=True)
     if isinstance(x, PPFun):
         edges = [None] * x.n
         for i in range(1, x.n + 1):

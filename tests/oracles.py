@@ -5,7 +5,7 @@ from fractions import Fraction
 from germoid.finite import DEFAULT_TOL, _diagonal_meets, minimal_central_projections
 from germoid.poly import PiecewisePoly, padd, pconst, peval, ptrim
 from germoid.scalars import Scalar
-from germoid.starspace import PPFun
+from germoid.starspace import OpenStarSet, PPFun
 
 
 def bitransitive_by_brute_force(group) -> bool:
@@ -118,6 +118,54 @@ def norm_intervals_by_wrapping(intervals):
         else:
             out.append((a, b, inc))
     return tuple(out)
+
+
+# -- the open-set lattice as it was before the trusted path: every result is
+# -- normalized twice (once by the operation, once by the constructor),
+# -- comparing Fractions
+
+def open_set_by_wrapping(n, contains_center, edges) -> OpenStarSet:
+    """The validating constructor with every edge normalized by
+    norm_intervals_by_wrapping."""
+    edges = tuple(norm_intervals_by_wrapping(e) for e in edges)
+    if len(edges) != n:
+        raise ValueError(f"expected interval data for {n} edges")
+    if contains_center:
+        for i, ivs in enumerate(edges, start=1):
+            if not ivs or ivs[0][0] != 0:
+                raise ValueError(f"set contains the center but misses (0,eps) on edge {i}")
+    return OpenStarSet(n, contains_center, edges, _checked=True)
+
+
+def union_by_renormalizing(x, y) -> OpenStarSet:
+    edges = [norm_intervals_by_wrapping(a + b) for a, b in zip(x.edges, y.edges)]
+    return open_set_by_wrapping(x.n, x.contains_center or y.contains_center, edges)
+
+
+def intersect_by_renormalizing(x, y) -> OpenStarSet:
+    edges = []
+    for xs, ys in zip(x.edges, y.edges):
+        out = []
+        for a1, b1, c1 in xs:
+            for a2, b2, c2 in ys:
+                a = max(a1, a2)
+                if b1 < b2:
+                    b, inc = b1, c1
+                elif b2 < b1:
+                    b, inc = b2, c2
+                else:
+                    b, inc = b1, c1 and c2
+                if a < b:
+                    out.append((a, b, inc))
+        edges.append(norm_intervals_by_wrapping(out))
+    return open_set_by_wrapping(x.n, x.contains_center and y.contains_center, edges)
+
+
+def act_on_open_set_by_renormalizing(sigma, x) -> OpenStarSet:
+    edges = [None] * x.n
+    for i in range(1, x.n + 1):
+        edges[sigma(i) - 1] = list(x.edges[i - 1])
+    return open_set_by_wrapping(x.n, x.contains_center, edges)
 
 
 def faithfulness_by_subsets(G, tol: float = DEFAULT_TOL, seed: int = 0):

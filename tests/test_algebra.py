@@ -215,6 +215,15 @@ def test_expectation_of_unit(cross):
     assert e.is_continuous()
 
 
+def test_expectation_refuses_an_edge_beyond_the_star(cross, f):
+    e = conditional_expectation(f)
+    with pytest.raises(ValueError, match=r"^edge 5 outside 1\.\.4$"):
+        e.eval(EdgePoint(5, Fraction(1, 2)))
+    with pytest.raises(ValueError, match="edge 0 is not positive"):
+        e.eval(EdgePoint(0, Fraction(1, 2)))
+    assert e.eval(EdgePoint(4, Fraction(1, 2))) == Scalar(0)
+
+
 def test_expectation_positive_with_fiber_sum_oracle(star4, rng):
     for _ in range(8):
         a = random_algebra_element(star4, rng, sheets=2)

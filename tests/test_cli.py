@@ -5,9 +5,19 @@ import pytest
 
 import germoid.experiments
 import germoid.sampling
+from germoid.algebra import AlgebraElement
 from germoid.cli import main
 from germoid.reports import ExperimentReport
-from oracles import fraction_piecewise, fraction_poly, fraction_ppfun, fraction_scalar
+from germoid.starspace import OpenStarSet, act
+from oracles import (
+    act_on_open_set_by_renormalizing,
+    fraction_piecewise,
+    fraction_poly,
+    fraction_ppfun,
+    fraction_scalar,
+    intersect_by_renormalizing,
+    union_by_renormalizing,
+)
 
 
 def run(args):
@@ -230,7 +240,47 @@ def test_reports_equal_those_of_the_fraction_sampler(args, tmp_path, monkeypatch
                          ("random_ppfun", fraction_ppfun)]:
         monkeypatch.setattr(germoid.sampling, name, oracle)
     monkeypatch.setattr(germoid.experiments, "random_ppfun", fraction_ppfun)
+    # and the open-set lattice that normalizes every result twice
+    monkeypatch.setattr(OpenStarSet, "union", union_by_renormalizing)
+    monkeypatch.setattr(OpenStarSet, "intersect", intersect_by_renormalizing)
+    monkeypatch.setattr(
+        germoid.experiments, "act",
+        lambda s, x: (act_on_open_set_by_renormalizing(s, x) if isinstance(x, OpenStarSet)
+                      else act(s, x)),
+    )
     assert _report_without_wall_time(args, tmp_path / "oracle.json") == mine
+
+
+@pytest.mark.parametrize("seed", [5, 11, 12])
+def test_selftest_computes_each_convolution_once(seed, monkeypatch):
+    # per draw: f*g, (f*g)*h, g*h, f*(g*h) and the adjoint product, 12 draws;
+    # the normalizer pipeline adds 8
+    calls = []
+    mul = AlgebraElement.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    assert germoid.experiments.selftest_experiment(seed).exit_code == 0
+    assert len(calls) == 68
+
+
+@pytest.mark.parametrize("args", [
+    ["cross", "--trials", "2"],
+    ["selftest"],
+    ["star", "--n", "4", "--trials", "1"],
+])
+def test_unwritable_json_path_is_a_one_line_error(args, tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    assert run(args + ["--seed", "3", "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert err.startswith("error: cannot write report: ")
+    assert "\n" not in err and "Traceback" not in err
+    assert str(path) in err
+    assert "result:" in captured.out and "wrote" not in captured.out
 
 
 def test_star_report_serializes_the_element(tmp_path):

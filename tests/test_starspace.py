@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from germoid.perms import Permutation, parse_cycles
+from germoid.perms import PermGroup, Permutation, parse_cycles
 from germoid.poly import PiecewisePoly
+from germoid.sampling import random_open_set
 from germoid.scalars import Scalar
 from germoid.starspace import (
     CENTER,
@@ -15,7 +16,12 @@ from germoid.starspace import (
     act,
     membership,
 )
-from oracles import norm_intervals_by_wrapping
+from oracles import (
+    act_on_open_set_by_renormalizing,
+    intersect_by_renormalizing,
+    norm_intervals_by_wrapping,
+    union_by_renormalizing,
+)
 
 perm4_st = st.permutations(range(1, 5)).map(Permutation)
 
@@ -84,6 +90,114 @@ def test_norm_intervals_matches_the_wrapping_oracle(rng):
             assert all(x.__class__ is Fraction for iv in mine for x in iv[:2])
         seen.add(mine.split(" (")[0] if isinstance(mine, str) else "valid")
     assert seen == {"valid", "bad interval", "a closed right endpoint is only allowed at 1"}
+
+
+def _assert_same_set(mine, oracle):
+    assert mine.edges == oracle.edges
+    assert mine.contains_center == oracle.contains_center
+    assert all(x.__class__ is Fraction for ivs in mine.edges for iv in ivs for x in iv[:2])
+    assert all(iv[2].__class__ is bool for ivs in mine.edges for iv in ivs)
+
+
+def _assert_ops_match_the_oracle(x, y):
+    _assert_same_set(x.union(y), union_by_renormalizing(x, y))
+    _assert_same_set(x.intersect(y), intersect_by_renormalizing(x, y))
+
+
+def test_lattice_ops_match_the_renormalizing_oracle(rng):
+    elements = PermGroup.symmetric(4).elements
+    for _ in range(2000):
+        a, b, c = (random_open_set(4, rng) for _ in range(3))
+        for x, y in ((a, b), (b, a), (a, c), (b, c), (a, a)):
+            _assert_ops_match_the_oracle(x, y)
+        # results of the operations are inputs too
+        _assert_ops_match_the_oracle(a.union(b), a.intersect(c))
+        _assert_ops_match_the_oracle(a.intersect(b.union(c)), c.union(a))
+        s = rng.choice(elements)
+        _assert_same_set(act(s, a), act_on_open_set_by_renormalizing(s, a))
+        _assert_same_set(act(s, a.union(b)), act_on_open_set_by_renormalizing(s, a.union(b)))
+
+
+def _edge_set(*intervals, edge=1, eps=None):
+    """Intervals on one edge; with eps, also (0, eps) on every edge and the center."""
+    edges = [[] for _ in range(4)]
+    edges[edge - 1] = list(intervals)
+    if eps is not None:
+        edges = [ivs + [(0, eps, False)] for ivs in edges]
+    return OpenStarSet(4, eps is not None, edges)
+
+
+F = Fraction
+
+_EDGE_CASES = {
+    "touching": (_edge_set((F(1, 4), F(1, 2), False)), _edge_set((F(1, 2), F(3, 4), False))),
+    "closed against open at 1": (_edge_set((F(1, 3), 1, True)), _edge_set((F(1, 3), 1, False))),
+    "open against closed at 1": (_edge_set((F(1, 3), 1, False)), _edge_set((F(1, 2), 1, True))),
+    "nested": (_edge_set((0, 1, False)), _edge_set((F(1, 4), F(1, 2), False))),
+    "equal": (_edge_set((F(1, 5), F(2, 5), False)), _edge_set((F(1, 5), F(2, 5), False))),
+    "same left end": (_edge_set((F(1, 5), F(2, 5), False)), _edge_set((F(1, 5), F(3, 5), False))),
+    "bridged": (_edge_set((0, F(1, 4), False), (F(1, 2), F(3, 4), False)),
+                _edge_set((F(1, 8), F(5, 8), False), (F(3, 4), 1, True))),
+    "center-containing": (_edge_set((F(1, 2), 1, True), eps=F(1, 8)),
+                          _edge_set((F(1, 4), F(3, 4), False), eps=F(1, 16))),
+    "center against edge": (_edge_set((0, F(1, 3), False), eps=F(1, 8)),
+                            _edge_set((0, F(1, 2), False), edge=2)),
+    "full and empty": (OpenStarSet.full(4), OpenStarSet.empty(4)),
+    "full and full": (OpenStarSet.full(4), OpenStarSet.full(4)),
+    "empty and empty": (OpenStarSet.empty(4), OpenStarSet.empty(4)),
+    "full and edge": (OpenStarSet.full(4), _edge_set((F(1, 3), F(2, 3), False), edge=3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+def test_lattice_edge_cases_match_the_renormalizing_oracle(case):
+    x, y = _EDGE_CASES[case]
+    _assert_ops_match_the_oracle(x, y)
+    _assert_ops_match_the_oracle(y, x)
+    for s in (Permutation.identity(4), parse_cycles("(1 2 3 4)", 4)):
+        _assert_same_set(act(s, x), act_on_open_set_by_renormalizing(s, x))
+
+
+def test_lattice_edge_cases_by_hand():
+    x, y = _EDGE_CASES["touching"]
+    assert x.union(y).edges[0] == ((F(1, 4), F(1, 2), False), (F(1, 2), F(3, 4), False))
+    assert x.intersect(y) == OpenStarSet.empty(4)
+    x, y = _EDGE_CASES["closed against open at 1"]
+    assert x.union(y).edges[0] == ((F(1, 3), F(1), True),)
+    assert x.intersect(y).edges[0] == ((F(1, 3), F(1), False),)
+    x, y = _EDGE_CASES["nested"]
+    assert x.union(y) == x and x.intersect(y) == y
+    x, y = _EDGE_CASES["bridged"]
+    assert x.union(y).edges[0] == ((F(0), F(3, 4), False), (F(3, 4), F(1), True))
+    assert x.intersect(y).edges[0] == ((F(1, 8), F(1, 4), False), (F(1, 2), F(5, 8), False))
+    x, y = _EDGE_CASES["center-containing"]
+    assert x.intersect(y).contains_center
+    assert x.intersect(y).edges[0] == ((F(0), F(1, 16), False), (F(1, 2), F(3, 4), False))
+    assert x.intersect(y).edges[1:] == (((F(0), F(1, 16), False),),) * 3
+    assert x.union(y).edges[0] == ((F(0), F(1, 8), False), (F(1, 4), F(1), True))
+    x, y = _EDGE_CASES["full and empty"]
+    assert x.union(y) == x and x.intersect(y) == y
+
+
+def test_edge_points_need_a_positive_edge():
+    for edge in (0, -1):
+        with pytest.raises(ValueError, match=f"edge {edge} is not positive"):
+            EdgePoint(edge, Fraction(1, 2))
+    with pytest.raises(ValueError, match="outside \\(0,1\\]"):
+        EdgePoint(0, 2)
+
+
+def test_lookups_refuse_an_edge_beyond_the_star():
+    p = EdgePoint(5, Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"^edge 5 outside 1\.\.4$"):
+        p in OpenStarSet.full(4)
+    with pytest.raises(ValueError, match=r"^edge 5 outside 1\.\.4$"):
+        PPFun.one(4).eval(p)
+    assert EdgePoint(4, Fraction(1, 2)) in OpenStarSet.edge_interval(4, 4, 0, 1, True)
+    assert EdgePoint(1, Fraction(1, 2)) not in OpenStarSet.edge_interval(4, 4, 0, 1, True)
+    for edge in (0, 5):
+        with pytest.raises(ValueError, match=rf"^edge {edge} outside 1\.\.4$"):
+            OpenStarSet.edge_interval(4, edge, 0, 1, True)
 
 
 def test_membership_endpoints():
