@@ -26,7 +26,7 @@ import numpy as np
 
 from .germs import CenterGerm, EdgeGerm, GermError, GermGroupoid
 from .perms import PermGroup, Permutation, parse_cycles
-from .poly import PiecewisePoly, common_refinement
+from .poly import PiecewisePoly, coeffs, common_refinement
 from .scalars import ZERO, Scalar, _make, as_scalar, render_scalar
 from .starspace import CENTER, CenterPoint, EdgePoint, PPFun, edge_index
 
@@ -276,7 +276,7 @@ class AlgebraElement:
                 "source": i,
                 "range": j,
                 "breaks": [str(b) for b in pp.breaks],
-                "pieces": [[render_scalar(c) for c in p] for p in pp.polys],
+                "pieces": [[render_scalar(c) for c in coeffs(p)] for p in pp.polys],
             }
             for (i, j), pp in sorted(self.strips.items())
         ]

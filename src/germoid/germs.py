@@ -9,9 +9,9 @@ group elements.  Composition follows source(first) = range(second).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .perms import GroupTooLarge, PermGroup, Permutation
+from .scalars import _frac
 from .starspace import CENTER, CenterPoint, EdgePoint
 
 # |A7|: star groups past this order are refused before they are built
@@ -32,8 +32,8 @@ class EdgeGerm:
     __slots__ = ("t", "i", "j")
 
     def __init__(self, t, i: int, j: int):
-        t = Fraction(t)
-        if not 0 < t <= 1:
+        t = _frac(t)
+        if not 0 < t.numerator <= t.denominator:
             raise GermError(f"edge coordinate {t} outside (0,1]")
         self.t = t
         self.i = i

@@ -1,53 +1,146 @@
 """Polynomials and continuous piecewise polynomials on [0,1], all exact.
 
-A polynomial is a tuple of Scalar coefficients, lowest degree first, with no
-trailing zeros; the zero polynomial is the empty tuple.  A PiecewisePoly
-carries rational breakpoints 0 = b0 < ... < bm = 1 and one polynomial per
-piece (b_k, b_{k+1}], with matching values at interior breakpoints.
+A polynomial, or piece, is one flat tuple of ints ``(d, a0, b0, a1, b1, ...)``
+standing for the sum of (a_k + b_k*i) t^k / d, lowest degree first.  It is
+kept in canonical form: d > 0, gcd(d, every a_k, every b_k) == 1, and the
+last pair (a_n, b_n) is not (0, 0); the zero polynomial is the empty tuple,
+so ``not p`` tests for zero.  Equal polynomials have equal tuples, so piece
+merging, equality and hashing compare ints.
 
-Binary operations work piece by piece on the common refinement of the two
-breakpoint tuples.  ``_merge`` builds it in one linear pass, comparing two
-breakpoints x, y by the integers x.numerator*y.denominator and
-y.numerator*x.denominator; equal tuples come back as they are.
-``common_refinement`` folds the same merge over any number of piecewise
-polynomials.  ``pmul`` multiplies over the integers: it scales each factor's
-coefficients to one common denominator, accumulates every output coefficient
-as an integer pair (re, im), and reduces it once by a gcd.
+The kernels work on the integers.  ``pmul`` is one integer convolution over
+the denominator d_p*d_q and one gcd; a product of nonzero polynomials over
+the Gaussian rationals has a nonzero leading coefficient, so it needs no
+trim.  ``padd`` and ``psub`` bring both operands to the lcm of their
+denominators, add, trim trailing zero pairs and divide by one gcd.
+``pneg``, ``pconj`` and ``pscale`` act on the integers directly, and
+``_horner`` evaluates a piece at a rational point without reducing.
+``Scalar``s appear only at the edges: ``pconst`` and ``from_scalars`` take
+them in, ``coeffs`` hands a piece's coefficients out, and ``peval`` and
+``PiecewisePoly.at0`` build one value each.
 
-Trusted path: ``PiecewisePoly(breaks, polys, _checked=True)`` takes its
-arguments as given.  Its caller must pass ``Fraction`` breakpoints and
-trimmed polynomials forming a valid continuous function; every caller inside
-this package does (the operations below keep both properties).  Outside
-input, and every function the sampler draws, goes through the validating
-path, ``_checked=False``.  It checks over the integers: breakpoints that are
-already ``Fraction`` and tuple polynomials that are already trimmed are kept
-as they are, "strictly increasing" compares cross products as ``_merge``
-does, and continuity evaluates both neighbouring pieces at each interior
-breakpoint by ``_horner`` and compares the two values by cross products.
+A PiecewisePoly carries rational breakpoints 0 = b0 < ... < bm = 1 and one
+piece per interval (b_k, b_{k+1}], with matching values at interior
+breakpoints.  Binary operations work piece by piece on the common
+refinement of the two breakpoint tuples.  ``_merge`` builds it in one linear
+pass, comparing two breakpoints x, y by the integers
+x.numerator*y.denominator and y.numerator*x.denominator; equal tuples come
+back as they are.  ``common_refinement`` folds the same merge over any
+number of piecewise polynomials.
+
+There are two constructor paths.  The trusted path,
+``PiecewisePoly(breaks, polys, _checked=True)``, takes its arguments as
+given.  Its caller must pass ``Fraction`` breakpoints and canonical pieces
+forming a valid continuous function; every caller inside this package does
+(the operations below keep both properties).  Outside input, and every
+function the sampler draws, goes through the validating path,
+``_checked=False``.  Each breakpoint goes through the exact coercion of
+``scalars`` (an int, str or ``Fraction``; a float raises ``TypeError``).
+Each piece is either a sequence of ``Scalar`` coefficients, lowest degree
+first, converted once by ``from_scalars``, or an integer tuple, which is
+kept only if it is already canonical.  Then come four checks, in this
+order: the piece count, the end points 0 and 1, strict increase (cross
+products, as ``_merge`` compares), and continuity (both neighbouring pieces
+evaluated by ``_horner`` at each interior breakpoint, the two values
+compared by cross products).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .scalars import ZERO, Scalar, _make, as_scalar
+from .scalars import ZERO, Scalar, _frac, _make, as_scalar
 
 PZERO = ()
-PONE = (Scalar(1),)
 _UNIT_INTERVAL = (Fraction(0), Fraction(1))
 
 
-def ptrim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return tuple(coeffs)
+def _scalar(a: int, b: int, d: int) -> Scalar:
+    """The scalar (a + b*i)/d for d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _make(a, b, d)
+    return _make(a // g, b // g, d // g)
+
+
+def _canon(out: list) -> tuple:
+    """The canonical piece of the list [d, a0, b0, ...] with d > 0: trailing
+    zero pairs trimmed (in place), then divided by one gcd."""
+    n = len(out)
+    while n > 1 and not (out[n - 2] or out[n - 1]):
+        n -= 2
+    if n == 1:
+        return PZERO
+    del out[n:]
+    return _reduce(out)
+
+
+def _reduce(out: list) -> tuple:
+    """The list [d, a0, b0, ...] with d > 0 and a nonzero last pair, divided
+    by one gcd."""
+    g = gcd(*out)
+    if g == 1:
+        return tuple(out)
+    return tuple([x // g for x in out])
+
+
+def coeffs(p) -> tuple:
+    """The coefficients of the piece p as Scalars, lowest degree first."""
+    return tuple(_scalar(p[k], p[k + 1], p[0]) for k in range(1, len(p), 2))
+
+
+def from_scalars(cs) -> tuple:
+    """The canonical piece with the Scalar coefficients cs, lowest degree first."""
+    cs = list(cs)
+    for c in cs:
+        if c.__class__ is not Scalar:
+            raise TypeError(f"polynomial coefficient {c!r} is not a Scalar")
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    if not cs:
+        return PZERO
+    d = lcm(*[c._d for c in cs])
+    out = [d]
+    for c in cs:
+        s = d // c._d
+        out += (c._a * s, c._b * s)
+    # every prime of d divides some c._d to its full power, and that c's
+    # reduced numerators are not both its multiples: the gcd is already 1
+    return tuple(out)
+
+
+def _as_piece(p) -> tuple:
+    """A piece from outside input: a canonical integer tuple as it is, or a
+    sequence of Scalar coefficients converted once."""
+    if p.__class__ is tuple and p and p[0].__class__ is int:
+        try:
+            # gcd also refuses every entry that is not an integer
+            if len(p) % 2 and len(p) > 1 and p[0] > 0 and (p[-2] or p[-1]) and gcd(*p) == 1:
+                return p
+        except TypeError:
+            pass
+        raise ValueError(f"integer piece {p} is not canonical")
+    return from_scalars(p)
 
 
 def pconst(c) -> tuple:
-    return ptrim((as_scalar(c),))
+    c = as_scalar(c)
+    return (c._d, c._a, c._b) if c else PZERO
+
+
+def _combine(p, q, sign: int) -> tuple:
+    """p + sign*q for nonzero pieces, over the lcm of their denominators."""
+    d, e = p[0], q[0]
+    g = gcd(d, e)
+    s, t = e // g, sign * (d // g)
+    ps = p[1:] if s == 1 else [x * s for x in p[1:]]
+    qs = q[1:] if t == 1 else [y * t for y in q[1:]]
+    if len(ps) < len(qs):
+        ps, qs = qs, ps
+    out = [d * s, *ps]
+    for k, y in enumerate(qs, 1):
+        out[k] += y
+    return _canon(out)
 
 
 def padd(p, q):
@@ -55,89 +148,78 @@ def padd(p, q):
         return q
     if not q:
         return p
-    n = max(len(p), len(q))
-    return ptrim(
-        (p[k] if k < len(p) else ZERO) + (q[k] if k < len(q) else ZERO)
-        for k in range(n)
-    )
-
-
-def pneg(p):
-    return tuple(-c for c in p)
+    return _combine(p, q, 1)
 
 
 def psub(p, q):
-    return padd(p, pneg(q))
+    if not q:
+        return p
+    if not p:
+        return pneg(q)
+    return _combine(p, q, -1)
 
 
-def _common_denominator(p):
-    """(lcm of the coefficient denominators, [(a, b) scaled to it, ...])."""
-    den = 1
-    for c in p:
-        d = c._d
-        if den % d:
-            den = den * d // gcd(den, d)
-    return den, [(c._a * (den // c._d), c._b * (den // c._d)) for c in p]
+def pneg(p):
+    if not p:
+        return p
+    out = [-x for x in p]
+    out[0] = p[0]
+    return tuple(out)
 
 
 def pmul(p, q):
     if not p or not q:
         return PZERO
-    dp, ps = _common_denominator(p)
-    dq, qs = _common_denominator(q)
-    size = len(p) + len(q) - 1
-    re = [0] * size
-    im = [0] * size
-    for i, (a, b) in enumerate(ps):
-        for j, (c, e) in enumerate(qs, i):
-            re[j] += a * c - b * e
-            im[j] += a * e + b * c
-    while size and not (re[size - 1] or im[size - 1]):
-        size -= 1
-    den = dp * dq
-    out = []
-    for k in range(size):
-        a, b = re[k], im[k]
-        g = gcd(a, b, den)
-        out.append(_make(a // g, b // g, den // g))
-    return tuple(out)
+    out = [0] * (len(p) + len(q) - 3)
+    out[0] = p[0] * q[0]
+    qs = tuple(zip(q[1::2], q[2::2]))
+    k = 1
+    for a, b in zip(p[1::2], p[2::2]):
+        j = k
+        for c, e in qs:
+            out[j] += a * c - b * e
+            out[j + 1] += a * e + b * c
+            j += 2
+        k += 2
+    return _reduce(out)
 
 
 def pscale(c, p):
     c = as_scalar(c)
-    if c.is_zero():
+    if not p or c.is_zero():
         return PZERO
-    return ptrim(c * a for a in p)
+    x, y = c._a, c._b
+    out = [p[0] * c._d]
+    for k in range(1, len(p), 2):
+        a, b = p[k], p[k + 1]
+        out += (a * x - b * y, a * y + b * x)
+    return _reduce(out)
 
 
 def pconj(p):
-    # conj of the function on real arguments: conjugate the coefficients
-    return tuple(a.conjugate() for a in p)
+    # conj of the function on real arguments: negate every imaginary part
+    out = list(p)
+    out[2::2] = [-b for b in p[2::2]]
+    return tuple(out)
 
 
 def _horner(p, num: int, den: int):
     """(re, im, d) with p(num/den) = (re + im*i)/d and d > 0, not reduced."""
     if not p:
         return 0, 0, 1
-    top = p[-1]
-    re, im, d = top._a, top._b, top._d
-    for k in range(len(p) - 2, -1, -1):
-        c = p[k]
-        # (re + im*i)/d * num/den + c
-        cd = c._d
-        scale = d * den
-        re = re * num * cd + c._a * scale
-        im = im * num * cd + c._b * scale
-        d = scale * cd
-    return re, im, d
+    re, im = p[-2], p[-1]
+    dpow = 1
+    for k in range(len(p) - 4, 0, -2):
+        # Horner's rule for d*p(num/den), kept over the denominator dpow = den**steps
+        dpow *= den
+        re = re * num + p[k] * dpow
+        im = im * num + p[k + 1] * dpow
+    return re, im, p[0] * dpow
 
 
 def peval(p, t) -> Scalar:
-    t = as_scalar(t) if not isinstance(t, Fraction) else Scalar(t)
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * t + c
-    return acc
+    t = _frac(t)
+    return _scalar(*_horner(p, t.numerator, t.denominator))
 
 
 class PiecewisePoly:
@@ -151,11 +233,8 @@ class PiecewisePoly:
 
     def __init__(self, breaks, polys, _checked=False):
         if not _checked:
-            breaks = tuple(b if b.__class__ is Fraction else Fraction(b) for b in breaks)
-            polys = tuple(
-                p if p.__class__ is tuple and not (p and p[-1].is_zero()) else ptrim(p)
-                for p in polys
-            )
+            breaks = tuple(b if b.__class__ is Fraction else _frac(b) for b in breaks)
+            polys = tuple(_as_piece(p) for p in polys)
             if len(breaks) < 2 or len(polys) != len(breaks) - 1:
                 raise ValueError("breakpoint/piece count mismatch")
             if breaks[0] != 0 or breaks[-1] != 1:
@@ -194,19 +273,26 @@ class PiecewisePoly:
 
     @classmethod
     def from_poly(cls, p) -> "PiecewisePoly":
-        return cls(_UNIT_INTERVAL, (ptrim(p),), _checked=True)
+        """The polynomial p on all of (0,1]: Scalar coefficients, lowest
+        degree first, or a canonical integer piece."""
+        return cls(_UNIT_INTERVAL, (_as_piece(p),), _checked=True)
 
     def at0(self) -> Scalar:
         """Limit value as t -> 0+ (the first piece evaluated at 0)."""
         p = self.polys[0]
-        return p[0] if p else ZERO
+        return _scalar(p[1], p[2], p[0]) if p else ZERO
 
     def __call__(self, t) -> Scalar:
-        t = Fraction(t)
-        if not 0 < t <= 1:
+        t = _frac(t)
+        n, d = t.numerator, t.denominator
+        if not 0 < n <= d:
             raise ValueError(f"t={t} outside (0,1]")
-        k = bisect_left(self.breaks, t) - 1
-        return peval(self.polys[k], t)
+        # the piece (b_{k-1}, b_k] with b_k the first breakpoint >= t
+        breaks = self.breaks
+        k = 1
+        while breaks[k].numerator * d < n * breaks[k].denominator:
+            k += 1
+        return peval(self.polys[k - 1], t)
 
     def _aligned(self, other):
         """(breaks, mine, theirs): both functions' pieces on the common refinement."""
@@ -264,7 +350,7 @@ class PiecewisePoly:
         return hash((self.breaks, self.polys))
 
     def __repr__(self):
-        bits = ", ".join(f"({lo},{hi}]:{list(map(str, p))}" for lo, hi, p in self.pieces())
+        bits = ", ".join(f"({lo},{hi}]:{list(map(str, coeffs(p)))}" for lo, hi, p in self.pieces())
         return f"PiecewisePoly[{bits}]"
 
 

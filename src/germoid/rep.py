@@ -27,7 +27,7 @@ from .algebra import (
 from .germs import GermGroupoid
 from .linalg import Matrix, nullspace, reduce_basis, solve
 from .perms import PermGroup, Permutation
-from .poly import PiecewisePoly, pconst
+from .poly import PiecewisePoly
 from .scalars import ONE, ZERO, Scalar, as_scalar
 from .starspace import act
 
@@ -364,7 +364,7 @@ def phi(a: GroupAlgebraElement, groupoid: GermGroupoid) -> AlgebraElement:
             if s(i) == j:
                 total = total + c
         if total:
-            strips[(i, j)] = PiecewisePoly.from_poly(pconst(total))
+            strips[(i, j)] = PiecewisePoly.const(total)
     return AlgebraElement(groupoid, strips, dict(a.coeffs))
 
 

@@ -7,11 +7,14 @@ report depends on it, so a change to what is drawn, or in which order,
 changes the reports.
 
 Scalars and coefficient functions are built over the integers that
-``Scalar`` stores.  ``random_scalar`` turns its four draws p, q, r, s into
-the canonical triple of p/q + (r/s) i with one gcd.  ``random_piecewise``
-shifts each piece's constant term by level - p(lo), and takes the next
-level p(hi), from ``poly._horner`` at the rational breakpoint.  Its result
-still goes through the validating ``PiecewisePoly`` constructor.
+``Scalar`` and ``poly`` store.  ``random_scalar`` turns its four draws p, q,
+r, s into the canonical triple of p/q + (r/s) i with one gcd.  A
+polynomial's coefficients are drawn the same way, each put straight over
+the common denominator 12, into one integer list; ``random_piecewise``
+shifts that list's constant term by level - p(lo), and takes the next level
+p(hi), from ``poly._horner`` at the rational breakpoint, so each piece
+becomes a canonical integer tuple once, with one gcd.  Its result still
+goes through the validating ``PiecewisePoly`` constructor.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from math import gcd
 from .algebra import AlgebraElement, from_sheet
 from .germs import CenterGerm, EdgeGerm, GermGroupoid
 from .perms import PermGroup
-from .poly import PiecewisePoly, _horner, ptrim
-from .scalars import ZERO, Scalar, _make
+from .poly import PiecewisePoly, _canon, _horner
+from .scalars import Scalar, _make
 from .starspace import OpenStarSet, PPFun
 
 _BREAK_POOL = [Fraction(a, b) for b in (2, 3, 4, 5) for a in range(1, b)]
@@ -42,9 +45,23 @@ def random_scalar(rng: random.Random, span: int = 4) -> Scalar:
     return _make(a // g, b // g, d // g)
 
 
+def _poly_entries(rng: random.Random, max_deg: int):
+    """[12, a0, b0, a1, b1, ...]: a random polynomial whose coefficients are
+    drawn as random_scalar draws them, each put over 12 = lcm(1, 2, 3, 4), a
+    multiple of every denominator q, s drawn; neither trimmed nor reduced."""
+    out = [12]
+    for _ in range(rng.randint(0, max_deg) + 1):
+        p = rng.randint(-4, 4)
+        q = rng.randint(1, 4)
+        r = rng.randint(-4, 4)
+        s = rng.randint(1, 4)
+        out += (p * (12 // q), r * (12 // s))
+    return out
+
+
 def random_poly(rng: random.Random, max_deg: int = 2):
-    deg = rng.randint(0, max_deg)
-    return ptrim(random_scalar(rng) for _ in range(deg + 1))
+    """A random polynomial as a canonical ``poly`` piece."""
+    return _canon(_poly_entries(rng, max_deg))
 
 
 def random_breaks(rng: random.Random, max_interior: int = 2):
@@ -60,15 +77,17 @@ def random_piecewise(rng: random.Random, value_at_0: Scalar, max_interior: int =
     # level: the chain's value at lo, as (re + im*i)/d, not reduced
     la, lb, ld = value_at_0._a, value_at_0._b, value_at_0._d
     for lo, hi in zip(breaks, breaks[1:]):
-        p = random_poly(rng)
-        # shift the constant term c by level - p(lo) so the chain stays continuous at lo
-        c = p[0] if p else ZERO
+        p = _poly_entries(rng, 2)
+        # shift the constant term by level - p(lo) so the chain stays continuous
+        # at lo, over the denominator m = ld*rd (rd is a multiple of p's d)
         ra, rb, rd = _horner(p, lo.numerator, lo.denominator)
-        d = c._d * ld * rd
-        a = (c._a * ld + la * c._d) * rd - ra * c._d * ld
-        b = (c._b * ld + lb * c._d) * rd - rb * c._d * ld
-        g = gcd(a, b, d)
-        p = ptrim((_make(a // g, b // g, d // g), *p[1:]))
+        m = ld * rd
+        s = m // p[0]
+        if s != 1:
+            p = [m, *[x * s for x in p[1:]]]
+        p[1] += la * rd - ra * ld
+        p[2] += lb * rd - rb * ld
+        p = _canon(p)
         polys.append(p)
         la, lb, ld = _horner(p, hi.numerator, hi.denominator)
     return PiecewisePoly(breaks, polys)

@@ -8,9 +8,12 @@ form: d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1).  Equal values have
 equal fields, which makes equality a compare of three ints and lets the hash
 use the triple.  Arithmetic works on the integers directly; the real part,
 imaginary part and squared modulus are handed out as ``Fraction`` only when
-asked for.  ``poly.pmul`` and ``algebra.group_convolve`` read the triples
-directly and build their results with ``_make``, so they follow any change
-to this representation.
+asked for.  ``algebra.group_convolve`` and ``poly`` (its ``coeffs``,
+``from_scalars``, ``pconst``, ``pscale`` and ``peval``) read or build the
+triples directly with ``_make``, so they follow any change to this
+representation.  ``_frac`` is the one coercion to an exact rational: an
+int, a str or a ``Fraction``; a float raises ``TypeError``.  Edge
+coordinates, breakpoints and open-set endpoints all go through it.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from math import lcm
 
 from .perms import Permutation
 from .poly import PiecewisePoly
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar, _frac, as_scalar
 
 
 class CenterPoint:
@@ -51,8 +51,7 @@ class EdgePoint:
     __slots__ = ("edge", "t")
 
     def __init__(self, edge: int, t):
-        if t.__class__ is not Fraction:
-            t = Fraction(t)
+        t = _frac(t)
         if not 0 < t.numerator <= t.denominator:
             raise ValueError(f"edge coordinate {t} outside (0,1]")
         if edge < 1:
@@ -84,10 +83,7 @@ def _norm_intervals(intervals):
     """Validate intervals from outside and return their normal form."""
     ivs = []
     for a, b, inc in intervals:
-        if a.__class__ is not Fraction:
-            a = Fraction(a)
-        if b.__class__ is not Fraction:
-            b = Fraction(b)
+        a, b = _frac(a), _frac(b)
         bn, bd = b.numerator, b.denominator
         if inc and bn != bd:
             raise ValueError("a closed right endpoint is only allowed at 1")

@@ -3,8 +3,8 @@
 from fractions import Fraction
 
 from germoid.finite import DEFAULT_TOL, _diagonal_meets, minimal_central_projections
-from germoid.poly import PiecewisePoly, padd, pconst, peval, ptrim
-from germoid.scalars import Scalar
+from germoid.poly import PiecewisePoly, from_scalars
+from germoid.scalars import ZERO, Scalar, as_scalar
 from germoid.starspace import OpenStarSet, PPFun
 
 
@@ -44,6 +44,59 @@ def inseparable_pairs(groupoid) -> list:
     return pairs
 
 
+# -- polynomials as trimmed tuples of Scalar coefficients, lowest degree first,
+# -- zero as (): the kernels as they were before each piece became one integer
+# -- tuple over one denominator (pmul as the schoolbook loop its integer form
+# -- was checked against)
+
+def scalar_ptrim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def scalar_pconst(c) -> tuple:
+    return scalar_ptrim((as_scalar(c),))
+
+
+def scalar_padd(p, q):
+    n = max(len(p), len(q))
+    return scalar_ptrim(
+        (p[k] if k < len(p) else ZERO) + (q[k] if k < len(q) else ZERO)
+        for k in range(n)
+    )
+
+
+def scalar_pmul(p, q):
+    if not p or not q:
+        return ()
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return scalar_ptrim(out)
+
+
+def scalar_pscale(c, p):
+    c = as_scalar(c)
+    if c.is_zero():
+        return ()
+    return scalar_ptrim(c * a for a in p)
+
+
+def scalar_pconj(p):
+    return tuple(a.conjugate() for a in p)
+
+
+def scalar_peval(p, t) -> Scalar:
+    t = as_scalar(t) if not isinstance(t, Fraction) else Scalar(t)
+    acc = ZERO
+    for c in reversed(p):
+        acc = acc * t + c
+    return acc
+
+
 # -- the sampler over Fraction and Scalar arithmetic, as it was before it drew
 # -- canonical triples; it makes the same rng calls in the same order
 
@@ -58,7 +111,7 @@ def fraction_scalar(rng, span: int = 4) -> Scalar:
 
 def fraction_poly(rng, max_deg: int = 2):
     deg = rng.randint(0, max_deg)
-    return ptrim(fraction_scalar(rng) for _ in range(deg + 1))
+    return scalar_ptrim(fraction_scalar(rng) for _ in range(deg + 1))
 
 
 def fraction_piecewise(rng, value_at_0, max_interior: int = 2) -> PiecewisePoly:
@@ -68,9 +121,9 @@ def fraction_piecewise(rng, value_at_0, max_interior: int = 2) -> PiecewisePoly:
     level = value_at_0
     for lo, hi in zip(breaks, breaks[1:]):
         p = fraction_poly(rng)
-        p = padd(p, pconst(level - peval(p, lo)))
+        p = scalar_padd(p, scalar_pconst(level - scalar_peval(p, lo)))
         polys.append(p)
-        level = peval(p, hi)
+        level = scalar_peval(p, hi)
     return PiecewisePoly(breaks, polys)
 
 
@@ -83,7 +136,7 @@ def validate_by_fractions(breaks, polys) -> PiecewisePoly:
     """The validating constructor's checks over Fraction and Scalar values,
     in the same order and with the same messages."""
     breaks = tuple(Fraction(b) for b in breaks)
-    polys = tuple(ptrim(p) for p in polys)
+    polys = tuple(scalar_ptrim(p) for p in polys)
     if len(breaks) < 2 or len(polys) != len(breaks) - 1:
         raise ValueError("breakpoint/piece count mismatch")
     if breaks[0] != 0 or breaks[-1] != 1:
@@ -91,9 +144,9 @@ def validate_by_fractions(breaks, polys) -> PiecewisePoly:
     if any(a >= b for a, b in zip(breaks, breaks[1:])):
         raise ValueError("breakpoints must be strictly increasing")
     for k in range(1, len(polys)):
-        if peval(polys[k - 1], breaks[k]) != peval(polys[k], breaks[k]):
+        if scalar_peval(polys[k - 1], breaks[k]) != scalar_peval(polys[k], breaks[k]):
             raise ValueError(f"discontinuity at t={breaks[k]}")
-    return PiecewisePoly(breaks, polys, _checked=True)
+    return PiecewisePoly(breaks, [from_scalars(p) for p in polys], _checked=True)
 
 
 def norm_intervals_by_wrapping(intervals):

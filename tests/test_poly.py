@@ -1,7 +1,9 @@
 """The exact strip kernel against the implementations it replaced.
 
-The one-pass breakpoint merge is checked against the set/sort/bisect
-alignment, the integer ``pmul`` against the schoolbook ``Scalar`` loop, the
+The integer piece kernels are checked against the ``Scalar``-tuple kernels
+in tests/oracles.py (``pmul`` against the schoolbook loop), with every
+result in canonical form; the one-pass breakpoint merge against the
+set/sort/bisect alignment, the
 k-way refinement against the collision and point-map scans that bisected
 every strip, the bucketed gluing check against the per-pair center scan, and
 the indexed strip pairing against the all-pairs scan.
@@ -32,16 +34,30 @@ from germoid.perms import parse_cycles
 from germoid.poly import (
     PZERO,
     PiecewisePoly,
+    coeffs,
     common_refinement,
+    from_scalars,
     padd,
+    pconj,
     pconst,
     peval,
     pmul,
-    ptrim,
+    pneg,
+    pscale,
+    psub,
 )
-from germoid.sampling import random_algebra_element, random_poly, random_scalar
+from germoid.sampling import random_algebra_element, random_poly, random_ppfun, random_scalar
 from germoid.scalars import ZERO, Scalar
-from oracles import validate_by_fractions
+from oracles import (
+    scalar_padd,
+    scalar_pconj,
+    scalar_pconst,
+    scalar_peval,
+    scalar_pmul,
+    scalar_pscale,
+    scalar_ptrim,
+    validate_by_fractions,
+)
 
 # the sampling pool's denominators plus two it never draws
 _POOL = sorted({Fraction(a, b) for b in (2, 3, 4, 5) for a in range(1, b)}
@@ -63,16 +79,6 @@ def _aligned_oracle(f, g):
     mine = [f.polys[_piece_index(f, lo)] for lo in breaks[:-1]]
     theirs = [g.polys[_piece_index(g, lo)] for lo in breaks[:-1]]
     return breaks, mine, theirs
-
-
-def _pmul_oracle(p, q):
-    if not p or not q:
-        return PZERO
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return ptrim(out)
 
 
 def _collision_oracle(strips_by_key):
@@ -250,7 +256,7 @@ def test_common_refinement_matches_pairwise_alignment():
             assert list(col) == [pp.polys[_piece_index(pp, lo)] for lo in breaks[:-1]]
 
 
-# -- pmul -----------------------------------------------------------------------------
+# -- the piece kernels ----------------------------------------------------------------
 
 _small = st.fractions(min_value=-7, max_value=7, max_denominator=12)
 _coefficients = st.one_of(
@@ -262,30 +268,89 @@ _coefficients = st.one_of(
 _polys = st.lists(_coefficients, max_size=5).map(tuple)
 
 
-def _canonical(c):
-    return c._d > 0 and gcd(c._a, c._b, c._d) == 1
+def _assert_canonical(p):
+    """d > 0, gcd 1, no trailing zero pair; the zero polynomial is ()."""
+    assert p.__class__ is tuple and all(x.__class__ is int for x in p)
+    if p:
+        assert len(p) % 2 == 1 and len(p) > 1
+        assert p[0] > 0
+        assert gcd(*p) == 1
+        assert p[-2] or p[-1]
+
+
+def _assert_kernels_match_the_oracles(p, q, c):
+    """Each integer kernel on the pieces p, q and the scalar c against the
+    Scalar-tuple kernel on their coefficients."""
+    sp, sq = coeffs(p), coeffs(q)
+    results = [
+        (pconst(c), scalar_pconst(c)),
+        (padd(p, q), scalar_padd(sp, sq)),
+        (psub(p, q), scalar_padd(sp, scalar_pscale(-1, sq))),
+        (pneg(p), scalar_pscale(-1, sp)),
+        (pmul(p, q), scalar_pmul(sp, sq)),
+        (pscale(c, p), scalar_pscale(c, sp)),
+        (pconj(p), scalar_pconj(sp)),
+    ]
+    for mine, theirs in results:
+        _assert_canonical(mine)
+        assert coeffs(mine) == theirs
+        assert (mine == PZERO) == (not theirs)
+    for t in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(-5, 7), 2):
+        assert peval(p, t) == scalar_peval(sp, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _polys, _coefficients)
+def test_kernels_match_the_scalar_oracles(p, q, c):
+    pieces = from_scalars(p), from_scalars(q)
+    for piece, cs in zip(pieces, (p, q)):
+        _assert_canonical(piece)
+        assert coeffs(piece) == scalar_ptrim(cs)
+    _assert_kernels_match_the_oracles(*pieces, c)
+
+
+def test_kernels_match_the_scalar_oracles_on_sampled_pieces():
+    rng = random.Random(41)
+    pieces = [p for _ in range(40) for e in random_ppfun(3, rng).edges for p in e.polys]
+    for p in pieces:
+        _assert_canonical(p)
+    for p, q in zip(pieces, reversed(pieces)):
+        _assert_kernels_match_the_oracles(p, q, random_scalar(rng))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_polys, _polys)
 def test_pmul_matches_the_schoolbook_loop(p, q):
-    product = pmul(p, q)
-    assert product == _pmul_oracle(p, q)
-    assert all(_canonical(c) for c in product)
-    assert not product or not product[-1].is_zero()
+    product = pmul(from_scalars(p), from_scalars(q))
+    assert coeffs(product) == scalar_pmul(p, q)
+    _assert_canonical(product)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_polys, _polys)
 def test_pmul_of_trimmed_polynomials(p, q):
-    p, q = ptrim(p), ptrim(q)
-    assert pmul(p, q) == _pmul_oracle(p, q) == pmul(q, p)
+    p, q = from_scalars(p), from_scalars(q)
+    assert coeffs(pmul(p, q)) == scalar_pmul(coeffs(p), coeffs(q))
+    assert pmul(p, q) == pmul(q, p)
+
+
+def test_call_evaluates_the_piece_holding_t():
+    rng = random.Random(43)
+    points = sorted({Fraction(k, 60) for k in range(1, 61)} | set(_POOL))
+    for _ in range(60):
+        pp = _continuous_strip(rng, _random_breaks(rng))
+        for t in points:
+            k = bisect_left(pp.breaks, t) - 1
+            assert pp(t) == scalar_peval(coeffs(pp.polys[k]), t)
+        for t in (0, -1, Fraction(7, 6), "3/2"):
+            with pytest.raises(ValueError, match=r"outside \(0,1\]$"):
+                pp(t)
 
 
 # -- the trusted constructor path -----------------------------------------------------
 
 def test_every_internally_built_piecewise_poly_is_well_formed(monkeypatch):
-    """The trusted path gets Fraction breaks and trimmed Scalar polynomials."""
+    """The trusted path gets Fraction breaks and canonical integer pieces."""
     built = []
     init = PiecewisePoly.__init__
 
@@ -297,8 +362,7 @@ def test_every_internally_built_piecewise_poly_is_well_formed(monkeypatch):
             assert all(a < b for a, b in zip(breaks, breaks[1:]))
             assert len(polys) == len(breaks) - 1
             for p in polys:
-                assert isinstance(p, tuple) and p == ptrim(p)
-                assert all(isinstance(c, Scalar) for c in p)
+                _assert_canonical(p)
             for k in range(1, len(polys)):
                 assert peval(polys[k - 1], breaks[k]) == peval(polys[k], breaks[k])
             built.append(1)
@@ -328,9 +392,26 @@ def test_validating_constructor_errors(breaks, polys, message):
         PiecewisePoly(breaks, polys)
 
 
+@pytest.mark.parametrize("piece", [(2, 2, 0), (-1, 1, 0), (1, 1, 0, 0, 0), (1,), (1, 1),
+                                   (0, 1, 0), (1, 1.0, 0), (1, 1, Fraction(1, 2))])
+def test_validating_constructor_refuses_non_canonical_integer_pieces(piece):
+    with pytest.raises(ValueError, match=r"is not canonical$"):
+        PiecewisePoly((0, 1), (piece,))
+    with pytest.raises(ValueError, match=r"is not canonical$"):
+        PiecewisePoly.from_poly(piece)
+
+
+def test_validating_constructor_keeps_canonical_integer_pieces():
+    p, q = (1, 0, 0, 1, 0), (2, 1, 0)  # t, then 1/2
+    pp = PiecewisePoly((0, Fraction(1, 2), 1), (p, q))
+    assert pp.polys[0] is p and pp.polys[1] is q
+    assert PiecewisePoly.from_poly(p).polys[0] is p
+
+
 def test_validating_constructor_normalizes_its_input():
     pp = PiecewisePoly(("0", "1/2", 1), ((Scalar(1), Scalar(0)), (Scalar(1),)))
-    assert pp.breaks == (Fraction(0), Fraction(1)) and pp.polys == ((Scalar(1),),)
+    assert pp.breaks == (Fraction(0), Fraction(1))
+    assert [coeffs(p) for p in pp.polys] == [(Scalar(1),)]
     assert all(isinstance(b, Fraction) for b in pp.breaks)
 
 
@@ -347,7 +428,7 @@ def test_integer_validation_matches_the_fraction_validation(rng):
     seen = set()
     for _ in range(600):
         breaks = list(_random_breaks(rng))
-        polys = _continuous_polys(rng, breaks)
+        polys = [coeffs(p) for p in _continuous_polys(rng, breaks)]
         fault = rng.choice(["none", "count", "ends", "order", "continuity"])
         if fault == "count":
             polys = polys[:-1]
@@ -358,7 +439,7 @@ def test_integer_validation_matches_the_fraction_validation(rng):
             breaks[k] = breaks[rng.choice([k - 1, k + 1])]
         elif fault == "continuity" and len(polys) > 1:
             k = rng.randint(1, len(polys) - 1)
-            polys[k] = padd(polys[k], pconst(Scalar(0, 1)))
+            polys[k] = scalar_padd(polys[k], scalar_pconst(Scalar(0, 1)))
         form = rng.choice(["fraction", "str", "int"])
         if form == "str":
             breaks = [str(b) for b in breaks]
@@ -374,7 +455,8 @@ def test_integer_validation_matches_the_fraction_validation(rng):
         assert mine == theirs
         if isinstance(mine, PiecewisePoly):
             assert all(b.__class__ is Fraction for b in mine.breaks)
-            assert all(p.__class__ is tuple for p in mine.polys)
+            for p in mine.polys:
+                _assert_canonical(p)
             seen.add("valid")
         else:
             seen.add(mine.split(" at t=")[0])

@@ -4,7 +4,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from germoid.germs import EdgeGerm
+from germoid.poly import PiecewisePoly
 from germoid.scalars import ONE, ZERO, Scalar, parse_scalar, render_scalar
+from germoid.starspace import EdgePoint, OpenStarSet
 
 from conftest import scalars_st
 
@@ -132,6 +135,24 @@ def test_float_parts_are_rejected():
         Scalar(0.5)
     with pytest.raises(TypeError):
         Scalar(1, 0.5)
+
+
+_FLOAT_ENTRY_POINTS = {
+    "Scalar": lambda x: Scalar(x),
+    "EdgeGerm": lambda x: EdgeGerm(x, 1, 2),
+    "EdgePoint": lambda x: EdgePoint(1, x),
+    "PiecewisePoly.__call__": lambda x: PiecewisePoly.const(1)(x),
+    "PiecewisePoly breakpoint": lambda x: PiecewisePoly((0, x, 1), ((ONE,), (ONE,))),
+    "OpenStarSet left endpoint": lambda x: OpenStarSet(2, False, [[(x, 1, False)], []]),
+    "OpenStarSet right endpoint": lambda x: OpenStarSet.edge_interval(2, 1, 0, x),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_FLOAT_ENTRY_POINTS))
+@pytest.mark.parametrize("x", [0.5, 0.25, 0.1])
+def test_floats_are_refused_at_every_exact_entry_point(entry, x):
+    with pytest.raises(TypeError, match=rf"^cannot build an exact rational from {x}$"):
+        _FLOAT_ENTRY_POINTS[entry](x)
 
 
 def test_parts_are_read_only():

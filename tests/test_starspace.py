@@ -28,12 +28,15 @@ perm4_st = st.permutations(range(1, 5)).map(Permutation)
 
 # -- open sets ---------------------------------------------------------------
 
+# the Farey fractions of order 8: every rational in [0, 1] with denominator <= 8
+_FAREY_8 = sorted({Fraction(a, b) for b in range(1, 9) for a in range(b + 1)})
+
+
 def interval_st():
-    ends = st.fractions(min_value=Fraction(0), max_value=Fraction(1), max_denominator=8)
-    return st.tuples(ends, ends, st.booleans()).map(
-        lambda t: (min(t[0], t[1]), max(t[0], t[1]), t[2])
-    ).filter(lambda t: t[0] < t[1]).map(
-        lambda t: (t[0], t[1], t[2] and t[1] == 1)
+    # two distinct endpoints drawn from one value set, so no draw is rejected
+    ends = st.lists(st.sampled_from(_FAREY_8), min_size=2, max_size=2, unique=True)
+    return st.tuples(ends, st.booleans()).map(
+        lambda t: (min(t[0]), max(t[0]), t[1] and max(t[0]) == 1)
     )
 
 
