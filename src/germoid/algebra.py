@@ -1,7 +1,7 @@
 """The convolution *-algebra of a star-space germ groupoid, in exact normal form.
 
 An element is stored as the function it defines on the groupoid: one
-piecewise polynomial per admissible edge pair (a "strip") plus one scalar per
+piecewise polynomial per admissible edge pair (a "strip") plus one value per
 group element (the values at the center germs).  Two sums of sheets with the
 same values are therefore identified, and equality is decidable.
 
@@ -10,14 +10,18 @@ center to the sum of center values over the group elements inducing that
 edge pair; this is the computational signature of a non-Hausdorff groupoid,
 and it is checked on every construction.
 
-The center values multiply like a group algebra.  ``group_convolve`` is the
-one exact kernel for that product, here and for ``rep.GroupAlgebraElement``:
-it works on integer numerators over a common denominator and reads every
-product of group elements from the group's Cayley table.
+The center values are a ``GroupAlgebraElement``, the one type of the group
+algebra C[G] here and in ``rep``: integer (re, im) numerators over one
+denominator, indexed by position in ``group.elements``.  Its sum, scale,
+involution, equality, the gluing sums over the pairs (i, sigma(i)) and the
+product ``group_convolve`` (every product of group elements read from the
+group's Cayley table) all work on those integers; ``Scalar``s and
+``Permutation``s appear only at its edges.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -26,57 +30,286 @@ import numpy as np
 
 from .germs import CenterGerm, EdgeGerm, GermError, GermGroupoid
 from .perms import PermGroup, Permutation, parse_cycles
-from .poly import PiecewisePoly, coeffs, common_refinement
-from .scalars import ZERO, Scalar, _make, as_scalar, render_scalar
-from .starspace import CENTER, CenterPoint, EdgePoint, PPFun, edge_index
+from .poly import PiecewisePoly, _scalar, coeffs, common_refinement
+from .scalars import ONE, ZERO, Scalar, as_scalar, render_scalar
+from .starspace import CenterPoint, EdgePoint, PPFun, edge_index
 
 _PPZERO = PiecewisePoly.zero()
 
 # products with at most this many pairs of support elements are summed in a
 # Python loop; past it, numpy's fixed cost per call is the smaller one
 SMALL_PRODUCT = 64
-# the numpy path scatters at most this many pairs per call
+# gluing sums with at most this many (element, edge) terms are taken in a
+# Python loop, larger ones with one product against the pair incidence
+SMALL_SUMS = 128
+# the numpy product gathers at most this many table entries per step
 _CHUNK = 1 << 16
 
-
-def _numerators(values):
-    """The scalars as (re[k] + im[k] i) / d over one common denominator d."""
-    d = 1
-    for v in values:
-        d = lcm(d, v._d)
-    re, im = [], []
-    for v in values:
-        k = d // v._d
-        re.append(v._a * k)
-        im.append(v._b * k)
-    return re, im, d
+_new = object.__new__
 
 
-def group_convolve(group: PermGroup, f: dict, g: dict) -> dict:
+class GroupAlgebraElement:
+    """An element of the group algebra C[G] of a permutation group G: a
+    function on G with Gaussian-rational values, with the convolution
+    product and the involution a*(s) = conj a(s^-1).
+
+    The value at ``group.elements[positions[k]]`` is (re[k] + im[k] i) / d.
+    The form is canonical: positions ascending, no zero value, d > 0 and
+    gcd(d, every re, every im) == 1, zero as empty tuples over 1.  So
+    equality and hashing compare integers.  The constructor takes a
+    {Permutation: scalar} dict; ``coeff``, ``support``, ``items`` and
+    ``repr`` hand out ``Permutation``s and ``Scalar``s.
+    """
+
+    __slots__ = ("group", "positions", "re", "im", "d")
+
+    def __init__(self, group: PermGroup, coeffs):
+        index = group.index
+        entries = []
+        for s, c in coeffs.items():
+            c = as_scalar(c)
+            if s not in group:
+                raise ValueError(f"{s} is not in the group")
+            if c:
+                entries.append((index[s], c))
+        entries.sort(key=lambda e: e[0])
+        # over the lcm of canonical denominators no factor is common to all
+        d = lcm(*[c._d for _k, c in entries])
+        self.group = group
+        self.positions = tuple(k for k, _c in entries)
+        self.re = tuple(c._a * (d // c._d) for _k, c in entries)
+        self.im = tuple(c._b * (d // c._d) for _k, c in entries)
+        self.d = d
+
+    @classmethod
+    def delta(cls, group: PermGroup, sigma: Permutation) -> "GroupAlgebraElement":
+        return cls(group, {sigma: ONE})
+
+    @classmethod
+    def zero(cls, group: PermGroup) -> "GroupAlgebraElement":
+        return _vector(group, (), (), (), 1)
+
+    @classmethod
+    def unit(cls, group: PermGroup) -> "GroupAlgebraElement":
+        return _vector(group, (group.index[group.identity],), (1,), (0,), 1)
+
+    # -- the edges: permutations and scalars -------------------------------------
+
+    def coeff(self, sigma: Permutation) -> Scalar:
+        k = self.group.index.get(sigma)
+        pos = self.positions
+        i = bisect_left(pos, k) if k is not None else len(pos)
+        if i < len(pos) and pos[i] == k:
+            return _scalar(self.re[i], self.im[i], self.d)
+        return ZERO
+
+    def support(self) -> list:
+        """The elements with a nonzero value, in group order."""
+        els = self.group.elements
+        return [els[k] for k in self.positions]
+
+    def items(self) -> list:
+        """(element, value) pairs of the support, in group order."""
+        els, d = self.group.elements, self.d
+        return [(els[k], _scalar(a, b, d)) for k, a, b in zip(self.positions, self.re, self.im)]
+
+    def __len__(self):
+        return len(self.positions)
+
+    def is_zero(self) -> bool:
+        return not self.positions
+
+    # -- the gluing sums -----------------------------------------------------------
+
+    def pair_sums(self) -> dict:
+        """{(i, j): (re, im)} for each pair with a nonzero sum: the numerators,
+        over d, of the sum of the values at the elements sending i to j.
+
+        These are the entries (j, i) of the integrated representation, and
+        the center-value sums of the gluing law.
+        """
+        group = self.group
+        n = group.n
+        if len(self.positions) * n <= SMALL_SUMS:
+            els = group.elements
+            sums = {}
+            for k, a, b in zip(self.positions, self.re, self.im):
+                for pair in enumerate(els[k].images, 1):
+                    if pair in sums:
+                        x, y = sums[pair]
+                        sums[pair] = (x + a, y + b)
+                    else:
+                        sums[pair] = (a, b)
+            return {pair: v for pair, v in sums.items() if v[0] or v[1]}
+        inc = group.pair_incidence[:, self.positions]
+        re = (inc @ _int_array(self.re)).tolist()
+        im = (inc @ _int_array(self.im)).tolist()
+        return {
+            (q // n + 1, q % n + 1): (a, b) for q, (a, b) in enumerate(zip(re, im)) if a or b
+        }
+
+    # -- linear structure ------------------------------------------------------------
+
+    def _check(self, other):
+        if self.group is not other.group and self.group != other.group:
+            raise ValueError("elements of different group algebras")
+
+    def __add__(self, other):
+        self._check(other)
+        if not other.positions:
+            return self
+        if not self.positions:
+            return other
+        d, e = self.d, other.d
+        g = gcd(d, e)
+        s, t = e // g, d // g
+        acc = {k: (a * s, b * s) for k, a, b in zip(self.positions, self.re, self.im)}
+        for k, a, b in zip(other.positions, other.re, other.im):
+            if k in acc:
+                x, y = acc[k]
+                acc[k] = (x + a * t, y + b * t)
+            else:
+                acc[k] = (a * t, b * t)
+        positions = sorted(acc)
+        return _reduced(
+            self.group, positions,
+            [acc[k][0] for k in positions], [acc[k][1] for k in positions], d * s,
+        )
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return _vector(
+            self.group, self.positions,
+            tuple(-a for a in self.re), tuple(-b for b in self.im), self.d,
+        )
+
+    def scale(self, c) -> "GroupAlgebraElement":
+        c = as_scalar(c)
+        if not c or not self.positions:
+            return GroupAlgebraElement.zero(self.group)
+        x, y = c._a, c._b
+        return _reduced(
+            self.group, self.positions,
+            [a * x - b * y for a, b in zip(self.re, self.im)],
+            [a * y + b * x for a, b in zip(self.re, self.im)],
+            self.d * c._d,
+        )
+
+    def adjoint(self) -> "GroupAlgebraElement":
+        """a*(s) = conj a(s^-1): every value moves to its inverse's position."""
+        if not self.positions:
+            return self
+        inv = self.group.inverse_index.item
+        positions, re, im = zip(*sorted(zip(map(inv, self.positions), self.re, self.im)))
+        return _vector(self.group, positions, re, tuple(-b for b in im), self.d)
+
+    def __mul__(self, other):
+        self._check(other)
+        return group_convolve(self, other)
+
+    # -- equality ------------------------------------------------------------------------
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, GroupAlgebraElement)
+            and self.d == other.d
+            and self.positions == other.positions
+            and self.re == other.re
+            and self.im == other.im
+            and (self.group is other.group or self.group == other.group)
+        )
+
+    def __hash__(self):
+        return hash((self.positions, self.re, self.im, self.d))
+
+    def __repr__(self):
+        terms = " + ".join(f"({c})d[{s}]" for s, c in self.items())
+        return terms or "0"
+
+
+def _vector(group, positions, re, im, d) -> GroupAlgebraElement:
+    """An element from canonical tuples, unchecked."""
+    v = _new(GroupAlgebraElement)
+    v.group = group
+    v.positions = positions
+    v.re = re
+    v.im = im
+    v.d = d
+    return v
+
+
+def _reduced(group, positions, re, im, d) -> GroupAlgebraElement:
+    """The element with the values (re[k] + im[k] i)/d, d > 0, at the
+    ascending positions: zero values dropped, then divided by one gcd."""
+    live = [k for k, (a, b) in enumerate(zip(re, im)) if a or b]
+    if len(live) < len(re):
+        if not live:
+            return GroupAlgebraElement.zero(group)
+        positions = [positions[k] for k in live]
+        re = [re[k] for k in live]
+        im = [im[k] for k in live]
+    g = gcd(d, *re, *im)
+    if g != 1:
+        re = [a // g for a in re]
+        im = [b // g for b in im]
+        d //= g
+    return _vector(group, tuple(positions), tuple(re), tuple(im), d)
+
+
+def _int_array(values) -> np.ndarray:
+    """values as int64 when any sum of them fits, as Python ints otherwise."""
+    bound = len(values) * max(map(abs, values), default=0)
+    return np.array(values, dtype=np.int64 if bound < 1 << 63 else object)
+
+
+def _translate(group, line, a, b, positions, re, im, d) -> GroupAlgebraElement:
+    """The values (re + im i)/d times (a + b i), each moved from position k
+    to line[k] for a row or column line of the Cayley table."""
+    at = line.item
+    moved = [at(k) for k in positions]
+    if b:
+        nre = [a * x - b * y for x, y in zip(re, im)]
+        nim = [a * y + b * x for x, y in zip(re, im)]
+    else:
+        nre = [a * x for x in re]
+        nim = [a * y for y in im]
+    if len(moved) > 1:
+        moved, nre, nim = zip(*sorted(zip(moved, nre, nim)))
+    return _reduced(group, moved, nre, nim, d)
+
+
+def group_convolve(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebraElement:
     """The group-algebra product (f*g)(t) = sum of f(a) g(b) over ab = t.
 
-    f and g map group elements to nonzero scalars, and so does the result.
-    The kernel is exact and works on integers: each operand's values become
-    (re, im) numerators over one common denominator, the position of every
-    product ab is read from ``group.table``, and the sums become scalars
-    again only at the end.  A small product is summed in a Python loop; a
-    larger one is scattered with numpy, in int64 when
-    2 min(|f|, |g|) max|f| max|g| < 2^63 bounds every partial sum (a row or
-    column of the table hits each position once) and in Python ints held in
-    object arrays otherwise.
+    The kernel is exact and works on the numerators, over the denominator
+    f.d * g.d, reading the position of every product ab from
+    ``group.table``.  A one-element operand translates the other through
+    one row or column of the table.  Otherwise a small product is summed in
+    a Python loop.  A larger one walks the smaller support in steps: for x
+    in f's support it gathers g(x^-1 t) for every t from table row x^-1
+    (for y in g's, f(t y^-1) from table column y^-1) and contracts them
+    with matrix products, leaving out the imaginary parts of an operand with
+    real values.  That is int64 when
+    2 min(|f|, |g|) max|f| max|g| < 2^63 bounds every partial sum, and
+    Python ints held in object arrays otherwise.
     """
-    if not f or not g:
-        return {}
-    index = group.index
-    fi = [index[s] for s in f]
-    gi = [index[s] for s in g]
-    fre, fim, fd = _numerators(f.values())
-    gre, gim, gd = _numerators(g.values())
-    if len(fi) * len(gi) <= SMALL_PRODUCT:
+    group = f.group
+    fp, gp = f.positions, g.positions
+    if not fp or not gp:
+        return GroupAlgebraElement.zero(group)
+    d = f.d * g.d
+    table = group.table
+    if len(fp) == 1:
+        return _translate(group, table[fp[0]], f.re[0], f.im[0], gp, g.re, g.im, d)
+    if len(gp) == 1:
+        return _translate(group, table[:, gp[0]], g.re[0], g.im[0], fp, f.re, f.im, d)
+    if len(fp) * len(gp) <= SMALL_PRODUCT:
+        product = table.item
         sums = {}
-        product = group.table.item
-        for x, a, b in zip(fi, fre, fim):
-            for y, c, e in zip(gi, gre, gim):
+        for x, a, b in zip(fp, f.re, f.im):
+            for y, c, e in zip(gp, g.re, g.im):
                 t = product(x, y)
                 re, im = a * c - b * e, a * e + b * c
                 if t in sums:
@@ -84,31 +317,52 @@ def group_convolve(group: PermGroup, f: dict, g: dict) -> dict:
                     sums[t] = (r0 + re, i0 + im)
                 else:
                     sums[t] = (re, im)
-        items = sums.items()
-    else:
-        bound = 2 * min(len(fi), len(gi)) * max(map(abs, fre + fim)) * max(map(abs, gre + gim))
-        dtype = np.int64 if bound < 1 << 63 else object
-        fi, gi = np.array(fi), np.array(gi)
-        fre, fim = np.array(fre, dtype=dtype)[:, None], np.array(fim, dtype=dtype)[:, None]
-        gre, gim = np.array(gre, dtype=dtype), np.array(gim, dtype=dtype)
-        re = np.zeros(len(group), dtype=dtype)
-        im = np.zeros(len(group), dtype=dtype)
-        step = max(1, _CHUNK // len(gi))
-        for lo in range(0, len(fi), step):
-            hit = group.table[np.ix_(fi[lo:lo + step], gi)].ravel()
-            a, b = fre[lo:lo + step], fim[lo:lo + step]
-            np.add.at(re, hit, (a * gre - b * gim).ravel())
-            np.add.at(im, hit, (a * gim + b * gre).ravel())
-        live = np.flatnonzero((re != 0) | (im != 0))
-        items = zip(live.tolist(), zip(re[live].tolist(), im[live].tolist()))
-    d = fd * gd
-    els = group.elements
-    out = {}
-    for t, (re, im) in items:
-        if re or im:
-            k = gcd(re, im, d)
-            out[els[t]] = _make(re // k, im // k, d // k)
-    return out
+        positions = sorted(sums)
+        return _reduced(
+            group, positions, [sums[t][0] for t in positions], [sums[t][1] for t in positions], d
+        )
+    bound = 2 * min(len(fp), len(gp)) * max(map(abs, f.re + f.im)) * max(map(abs, g.re + g.im))
+    dtype = np.int64 if bound < 1 << 63 else object
+    # walk the smaller support; the other operand is read densely
+    right = len(gp) < len(fp)
+    walk, dense = (g, f) if right else (f, g)
+    m = len(group)
+    walk_inv = group.inverse_index[list(walk.positions)]
+    a_all = np.array(walk.re, dtype=dtype)
+    b_all = np.array(walk.im, dtype=dtype) if any(walk.im) else None
+    dre, dim = _dense(dense, m, dtype)
+    re = np.zeros(m, dtype=dtype)
+    im = np.zeros(m, dtype=dtype)
+    step = max(1, _CHUNK // m)
+    for lo in range(0, len(walk_inv), step):
+        x_inv = walk_inv[lo:lo + step]
+        # row x^-1 of the table holds x^-1 t, column y^-1 holds t y^-1
+        at = (table[:, x_inv].T if right else table[x_inv]).astype(np.intp)
+        a, c = a_all[lo:lo + step], dre[at]
+        re += a @ c
+        if dim is not None:
+            e = dim[at]
+            im += a @ e
+        if b_all is not None:
+            b = b_all[lo:lo + step]
+            im += b @ c
+            if dim is not None:
+                re -= b @ e
+    live = np.flatnonzero((re != 0) | (im != 0))
+    return _reduced(group, live.tolist(), re[live].tolist(), im[live].tolist(), d)
+
+
+def _dense(v: GroupAlgebraElement, m: int, dtype):
+    """v's numerators as length-m arrays, zero off the support; the second
+    is None when every value is real."""
+    pos = list(v.positions)
+    re = np.zeros(m, dtype=dtype)
+    re[pos] = v.re
+    if not any(v.im):
+        return re, None
+    im = np.zeros(m, dtype=dtype)
+    im[pos] = v.im
+    return re, im
 
 
 class AlgebraError(ValueError):
@@ -129,23 +383,32 @@ class AlgebraElement:
     __slots__ = ("groupoid", "strips", "center")
 
     def __init__(self, groupoid: GermGroupoid, strips, center, _checked=False):
+        """center is a GroupAlgebraElement of the groupoid's group or a
+        {Permutation: scalar} dict."""
         self.groupoid = groupoid
         self.strips = {pair: pp for pair, pp in strips.items() if not pp.is_zero()}
-        self.center = {s: as_scalar(c) for s, c in center.items() if as_scalar(c)}
+        group = groupoid.group
         if not _checked:
             for pair in self.strips:
                 if pair not in groupoid.admissible_pairs:
                     raise AlgebraError(f"strip {pair} is not an admissible edge pair")
-            for s in self.center:
-                if s not in groupoid.group:
-                    raise AlgebraError(f"{s} is not in the acting group")
+            if isinstance(center, GroupAlgebraElement):
+                if center.group != group:
+                    raise AlgebraError("center values live on another group")
+            else:
+                for s in center:
+                    if s not in group:
+                        raise AlgebraError(f"{s} is not in the acting group")
+        if center.__class__ is not GroupAlgebraElement:
+            center = GroupAlgebraElement(group, center)
+        self.center = center
         self.check_compatible()
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, groupoid: GermGroupoid) -> "AlgebraElement":
-        return cls(groupoid, {}, {}, _checked=True)
+        return cls(groupoid, {}, GroupAlgebraElement.zero(groupoid.group), _checked=True)
 
     @classmethod
     def unit(cls, groupoid: GermGroupoid) -> "AlgebraElement":
@@ -155,21 +418,29 @@ class AlgebraElement:
 
     def check_compatible(self):
         """Raise unless every strip's limit at 0 equals its center-value sum."""
+        center, strips = self.center, self.strips
+        d = center.d
         # sigma contributes its center value to the n pairs (i, sigma(i))
-        sums = {}
-        for s, c in self.center.items():
-            for pair in enumerate(s.images, 1):
-                sums[pair] = sums[pair] + c if pair in sums else c
-        strips = self.strips
-        for pair in self.groupoid.admissible_pairs:
-            lim = strips[pair].at0() if pair in strips else ZERO
-            total = sums.get(pair, ZERO)
-            if lim != total:
-                i, j = pair
-                raise CompatibilityError(
-                    f"strip ({i},{j}) has limit {lim} at the center but the "
-                    f"center values sum to {total}"
-                )
+        sums = center.pair_sums()
+        bad = [pair for pair in sums if pair not in strips]
+        for pair, pp in strips.items():
+            # the limit at 0 is the constant term a0/e of the first piece
+            p = pp.polys[0]
+            e, a, b = p[:3] if p else (1, 0, 0)
+            re, im = sums.get(pair, (0, 0))
+            if a * d != re * e or b * d != im * e:
+                bad.append(pair)
+        if bad:
+            bad = set(bad)
+            for pair in self.groupoid.admissible_pairs:
+                if pair in bad:
+                    i, j = pair
+                    lim = self.strip(i, j).at0()
+                    total = _scalar(*sums.get(pair, (0, 0)), d)
+                    raise CompatibilityError(
+                        f"strip ({i},{j}) has limit {lim} at the center but the "
+                        f"center values sum to {total}"
+                    )
 
     # -- accessors ---------------------------------------------------------
 
@@ -177,7 +448,7 @@ class AlgebraElement:
         return self.strips.get((i, j), _PPZERO)
 
     def center_value(self, sigma: Permutation) -> Scalar:
-        return self.center.get(sigma, ZERO)
+        return self.center.coeff(sigma)
 
     def evaluate(self, germ) -> Scalar:
         if not self.groupoid.contains(germ):
@@ -200,10 +471,7 @@ class AlgebraElement:
         strips = dict(self.strips)
         for pair, pp in other.strips.items():
             strips[pair] = strips[pair] + pp if pair in strips else pp
-        center = dict(self.center)
-        for s, c in other.center.items():
-            center[s] = center[s] + c if s in center else c
-        return AlgebraElement(self.groupoid, strips, center, _checked=True)
+        return AlgebraElement(self.groupoid, strips, self.center + other.center, _checked=True)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -216,7 +484,7 @@ class AlgebraElement:
         return AlgebraElement(
             self.groupoid,
             {pair: pp.scale(c) for pair, pp in self.strips.items()},
-            {s: c * v for s, v in self.center.items()},
+            self.center.scale(c),
             _checked=True,
         )
 
@@ -225,7 +493,7 @@ class AlgebraElement:
         return AlgebraElement(
             self.groupoid,
             {(j, i): pp.conj() for (i, j), pp in self.strips.items()},
-            {s.inverse(): v.conjugate() for s, v in self.center.items()},
+            self.center.adjoint(),
             _checked=True,
         )
 
@@ -244,7 +512,7 @@ class AlgebraElement:
                 term = fs * gs
                 pair = (i, j)
                 strips[pair] = strips[pair] + term if pair in strips else term
-        center = group_convolve(self.groupoid.group, self.center, other.center)
+        center = group_convolve(self.center, other.center)
         return AlgebraElement(self.groupoid, strips, center, _checked=True)
 
     # -- equality ------------------------------------------------------------
@@ -258,9 +526,7 @@ class AlgebraElement:
         )
 
     def __hash__(self):
-        return hash(
-            (self.groupoid, frozenset(self.strips.items()), frozenset(self.center.items()))
-        )
+        return hash((self.groupoid, frozenset(self.strips.items()), self.center))
 
     def __repr__(self):
         return (
@@ -282,7 +548,7 @@ class AlgebraElement:
         ]
         center = [
             {"perm": s.cycle_string(), "value": render_scalar(v)}
-            for s, v in sorted(self.center.items())
+            for s, v in self.center.items()
         ]
         return {"strips": strips, "center": center}
 
@@ -306,7 +572,13 @@ def from_sheet(groupoid: GermGroupoid, sigma: Permutation, h) -> "AlgebraElement
     strips = {}
     for i in range(1, groupoid.n + 1):
         strips[(i, sigma(i))] = h.edges[i - 1]
-    return AlgebraElement(groupoid, strips, {sigma: h.center})
+    group = groupoid.group
+    c = h.center
+    center = (
+        _vector(group, (group.index[sigma],), (c._a,), (c._b,), c._d)
+        if c else GroupAlgebraElement.zero(group)
+    )
+    return AlgebraElement(groupoid, strips, center)
 
 
 def embed_C0(groupoid: GermGroupoid, h) -> "AlgebraElement":
@@ -366,9 +638,6 @@ class UnitSpaceFunction:
 
     def is_zero(self) -> bool:
         return self.center.is_zero() and all(e.is_zero() for e in self.edges)
-
-    def is_continuous(self) -> bool:
-        return all(e.at0() == self.center for e in self.edges)
 
     def __eq__(self, other):
         return (
@@ -442,7 +711,8 @@ def lambda_scalar(g: AlgebraElement) -> Scalar:
 def has_nonunit_value(f: AlgebraElement) -> bool:
     """True when f is nonzero at some non-unit germ, i.e. f is not a diagonal
     (unit-space) element."""
-    if any(not s.is_identity() for s in f.center):
+    group = f.groupoid.group
+    if f.center.positions not in ((), (group.index[group.identity],)):
         return True
     return any(i != j for (i, j) in f.strips)
 
@@ -509,7 +779,7 @@ def open_support(f: AlgebraElement) -> SupportDescriptor:
         (i, j, tuple(pp.nonzero_intervals()))
         for (i, j), pp in sorted(f.strips.items())
     )
-    return SupportDescriptor(strips, tuple(sorted(f.center)))
+    return SupportDescriptor(strips, tuple(f.center.support()))
 
 
 def _collision_on_common_piece(strips_by_key):
@@ -538,7 +808,7 @@ def is_bisection_support(f: AlgebraElement):
     and range), or two strips with a common source edge, or with a common
     range edge, are simultaneously nonzero.
     """
-    center = sorted(f.center)
+    center = f.center.support()
     if len(center) >= 2:
         return False, ("center", tuple(center))
     n = f.groupoid.n
@@ -566,16 +836,6 @@ class PointMap:
     edge_segments: tuple  # ((i, ((lo, hi, j), ...)), ...)
     center_fixed: bool
     well_defined: bool = True
-
-    def apply(self, p):
-        if isinstance(p, CenterPoint):
-            return CENTER if self.center_fixed else None
-        for i, segs in self.edge_segments:
-            if i == p.edge:
-                for lo, hi, j in segs:
-                    if lo < p.t <= hi:
-                        return EdgePoint(j, p.t)
-        return None
 
     def as_permutation(self):
         """The edge permutation inducing this map, if it is one everywhere."""

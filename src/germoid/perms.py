@@ -7,9 +7,9 @@ functions: (sigma * tau)(i) = sigma(tau(i)).
 Each group also carries an index over the positions of its elements in
 ``elements``, built lazily and cached on the group object: ``index`` (element
 to position), ``inverse_index``, ``fixing`` (the non-identity elements with a
-fixed point) and the integer Cayley table ``table``.  Every loop over pairs
-of group elements reads its products from the table instead of multiplying
-``Permutation`` objects.
+fixed point), the (i, sigma(i)) incidence ``pair_incidence`` and the integer
+Cayley table ``table``.  Every loop over pairs of group elements reads its
+products from the table instead of multiplying ``Permutation`` objects.
 """
 
 from __future__ import annotations
@@ -289,7 +289,11 @@ class PermGroup:
     @cached_property
     def inverse_index(self) -> np.ndarray:
         """inverse_index[k] is the position of elements[k]^-1."""
-        return self._positions(np.argsort(self._images, axis=1))
+        img = self._images
+        inv = np.empty_like(img)
+        # elements[k] sends i to img[k, i], so its inverse sends img[k, i] to i
+        inv[np.arange(len(img))[:, None], img] = np.arange(self.n)
+        return self._positions(inv)
 
     @cached_property
     def fixing(self) -> np.ndarray:
@@ -298,6 +302,17 @@ class PermGroup:
             [k for k, s in enumerate(self.elements) if s.fixed_points() and not s.is_identity()],
             dtype=np.intp,
         )
+
+    @cached_property
+    def pair_incidence(self) -> np.ndarray:
+        """The (i, sigma(i)) incidence, as int64: entry [(i-1)*n + (j-1), k]
+        is 1 when elements[k] sends i to j.  ``pair_incidence @ x`` sums a
+        vector x over the elements sending i to j, and ``y @ pair_incidence``
+        is the transposed map."""
+        n, m = self.n, len(self)
+        inc = np.zeros((n * n, m), dtype=np.int64)
+        inc[np.arange(n) * n + self._images, np.arange(m)[:, None]] = 1
+        return inc
 
     @cached_property
     def table(self) -> np.ndarray:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import eq
 
 from .scalars import ZERO, Scalar, _frac, _make, as_scalar
 
@@ -226,7 +227,9 @@ class PiecewisePoly:
     """A continuous piecewise polynomial on (0,1] with a limit value at 0.
 
     The stored pieces are automatically normalized: adjacent pieces with the
-    same polynomial are merged, so equal functions compare equal.
+    same polynomial are merged, so equal functions compare equal.  Few
+    results have such a pair, so one pass of tuple comparisons looks for one
+    before the merge loop runs.
     """
 
     __slots__ = ("breaks", "polys")
@@ -248,7 +251,7 @@ class PiecewisePoly:
                 c, e, f = _horner(polys[k], t.numerator, t.denominator)
                 if a * f != c * d or b * f != e * d:
                     raise ValueError(f"discontinuity at t={t}")
-        if len(polys) == 1:
+        if len(polys) == 1 or not any(map(eq, polys, polys[1:])):
             self.breaks, self.polys = tuple(breaks), tuple(polys)
             return
         # merge adjacent identical pieces

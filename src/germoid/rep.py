@@ -5,30 +5,38 @@ Everything here is exact.  Commutants come from rational row reduction.
 Minimum-norm preimages come from Fourier inversion in closed form when the
 group acts 2-transitively, and from rational row reduction otherwise.  The
 unitary produced for a target permutation is verified algebraically with
-zero tolerance rather than assumed.  Group-algebra elements keep their
-coefficients keyed by permutation; their product is the exact integer
-kernel ``algebra.group_convolve`` over the group's Cayley table.
+zero tolerance rather than assumed.
+
+Group-algebra elements are ``algebra.GroupAlgebraElement``, re-exported
+here: integer numerators over one denominator, indexed by position in the
+group's elements, with the product ``algebra.group_convolve`` over the
+Cayley table.  The integrated representation, ``phi`` and the closed-form
+preimage are sums over the group's (i, sigma(i)) incidence, and the
+centrality check compares table gathers; none of them builds a ``Scalar``
+per group element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     AlgebraElement,
+    GroupAlgebraElement,
     NotNormalizerError,
+    _int_array,
+    _reduced,
     _support_point_map,
     embed_C0,
-    group_convolve,
     is_bisection_support,
     open_support,
 )
 from .germs import GermGroupoid
 from .linalg import Matrix, nullspace, reduce_basis, solve
 from .perms import PermGroup, Permutation
-from .poly import PiecewisePoly
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .poly import PiecewisePoly, _scalar
+from .scalars import ONE, ZERO, Scalar
 from .starspace import act
 
 
@@ -49,107 +57,13 @@ def perm_rep(sigma: Permutation) -> Matrix:
     return Matrix(rows)
 
 
-class GroupAlgebraElement:
-    """A finitely supported scalar function on a permutation group, with
-    convolution product and the standard involution."""
-
-    __slots__ = ("group", "coeffs")
-
-    def __init__(self, group: PermGroup, coeffs):
-        self.group = group
-        self.coeffs = {}
-        for s, c in coeffs.items():
-            c = as_scalar(c)
-            if s not in group:
-                raise ValueError(f"{s} is not in the group")
-            if c:
-                self.coeffs[s] = c
-
-    @classmethod
-    def delta(cls, group: PermGroup, sigma: Permutation) -> "GroupAlgebraElement":
-        return cls(group, {sigma: ONE})
-
-    @classmethod
-    def zero(cls, group: PermGroup) -> "GroupAlgebraElement":
-        return cls(group, {})
-
-    @classmethod
-    def unit(cls, group: PermGroup) -> "GroupAlgebraElement":
-        return cls.delta(group, group.identity)
-
-    def coeff(self, sigma: Permutation) -> Scalar:
-        return self.coeffs.get(sigma, ZERO)
-
-    def support(self):
-        return sorted(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check(self, other):
-        if self.group != other.group:
-            raise ValueError("elements of different group algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out[s] + c if s in out else c
-        return GroupAlgebraElement(self.group, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c) -> "GroupAlgebraElement":
-        c = as_scalar(c)
-        return GroupAlgebraElement(self.group, {s: c * v for s, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        self._check(other)
-        coeffs = group_convolve(self.group, self.coeffs, other.coeffs)
-        return GroupAlgebraElement(self.group, coeffs)
-
-    def adjoint(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(
-            self.group, {s.inverse(): c.conjugate() for s, c in self.coeffs.items()}
-        )
-
-    def inner(self, other) -> Scalar:
-        """Coefficient inner product <a,b> = sum a_s conj(b_s)."""
-        self._check(other)
-        acc = ZERO
-        for s, c in self.coeffs.items():
-            if s in other.coeffs:
-                acc = acc + c * other.coeffs[s].conjugate()
-        return acc
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and self.group == other.group
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.group, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        terms = " + ".join(f"({c})d[{s}]" for s, c in sorted(self.coeffs.items()))
-        return terms or "0"
-
-
 def integrated_rep(a: GroupAlgebraElement) -> Matrix:
     """Extend the permutation representation linearly; entry (j,i) is the sum
     of the coefficients of the elements sending i to j."""
-    n = a.group.n
+    n, d = a.group.n, a.d
     rows = [[ZERO] * n for _ in range(n)]
-    for s, c in a.coeffs.items():
-        for i in range(1, n + 1):
-            j = s(i)
-            rows[j - 1][i - 1] = rows[j - 1][i - 1] + c
+    for (i, j), (re, im) in a.pair_sums().items():
+        rows[j - 1][i - 1] = _scalar(re, im, d)
     return Matrix(rows)
 
 
@@ -238,18 +152,19 @@ def _fourier_preimage(target: Matrix, group: PermGroup) -> GroupAlgebraElement:
     constant vector is their sum divided by n), so the result is orthogonal
     to the kernel by construction.
     """
-    n = group.n
-    rows = target.rows
-    c = sum((x for row in rows for x in row), ZERO) * Scalar(Fraction(1, n))
-    shift = c * (n - 2)
-    scale = Scalar(Fraction(1, len(group)))
-    coeffs = {}
-    for s in group:
-        trace = ZERO
-        for i, j in enumerate(s.images):
-            trace = trace + rows[j - 1][i]
-        coeffs[s] = (trace * (n - 1) - shift) * scale
-    return GroupAlgebraElement(group, coeffs)
+    n, m = group.n, len(group)
+    # T's entries (j, i) in the row order of pair_incidence, over one denominator
+    cells = [row[i] for i in range(n) for row in target.rows]
+    den = lcm(*[x._d for x in cells])
+    tre = [x._a * (den // x._d) for x in cells]
+    tim = [x._b * (den // x._d) for x in cells]
+    # tr(pi(s)^T T) is the sum of T over the pairs (i, s(i)); with c = sum(T)/n,
+    # a_s = (n (n-1) tr - (n-2) sum(T)) / (n |G| den)
+    inc = group.pair_incidence
+    k, shift_re, shift_im = n * (n - 1), (n - 2) * sum(tre), (n - 2) * sum(tim)
+    re = [k * t - shift_re for t in (_int_array(tre) @ inc).tolist()]
+    im = [k * t - shift_im for t in (_int_array(tim) @ inc).tolist()]
+    return _reduced(group, range(m), re, im, n * m * den)
 
 
 def _rref_preimage(target: Matrix, group: PermGroup) -> GroupAlgebraElement:
@@ -315,11 +230,20 @@ def kernel_projection(group: PermGroup) -> GroupAlgebraElement:
 def _is_central(x: GroupAlgebraElement) -> bool:
     """Whether x commutes with every delta_s.  The deltas of a generating set
     generate the group algebra, so those of the generators decide it; a group
-    built without recorded generators is checked on all its elements."""
+    built without recorded generators is checked on all its elements.
+
+    x delta_s moves the value at a to a s, and delta_s x moves it to s a:
+    the two translates are read from column and row s of the Cayley table
+    and compared position by position."""
     group = x.group
+    table, index = group.table, group.index
+    values = list(zip(x.re, x.im))
     for s in group.generators or group.elements:
-        d = GroupAlgebraElement.delta(group, s)
-        if x * d != d * x:
+        k = index[s]
+        right, left = table[:, k].tolist(), table[k].tolist()
+        if dict(zip([right[a] for a in x.positions], values)) != dict(
+            zip([left[a] for a in x.positions], values)
+        ):
             return False
     return True
 
@@ -357,15 +281,11 @@ def phi(a: GroupAlgebraElement, groupoid: GermGroupoid) -> AlgebraElement:
     """
     if groupoid.group != a.group:
         raise ValueError("group algebra and groupoid do not match")
-    strips = {}
-    for (i, j) in groupoid.admissible_pairs:
-        total = ZERO
-        for s, c in a.coeffs.items():
-            if s(i) == j:
-                total = total + c
-        if total:
-            strips[(i, j)] = PiecewisePoly.const(total)
-    return AlgebraElement(groupoid, strips, dict(a.coeffs))
+    strips = {
+        pair: PiecewisePoly.const(_scalar(re, im, a.d))
+        for pair, (re, im) in a.pair_sums().items()
+    }
+    return AlgebraElement(groupoid, strips, a)
 
 
 @dataclass
@@ -466,8 +386,8 @@ def build_strange_normalizer(
         n=n,
         tau=tau,
         tau_is_even=tau.is_even(),
-        v_support_size=len(v.coeffs),
-        center_support=sorted(u.center.items()),
+        v_support_size=len(v),
+        center_support=u.center.items(),
         unitary_ok=unitary_ok,
         strips_match_tau=strips_match,
         conjugation_trials=trials,

@@ -1,6 +1,7 @@
 """Brute-force oracles shared by several test modules."""
 
 from fractions import Fraction
+from math import gcd
 
 from germoid.finite import DEFAULT_TOL, _diagonal_meets, minimal_central_projections
 from germoid.poly import PiecewisePoly, from_scalars
@@ -19,6 +20,9 @@ def bitransitive_by_brute_force(group) -> bool:
     return True
 
 
+# -- group-algebra elements as {Permutation: Scalar} dicts with the zero
+# -- values dropped: the operations as they were before the integer vector
+
 def convolve_by_dict(f: dict, g: dict) -> dict:
     """Group-algebra convolution of {Permutation: Scalar} dicts straight
     from permutation products, zero values dropped."""
@@ -29,6 +33,49 @@ def convolve_by_dict(f: dict, g: dict) -> dict:
             prod = fa * gb
             out[ab] = out[ab] + prod if ab in out else prod
     return {s: c for s, c in out.items() if c}
+
+
+def add_by_dict(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for s, c in g.items():
+        out[s] = out[s] + c if s in out else c
+    return {s: c for s, c in out.items() if c}
+
+
+def scale_by_dict(c, f: dict) -> dict:
+    return {s: c * v for s, v in f.items() if c * v}
+
+
+def adjoint_by_dict(f: dict) -> dict:
+    return {s.inverse(): c.conjugate() for s, c in f.items()}
+
+
+def pair_sums_by_dict(f: dict, n: int) -> dict:
+    """{(i, j): sum of f(s) over s(i) = j}, zero sums dropped, by scanning
+    every pair for every element."""
+    out = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            total = ZERO
+            for s, c in f.items():
+                if s(i) == j:
+                    total = total + c
+            if total:
+                out[(i, j)] = total
+    return out
+
+
+def is_canonical_vector(v) -> bool:
+    """A GroupAlgebraElement's parts are canonical: positions ascending, no
+    zero value, d > 0 and gcd(d, every numerator) == 1, zero over d = 1."""
+    pos = v.positions
+    return (
+        list(pos) == sorted(set(pos)) and len(v.re) == len(v.im) == len(pos)
+        and all(type(x) is int for x in (*pos, *v.re, *v.im, v.d))
+        and all(a or b for a, b in zip(v.re, v.im))
+        and v.d > 0 and gcd(v.d, *v.re, *v.im) == 1
+        and (bool(pos) or v.d == 1)
+    )
 
 
 def inseparable_pairs(groupoid) -> list:

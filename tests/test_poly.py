@@ -22,9 +22,11 @@ import germoid.poly
 from germoid.algebra import (
     AlgebraElement,
     CompatibilityError,
+    GroupAlgebraElement,
     NotNormalizerError,
     PointMap,
     _collision_on_common_piece,
+    _vector,
     _support_point_map,
     from_sheet,
 )
@@ -415,6 +417,65 @@ def test_validating_constructor_normalizes_its_input():
     assert all(isinstance(b, Fraction) for b in pp.breaks)
 
 
+def _merged_oracle(breaks, polys):
+    """(breaks, polys) with every run of equal adjacent pieces merged, by the
+    loop the trusted path ran on every multi-piece result."""
+    mb, mp = [breaks[0]], []
+    for k, p in enumerate(polys):
+        if mp and mp[-1] == p:
+            mb[-1] = breaks[k + 1]
+        else:
+            mp.append(p)
+            mb.append(breaks[k + 1])
+    return tuple(mb), tuple(mp)
+
+
+def _split(rng, pp):
+    """pp's breaks and pieces with extra breakpoints inside random pieces,
+    each new piece a copy of the one it splits."""
+    breaks, polys = [pp.breaks[0]], []
+    for lo, hi, p in pp.pieces():
+        cuts = sorted(rng.sample([lo + (hi - lo) * Fraction(k, 7) for k in range(1, 7)],
+                                 rng.choice((0, 0, 1, 2))))
+        for b in (*cuts, hi):
+            breaks.append(b)
+            polys.append(p)
+    return tuple(breaks), polys
+
+
+def test_trusted_construction_merges_equal_neighbours():
+    t, half = (1, 0, 0, 1, 0), (2, 1, 0)  # t, then 1/2
+    breaks = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+    pp = PiecewisePoly(breaks, (t, t, half, half), _checked=True)
+    assert pp.breaks == (0, Fraction(1, 2), 1) and pp.polys == (t, half)
+    flat = PiecewisePoly(breaks, (half,) * 4, _checked=True)
+    assert flat.breaks == (0, 1) and flat == PiecewisePoly.const(Scalar(Fraction(1, 2)))
+    rng = random.Random(61)
+    merged = 0
+    for _ in range(300):
+        pp = _continuous_strip(rng, _random_breaks(rng))
+        breaks, polys = _split(rng, pp)
+        merged += len(polys) > len(pp.polys)
+        for checked in (True, False):
+            again = PiecewisePoly(breaks, polys, _checked=checked)
+            assert again == pp and (again.breaks, again.polys) == (pp.breaks, pp.polys)
+    assert merged > 100
+
+
+def test_random_trusted_products_match_the_validating_constructor():
+    rng = random.Random(67)
+    for _ in range(300):
+        f = _continuous_strip(rng, _random_breaks(rng))
+        g = _bump_strip(rng, _random_breaks(rng)) if rng.random() < 0.5 else (
+            _continuous_strip(rng, _random_breaks(rng)))
+        breaks, mine, theirs = f._aligned(g)
+        for op in (pmul, padd, psub):
+            polys = [op(p, q) for p, q in zip(mine, theirs)]
+            trusted = PiecewisePoly(breaks, polys, _checked=True)
+            assert trusted == PiecewisePoly(breaks, polys)
+            assert (trusted.breaks, trusted.polys) == _merged_oracle(breaks, polys)
+
+
 def _outcome(build, breaks, polys):
     try:
         return build(breaks, polys)
@@ -516,8 +577,11 @@ def test_point_map_of_a_sheet_matches_the_old_scan():
 # -- the gluing check ---------------------------------------------------------------
 
 def _unchecked(groupoid, strips, center):
+    """An element with the given strips and {Permutation: Scalar} center
+    values, built without the gluing check."""
     el = object.__new__(AlgebraElement)
-    el.groupoid, el.strips, el.center = groupoid, strips, center
+    el.groupoid, el.strips = groupoid, strips
+    el.center = GroupAlgebraElement(groupoid.group, center)
     return el
 
 
@@ -529,7 +593,7 @@ def test_check_compatible_matches_the_pointwise_sum(groupoid):
     for _ in range(40):
         el = random_algebra_element(groupoid, rng, sheets=3)
         assert _compatible_oracle(el) is None
-        center = dict(el.center)
+        center = dict(el.center.items())
         strips = dict(el.strips)
         if rng.random() < 0.5 and center:
             s = rng.choice(sorted(center))
@@ -547,6 +611,45 @@ def test_check_compatible_matches_the_pointwise_sum(groupoid):
             bad.check_compatible()
         assert str(err.value) == expected
     assert failures > 20
+
+
+@pytest.mark.parametrize("groupoid", [GermGroupoid.cross(), GermGroupoid.star(4),
+                                      GermGroupoid.star(5)], ids=["cross", "A4", "A5"])
+def test_one_numerator_or_one_limit_off_breaks_the_gluing_law(groupoid):
+    rng = random.Random(41)
+    for _ in range(30):
+        el = random_algebra_element(groupoid, rng, sheets=rng.randint(1, 4))
+        el.check_compatible()
+        assert _compatible_oracle(el) is None
+        c = el.center
+        if c:
+            k = rng.randrange(len(c))
+            re, im = list(c.re), list(c.im)
+            (re if rng.random() < 0.5 else im)[k] += rng.choice((-1, 1))
+            bad = object.__new__(AlgebraElement)
+            bad.groupoid, bad.strips = groupoid, el.strips
+            bad.center = _vector(c.group, c.positions, tuple(re), tuple(im), c.d)
+            with pytest.raises(CompatibilityError) as err:
+                bad.check_compatible()
+            assert str(err.value) == _compatible_oracle(bad)
+            # the same center values with no strips at all
+            bare = _unchecked(groupoid, {}, dict(c.items()))
+            expected = _compatible_oracle(bare)
+            if expected is None:
+                bare.check_compatible()
+            else:
+                with pytest.raises(CompatibilityError) as err:
+                    bare.check_compatible()
+                assert str(err.value) == expected
+        pair = rng.choice(sorted(groupoid.admissible_pairs))
+        strip = el.strip(*pair)
+        # one more in the numerator of the first piece's constant term
+        e = strip.polys[0][0] if strip.polys[0] else 1
+        strips = {**el.strips, pair: strip + PiecewisePoly.const(Scalar(Fraction(1, e)))}
+        bad = _unchecked(groupoid, strips, dict(c.items()))
+        with pytest.raises(CompatibilityError) as err:
+            bad.check_compatible()
+        assert str(err.value) == _compatible_oracle(bad)
 
 
 def test_center_values_cancelling_in_a_bucket_are_compatible():

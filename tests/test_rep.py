@@ -100,7 +100,7 @@ def test_integrated_rep_entries(rng):
         for i in range(1, 5):
             for j in range(1, 5):
                 expected = ZERO
-                for s, c in a.coeffs.items():
+                for s, c in a.items():
                     if s(i) == j:
                         expected = expected + c
                 assert m[j - 1, i - 1] == expected
@@ -347,7 +347,7 @@ def test_build_unitary_v_for_a_transposition():
     assert v.adjoint() * v == unit
     assert v * v.adjoint() == unit
     assert integrated_rep(v) == perm_rep(tau)
-    assert len(v.coeffs) >= 2
+    assert len(v) >= 2
 
 
 def test_build_unitary_v_identity_target():
