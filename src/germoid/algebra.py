@@ -40,8 +40,9 @@ _PPZERO = PiecewisePoly.zero()
 # Python loop; past it, numpy's fixed cost per call is the smaller one
 SMALL_PRODUCT = 64
 # gluing sums with at most this many (element, edge) terms are taken in a
-# Python loop, larger ones with one product against the pair incidence
-SMALL_SUMS = 128
+# Python loop, larger ones with one product against the pair incidence; the
+# two cost the same at about 50 terms on A4, A5 and A6 (CHANGES.md)
+SMALL_SUMS = 48
 # the numpy product gathers at most this many table entries per step
 _CHUNK = 1 << 16
 
@@ -572,13 +573,7 @@ def from_sheet(groupoid: GermGroupoid, sigma: Permutation, h) -> "AlgebraElement
     strips = {}
     for i in range(1, groupoid.n + 1):
         strips[(i, sigma(i))] = h.edges[i - 1]
-    group = groupoid.group
-    c = h.center
-    center = (
-        _vector(group, (group.index[sigma],), (c._a,), (c._b,), c._d)
-        if c else GroupAlgebraElement.zero(group)
-    )
-    return AlgebraElement(groupoid, strips, center)
+    return AlgebraElement(groupoid, strips, GroupAlgebraElement(groupoid.group, {sigma: h.center}))
 
 
 def embed_C0(groupoid: GermGroupoid, h) -> "AlgebraElement":

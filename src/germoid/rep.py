@@ -12,8 +12,8 @@ here: integer numerators over one denominator, indexed by position in the
 group's elements, with the product ``algebra.group_convolve`` over the
 Cayley table.  The integrated representation, ``phi`` and the closed-form
 preimage are sums over the group's (i, sigma(i)) incidence, and the
-centrality check compares table gathers; none of them builds a ``Scalar``
-per group element.
+centrality check multiplies by the generators' deltas, one table gather per
+product; none of them builds a ``Scalar`` per group element.
 """
 
 from __future__ import annotations
@@ -230,20 +230,13 @@ def kernel_projection(group: PermGroup) -> GroupAlgebraElement:
 def _is_central(x: GroupAlgebraElement) -> bool:
     """Whether x commutes with every delta_s.  The deltas of a generating set
     generate the group algebra, so those of the generators decide it; a group
-    built without recorded generators is checked on all its elements.
-
-    x delta_s moves the value at a to a s, and delta_s x moves it to s a:
-    the two translates are read from column and row s of the Cayley table
-    and compared position by position."""
+    built without recorded generators is checked on all its elements.  Each
+    product with a delta is one gather through a row or column of the
+    Cayley table."""
     group = x.group
-    table, index = group.table, group.index
-    values = list(zip(x.re, x.im))
     for s in group.generators or group.elements:
-        k = index[s]
-        right, left = table[:, k].tolist(), table[k].tolist()
-        if dict(zip([right[a] for a in x.positions], values)) != dict(
-            zip([left[a] for a in x.positions], values)
-        ):
+        d = GroupAlgebraElement.delta(group, s)
+        if x * d != d * x:
             return False
     return True
 

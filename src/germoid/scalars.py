@@ -9,10 +9,10 @@ equal fields, which makes equality a compare of three ints and lets the hash
 use the triple.  Arithmetic works on the integers directly; the real part,
 imaginary part and squared modulus are handed out as ``Fraction`` only when
 asked for.  ``algebra.GroupAlgebraElement`` (its constructor, ``scale``
-and the values it hands out), ``algebra.from_sheet``,
-``rep._fourier_preimage`` and ``poly`` (its ``coeffs``, ``from_scalars``,
-``pconst``, ``pscale`` and ``peval``) read the triples or build them with
-``_make``, so they follow any change to this representation.  ``_frac``
+and the values it hands out), ``rep._fourier_preimage`` and ``poly`` (its
+``coeffs``, ``from_scalars``, ``pconst``, ``pscale`` and ``peval``) read
+the triples or build them with ``_make``, so they follow any change to
+this representation.  ``_frac``
 is the one coercion to an exact rational: an int, a str or a
 ``Fraction``; a float raises ``TypeError``.  Edge coordinates,
 breakpoints and open-set endpoints all go through it.
