@@ -6,16 +6,17 @@ norms, center splitting, and rank tests all carry explicit tolerances and
 report their residuals.  The algebraic layer underneath (composition tables,
 center, diagonal commutant) stays exact.
 
-Each groupoid carries one integer composition index over its arrow order
-``G.index``: the ``np.intp`` arrays ``ia, ib, ic`` with one row per entry of
-the composition table (``ia[r] * ib[r] = ic[r]``), the same data as an m x m
-table (-1 where undefined), the index of each arrow's inverse, and the arrow
-indices of each source fiber.  An algebra element is its complex coefficient
-vector in that order.  Convolution is one scatter-add over the rows, the
-adjoint one scatter, the regular representation one gather, the operator
-norm one batched SVD per block size over that gather, and the associativity
-axiom is checked on the table one unit at a time.  The key-inequality trials
-draw nothing when no unit is isotropy-free, since no norm would be compared.
+A groupoid is one integer index over its arrows, sorted by ``repr``: the
+``np.intp`` arrays ``src_unit`` and ``rng_unit`` (unit positions),
+``inv_index``, the m x m composition ``table`` (-1 where undefined) and its
+rows ``ia[r] * ib[r] = ic[r]``.  ``transformation`` and ``equivalence`` build
+it straight from a Cayley table or from blocks; the constructor checks
+dict-form input axiom by axiom and keeps only the index.  An algebra element
+is its complex coefficient vector in arrow order.  Convolution is one
+scatter-add over the rows, the adjoint one scatter, the regular
+representation one gather, the operator norm one batched SVD per block size
+over that gather, and associativity is checked on the table one unit at a
+time.  The key-inequality trials draw nothing when no unit is isotropy-free.
 
 The center and the diagonal commutant come from closed forms.  A function on
 the arrows is central iff it vanishes off the isotropy bundle and is
@@ -72,33 +73,45 @@ def _check_arrow_count(m: int):
 
 
 class FiniteGroupoid:
-    """An explicit finite groupoid: arrows, source/range, composition, inverse.
+    """An explicit finite groupoid, held as its integer composition index.
 
-    Units are identified with their identity arrows.  All axioms are checked
-    at construction and violations point at a witness.
-    """
+    Units are identified with their identity arrows.  The constructor takes
+    source, range, composition and inverse as dicts, checks every axiom with
+    a witness, and keeps only the index."""
 
     def __init__(self, units, arrows, src, rng, unit_arrow, compose, inv):
+        self._set_arrows(units, sorted(arrows, key=repr), unit_arrow)
+        self._validate(dict(src), dict(rng), dict(compose), dict(inv))
+
+    def _set_arrows(self, units, arrows, unit_arrow):
         self.units = tuple(units)
-        self.arrows = tuple(sorted(arrows, key=repr))
+        self.arrows = tuple(arrows)
         _check_arrow_count(len(self.arrows))
-        self.src = dict(src)
-        self.rng = dict(rng)
         self.unit_arrow = dict(unit_arrow)
-        self.compose = dict(compose)
-        self.inv = dict(inv)
         self.index = {a: k for k, a in enumerate(self.arrows)}
         self._splits = {}  # minimal_central_projections by (tol, seed, attempts)
-        self._validate()
+
+    @classmethod
+    def _from_index(cls, units, arrows, unit_arrow, ia, ib, ic, inv, src, rng):
+        """A groupoid by construction, from its arrows and index in raw order."""
+        # sort the arrows by repr and relabel the index; the rows keep their
+        # order, which fixes the summation order of every convolution
+        order = sorted(range(len(arrows)), key=lambda k: repr(arrows[k]))
+        pos = np.empty(len(arrows), dtype=np.intp)
+        pos[order] = np.arange(len(arrows))
+        G = cls.__new__(cls)
+        G._set_arrows(units, [arrows[k] for k in order], unit_arrow)
+        G._build_index(pos[ia], pos[ib], pos[ic], pos[inv[order]], src[order], rng[order])
+        return G
 
     # -- validation -----------------------------------------------------------
 
-    def _validate(self):
-        """Check the axioms, building the composition index on the way."""
+    def _validate(self, src, rng, compose, inv):
+        """Check the axioms on the dict form, building the index on the way."""
         units = set(self.units)
         if len(units) != len(self.units):
             raise GroupoidAxiomError("repeated unit", self.units)
-        index, src, rng = self.index, self.src, self.rng
+        index = self.index
         for a in self.arrows:
             if src.get(a) not in units or rng.get(a) not in units:
                 raise GroupoidAxiomError("arrow without source/range in units", a)
@@ -108,24 +121,24 @@ class FiniteGroupoid:
                 raise GroupoidAxiomError("missing or misplaced unit arrow", x)
         extra = [
             (a, b)
-            for (a, b) in self.compose
+            for (a, b) in compose
             if a not in index or b not in index or src[a] != rng[b]
         ]
         by_src = Counter(src[a] for a in self.arrows)
         by_rng = Counter(rng[a] for a in self.arrows)
-        if extra or len(self.compose) != sum(by_src[x] * by_rng[x] for x in units):
+        if extra or len(compose) != sum(by_src[x] * by_rng[x] for x in units):
             missing = next(
                 (
                     (a, b)
                     for a in self.arrows
                     for b in self.arrows
-                    if src[a] == rng[b] and (a, b) not in self.compose
+                    if src[a] == rng[b] and (a, b) not in compose
                 ),
                 None,
             )
             raise GroupoidAxiomError("composition table domain mismatch", missing or extra[0])
         rows = []
-        for (a, b), c in self.compose.items():
+        for (a, b), c in compose.items():
             k = index.get(c)
             if k is None:
                 raise GroupoidAxiomError("composition lands outside arrows", (a, b, c))
@@ -135,21 +148,27 @@ class FiniteGroupoid:
                 )
             rows.append((index[a], index[b], k))
         for a in self.arrows:
-            if self.compose[(self.unit_arrow[rng[a]], a)] != a:
+            if compose[(self.unit_arrow[rng[a]], a)] != a:
                 raise GroupoidAxiomError("left unit law fails", a)
-            if self.compose[(a, self.unit_arrow[src[a]])] != a:
+            if compose[(a, self.unit_arrow[src[a]])] != a:
                 raise GroupoidAxiomError("right unit law fails", a)
         for a in self.arrows:
-            ai = self.inv.get(a)
+            ai = inv.get(a)
             if ai not in index:
                 raise GroupoidAxiomError("missing inverse", a)
             if src[ai] != rng[a] or rng[ai] != src[a]:
                 raise GroupoidAxiomError("inverse swaps source and range", a)
-            if self.compose[(ai, a)] != self.unit_arrow[src[a]]:
+            if compose[(ai, a)] != self.unit_arrow[src[a]]:
                 raise GroupoidAxiomError("inverse law a^-1 a fails", a)
-            if self.compose[(a, ai)] != self.unit_arrow[rng[a]]:
+            if compose[(a, ai)] != self.unit_arrow[rng[a]]:
                 raise GroupoidAxiomError("inverse law a a^-1 fails", a)
-        self._build_index(rows)
+        unit_pos = {x: k for k, x in enumerate(self.units)}
+        self._build_index(
+            *np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy(),
+            np.array([index[inv[a]] for a in self.arrows], dtype=np.intp),
+            np.array([unit_pos[src[a]] for a in self.arrows], dtype=np.intp),
+            np.array([unit_pos[rng[a]] for a in self.arrows], dtype=np.intp),
+        )
         # (ab)c == a(bc), one unit y = src(b) = rng(c) at a time: the rows
         # (a, b, ab) with src(b) = y against every c with rng(c) = y
         T = self.table
@@ -166,17 +185,14 @@ class FiniteGroupoid:
                     (self.arrows[a[i, 0]], self.arrows[b[i, 0]], self.arrows[c[j]]),
                 )
 
-    def _build_index(self, rows):
-        """The composition index of the (validated) table rows."""
+    def _build_index(self, ia, ib, ic, inv_index, src_unit, rng_unit):
+        """Store the index, and the fibers and regular-representation gather."""
         m = len(self.arrows)
-        unit_pos = {x: k for k, x in enumerate(self.units)}
-        self.ia, self.ib, self.ic = np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy()
+        self.ia, self.ib, self.ic = ia, ib, ic
+        self.inv_index, self.src_unit, self.rng_unit = inv_index, src_unit, rng_unit
         self.table = np.full((m, m), -1, dtype=np.intp)
-        self.table[self.ia, self.ib] = self.ic
-        self.inv_index = np.array([self.index[self.inv[a]] for a in self.arrows], dtype=np.intp)
-        self.src_unit = np.array([unit_pos[self.src[a]] for a in self.arrows], dtype=np.intp)
-        self.rng_unit = np.array([unit_pos[self.rng[a]] for a in self.arrows], dtype=np.intp)
-        self.fibers = {x: np.flatnonzero(self.src_unit == k) for x, k in unit_pos.items()}
+        self.table[ia, ib] = ic
+        self.fibers = {x: np.flatnonzero(src_unit == k) for k, x in enumerate(self.units)}
         # the regular representation: the row (a, b, c) with src(b) = x puts
         # f(a) at (c, b) of the block of x, and every cell gets exactly one row
         pos = np.empty(m, dtype=np.intp)
@@ -186,10 +202,10 @@ class FiniteGroupoid:
             pos[fiber] = np.arange(len(fiber))
             sizes[k] = len(fiber)
         offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
-        x = self.src_unit[self.ib]
-        cell = offsets[x] + pos[self.ic] * sizes[x] + pos[self.ib]
-        self.rep_gather = np.empty(len(self.ia), dtype=np.intp)
-        self.rep_gather[cell] = self.ia
+        x = src_unit[ib]
+        cell = offsets[x] + pos[ic] * sizes[x] + pos[ib]
+        self.rep_gather = np.empty(len(ia), dtype=np.intp)
+        self.rep_gather[cell] = ia
         self.rep_blocks = [
             (x, int(offsets[k]), int(sizes[k])) for k, x in enumerate(self.units)
         ]
@@ -210,44 +226,41 @@ class FiniteGroupoid:
         group elements to permutations of the points) covers non-faithful
         cases such as a nontrivial group acting trivially.
         """
+        # the arrow (g, y): y -> g(y), labelled by g's cycle string, is raw
+        # arrow k * points + y - 1 for g = elements[k]; (g, g'(y)) (g', y) =
+        # (g g', y), and the rows run over composable pairs in raw order
         _check_arrow_count(points * len(group))
         els = group.elements
         if action is None:
             if group.n != points:
                 raise ValueError("group does not act on the given points")
-            action = {g: g for g in group}
+            acts = els
         else:
             for g in group:
                 if g not in action or action[g].n != points:
                     raise ValueError("action must assign every group element a "
                                      "permutation of the points")
             acts = [action[g] for g in els]
-            for act_g, row in zip(acts, group.table):
-                for act_h, gh in zip(acts, row.tolist()):
-                    if acts[gh] != act_g * act_h:
-                        raise ValueError("action is not a homomorphism")
+        n = len(els)
+        # act[k, y]: the image of the point y + 1 under elements[k], 0-based
+        act = np.array([p.images for p in acts], dtype=np.intp).reshape(n, points) - 1
+        table = group.table.astype(np.intp)
+        if action is not None and not np.array_equal(
+            act[table], act[np.arange(n)[:, None, None], act]
+        ):
+            raise ValueError("action is not a homomorphism")
+        rng = act.ravel()
+        src = np.tile(np.arange(points), n)
+        # the arrow (k, x) composes with every arrow of range x, in raw order
+        into = np.argsort(rng, kind="stable")
+        ia = np.repeat(np.arange(n * points), np.bincount(rng, minlength=points)[src])
+        ib = np.tile(into, n)
+        ic = table[ia // points, ib // points] * points + ib % points
+        inv = group.inverse_index.astype(np.intp).repeat(points) * points + rng
+        arrows = [(g.cycle_string(), y) for g in els for y in range(1, points + 1)]
         units = list(range(1, points + 1))
-        label = [g.cycle_string() for g in els]
-        inverse = group.inverse_index.tolist()
-        arrows = []
-        src, rng, inv = {}, {}, {}
-        into = {x: [] for x in units}  # into[x]: the arrows with range x, as (position of h, y)
-        for k, g in enumerate(els):
-            for y in units:
-                a = (label[k], y)
-                arrows.append(a)
-                src[a] = y
-                rng[a] = action[g](y)
-                inv[a] = (label[inverse[k]], action[g](y))
-                into[action[g](y)].append((k, y))
         unit_arrow = {x: ("()", x) for x in units}
-        compose = {}
-        for k, row in enumerate(group.table):
-            row = row.tolist()
-            for x in units:
-                for h, y in into[x]:
-                    compose[((label[k], x), (label[h], y))] = (label[row[h]], y)
-        return cls(units, arrows, src, rng, unit_arrow, compose, inv)
+        return cls._from_index(units, arrows, unit_arrow, ia, ib, ic, inv, src, rng)
 
     @classmethod
     def trivial_action(cls, points: int, group: PermGroup) -> "FiniteGroupoid":
@@ -258,24 +271,25 @@ class FiniteGroupoid:
     @classmethod
     def equivalence(cls, blocks) -> "FiniteGroupoid":
         """Equivalence-relation groupoid: one arrow (x,y) per related pair y -> x."""
+        # in a block of size s at raw offset off, (blk[i], blk[j]) is raw arrow
+        # off + i * s + j, and the rows (x, y) (y, z) = (x, z) run in block order
         units = sorted({p for blk in blocks for p in blk})
         if len(units) != sum(len(b) for b in blocks):
             raise ValueError("blocks are not disjoint")
         _check_arrow_count(sum(len(b) ** 2 for b in blocks))
-        arrows, src, rng, inv = [], {}, {}, {}
-        compose = {}
+        unit_pos = {x: k for k, x in enumerate(units)}
+        arrows = []
+        rows, ends = [np.zeros((3, 0), dtype=np.intp)], [np.zeros((3, 0), dtype=np.intp)]
         for blk in blocks:
-            for x in blk:
-                for y in blk:
-                    a = (x, y)
-                    arrows.append(a)
-                    src[a] = y
-                    rng[a] = x
-                    inv[a] = (y, x)
-                    for z in blk:
-                        compose[((x, y), (y, z))] = (x, z)
-        unit_arrow = {x: (x, x) for x in units}
-        return cls(units, arrows, src, rng, unit_arrow, compose, inv)
+            s, off = len(blk), len(arrows)
+            arrows += [(x, y) for x in blk for y in blk]
+            at = np.array([unit_pos[x] for x in blk], dtype=np.intp)
+            i, j = np.indices((s, s)).reshape(2, -1)
+            ends.append(np.stack([off + j * s + i, at[j], at[i]]))  # inverse, source, range
+            i, j, k = np.indices((s, s, s)).reshape(3, -1)
+            rows.append(off + np.stack([i * s + j, j * s + k, i * s + k]))
+        return cls._from_index(units, arrows, {x: (x, x) for x in units},
+                               *np.concatenate(rows, axis=1), *np.concatenate(ends, axis=1))
 
     @classmethod
     def full_equivalence(cls, k: int) -> "FiniteGroupoid":
@@ -319,28 +333,27 @@ class FiniteGroupoid:
 
     # -- structure ---------------------------------------------------------------
 
+    def isotropy_orders(self) -> np.ndarray:
+        """The number of arrows from each unit to itself, by unit position."""
+        loops = self.src_unit[self.src_unit == self.rng_unit]
+        return np.bincount(loops, minlength=len(self.units))
+
     def isotropy_arrows(self, x):
-        return [a for a in self.arrows if self.src[a] == x and self.rng[a] == x]
+        k = self.units.index(x)
+        loops = (self.src_unit == k) & (self.rng_unit == k)
+        return [self.arrows[a] for a in np.flatnonzero(loops)]
 
     def has_no_isotropy(self, x) -> bool:
         return self.isotropy_arrows(x) == [self.unit_arrow[x]]
 
     def orbits(self):
-        parent = {x: x for x in self.units}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in self.arrows:
-            rx, ry = find(self.src[a]), find(self.rng[a])
-            if rx != ry:
-                parent[rx] = ry
+        # units in one orbit are joined by an arrow, so each unit's first
+        # source over the arrows into it names its orbit
+        first = np.full(len(self.units), len(self.units))
+        np.minimum.at(first, self.rng_unit, self.src_unit)
         groups = {}
-        for x in self.units:
-            groups.setdefault(find(x), []).append(x)
+        for x, k in zip(self.units, first.tolist()):
+            groups.setdefault(k, []).append(x)
         return sorted(groups.values())
 
     def describe(self) -> dict:
@@ -349,7 +362,7 @@ class FiniteGroupoid:
             "arrows": len(self.arrows),
             "orbits": len(self.orbits()),
             "isotropy_orders": {
-                str(x): len(self.isotropy_arrows(x)) for x in self.units
+                str(x): int(c) for x, c in zip(self.units, self.isotropy_orders())
             },
         }
 
@@ -368,13 +381,18 @@ def principality(G: FiniteGroupoid) -> PrincipalityFlags:
     """Principal iff no non-unit arrow has equal source and range; in the
     discrete topology the isotropy bundle is its own interior, so the
     essentially-principal flag coincides."""
-    witnesses = tuple(
-        a
-        for x in G.units
-        for a in G.isotropy_arrows(x)
-        if a != G.unit_arrow[x]
-    )
+    loops = _non_unit_loops(G)
+    loops = loops[np.argsort(G.src_unit[loops], kind="stable")]  # by unit, then index
+    witnesses = tuple(G.arrows[a] for a in loops)
     return PrincipalityFlags(not witnesses, not witnesses, witnesses)
+
+
+def _non_unit_loops(G: FiniteGroupoid) -> np.ndarray:
+    """Indices, ascending, of the arrows from a unit to itself other than
+    the unit arrows."""
+    loops = G.src_unit == G.rng_unit
+    loops[[G.index[G.unit_arrow[x]] for x in G.units]] = False
+    return np.flatnonzero(loops)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +490,7 @@ def center_basis_exact(G: FiniteGroupoid):
     classes = []
     for h in np.flatnonzero(G.src_unit == G.rng_unit):
         if not seen[h]:
-            g = G.fibers[G.src[G.arrows[h]]]  # every g with g h g^-1 defined
+            g = G.fibers[G.units[G.src_unit[h]]]  # every g with g h g^-1 defined
             in_class = np.zeros(len(G.arrows), dtype=bool)
             in_class[T[T[g, h], inv[g]]] = True
             seen |= in_class
@@ -509,13 +527,8 @@ class MasaReport:
 def diagonal_masa_check(G: FiniteGroupoid) -> MasaReport:
     """Is the diagonal maximal abelian?  Exact verdict from the commutant."""
     basis = diagonal_commutant_exact(G)
-    unit_arrow_idx = {G.index[G.unit_arrow[x]] for x in G.units}
-    witness = None
-    for vec in basis:
-        bad = [k for k, c in enumerate(vec) if c and k not in unit_arrow_idx]
-        if bad:
-            witness = G.arrows[bad[0]]
-            break
+    loops = _non_unit_loops(G)
+    witness = G.arrows[loops[0]] if len(loops) else None
     is_masa = len(basis) == len(G.units) and witness is None
     return MasaReport(len(basis), len(G.units), is_masa, witness)
 
@@ -727,7 +740,8 @@ def key_inequality_check(
     """At units with no isotropy, |f(x)| is bounded by the operator norm, and
     the diagonal matrix coefficient at the unit recovers f(x) on the nose.
     Without such a unit nothing is compared, so no element is drawn."""
-    free_units = [x for x in G.units if G.has_no_isotropy(x)]
+    # the unit arrow is always a loop, so a unit with one loop has no isotropy
+    free_units = [x for x, c in zip(G.units, G.isotropy_orders()) if c == 1]
     report = KeyInequalityReport(trials, len(free_units), [], 0.0, True)
     if not free_units:
         return report

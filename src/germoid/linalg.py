@@ -1,7 +1,7 @@
 """Dense exact linear algebra over Gaussian rationals.
 
 Row reduction, nullspaces, and linear solves with zero rounding; this backs
-the commutant computations and the minimum-norm preimages.
+the rref preimages and the ``Matrix`` checks of the star pipeline.
 """
 
 from __future__ import annotations
@@ -71,9 +71,6 @@ class Matrix:
 
     def __neg__(self):
         return Matrix([[-x for x in row] for row in self.rows])
-
-    def conj_transpose(self) -> "Matrix":
-        return Matrix([[x.conjugate() for x in row] for row in zip(*self.rows)])
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.rows for x in row)
@@ -174,12 +171,3 @@ def solve(rows, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = work[r][ncols]
     return x
-
-
-def reduce_basis(vectors):
-    """Canonical (RREF) basis of the span of the given vectors."""
-    if not vectors:
-        return []
-    work = [list(v) for v in vectors]
-    rref(work)
-    return [row for row in work if any(not x.is_zero() for x in row)]

@@ -274,12 +274,6 @@ class PiecewisePoly:
     def const(cls, c) -> "PiecewisePoly":
         return cls(_UNIT_INTERVAL, (pconst(c),), _checked=True)
 
-    @classmethod
-    def from_poly(cls, p) -> "PiecewisePoly":
-        """The polynomial p on all of (0,1]: Scalar coefficients, lowest
-        degree first, or a canonical integer piece."""
-        return cls(_UNIT_INTERVAL, (_as_piece(p),), _checked=True)
-
     def at0(self) -> Scalar:
         """Limit value as t -> 0+ (the first piece evaluated at 0)."""
         p = self.polys[0]

@@ -1,9 +1,10 @@
 """Permutation representations, group-algebra elements, commutants, and the
 constructive normalizer pipeline.
 
-Everything here is exact.  Commutants come from rational row reduction.
-Minimum-norm preimages come from Fourier inversion in closed form when the
-group acts 2-transitively, and from rational row reduction otherwise.  The
+Everything here is exact.  The commutant of permutation matrices is spanned
+by the indicators of the orbits on matrix cells.  Minimum-norm preimages
+come from Fourier inversion in closed form when the group acts
+2-transitively, and from rational row reduction otherwise.  The
 unitary produced for a target permutation is verified algebraically with
 zero tolerance rather than assumed.
 
@@ -33,7 +34,7 @@ from .algebra import (
     open_support,
 )
 from .germs import GermGroupoid
-from .linalg import Matrix, nullspace, reduce_basis, solve
+from .linalg import Matrix, nullspace, solve
 from .perms import PermGroup, Permutation
 from .poly import PiecewisePoly, _scalar
 from .scalars import ONE, ZERO, Scalar
@@ -72,33 +73,52 @@ def integrated_rep(a: GroupAlgebraElement) -> Matrix:
 
 
 def commutant_basis(mats):
-    """Exact basis of {X : XM = MX for all M}, in reduced row echelon form
-    (row-major vectorization), plus its dimension."""
+    """Exact basis of {X : XM = MX for all M}, for permutation matrices M,
+    in reduced row echelon form (row-major vectorization), plus its dimension.
+
+    X commutes with the matrix of sigma iff X[sigma(r), sigma(c)] = X[r, c],
+    so the basis is the indicators of the orbits on cells (r, c), walked
+    from the given matrices and sorted by first cell: disjoint 0/1 vectors
+    in that order are already in reduced row echelon form."""
     if not mats:
         raise ValueError("need at least one matrix")
     n = mats[0].nrows
     for m in mats:
         if m.nrows != n or m.ncols != n:
             raise ValueError("matrices must be square and of equal size")
-
-    def v(r, c):
-        return r * n + c
-
-    rows = []
-    for m in mats:
-        for r in range(n):
-            for c in range(n):
-                row = [ZERO] * (n * n)
-                for k in range(n):
-                    # (XM)[r,c] += X[r,k] M[k,c];  (MX)[r,c] += M[r,k] X[k,c]
-                    row[v(r, k)] = row[v(r, k)] + m[k, c]
-                    row[v(k, c)] = row[v(k, c)] - m[r, k]
-                rows.append(row)
-    basis_vecs = reduce_basis(nullspace(rows, n * n))
-    basis = [
-        Matrix([vec[r * n : (r + 1) * n] for r in range(n)]) for vec in basis_vecs
-    ]
+    perms = [_permutation_of(m) for m in mats]
+    orbit_of = [None] * (n * n)
+    basis = []
+    for first in range(n * n):
+        if orbit_of[first] is None:
+            orbit_of[first] = len(basis)
+            cells = [first]
+            for cell in cells:  # the list grows while it is walked
+                r, c = divmod(cell, n)
+                for p in perms:
+                    image = p[r] * n + p[c]
+                    if orbit_of[image] is None:
+                        orbit_of[image] = len(basis)
+                        cells.append(image)
+            rows = [[ZERO] * n for _ in range(n)]
+            for cell in cells:
+                rows[cell // n][cell % n] = ONE
+            basis.append(Matrix(rows))
     return basis, len(basis)
+
+
+def _permutation_of(m: Matrix):
+    """The 0-based images of a permutation matrix: column c holds its one 1
+    in row sigma(c)."""
+    images = []
+    for col in zip(*m.rows):
+        hits = [r for r, x in enumerate(col) if not x.is_zero()]
+        if len(hits) != 1 or col[hits[0]] != ONE:
+            raise ValueError("commutant_basis takes permutation matrices")
+        images.append(hits[0])
+    if len(set(images)) != len(images):
+        raise ValueError("commutant_basis takes permutation matrices")
+    return images
 
 
 # ---------------------------------------------------------------------------

@@ -59,11 +59,6 @@ def _poly_entries(rng: random.Random, max_deg: int):
     return out
 
 
-def random_poly(rng: random.Random, max_deg: int = 2):
-    """A random polynomial as a canonical ``poly`` piece."""
-    return _canon(_poly_entries(rng, max_deg))
-
-
 def random_breaks(rng: random.Random, max_interior: int = 2):
     # the pool holds neither 0 nor 1, and 1/2 twice (from 1/2 and 2/4)
     interior = rng.sample(_BREAK_POOL, rng.randint(0, max_interior))

@@ -1,12 +1,54 @@
-"""Brute-force oracles shared by several test modules."""
+"""Brute-force oracles, and helpers that nothing in the package calls, shared
+by several test modules."""
 
 from fractions import Fraction
 from math import gcd
 
 from germoid.finite import DEFAULT_TOL, _diagonal_meets, minimal_central_projections
-from germoid.poly import PiecewisePoly, from_scalars
+from germoid.linalg import Matrix, nullspace, rref
+from germoid.poly import PiecewisePoly, _canon, from_scalars
+from germoid.sampling import _poly_entries
 from germoid.scalars import ZERO, Scalar, as_scalar
 from germoid.starspace import OpenStarSet, PPFun
+
+
+def conj_transpose(m: Matrix) -> Matrix:
+    return Matrix([[x.conjugate() for x in row] for row in zip(*m.rows)])
+
+
+def reduce_basis(vectors):
+    """Canonical (RREF) basis of the span of the given vectors."""
+    if not vectors:
+        return []
+    work = [list(v) for v in vectors]
+    rref(work)
+    return [row for row in work if any(not x.is_zero() for x in row)]
+
+
+def commutant_basis_by_rref(mats):
+    """Exact basis of {X : XM = MX for all M} for any square matrices, in
+    reduced row echelon form (row-major vectorization), plus its dimension:
+    the n^2-column constraint system solved by rational row reduction."""
+    n = mats[0].nrows
+
+    def v(r, c):
+        return r * n + c
+
+    rows = []
+    for m in mats:
+        for r in range(n):
+            for c in range(n):
+                row = [ZERO] * (n * n)
+                for k in range(n):
+                    # (XM)[r,c] += X[r,k] M[k,c];  (MX)[r,c] += M[r,k] X[k,c]
+                    row[v(r, k)] = row[v(r, k)] + m[k, c]
+                    row[v(k, c)] = row[v(k, c)] - m[r, k]
+                rows.append(row)
+    basis_vecs = reduce_basis(nullspace(rows, n * n))
+    basis = [
+        Matrix([vec[r * n : (r + 1) * n] for r in range(n)]) for vec in basis_vecs
+    ]
+    return basis, len(basis)
 
 
 def bitransitive_by_brute_force(group) -> bool:
@@ -144,6 +186,12 @@ def scalar_peval(p, t) -> Scalar:
     return acc
 
 
+def random_poly(rng, max_deg: int = 2):
+    """A random polynomial as a canonical ``poly`` piece, drawn as
+    ``random_piecewise`` draws each piece before shifting it."""
+    return _canon(_poly_entries(rng, max_deg))
+
+
 # -- the sampler over Fraction and Scalar arithmetic, as it was before it drew
 # -- canonical triples; it makes the same rng calls in the same order
 
@@ -266,6 +314,62 @@ def act_on_open_set_by_renormalizing(sigma, x) -> OpenStarSet:
     for i in range(1, x.n + 1):
         edges[sigma(i) - 1] = list(x.edges[i - 1])
     return open_set_by_wrapping(x.n, x.contains_center, edges)
+
+
+# -- finite groupoids in dict form, as the constructors built them before the
+# -- index came straight from the Cayley table: keyword arguments of the
+# -- validating ``FiniteGroupoid`` constructor
+
+def transformation_by_dicts(points, group, action=None) -> dict:
+    """The action groupoid's arrows (g, y): y -> g(y), labelled by g's cycle
+    string, with one composition entry per composable pair."""
+    els = group.elements
+    if action is None:
+        action = {g: g for g in group}
+    units = list(range(1, points + 1))
+    label = [g.cycle_string() for g in els]
+    inverse = group.inverse_index.tolist()
+    arrows = []
+    src, rng, inv = {}, {}, {}
+    into = {x: [] for x in units}  # into[x]: the arrows with range x, as (position of h, y)
+    for k, g in enumerate(els):
+        for y in units:
+            a = (label[k], y)
+            arrows.append(a)
+            src[a] = y
+            rng[a] = action[g](y)
+            inv[a] = (label[inverse[k]], action[g](y))
+            into[action[g](y)].append((k, y))
+    unit_arrow = {x: ("()", x) for x in units}
+    compose = {}
+    for k, row in enumerate(group.table):
+        row = row.tolist()
+        for x in units:
+            for h, y in into[x]:
+                compose[((label[k], x), (label[h], y))] = (label[row[h]], y)
+    return dict(units=units, arrows=arrows, src=src, rng=rng, unit_arrow=unit_arrow,
+                compose=compose, inv=inv)
+
+
+def equivalence_by_dicts(blocks) -> dict:
+    """The equivalence-relation groupoid: one arrow (x, y): y -> x per
+    related pair, and (x, y) (y, z) = (x, z)."""
+    units = sorted({p for blk in blocks for p in blk})
+    arrows, src, rng, inv = [], {}, {}, {}
+    compose = {}
+    for blk in blocks:
+        for x in blk:
+            for y in blk:
+                a = (x, y)
+                arrows.append(a)
+                src[a] = y
+                rng[a] = x
+                inv[a] = (y, x)
+                for z in blk:
+                    compose[((x, y), (y, z))] = (x, z)
+    unit_arrow = {x: (x, x) for x in units}
+    return dict(units=units, arrows=arrows, src=src, rng=rng, unit_arrow=unit_arrow,
+                compose=compose, inv=inv)
 
 
 def faithfulness_by_subsets(G, tol: float = DEFAULT_TOL, seed: int = 0):

@@ -95,7 +95,7 @@ def test_embed_is_multiplicative(cross, rng):
 
 
 def test_embed_diagonal_only(cross):
-    tpoly = PiecewisePoly.from_poly((Scalar(0), Scalar(1)))
+    tpoly = PiecewisePoly((0, 1), ((Scalar(0), Scalar(1)),))
     h = PPFun(4, Scalar(0), [tpoly] + [PiecewisePoly.zero()] * 3)
     e = embed_C0(cross, h)
     assert set(e.strips) == {(1, 1)}
@@ -350,7 +350,7 @@ def test_support_product_closure(star4):
 def test_source_collision_witness(cross):
     # strips (1,1) and (1,2) both carry t: one source edge, two targets,
     # no center mass, so the failure is a genuine source collision
-    tpoly = PiecewisePoly.from_poly((Scalar(0), Scalar(1)))
+    tpoly = PiecewisePoly((0, 1), ((Scalar(0), Scalar(1)),))
     tz = [tpoly] + [PiecewisePoly.zero()] * 3
     h_edge1 = PPFun(4, Scalar(0), tz)
     h_all = PPFun(4, Scalar(0), [tpoly] * 4)

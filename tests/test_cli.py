@@ -13,7 +13,6 @@ from germoid.starspace import OpenStarSet, act
 from oracles import (
     act_on_open_set_by_renormalizing,
     fraction_piecewise,
-    fraction_poly,
     fraction_ppfun,
     fraction_scalar,
     intersect_by_renormalizing,
@@ -201,6 +200,18 @@ def test_finite_positive_and_negative(tmp_path):
     assert run(["finite", "--spec", str(neg), "--trials", "20", "--seed", "1"]) == 0
 
 
+def test_finite_s5_on_5_points(tmp_path, capsys):
+    spec = tmp_path / "s5.json"
+    spec.write_text(
+        json.dumps({"transformation": {"points": 5, "group_generators": ["(1 2)", "(1 2 3 4 5)"]}})
+    )
+    assert run(["finite", "--spec", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert "principal: False" in out
+    assert "diagonal is maximal abelian: False" in out
+    assert "[FAIL]" not in out
+
+
 def test_selftest():
     assert run(["selftest", "--seed", "5"]) == 0
 
@@ -236,7 +247,7 @@ def _report_without_wall_time(args, path):
 )
 def test_reports_equal_those_of_the_fraction_sampler(args, tmp_path, monkeypatch):
     mine = _report_without_wall_time(args, tmp_path / "mine.json")
-    for name, oracle in [("random_scalar", fraction_scalar), ("random_poly", fraction_poly),
+    for name, oracle in [("random_scalar", fraction_scalar),
                          ("random_piecewise", fraction_piecewise),
                          ("random_ppfun", fraction_ppfun)]:
         monkeypatch.setattr(germoid.sampling, name, oracle)

@@ -31,9 +31,9 @@ from germoid.finite import (
     restrict_to_units,
 )
 from germoid.linalg import nullspace
-from germoid.perms import PermGroup, Permutation, parse_cycles
+from germoid.perms import PermGroup, Permutation, extend_homomorphism, parse_cycles
 from germoid.scalars import ONE, ZERO
-from oracles import faithfulness_by_subsets
+from oracles import equivalence_by_dicts, faithfulness_by_subsets, transformation_by_dicts
 
 TOL = 1e-9
 
@@ -44,8 +44,9 @@ def algebra_image_rank(G: FiniteGroupoid) -> int:
     return int(np.linalg.matrix_rank(np.eye(len(G.arrows))[G.rep_gather], tol=1e-9))
 
 
-def source_fiber(G: FiniteGroupoid, x):
-    return [a for a in G.arrows if G.src[a] == x]
+def source_fiber(D: dict, x):
+    """The arrows with source x, in arrow order, from a groupoid's dict form."""
+    return sorted((a for a in D["arrows"] if D["src"][a] == x), key=repr)
 
 
 @pytest.fixture
@@ -262,6 +263,7 @@ def test_key_inequality_skips_isotropy_units(z2_point):
 # -- the conditional expectation ------------------------------------------------------------
 
 def test_expectation_positive_and_faithful(z3_free, rng):
+    D = transformation_by_dicts(3, PermGroup.cyclic(3))
     for _ in range(25):
         f = random_finite_element(z3_free, rng)
         e = restrict_to_units(f.adjoint() * f)
@@ -269,7 +271,7 @@ def test_expectation_positive_and_faithful(z3_free, rng):
             assert v.real >= -1e-12 and abs(v.imag) < 1e-12
             # fiber sum oracle
             expected = sum(
-                abs(f.coeff(a)) ** 2 for a in source_fiber(z3_free, x)
+                abs(f.coeff(a)) ** 2 for a in source_fiber(D, x)
             )
             assert abs(v - expected) < 1e-9
         if f.vec.any():
@@ -390,58 +392,60 @@ def test_single_blocks_decide_faithfulness_like_every_subset(z2_point):
 
 
 # -- oracles: the dict loops and the rational row reduction that the composition
-# -- index and the closed forms replaced
+# -- index and the closed forms replaced; each reads the groupoid's dict form D
 
-def _pointwise_mul(f, g):
+def _pointwise_mul(f, g, D):
     G = f.groupoid
     out = np.zeros(len(G.arrows), dtype=complex)
-    for (a, b), c in G.compose.items():
+    for (a, b), c in D["compose"].items():
         fa, gb = f.coeff(a), g.coeff(b)
         if fa and gb:
             out[G.index[c]] += fa * gb
     return FiniteAlgebraElement(G, out)
 
 
-def _pointwise_adjoint(f):
+def _pointwise_adjoint(f, D):
     G = f.groupoid
     out = np.zeros(len(G.arrows), dtype=complex)
     for a in G.arrows:
-        out[G.index[G.inv[a]]] = f.coeff(a).conjugate()
+        out[G.index[D["inv"][a]]] = f.coeff(a).conjugate()
     return FiniteAlgebraElement(G, out)
 
 
-def _loop_regular_rep(f):
+def _loop_regular_rep(f, D):
     G = f.groupoid
+    src, rng, compose = D["src"], D["rng"], D["compose"]
     blocks = {}
     for x in G.units:
-        fiber = source_fiber(G, x)
+        fiber = source_fiber(D, x)
         pos = {a: k for k, a in enumerate(fiber)}
         M = np.zeros((len(fiber), len(fiber)), dtype=complex)
         for b in fiber:
             for a in G.arrows:
-                if G.src[a] == G.rng[b]:
+                if src[a] == rng[b]:
                     c = f.coeff(a)
                     if c:
-                        M[pos[G.compose[(a, b)]], pos[b]] += c
+                        M[pos[compose[(a, b)]], pos[b]] += c
         blocks[x] = M
     return blocks
 
 
-def _rref_center(G):
+def _rref_center(G, D):
     """Commutation with every arrow indicator, solved by row reduction.
     Rows are built sparse and repeats dropped: the reduced echelon form, hence
     the basis, depends only on the row space."""
     m = len(G.arrows)
+    src, rng, compose = D["src"], D["rng"], D["compose"]
     rows = set()
     for g in G.arrows:
-        gi = G.inv[g]
+        gi = D["inv"][g]
         for w in G.arrows:
             row = {}
-            if G.src[w] == G.src[g]:
-                k = G.index[G.compose[(w, gi)]]
+            if src[w] == src[g]:
+                k = G.index[compose[(w, gi)]]
                 row[k] = row.get(k, 0) + 1
-            if G.rng[w] == G.rng[g]:
-                k = G.index[G.compose[(gi, w)]]
+            if rng[w] == rng[g]:
+                k = G.index[compose[(gi, w)]]
                 row[k] = row.get(k, 0) - 1
             rows.add(tuple(sorted((k, v) for k, v in row.items() if v)))
     rows.discard(())
@@ -454,12 +458,12 @@ def _rref_center(G):
     return nullspace(dense, m)
 
 
-def _rref_commutant(G):
+def _rref_commutant(G, D):
     m = len(G.arrows)
     rows = []
     for x in G.units:
         for w in G.arrows:
-            coeff = (G.src[w] == x) - (G.rng[w] == x)
+            coeff = (D["src"][w] == x) - (D["rng"][w] == x)
             if coeff:
                 row = [ZERO] * m
                 row[G.index[w]] = ONE * coeff
@@ -493,21 +497,50 @@ def _oracle_groupoid(name):
     return parse_finite_spec(ORACLE_SPECS[name])
 
 
+@lru_cache(maxsize=None)
+def _oracle_dicts(name):
+    """The dict form of an oracle groupoid, from the dict-building loops."""
+    spec = ORACLE_SPECS[name]
+    if "equivalence" in spec:
+        return equivalence_by_dicts(spec["equivalence"]["blocks"])
+    if "transformation" not in spec:
+        return _Z2_POINT  # the one explicit spec is the Z/2 point below
+    t = spec["transformation"]
+    points = t["points"]
+    gens = [parse_cycles(c, t.get("group_degree", points)) for c in t["group_generators"]]
+    group = PermGroup.generate(t.get("group_degree", points), gens)
+    action = None
+    if "action" in t:
+        action = extend_homomorphism(group, gens, [parse_cycles(c, points) for c in t["action"]])
+    return transformation_by_dicts(points, group, action)
+
+
+@pytest.mark.parametrize("name", ORACLE_SPECS)
+def test_array_build_matches_the_validated_dicts(name):
+    """The index built straight from the table or the blocks is the one the
+    validating constructor builds from the dict form, row order included."""
+    new, old = _oracle_groupoid(name), FiniteGroupoid(**_oracle_dicts(name))
+    assert new.arrows == old.arrows and new.units == old.units
+    assert new.unit_arrow == old.unit_arrow
+    for attr in ("table", "ia", "ib", "ic", "inv_index", "src_unit", "rng_unit", "rep_gather"):
+        assert np.array_equal(getattr(new, attr), getattr(old, attr)), attr
+
+
 @pytest.mark.parametrize("name", ORACLE_SPECS)
 def test_convolution_and_adjoint_match_the_loops(name, rng):
-    G = _oracle_groupoid(name)
+    G, D = _oracle_groupoid(name), _oracle_dicts(name)
     for _ in range(3):
         f, g = random_finite_element(G, rng), random_finite_element(G, rng)
-        assert np.allclose((f * g).vec, _pointwise_mul(f, g).vec,
+        assert np.allclose((f * g).vec, _pointwise_mul(f, g, D).vec,
                            rtol=0, atol=1e-12 * len(G.arrows))
-        assert np.array_equal(f.adjoint().vec, _pointwise_adjoint(f).vec)
+        assert np.array_equal(f.adjoint().vec, _pointwise_adjoint(f, D).vec)
 
 
 @pytest.mark.parametrize("name", ORACLE_SPECS)
 def test_regular_rep_matches_the_loop(name, rng):
     G = _oracle_groupoid(name)
     f = random_finite_element(G, rng)
-    new, old = regular_rep(f), _loop_regular_rep(f)
+    new, old = regular_rep(f), _loop_regular_rep(f, _oracle_dicts(name))
     assert list(new) == list(old)
     for x in G.units:
         assert np.array_equal(new[x], old[x])  # one coefficient per cell, exactly
@@ -515,9 +548,9 @@ def test_regular_rep_matches_the_loop(name, rng):
 
 @pytest.mark.parametrize("name", ORACLE_SPECS)
 def test_center_and_commutant_equal_the_rref_bases(name):
-    G = _oracle_groupoid(name)
-    assert center_basis_exact(G) == _rref_center(G)
-    assert diagonal_commutant_exact(G) == _rref_commutant(G)
+    G, D = _oracle_groupoid(name), _oracle_dicts(name)
+    assert center_basis_exact(G) == _rref_center(G, D)
+    assert diagonal_commutant_exact(G) == _rref_commutant(G, D)
 
 
 def _loop_key_inequality(G, trials, seed, tol=TOL):
@@ -561,7 +594,8 @@ def test_operator_norm_matches_the_per_block_loop(name, rng):
     G = _oracle_groupoid(name)
     for _ in range(3):
         f = random_finite_element(G, rng)
-        expected = max(np.linalg.norm(M, 2) for M in _loop_regular_rep(f).values())
+        expected = max(np.linalg.norm(M, 2)
+                       for M in _loop_regular_rep(f, _oracle_dicts(name)).values())
         assert abs(operator_norm(f) - expected) <= 1e-12 * expected
 
 
@@ -578,14 +612,14 @@ def test_key_inequality_draws_nothing_without_a_free_unit(name, monkeypatch):
 
 
 def test_centrality_residual_matches_the_pointwise_products():
-    G = _oracle_groupoid("s4_on_4")
+    G, D = _oracle_groupoid("s4_on_4"), _oracle_dicts("s4_on_4")
     split = minimal_central_projections(G, seed=3)
     worst = 0.0
     for z in split.projections:
         ze = FiniteAlgebraElement(G, z)
         for a in G.arrows:
             da = FiniteAlgebraElement.delta(G, a)
-            diff = _pointwise_mul(ze, da).vec - _pointwise_mul(da, ze).vec
+            diff = _pointwise_mul(ze, da, D).vec - _pointwise_mul(da, ze, D).vec
             worst = max(worst, float(np.linalg.norm(diff)))
     assert abs(split.centrality_residual - worst) < 1e-14
 
@@ -606,17 +640,21 @@ def test_one_center_split_serves_both_checks(monkeypatch):
 
 # -- every axiom failure of the constructor, with its witness ---------------------
 
+# one unit x and one self-inverse arrow g: the explicit_z2 spec in dict form
+_Z2_POINT = {
+    "units": ["x"],
+    "arrows": ["x", "g"],
+    "src": {"x": "x", "g": "x"},
+    "rng": {"x": "x", "g": "x"},
+    "unit_arrow": {"x": "x"},
+    "compose": {("x", "x"): "x", ("x", "g"): "g", ("g", "x"): "g", ("g", "g"): "x"},
+    "inv": {"x": "x", "g": "g"},
+}
+
+
 def _z2_point(**broken):
-    """One unit x and one self-inverse arrow g, with pieces replaced."""
-    data = {
-        "units": ["x"],
-        "arrows": ["x", "g"],
-        "src": {"x": "x", "g": "x"},
-        "rng": {"x": "x", "g": "x"},
-        "unit_arrow": {"x": "x"},
-        "compose": {("x", "x"): "x", ("x", "g"): "g", ("g", "x"): "g", ("g", "g"): "x"},
-        "inv": {"x": "x", "g": "g"},
-    }
+    """The Z/2 point with pieces replaced."""
+    data = dict(_Z2_POINT)
     for key, change in broken.items():
         data[key] = change(data[key])
     return FiniteGroupoid(**data)
@@ -724,9 +762,9 @@ def test_groupoids_past_the_arrow_bound_are_refused():
 
 
 def test_s5_on_5_points_is_within_the_bound():
-    G = _oracle_groupoid("s5_on_5")
-    assert len(G.compose) == 72_000
-    assert len(G.compose) <= germoid.finite.MAX_COMPOSE_ENTRIES
+    compose = _oracle_dicts("s5_on_5")["compose"]
+    assert len(compose) == len(_oracle_groupoid("s5_on_5").ia) == 72_000
+    assert len(compose) <= germoid.finite.MAX_COMPOSE_ENTRIES
 
 
 _cycle_texts = st.one_of(

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from germoid.perms import (
     CycleParseError,
@@ -121,6 +121,61 @@ def test_extend_homomorphism_rejects_inconsistent():
     # (1 2) has order 2 but a 3-cycle does not: no homomorphism
     with pytest.raises(ValueError):
         extend_homomorphism(z2, [parse_cycles("(1 2)", 2)], [parse_cycles("(1 2 3)", 3)])
+
+
+def _hom_by_table(group, gens, images):
+    """The map the generator words assign (first word found wins), if it
+    sends each generator to its image and respects every product of the
+    Cayley table; else None."""
+    hom = {group.identity: Permutation.identity(images[0].n if images else group.n)}
+    frontier = [group.identity]
+    while frontier:
+        new = []
+        for g in frontier:
+            for s, img in zip(gens, images):
+                if s * g not in hom:
+                    hom[s * g] = img * hom[g]
+                    new.append(s * g)
+        frontier = new
+    if any(hom[s] != img for s, img in zip(gens, images)):
+        return None
+    els = group.elements
+    for a, row in enumerate(group.table.tolist()):
+        for b, ab in enumerate(row):
+            if hom[els[ab]] != hom[els[a]] * hom[els[b]]:
+                return None
+    return hom
+
+
+def _perms(n):
+    return st.permutations(range(1, n + 1)).map(Permutation)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_extend_homomorphism_accepts_exactly_the_table_homomorphisms(data):
+    n = data.draw(st.integers(1, 4), label="degree")
+    gens = data.draw(st.lists(_perms(n), min_size=1, max_size=3), label="generators")
+    group = PermGroup.generate(n, gens)
+    kind = data.draw(st.sampled_from(["random", "random", "trivial", "sign", "conjugate"]))
+    m = n if kind == "conjugate" else data.draw(st.integers(1, 4), label="target degree")
+    if kind == "random":
+        images = data.draw(st.lists(_perms(m), min_size=len(gens), max_size=len(gens)))
+    elif kind == "trivial":
+        images = [Permutation.identity(m)] * len(gens)
+    elif kind == "sign":
+        t = parse_cycles("(1 2)" if m > 1 else "()", m)
+        images = [Permutation.identity(m) if s.is_even() else t for s in gens]
+    else:
+        c = data.draw(_perms(n), label="conjugator")
+        images = [c * s * c.inverse() for s in gens]
+    expected = _hom_by_table(group, gens, images)
+    try:
+        hom = extend_homomorphism(group, gens, images)
+    except ValueError:
+        assert expected is None
+    else:
+        assert hom == expected
 
 
 # -- the index over element positions --------------------------------------------

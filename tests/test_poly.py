@@ -48,9 +48,10 @@ from germoid.poly import (
     pscale,
     psub,
 )
-from germoid.sampling import random_algebra_element, random_poly, random_ppfun, random_scalar
+from germoid.sampling import random_algebra_element, random_ppfun, random_scalar
 from germoid.scalars import ZERO, Scalar
 from oracles import (
+    random_poly,
     scalar_padd,
     scalar_pconj,
     scalar_pconst,
@@ -220,7 +221,7 @@ def test_merge_returns_equal_break_tuples_as_they_are():
 
 def test_merge_with_the_trivial_breaks():
     rng = random.Random(13)
-    trivial = PiecewisePoly.from_poly(random_poly(rng, max_deg=3))
+    trivial = PiecewisePoly((0, 1), (random_poly(rng, max_deg=3),))
     assert trivial.breaks == (0, 1)
     for _ in range(50):
         f = _continuous_strip(rng, _random_breaks(rng))
@@ -399,15 +400,13 @@ def test_validating_constructor_errors(breaks, polys, message):
 def test_validating_constructor_refuses_non_canonical_integer_pieces(piece):
     with pytest.raises(ValueError, match=r"is not canonical$"):
         PiecewisePoly((0, 1), (piece,))
-    with pytest.raises(ValueError, match=r"is not canonical$"):
-        PiecewisePoly.from_poly(piece)
 
 
 def test_validating_constructor_keeps_canonical_integer_pieces():
     p, q = (1, 0, 0, 1, 0), (2, 1, 0)  # t, then 1/2
     pp = PiecewisePoly((0, Fraction(1, 2), 1), (p, q))
     assert pp.polys[0] is p and pp.polys[1] is q
-    assert PiecewisePoly.from_poly(p).polys[0] is p
+    assert PiecewisePoly((0, 1), (p,)).polys[0] is p
 
 
 def test_validating_constructor_normalizes_its_input():

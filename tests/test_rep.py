@@ -24,7 +24,7 @@ from germoid.rep import (
 from germoid.sampling import random_group_algebra_element, random_ppfun
 from germoid.scalars import ONE, ZERO
 from germoid.starspace import act
-from oracles import bitransitive_by_brute_force
+from oracles import bitransitive_by_brute_force, commutant_basis_by_rref, conj_transpose
 
 
 def delta(group, s):
@@ -53,7 +53,7 @@ def test_perm_rep_is_multiplicative(rng):
         s = rng.choice(group.elements)
         t = rng.choice(group.elements)
         assert perm_rep(s) * perm_rep(t) == perm_rep(s * t)
-        assert perm_rep(s).conj_transpose() * perm_rep(s) == Matrix.identity(4)
+        assert conj_transpose(perm_rep(s)) * perm_rep(s) == Matrix.identity(4)
 
 
 # -- the group algebra ---------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_integrated_rep_is_a_star_homomorphism(rng):
         a = random_group_algebra_element(g, rng)
         b = random_group_algebra_element(g, rng)
         assert integrated_rep(a * b) == integrated_rep(a) * integrated_rep(b)
-        assert integrated_rep(a.adjoint()) == integrated_rep(a).conj_transpose()
+        assert integrated_rep(a.adjoint()) == conj_transpose(integrated_rep(a))
 
 
 # -- commutants ------------------------------------------------------------------------
@@ -161,6 +161,25 @@ def test_generators_span_the_whole_commutant(group):
     assert commutant_basis([perm_rep(s) for s in gens]) == commutant_basis(
         [perm_rep(s) for s in group]
     )
+
+
+@pytest.mark.parametrize("group", [
+    *(PermGroup.alternating(n) for n in range(2, 8)),
+    *(PermGroup.symmetric(n) for n in range(2, 6)),
+    PermGroup.klein_cross(),
+    PermGroup.cyclic(5),
+    PermGroup.trivial(3),
+], ids=repr)
+def test_orbital_commutant_equals_the_rref_basis(group):
+    mats = [perm_rep(s) for s in group.generators or (group.identity,)]
+    assert commutant_basis(mats) == commutant_basis_by_rref(mats)
+
+
+def test_commutant_basis_refuses_other_matrices():
+    with pytest.raises(ValueError, match="permutation matrices"):
+        commutant_basis([Matrix.identity(2) + Matrix.identity(2)])
+    with pytest.raises(ValueError, match="permutation matrices"):
+        commutant_basis([Matrix.ones(2)])
 
 
 def test_commutant_of_identity_is_everything():

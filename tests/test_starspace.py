@@ -284,7 +284,7 @@ def test_act_is_a_left_action_on_sets(s, t, a):
 
 
 def test_act_pullback_on_functions():
-    tpoly = PiecewisePoly.from_poly((Scalar(0), Scalar(1)))
+    tpoly = PiecewisePoly((0, 1), ((Scalar(0), Scalar(1)),))
     h = PPFun(4, Scalar(0), [tpoly] + [PiecewisePoly.zero()] * 3)
     s = parse_cycles("(1 2)", 4)
     moved = act(s, h)
@@ -297,7 +297,7 @@ def test_act_pullback_on_functions():
 # -- coefficient functions -----------------------------------------------------
 
 def test_ppfun_requires_continuity_at_center():
-    tpoly = PiecewisePoly.from_poly((Scalar(0), Scalar(1)))
+    tpoly = PiecewisePoly((0, 1), ((Scalar(0), Scalar(1)),))
     with pytest.raises(ValueError):
         PPFun(4, Scalar(1), [tpoly] + [PiecewisePoly.const(1)] * 3)
 
@@ -305,7 +305,7 @@ def test_ppfun_requires_continuity_at_center():
 def test_ppfun_eval_and_arith():
     one = PPFun.one(4)
     assert one * one == one
-    tpoly = PiecewisePoly.from_poly((Scalar(0), Scalar(1)))
+    tpoly = PiecewisePoly((0, 1), ((Scalar(0), Scalar(1)),))
     h = PPFun(4, Scalar(0), [tpoly] + [PiecewisePoly.zero()] * 3)
     assert h.eval(CENTER) == Scalar(0)
     assert h.eval(EdgePoint(1, Fraction(2, 3))) == Scalar(Fraction(2, 3))
@@ -331,7 +331,7 @@ def test_piecewise_poly_normalization():
     # same polynomial on both pieces collapses to one piece
     p = (Scalar(1), Scalar(2))
     a = PiecewisePoly((Fraction(0), Fraction(1, 2), Fraction(1)), (p, p))
-    b = PiecewisePoly.from_poly(p)
+    b = PiecewisePoly((0, 1), (p,))
     assert a == b
     with pytest.raises(ValueError):
         PiecewisePoly(
