@@ -22,6 +22,7 @@ from .experiments import (
     star_experiment,
 )
 from .finite import CenterSplitError
+from .germs import require_star_group_order
 from .perms import CycleParseError, GroupTooLarge, parse_cycles
 from .rep import InternalCheckError
 from .reports import EXIT_FAILURE
@@ -118,17 +119,18 @@ def main(argv=None) -> int:
             if args.n < 2:
                 print("error: --n must be at least 2", file=sys.stderr)
                 return EXIT_FAILURE
+            # refuse an oversized A_n before tau allocates n images
+            try:
+                require_star_group_order("A", args.n)
+            except GroupTooLarge as exc:
+                print(f"error: --n: {exc}", file=sys.stderr)
+                return EXIT_FAILURE
             try:
                 tau = parse_cycles(args.tau, args.n)
             except CycleParseError as exc:
                 print(f"error: --tau: {exc}", file=sys.stderr)
                 return EXIT_FAILURE
-            try:
-                report = star_experiment(args.n, tau, args.trials, seed)
-            except GroupTooLarge as exc:
-                print(f"error: --n: {exc}", file=sys.stderr)
-                return EXIT_FAILURE
-            return _emit(report, args.json)
+            return _emit(star_experiment(args.n, tau, args.trials, seed), args.json)
         if args.command == "diagnose":
             try:
                 return _emit(diagnose_experiment(_load_spec(args.spec)), args.json)

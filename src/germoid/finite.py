@@ -581,6 +581,7 @@ def minimal_central_projections(
     Zmat = np.array(
         [[complex(c) for c in vec] for vec in exact], dtype=complex
     ).T  # columns are central basis vectors
+    class_sizes = Zmat.real.sum(axis=0)
     rng = random.Random(seed)
     last_gap = None
     for _ in range(attempts):
@@ -589,14 +590,12 @@ def minimal_central_projections(
             z = Zmat[:, j]
             zs = _vec_adjoint(G, z)
             h += rng.gauss(0, 1) * (z + zs) / 2 + rng.gauss(0, 1) * (z - zs) / 2j
-        # matrix of multiplication by h on the center
-        T = np.zeros((k, k), dtype=complex)
-        max_res = 0.0
-        for j in range(k):
-            prod = _vec_convolve(G, h, Zmat[:, j])
-            w, res, _, _ = np.linalg.lstsq(Zmat, prod, rcond=None)
-            max_res = max(max_res, float(np.linalg.norm(Zmat @ w - prod)))
-            T[:, j] = w
+        # matrix of multiplication by h on the center: the basis columns are
+        # disjoint 0/1 class indicators, so the least-squares coordinates of
+        # each product are its means over the classes
+        prods = np.column_stack([_vec_convolve(G, h, Zmat[:, j]) for j in range(k)])
+        T = (Zmat.T @ prods) / class_sizes[:, None]
+        max_res = float(np.linalg.norm(Zmat @ T - prods, axis=0).max())
         if max_res > 1e-8:
             raise CenterSplitError(
                 f"center is not closed under multiplication numerically (residual {max_res:.2e})"

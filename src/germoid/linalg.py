@@ -1,7 +1,9 @@
 """Dense exact linear algebra over Gaussian rationals.
 
-Row reduction, nullspaces, and linear solves with zero rounding; this backs
-the rref preimages and the ``Matrix`` checks of the star pipeline.
+Row reduction, nullspaces, and linear solves with zero rounding; ``solve``
+finds y in the minimum-norm preimage a = P^T y of a group that is not
+2-transitive (one n^2 x n^2 Gram system, ``rep._gram_preimage``), and
+``Matrix`` carries the checks of the star pipeline.
 """
 
 from __future__ import annotations

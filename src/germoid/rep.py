@@ -2,39 +2,37 @@
 constructive normalizer pipeline.
 
 Everything here is exact.  The commutant of permutation matrices is spanned
-by the indicators of the orbits on matrix cells.  Minimum-norm preimages
-come from Fourier inversion in closed form when the group acts
-2-transitively, and from rational row reduction otherwise.  The
-unitary produced for a target permutation is verified algebraically with
-zero tolerance rather than assumed.
+by the indicators of the orbits on matrix cells.  The minimum-norm preimage
+of a target matrix is a = P^T y over the group's (i, sigma(i)) pair
+incidence P, where (P P^T) y is the target's cells: y comes in closed form
+(Fourier inversion) when the group acts 2-transitively, and from one exact
+n^2 x n^2 solve otherwise.  The unitary produced for a target permutation is
+verified algebraically with zero tolerance rather than assumed.
 
 Group-algebra elements are ``algebra.GroupAlgebraElement``, re-exported
 here: integer numerators over one denominator, indexed by position in the
 group's elements, with the product ``algebra.group_convolve`` over the
-Cayley table.  The integrated representation, ``phi`` and the closed-form
-preimage are sums over the group's (i, sigma(i)) incidence, and the
-centrality check multiplies by the generators' deltas, one table gather per
-product; none of them builds a ``Scalar`` per group element.
+Cayley table.  The integrated representation, ``phi`` and the step
+a = P^T y are sums over the pair incidence, and the centrality check
+multiplies by the generators' deltas, one table gather per product; none of
+them builds a ``Scalar`` per group element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .algebra import (
     AlgebraElement,
     GroupAlgebraElement,
     NotNormalizerError,
-    _int_array,
-    _reduced,
     _support_point_map,
     embed_C0,
     is_bisection_support,
     open_support,
 )
 from .germs import GermGroupoid
-from .linalg import Matrix, nullspace, solve
+from .linalg import Matrix, solve
 from .perms import PermGroup, Permutation
 from .poly import PiecewisePoly, _scalar
 from .scalars import ONE, ZERO, Scalar
@@ -125,111 +123,63 @@ def _permutation_of(m: Matrix):
 # minimum-norm preimages and the constructive unitary
 
 
-def _integrated_system(group: PermGroup):
-    """Matrix of the integrated representation as a linear map from group
-    coefficients (columns, in group order) to matrix entries (rows)."""
-    elems = list(group)
-    n = group.n
-    rows = []
-    for r in range(n):
-        for c in range(n):
-            rows.append([ONE if s(c + 1) == r + 1 else ZERO for s in elems])
-    return elems, rows
+_OUTSIDE_THE_IMAGE = "target is not in the span of the group's permutation matrices"
 
 
 def min_norm_preimage(target: Matrix, group: PermGroup) -> GroupAlgebraElement:
     """The unique preimage of target under the integrated representation that
     is orthogonal to its kernel in the coefficient inner product.
 
-    A 2-transitive group gets the closed form of _fourier_preimage; any other
-    group gets the rational solve of _rref_preimage.  Raises
+    With P the pair incidence (``group.pair_incidence``, n^2 x |G|) and t the
+    target's entries (j, i) in P's row order, the preimage is a = P^T y for
+    any y with (P P^T) y = t: then P a = t, and a lies in the range of P^T,
+    which is the orthogonal complement of ker P.  A 2-transitive group gets y
+    in closed form from _fourier_preimage, any other group from one exact
+    solve of the n^2 x n^2 Gram system in _gram_preimage.  Raises
     PreimageObstruction when the target is outside the image, which is how
     the small-n obstruction shows up.
     """
     n = group.n
     if target.nrows != n or target.ncols != n:
         raise ValueError("target has the wrong shape")
-    if not group.is_two_transitive:
-        return _rref_preimage(target, group)
-    result = _fourier_preimage(target, group)
-    # the closed form maps onto the image; landing elsewhere than the target
-    # means the target was never in it
-    if integrated_rep(result) != target:
-        raise PreimageObstruction(
-            "target is not in the span of the group's permutation matrices"
-        )
-    return result
-
-
-def _fourier_preimage(target: Matrix, group: PermGroup) -> GroupAlgebraElement:
-    """Fourier inversion for a 2-transitive group, whose permutation
-    representation is the trivial one plus one irreducible of degree n-1
-    (Serre, Linear Representations of Finite Groups, 6.2):
-
-        a_s = ((n-1) tr(pi(s)^T T) - (n-2) c) / |G|,   c = 1^T T 1 / n.
-
-    Each a_s is a combination of the rows of the integrated system (the
-    constant vector is their sum divided by n), so the result is orthogonal
-    to the kernel by construction.
-    """
-    n, m = group.n, len(group)
-    # T's entries (j, i) in the row order of pair_incidence, over one denominator
     cells = [row[i] for i in range(n) for row in target.rows]
-    den = lcm(*[x._d for x in cells])
-    tre = [x._a * (den // x._d) for x in cells]
-    tim = [x._b * (den // x._d) for x in cells]
-    # tr(pi(s)^T T) is the sum of T over the pairs (i, s(i)); with c = sum(T)/n,
-    # a_s = (n (n-1) tr - (n-2) sum(T)) / (n |G| den)
-    inc = group.pair_incidence
-    k, shift_re, shift_im = n * (n - 1), (n - 2) * sum(tre), (n - 2) * sum(tim)
-    re = [k * t - shift_re for t in (_int_array(tre) @ inc).tolist()]
-    im = [k * t - shift_im for t in (_int_array(tim) @ inc).tolist()]
-    return _reduced(group, range(m), re, im, n * m * den)
-
-
-def _rref_preimage(target: Matrix, group: PermGroup) -> GroupAlgebraElement:
-    """min_norm_preimage for any group: solve the linear system exactly, then
-    subtract the projection of the particular solution onto the kernel (Gram
-    solve, all rational).  The oracle for the closed form."""
-    elems, rows = _integrated_system(group)
-    rhs = target.vec()
-    x0 = solve(rows, rhs)
-    if x0 is None:
-        raise PreimageObstruction(
-            "target is not in the span of the group's permutation matrices"
-        )
-    kernel = nullspace(rows, len(elems))
-    if kernel:
-        # Gram solve: coefficients of the projection of x0 onto the kernel;
-        # the Gram matrix is hermitian, so compute the upper half only
-        m = len(kernel)
-        gram = [[None] * m for _ in range(m)]
-        for r in range(m):
-            for c in range(r, m):
-                val = _hdot(kernel[c], kernel[r])
-                gram[r][c] = val
-                gram[c][r] = val.conjugate()
-        proj_rhs = [_hdot(x0, kr) for kr in kernel]
-        coefs = solve(gram, proj_rhs)
-        if coefs is None:
-            raise InternalCheckError("positive-definite Gram system failed to solve")
-        for c, k in zip(coefs, kernel):
-            x0 = [a - c * b for a, b in zip(x0, k)]
-        for k in kernel:
-            if _hdot(x0, k):
-                raise InternalCheckError("projection left a kernel component")
-    result = GroupAlgebraElement(group, dict(zip(elems, x0)))
+    pair_values = _fourier_preimage if group.is_two_transitive else _gram_preimage
+    result = GroupAlgebraElement.from_pair_values(group, pair_values(cells, group))
+    # P P^T y = t makes P a = t; the closed form maps onto the image, so
+    # landing elsewhere than the target means the target was never in it
     if integrated_rep(result) != target:
-        raise InternalCheckError("preimage does not map to the target")
+        raise PreimageObstruction(_OUTSIDE_THE_IMAGE)
     return result
 
 
-def _hdot(xs, ys) -> Scalar:
-    acc = ZERO
-    for x, y in zip(xs, ys):
-        if x and y:
-            acc = acc + x * y.conjugate()
-    return acc
+def _fourier_preimage(cells, group: PermGroup) -> list:
+    """y for a 2-transitive group, in closed form.  2-transitivity makes
+    P P^T equal to |G|/n on the diagonal, |G|/(n(n-1)) between pairs
+    (i, j), (k, l) with i != k and j != l, and 0 elsewhere.  On the image of
+    P (the trivial representation plus one irreducible of degree n-1; Serre,
+    Linear Representations of Finite Groups, 6.2) it is inverted by
+
+        y_(i,j) = (n^2 (n-1) T[j, i] - (n-2) sum(T)) / (n^2 |G|),
+
+    and P^T y is the Fourier inversion
+    a_s = ((n-1) tr(pi(s)^T T) - (n-2) c) / |G| with c = sum(T) / n.
+    """
+    n = group.n
+    shift = (n - 2) * sum(cells, ZERO)
+    scale, den = n * n * (n - 1), n * n * len(group)
+    return [(scale * t - shift) / den for t in cells]
+
+
+def _gram_preimage(cells, group: PermGroup) -> list:
+    """y for any group: one exact solve of (P P^T) y = t.  The Gram entry at
+    pairs (i, j), (k, l) counts the elements sending i to j and k to l, which
+    is |G| over the orbit size of (i, k), or 0."""
+    inc = group.pair_incidence
+    gram = [[Scalar(x) if x else ZERO for x in row] for row in (inc @ inc.T).tolist()]
+    y = solve(gram, cells)
+    if y is None:
+        raise PreimageObstruction(_OUTSIDE_THE_IMAGE)
+    return y
 
 
 def kernel_projection(group: PermGroup) -> GroupAlgebraElement:

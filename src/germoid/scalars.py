@@ -8,14 +8,14 @@ form: d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1).  Equal values have
 equal fields, which makes equality a compare of three ints and lets the hash
 use the triple.  Arithmetic works on the integers directly; the real part,
 imaginary part and squared modulus are handed out as ``Fraction`` only when
-asked for.  ``algebra.GroupAlgebraElement`` (its constructor, ``scale``
-and the values it hands out), ``rep._fourier_preimage`` and ``poly`` (its
-``coeffs``, ``from_scalars``, ``pconst``, ``pscale`` and ``peval``) read
-the triples or build them with ``_make``, so they follow any change to
-this representation.  ``_frac``
-is the one coercion to an exact rational: an int, a str or a
-``Fraction``; a float raises ``TypeError``.  Edge coordinates,
-breakpoints and open-set endpoints all go through it.
+asked for.  ``algebra.GroupAlgebraElement`` (its constructor, ``scale``,
+the values it hands out and ``from_pair_values``, the step a = P^T y of
+every minimum-norm preimage) and ``poly`` (its ``coeffs``,
+``from_scalars``, ``pconst``, ``pscale`` and ``peval``) read the triples
+or build them with ``_make``, so they follow any change to this
+representation.  ``_frac`` is the one coercion to an exact rational: an
+int, a str or a ``Fraction``; a float raises ``TypeError``.  Edge
+coordinates, breakpoints and open-set endpoints all go through it.
 """
 
 from __future__ import annotations

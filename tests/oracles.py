@@ -5,10 +5,16 @@ from fractions import Fraction
 from math import gcd
 
 from germoid.finite import DEFAULT_TOL, _diagonal_meets, minimal_central_projections
-from germoid.linalg import Matrix, nullspace, rref
+from germoid.linalg import Matrix, nullspace, rref, solve
 from germoid.poly import PiecewisePoly, _canon, from_scalars
+from germoid.rep import (
+    GroupAlgebraElement,
+    InternalCheckError,
+    PreimageObstruction,
+    integrated_rep,
+)
 from germoid.sampling import _poly_entries
-from germoid.scalars import ZERO, Scalar, as_scalar
+from germoid.scalars import ONE, ZERO, Scalar, as_scalar
 from germoid.starspace import OpenStarSet, PPFun
 
 
@@ -383,3 +389,63 @@ def faithfulness_by_subsets(G, tol: float = DEFAULT_TOL, seed: int = 0):
         if not meets:
             return False, tuple(S)
     return True, None
+
+
+# -- the minimum-norm preimage by rational row reduction over |G| columns, as
+# -- the package computed it for groups that are not 2-transitive before a = P^T y
+
+def _integrated_system(group):
+    """Matrix of the integrated representation as a linear map from group
+    coefficients (columns, in group order) to matrix entries (rows)."""
+    elems = list(group)
+    n = group.n
+    rows = []
+    for r in range(n):
+        for c in range(n):
+            rows.append([ONE if s(c + 1) == r + 1 else ZERO for s in elems])
+    return elems, rows
+
+
+def rref_preimage(target: Matrix, group) -> GroupAlgebraElement:
+    """min_norm_preimage for any group: solve the linear system exactly, then
+    subtract the projection of the particular solution onto the kernel (Gram
+    solve, all rational).  The oracle for the closed form."""
+    elems, rows = _integrated_system(group)
+    rhs = target.vec()
+    x0 = solve(rows, rhs)
+    if x0 is None:
+        raise PreimageObstruction(
+            "target is not in the span of the group's permutation matrices"
+        )
+    kernel = nullspace(rows, len(elems))
+    if kernel:
+        # Gram solve: coefficients of the projection of x0 onto the kernel;
+        # the Gram matrix is hermitian, so compute the upper half only
+        m = len(kernel)
+        gram = [[None] * m for _ in range(m)]
+        for r in range(m):
+            for c in range(r, m):
+                val = _hdot(kernel[c], kernel[r])
+                gram[r][c] = val
+                gram[c][r] = val.conjugate()
+        proj_rhs = [_hdot(x0, kr) for kr in kernel]
+        coefs = solve(gram, proj_rhs)
+        if coefs is None:
+            raise InternalCheckError("positive-definite Gram system failed to solve")
+        for c, k in zip(coefs, kernel):
+            x0 = [a - c * b for a, b in zip(x0, k)]
+        for k in kernel:
+            if _hdot(x0, k):
+                raise InternalCheckError("projection left a kernel component")
+    result = GroupAlgebraElement(group, dict(zip(elems, x0)))
+    if integrated_rep(result) != target:
+        raise InternalCheckError("preimage does not map to the target")
+    return result
+
+
+def _hdot(xs, ys) -> Scalar:
+    acc = ZERO
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = acc + x * y.conjugate()
+    return acc

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import germoid.cli
 import germoid.experiments
 import germoid.sampling
 from germoid.algebra import AlgebraElement
@@ -147,6 +148,18 @@ def test_oversized_star_groups_exit_one_fast(argv, tmp_path, capsys):
     err = captured.err.strip()
     assert err.startswith("error: ") and "\n" not in err
     assert "more than 2520" in err or "exceeded 2520" in err
+    assert captured.out == ""
+
+
+def test_oversized_star_is_refused_before_tau_is_built(monkeypatch, capsys):
+    # parse_cycles allocates n images, so a huge --n must never reach it
+    def refuse(text, n):
+        raise AssertionError(f"parse_cycles called with n={n}")
+
+    monkeypatch.setattr(germoid.cli, "parse_cycles", refuse)
+    assert run(["star", "--n", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "error: --n: group A8 has more than 2520 elements"
     assert captured.out == ""
 
 

@@ -11,7 +11,6 @@ from germoid.rep import (
     GroupAlgebraElement,
     PreimageObstruction,
     _is_central,
-    _rref_preimage,
     build_strange_normalizer,
     build_unitary_v,
     commutant_basis,
@@ -24,7 +23,12 @@ from germoid.rep import (
 from germoid.sampling import random_group_algebra_element, random_ppfun
 from germoid.scalars import ONE, ZERO
 from germoid.starspace import act
-from oracles import bitransitive_by_brute_force, commutant_basis_by_rref, conj_transpose
+from oracles import (
+    bitransitive_by_brute_force,
+    commutant_basis_by_rref,
+    conj_transpose,
+    rref_preimage,
+)
 
 
 def delta(group, s):
@@ -263,7 +267,7 @@ def test_min_norm_preimage_is_the_orthogonal_one(rng):
 
 
 def test_obstruction_for_small_n(monkeypatch):
-    # the documented obstruction comes from the rref path
+    # the documented obstruction comes from the Gram solve
     monkeypatch.delattr(germoid.rep, "_fourier_preimage")
     group = PermGroup.alternating(3)
     with pytest.raises(PreimageObstruction):
@@ -278,7 +282,7 @@ def test_closed_form_preimage_matches_rref_oracle(n, cycles):
     group = PermGroup.alternating(n)
     assert group.is_two_transitive
     target = perm_rep(parse_cycles(cycles, n))
-    assert min_norm_preimage(target, group) == _rref_preimage(target, group)
+    assert min_norm_preimage(target, group) == rref_preimage(target, group)
 
 
 @pytest.mark.parametrize("group, samples", [
@@ -288,7 +292,7 @@ def test_closed_form_preimage_matches_rref_oracle(n, cycles):
 def test_closed_form_preimage_of_random_complex_targets(group, samples, rng):
     for _ in range(samples):
         target = integrated_rep(random_group_algebra_element(group, rng))
-        assert min_norm_preimage(target, group) == _rref_preimage(target, group)
+        assert min_norm_preimage(target, group) == rref_preimage(target, group)
 
 
 @pytest.mark.parametrize("group", [
@@ -309,8 +313,46 @@ def test_groups_that_are_not_two_transitive_take_the_rref_path(group, monkeypatc
     monkeypatch.delattr(germoid.rep, "_fourier_preimage")
     assert not group.is_two_transitive
     target = perm_rep(group.generators[0])
-    assert min_norm_preimage(target, group) == _rref_preimage(target, group)
+    assert min_norm_preimage(target, group) == rref_preimage(target, group)
     kernel_projection(group)
+
+
+def _generated(n, *cycles):
+    return PermGroup.generate(n, [parse_cycles(c, n) for c in cycles])
+
+
+@pytest.mark.parametrize("group", [
+    _generated(6, "(1 2 3)", "(1 4)(2 5)(3 6)"),   # C3 wr C2, order 18
+    _generated(6, "(1 2)", "(1 2 3)", "(4 5)", "(4 5 6)"),   # S3 x S3, order 36
+], ids=lambda g: f"order {len(g)} on {g.n} points")
+def test_gram_solve_preimage_matches_rref_oracle(group, rng, monkeypatch):
+    monkeypatch.delattr(germoid.rep, "_fourier_preimage")
+    assert not group.is_two_transitive
+    targets = [integrated_rep(random_group_algebra_element(group, rng, 5)) for _ in range(3)]
+    targets += [perm_rep(s) for s in group.generators] + [Matrix.identity(group.n)]
+    for target in targets:
+        assert min_norm_preimage(target, group) == rref_preimage(target, group)
+
+
+def test_preimage_past_the_reach_of_the_rref_oracle(rng, monkeypatch):
+    # S4 x S4 on 8 points: 576 columns, which the |G|-column oracle cannot
+    # reduce in reasonable time; one 64 x 64 Gram solve can
+    monkeypatch.delattr(germoid.rep, "_fourier_preimage")
+    group = _generated(8, "(1 2)", "(1 2 3 4)", "(5 6)", "(5 6 7 8)")
+    assert len(group) == 576 and not group.is_two_transitive
+    p = kernel_projection(group)
+    for _ in range(3):
+        a = random_group_algebra_element(group, rng)
+        assert min_norm_preimage(integrated_rep(a), group) == a - p * a
+
+
+def test_gram_solve_rejects_a_target_outside_the_image(monkeypatch):
+    # every element of the Klein cross fixes 1 iff it fixes 2, so the image
+    # has equal (1, 1) and (2, 2) entries and misses E_11
+    monkeypatch.delattr(germoid.rep, "_fourier_preimage")
+    e11 = Matrix([[ONE if r == c == 0 else ZERO for c in range(4)] for r in range(4)])
+    with pytest.raises(PreimageObstruction):
+        min_norm_preimage(e11, PermGroup.klein_cross())
 
 
 def test_kernel_projection_properties():

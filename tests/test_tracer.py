@@ -3,8 +3,9 @@
 ``bench/tracer.py`` wraps methods it reads from each class's own
 ``__dict__`` and module functions by name, so moving one of them (into a
 base class, say) breaks ``bench/run.py --trace 1``.  This runs the tracer's
-``install`` on a fresh import in a subprocess and two short experiments
-under it.
+``install`` on a fresh import in a subprocess and three short experiments
+under it; ``star --n 3`` takes the preimage's Gram solve through
+``linalg.rref``.
 """
 
 import json
@@ -24,7 +25,8 @@ from tracer import Tracer, install
 tracer = Tracer()
 install(tracer)
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(["star", "--n", "4", "--trials", "1"]), main(["cross", "--trials", "2"])]
+    codes = [main(["star", "--n", "4", "--trials", "1"]), main(["cross", "--trials", "2"]),
+             main(["star", "--n", "3"])]
 print(json.dumps({{"codes": codes, "calls": tracer.calls, "counts": tracer.counts}}))
 """
 
@@ -36,9 +38,11 @@ def test_the_tracer_installs_and_counts_spans():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["codes"] == [0, 0]
+    assert out["codes"] == [0, 0, 2]
     calls = out["calls"]
     for span in ("algebra.convolve", "algebra.check_compatible", "algebra.add",
-                 "rep.group_algebra_mul", "rep.phi", "rep.kernel_projection"):
+                 "rep.group_algebra_mul", "rep.phi", "rep.kernel_projection",
+                 # A3 is not 2-transitive: its preimages take the Gram solve
+                 "rep.min_norm_preimage", "linalg.rref"):
         assert calls.get(span, 0) > 0, span
     assert out["counts"]["algebra.center_products"] > 0
