@@ -15,6 +15,15 @@ shifts that list's constant term by level - p(lo), and takes the next level
 p(hi), from ``poly._horner`` at the rational breakpoint, so each piece
 becomes a canonical integer tuple once, with one gcd.  Its result still
 goes through the validating ``PiecewisePoly`` constructor.
+
+A random algebra element is one construction, whatever its number of
+sheets.  Each sheet draws sigma and then a ``PPFun`` h, whose constructor
+checks every edge's limit at 0 against h's center value.  h's edge
+functions are summed into the strips (i, sigma(i)), adding
+``PiecewisePoly``s only where a pair repeats, and its center value into
+sigma's.  The sums become one ``AlgebraElement`` through the validating
+path, which checks the strips' edge pairs and the center's group, and the
+gluing law once, at zero tolerance.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from .algebra import AlgebraElement, from_sheet
+from .algebra import AlgebraElement, GroupAlgebraElement
 from .germs import CenterGerm, EdgeGerm, GermGroupoid
 from .perms import PermGroup
 from .poly import PiecewisePoly, _canon, _horner
@@ -116,12 +125,16 @@ def random_group_element(group: PermGroup, rng: random.Random):
 def random_algebra_element(
     groupoid: GermGroupoid, rng: random.Random, sheets: int = 3
 ) -> AlgebraElement:
-    """Random sum of sheet elements; compatible by construction."""
-    out = AlgebraElement.zero(groupoid)
+    """Random sum of sheet elements, built as one validated element."""
+    group, n = groupoid.group, groupoid.n
+    strips, center = {}, {}
     for _ in range(sheets):
-        sigma = random_group_element(groupoid.group, rng)
-        out = out + from_sheet(groupoid, sigma, random_ppfun(groupoid.n, rng))
-    return out
+        sigma = random_group_element(group, rng)
+        h = random_ppfun(n, rng)
+        for pair, e in zip(enumerate(sigma.images, 1), h.edges):
+            strips[pair] = strips[pair] + e if pair in strips else e
+        center[sigma] = center[sigma] + h.center if sigma in center else h.center
+    return AlgebraElement(groupoid, strips, center)
 
 
 def random_germ(groupoid: GermGroupoid, rng: random.Random):
@@ -133,8 +146,6 @@ def random_germ(groupoid: GermGroupoid, rng: random.Random):
 
 
 def random_group_algebra_element(group, rng: random.Random, support: int = 3):
-    from .rep import GroupAlgebraElement
-
     coeffs = {}
     for _ in range(support):
         coeffs[rng.choice(group.elements)] = random_scalar(rng)

@@ -283,8 +283,12 @@ class PPFun:
         edges = tuple(edges)
         if len(edges) != n:
             raise ValueError(f"expected {n} edge functions")
+        ca, cb, cd = center._a, center._b, center._d
         for i, e in enumerate(edges, start=1):
-            if e.at0() != center:
+            # the limit at 0 is the constant term (a0 + b0 i)/d of the first piece
+            p = e.polys[0]
+            d, a, b = p[:3] if p else (1, 0, 0)
+            if a * cd != ca * d or b * cd != cb * d:
                 raise ValueError(
                     f"edge {i} limit {e.at0()} at the center differs from center value {center}"
                 )

@@ -4,6 +4,7 @@ by several test modules."""
 from fractions import Fraction
 from math import gcd
 
+from germoid.algebra import AlgebraElement, from_sheet
 from germoid.finite import DEFAULT_TOL, _diagonal_meets, minimal_central_projections
 from germoid.linalg import Matrix, nullspace, rref, solve
 from germoid.poly import PiecewisePoly, _canon, from_scalars
@@ -13,7 +14,7 @@ from germoid.rep import (
     PreimageObstruction,
     integrated_rep,
 )
-from germoid.sampling import _poly_entries
+from germoid.sampling import _poly_entries, random_group_element, random_ppfun
 from germoid.scalars import ONE, ZERO, Scalar, as_scalar
 from germoid.starspace import OpenStarSet, PPFun
 
@@ -272,6 +273,18 @@ def norm_intervals_by_wrapping(intervals):
         else:
             out.append((a, b, inc))
     return tuple(out)
+
+
+# -- the algebra-element sampler as it was before it built one element: the
+# -- zero element plus one validated sheet element per draw, added one at a
+# -- time; it makes the same rng calls in the same order
+
+def random_algebra_element_by_sheets(groupoid, rng, sheets: int = 3) -> AlgebraElement:
+    out = AlgebraElement.zero(groupoid)
+    for _ in range(sheets):
+        sigma = random_group_element(groupoid.group, rng)
+        out = out + from_sheet(groupoid, sigma, random_ppfun(groupoid.n, rng))
+    return out
 
 
 # -- the open-set lattice as it was before the trusted path: every result is

@@ -283,6 +283,8 @@ def test_reports_equal_those_of_the_fraction_sampler(args, tmp_path, monkeypatch
 _PINNED_REPORTS = {
     ("cross", "--trials", "20", "--seed", "3"):
         "5114874c5fe63f48741de5660aadf75c1632f80511bb927d5789a684a4201c04",
+    ("cross", "--trials", "120", "--seed", "7"):
+        "1eeb64c47e9293cb6539dabe695c9413a656ce7a0b9911f2b9bf27d7614c5826",
     ("selftest", "--seed", "11"):
         "a958015b36a414e03809f90e68fd66aed288a1575cb7e41b45433bad2f45f9b9",
     ("star", "--n", "4"):

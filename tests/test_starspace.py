@@ -302,6 +302,43 @@ def test_ppfun_requires_continuity_at_center():
         PPFun(4, Scalar(1), [tpoly] + [PiecewisePoly.const(1)] * 3)
 
 
+def _line(c0, c1):
+    """The one-piece function c0 + c1 t."""
+    return PiecewisePoly((0, 1), ((Scalar(c0[0], c0[1]), Scalar(c1[0], c1[1])),))
+
+
+@pytest.mark.parametrize("center, first, message", [
+    # real parts differ: 1/3 + t/2 (stored over 6) against 1/2
+    ((Fraction(1, 2), 0), _line((Fraction(1, 3), 0), (Fraction(1, 2), 0)),
+     "edge 2 limit 1/3 at the center differs from center value 1/2"),
+    # only the imaginary parts differ
+    ((Fraction(1, 2), Fraction(1, 3)), _line((Fraction(1, 2), Fraction(1, 4)), (1, 0)),
+     "edge 2 limit 1/2+1/4i at the center differs from center value 1/2+1/3i"),
+    # a zero center against a nonzero first piece
+    ((0, 0), _line((1, 0), (1, 0)),
+     "edge 2 limit 1 at the center differs from center value 0"),
+])
+def test_ppfun_refuses_an_edge_limit_off_the_center_value(center, first, message):
+    c = Scalar(*center)
+    with pytest.raises(ValueError) as err:
+        PPFun(3, c, [PiecewisePoly.const(c), first, PiecewisePoly.const(c)])
+    assert str(err.value) == message
+
+
+def test_ppfun_accepts_edge_limits_equal_to_the_center_value():
+    # the limit of 1/2 + 1/3 i + t/5 is stored over the piece's denominator,
+    # as (15 + 10i)/30, the center over its own, as (3 + 2i)/6
+    c = Scalar(Fraction(1, 2), Fraction(1, 3))
+    first = _line((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 5), 0))
+    assert first.polys[0][:3] == (30, 15, 10)
+    assert PPFun(2, c, [first, PiecewisePoly.const(c)]).center == c
+    # a zero center: a zero first piece, and a nonzero first piece vanishing at 0
+    half = Fraction(1, 2)
+    late = PiecewisePoly((0, half, 1), ((), _line((-half, 0), (1, 0)).polys[0]))
+    assert late.polys[0] == ()
+    PPFun(3, Scalar(0), [late, PiecewisePoly.zero(), _line((0, 0), (1, 0))])
+
+
 def test_ppfun_eval_and_arith():
     one = PPFun.one(4)
     assert one * one == one
