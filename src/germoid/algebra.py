@@ -724,21 +724,10 @@ def has_nonunit_value(f: AlgebraElement) -> bool:
 
 
 @dataclass
-class CentralTestResult:
-    lam: Scalar
-    left_ok: bool   # g*f == lambda(g) f
-    right_ok: bool  # f*g == lambda(g) f
-
-
-@dataclass
 class CentralIdealReport:
-    results: list
+    all_commute: bool  # g*f == f*g == lambda(g) f for every test element
     not_in_C0: bool
     span_meets_diagonal_trivially: bool
-
-    @property
-    def all_commute(self) -> bool:
-        return all(r.left_ok and r.right_ok for r in self.results)
 
     @property
     def ok(self) -> bool:
@@ -747,16 +736,17 @@ class CentralIdealReport:
 
 def verify_central_ideal(f: AlgebraElement, tests) -> CentralIdealReport:
     """Check g*f = f*g = lambda(g) f exactly for each test element, and that
-    the line through f misses the diagonal subalgebra."""
-    results = []
+    the line through f misses the diagonal subalgebra.  ``tests`` may be any
+    iterable: each element is checked, both products, and dropped before the
+    next is taken."""
+    all_commute = True
     for g in tests:
-        lam = lambda_scalar(g)
-        expected = f.scale(lam)
-        results.append(CentralTestResult(lam, g * f == expected, f * g == expected))
+        expected = f.scale(lambda_scalar(g))
+        all_commute &= (g * f == expected) & (f * g == expected)
     nonunit = has_nonunit_value(f)
     # a nonzero multiple of f has the same nonunit support, so the span of f
     # meets the diagonal subalgebra only in 0 exactly when f has a nonunit value
-    return CentralIdealReport(results, nonunit, nonunit or f.is_zero())
+    return CentralIdealReport(all_commute, nonunit, nonunit or f.is_zero())
 
 
 # ---------------------------------------------------------------------------

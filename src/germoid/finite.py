@@ -39,6 +39,7 @@ from .perms import (
     PermGroup,
     Permutation,
     extend_homomorphism,
+    parse_count,
     parse_cycles,
 )
 from .scalars import ONE, ZERO
@@ -789,8 +790,8 @@ def parse_finite_spec(spec: dict) -> FiniteGroupoid:
 def _parse_finite_spec(spec):
     if "transformation" in spec:
         t = spec["transformation"]
-        k = int(t["points"])
-        degree = int(t.get("group_degree", k))
+        k = parse_count(t["points"], "points")
+        degree = parse_count(t.get("group_degree", k), "group_degree")
         if k < 1 or degree < 1:
             raise ValueError("points and group_degree must be positive")
         max_order = math.isqrt(MAX_COMPOSE_ENTRIES // max(k, degree))

@@ -9,6 +9,7 @@ group elements.  Composition follows source(first) = range(second).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .perms import GroupTooLarge, PermGroup, Permutation
 from .scalars import _frac
@@ -91,6 +92,11 @@ class GermGroupoid:
             for i in range(1, n + 1):
                 pairs.add((i, sigma(i)))
         self.admissible_pairs = frozenset(pairs)
+
+    @cached_property
+    def sorted_pairs(self) -> tuple:
+        """The admissible pairs (i, sigma(i)) in increasing order."""
+        return tuple(sorted(self.admissible_pairs))
 
     # -- canonical constructions ------------------------------------------
 
@@ -268,11 +274,11 @@ def parse_star_spec(spec: dict) -> GermGroupoid:
 
 
 def _parse_star_spec(spec):
-    from .perms import parse_cycles
+    from .perms import parse_count, parse_cycles
 
     if "n" not in spec:
         raise ValueError("star spec needs an edge count 'n'")
-    n = int(spec["n"])
+    n = parse_count(spec["n"], "edge count")
     if n < 1:
         raise ValueError("edge count must be positive")
     if n > MAX_STAR_EDGES:

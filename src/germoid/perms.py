@@ -168,6 +168,18 @@ def parse_cycles(text: str, n: int) -> Permutation:
     return Permutation(images)
 
 
+def parse_count(value, name: str) -> int:
+    """A count from a JSON spec: an int, an integral float or a string of
+    decimal digits.  Anything else, a bool, 4.5 or "1_0" among them, raises
+    ``ValueError`` naming the count, rather than being read as 1, truncated
+    or read by ``int``'s wider rules."""
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()
+            or isinstance(value, str) and value.strip().isdecimal()):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def mulclose(generators, limit=None):
     """Breadth-first closure of a generator set under products; raises
     ``GroupTooLarge`` once it holds more than ``limit`` elements."""

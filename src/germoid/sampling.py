@@ -1,10 +1,26 @@
 """Seeded random generators for scalars, functions, algebra elements, and germs.
 
 Deterministic given a random.Random instance; the CLI and the property-test
-suites share these so reported trials are reproducible.  The sequence of
-``rng`` calls each generator makes is part of its contract: every seeded
-report depends on it, so a change to what is drawn, or in which order,
-changes the reports.
+suites share these so reported trials are reproducible.  Each generator's
+contract is the stream of values it draws and the rng state it leaves:
+every seeded report depends on both, so a change to what is drawn, or in
+which order, changes the reports.  How a value is drawn is not part of it.
+
+Integer draws go straight to ``rng.getrandbits``.  ``_randint(rng, lo, hi)``
+is CPython's ``rng.randint(lo, hi)`` without its three Python frames: with
+n = hi - lo + 1 it draws ``getrandbits(n.bit_length())`` until the result r
+is below n and returns lo + r, which is ``_randbelow_with_getrandbits``
+bit for bit.  n = 1 takes no shortcut: it still draws one bit, as CPython
+does.  ``_poly_entries`` inlines that rule, since it draws most of the
+values.  ``rng.sample``'s draws depend only on the population's length and
+k, so breakpoints are drawn as indices, ``rng.sample(range(10), k)``, and
+the index tuple is looked up in a table of finished breakpoint tuples
+(``_BREAKS``); ``random_open_set`` draws its endpoint pair the same way over
+the twelve endpoints (``_INTERVALS``).  Both tables fill on first use, one
+entry per index tuple met, so importing the module builds nothing.  They
+are caches of fixed functions of the key and hold immutable tuples: at
+most 101 breakpoint entries at the default max_interior = 2, and 132
+endpoint pairs.
 
 Scalars and coefficient functions are built over the integers that
 ``Scalar`` and ``poly`` store.  ``random_scalar`` turns its four draws p, q,
@@ -39,16 +55,37 @@ from .poly import PiecewisePoly, _canon, _horner
 from .scalars import Scalar, _make
 from .starspace import OpenStarSet, PPFun
 
-_BREAK_POOL = [Fraction(a, b) for b in (2, 3, 4, 5) for a in range(1, b)]
+# the pool holds neither 0 nor 1, and 1/2 twice (from 1/2 and 2/4)
+_BREAK_POOL = tuple(Fraction(a, b) for b in (2, 3, 4, 5) for a in range(1, b))
 _F0, _F1 = Fraction(0), Fraction(1)
+_ENDPOINTS = (*_BREAK_POOL, _F0, _F1)
+_POOL_INDICES, _ENDPOINT_INDICES = range(len(_BREAK_POOL)), range(len(_ENDPOINTS))
+# (p - 4) * (12 // (q + 1)) at [p << 2 | q]: a numerator drawn in -4..4 over a
+# denominator drawn in 1..4, put over 12, from the raw draws p < 9, q < 4
+_OVER_12 = tuple((p - 4) * (12 // (q + 1)) for p in range(9) for q in range(4))
+# sampled index tuple -> (0, sorted distinct breakpoints, 1)
+_BREAKS: dict = {}
+# sampled endpoint index pair -> (a, b, b == 1) with a < b, or () where a == b
+_INTERVALS: dict = {}
+
+
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """rng.randint(lo, hi): the same value and the same rng state after."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    bits = rng.getrandbits
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return lo + r
 
 
 def random_scalar(rng: random.Random, span: int = 4) -> Scalar:
     """p/q + (r/s) i, drawn in the order p, q, r, s."""
-    p = rng.randint(-span, span)
-    q = rng.randint(1, span)
-    r = rng.randint(-span, span)
-    s = rng.randint(1, span)
+    p = _randint(rng, -span, span)
+    q = _randint(rng, 1, span)
+    r = _randint(rng, -span, span)
+    s = _randint(rng, 1, span)
     a, b, d = p * s, r * q, q * s
     g = gcd(a, b, d)
     return _make(a // g, b // g, d // g)
@@ -58,20 +95,39 @@ def _poly_entries(rng: random.Random, max_deg: int):
     """[12, a0, b0, a1, b1, ...]: a random polynomial whose coefficients are
     drawn as random_scalar draws them, each put over 12 = lcm(1, 2, 3, 4), a
     multiple of every denominator q, s drawn; neither trimmed nor reduced."""
+    # _randint inlined: randint(0, max_deg), then per coefficient
+    # randint(-4, 4) (9 values, 4 bits) and randint(1, 4) (4 values, 3 bits)
+    bits = rng.getrandbits
+    n = max_deg + 1
+    k = n.bit_length()
+    deg = bits(k)
+    while deg >= n:
+        deg = bits(k)
     out = [12]
-    for _ in range(rng.randint(0, max_deg) + 1):
-        p = rng.randint(-4, 4)
-        q = rng.randint(1, 4)
-        r = rng.randint(-4, 4)
-        s = rng.randint(1, 4)
-        out += (p * (12 // q), r * (12 // s))
+    for _ in range(deg + 1):
+        p = bits(4)
+        while p >= 9:
+            p = bits(4)
+        q = bits(3)
+        while q >= 4:
+            q = bits(3)
+        r = bits(4)
+        while r >= 9:
+            r = bits(4)
+        s = bits(3)
+        while s >= 4:
+            s = bits(3)
+        out += (_OVER_12[p << 2 | q], _OVER_12[r << 2 | s])
     return out
 
 
-def random_breaks(rng: random.Random, max_interior: int = 2):
-    # the pool holds neither 0 nor 1, and 1/2 twice (from 1/2 and 2/4)
-    interior = rng.sample(_BREAK_POOL, rng.randint(0, max_interior))
-    return [_F0, *sorted(set(interior)), _F1]
+def random_breaks(rng: random.Random, max_interior: int = 2) -> tuple:
+    """(0, sorted distinct breakpoints from the pool, 1)."""
+    key = tuple(rng.sample(_POOL_INDICES, _randint(rng, 0, max_interior)))
+    breaks = _BREAKS.get(key)
+    if breaks is None:
+        breaks = _BREAKS[key] = (_F0, *sorted({_BREAK_POOL[i] for i in key}), _F1)
+    return breaks
 
 
 def random_piecewise(rng: random.Random, value_at_0: Scalar, max_interior: int = 2) -> PiecewisePoly:
@@ -106,15 +162,20 @@ def random_open_set(n: int, rng: random.Random) -> OpenStarSet:
     edges = []
     for _ in range(n):
         ivs = []
-        for _ in range(rng.randint(0, 2)):
-            a, b = sorted(rng.sample(_BREAK_POOL + [Fraction(0), Fraction(1)], 2))
-            if a < b:
-                ivs.append((a, b, b == 1 and rng.random() < 0.5))
+        for _ in range(_randint(rng, 0, 2)):
+            key = tuple(rng.sample(_ENDPOINT_INDICES, 2))
+            iv = _INTERVALS.get(key)
+            if iv is None:
+                a, b = sorted(_ENDPOINTS[i] for i in key)
+                iv = _INTERVALS[key] = (a, b, b == 1) if a < b else ()
+            if iv:
+                a, b, ends_at_1 = iv
+                ivs.append((a, b, ends_at_1 and rng.random() < 0.5))
         edges.append(ivs)
     s = OpenStarSet(n, False, edges)
     if rng.random() < 0.3:
         eps = rng.choice(_BREAK_POOL)
-        s = s.union(OpenStarSet(n, True, [[(Fraction(0), eps, False)]] * n))
+        s = s.union(OpenStarSet(n, True, [[(_F0, eps, False)]] * n))
     return s
 
 
@@ -140,9 +201,8 @@ def random_algebra_element(
 def random_germ(groupoid: GermGroupoid, rng: random.Random):
     if rng.random() < 0.3:
         return CenterGerm(random_group_element(groupoid.group, rng))
-    pair = rng.choice(sorted(groupoid.admissible_pairs))
-    t = Fraction(rng.randint(1, 24), 24)
-    return EdgeGerm(t, pair[0], pair[1])
+    i, j = rng.choice(groupoid.sorted_pairs)
+    return EdgeGerm(Fraction(_randint(rng, 1, 24), 24), i, j)
 
 
 def random_group_algebra_element(group, rng: random.Random, support: int = 3):

@@ -6,6 +6,7 @@ from math import gcd
 
 from germoid.algebra import AlgebraElement, from_sheet
 from germoid.finite import DEFAULT_TOL, _diagonal_meets, minimal_central_projections
+from germoid.germs import CenterGerm, EdgeGerm
 from germoid.linalg import Matrix, nullspace, rref, solve
 from germoid.poly import PiecewisePoly, _canon, from_scalars
 from germoid.rep import (
@@ -232,6 +233,40 @@ def fraction_piecewise(rng, value_at_0, max_interior: int = 2) -> PiecewisePoly:
 def fraction_ppfun(n: int, rng) -> PPFun:
     center = fraction_scalar(rng)
     return PPFun(n, center, [fraction_piecewise(rng, center) for _ in range(n)])
+
+
+# -- the breakpoint, open-set and germ draws as they were before the index
+# -- tables and the getrandbits draw kernel: rng.randint, rng.sample over the
+# -- Fractions themselves, and a sort per call
+
+def randint_breaks(rng, max_interior: int = 2):
+    # the pool holds neither 0 nor 1, and 1/2 twice (from 1/2 and 2/4)
+    interior = rng.sample(_BREAK_POOL, rng.randint(0, max_interior))
+    return [Fraction(0), *sorted(set(interior)), Fraction(1)]
+
+
+def randint_open_set(n: int, rng) -> OpenStarSet:
+    edges = []
+    for _ in range(n):
+        ivs = []
+        for _ in range(rng.randint(0, 2)):
+            a, b = sorted(rng.sample(_BREAK_POOL + [Fraction(0), Fraction(1)], 2))
+            if a < b:
+                ivs.append((a, b, b == 1 and rng.random() < 0.5))
+        edges.append(ivs)
+    s = OpenStarSet(n, False, edges)
+    if rng.random() < 0.3:
+        eps = rng.choice(_BREAK_POOL)
+        s = s.union(OpenStarSet(n, True, [[(Fraction(0), eps, False)]] * n))
+    return s
+
+
+def randint_germ(groupoid, rng):
+    if rng.random() < 0.3:
+        return CenterGerm(random_group_element(groupoid.group, rng))
+    pair = rng.choice(sorted(groupoid.admissible_pairs))
+    t = Fraction(rng.randint(1, 24), 24)
+    return EdgeGerm(t, pair[0], pair[1])
 
 
 def validate_by_fractions(breaks, polys) -> PiecewisePoly:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,8 @@ from oracles import (
     fraction_ppfun,
     fraction_scalar,
     intersect_by_renormalizing,
+    randint_germ,
+    randint_open_set,
     union_by_renormalizing,
 )
 
@@ -33,6 +36,25 @@ def test_cross_passes(capsys):
 
 def test_cross_generator_only_suite(capsys):
     assert run(["cross", "--trials", "0", "--seed", "3"]) == 0
+
+
+def test_cross_holds_one_trial_at_a_time():
+    # the trials are drawn as the check reaches them and dropped after it,
+    # not built into one list first
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            report = germoid.experiments.cross_experiment(trials, 1)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.exit_code == 0
+        assert f"for {4 + trials} elements" in json.dumps(report.to_dict())
+        return traced
+
+    germoid.experiments.cross_experiment(2, 1)  # pay for first calls untraced
+    small = peak(200)
+    assert peak(2000) < 2 * small
 
 
 def test_star_n4(capsys):
@@ -125,6 +147,39 @@ def test_diagnose_bad_spec(tmp_path, capsys):
     assert "line" in err
     spec.write_text(json.dumps({"n": 4, "group": "Q8"}))
     assert run(["diagnose", "--spec", str(spec)]) == 1
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("diagnose", {"n": 4.5, "group": "A4"}, "edge count must be an integer, not 4.5"),
+    ("diagnose", {"n": True}, "edge count must be an integer, not True"),
+    ("diagnose", {"n": "1_0", "group": "Z10"}, "edge count must be an integer, not '1_0'"),
+    ("finite", {"transformation": {"points": 4.5}}, "points must be an integer, not 4.5"),
+    ("finite", {"transformation": {"points": 3, "group_degree": 3.7}},
+     "group_degree must be an integer, not 3.7"),
+    ("finite", {"transformation": {"points": True}}, "points must be an integer, not True"),
+    ("finite", {"transformation": {"points": None}}, "points must be an integer, not None"),
+])
+def test_spec_counts_that_are_not_integers_are_refused(command, spec, message, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run([command, "--spec", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad {'star' if command == 'diagnose' else 'finite'} spec: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, spec", [
+    ("diagnose", {"n": 4.0, "group": "A4"}),
+    ("diagnose", {"n": "4", "group": "A4"}),
+    ("finite", {"transformation": {"points": 3.0, "group_generators": ["(1 2 3)"]}}),
+    ("finite", {"transformation": {"points": "3", "group_degree": 3.0,
+                                   "group_generators": ["(1 2 3)"]}}),
+])
+def test_integral_spec_counts_are_read_as_integers(command, spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run([command, "--spec", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -265,6 +320,9 @@ def test_reports_equal_those_of_the_fraction_sampler(args, tmp_path, monkeypatch
                          ("random_ppfun", fraction_ppfun)]:
         monkeypatch.setattr(germoid.sampling, name, oracle)
     monkeypatch.setattr(germoid.experiments, "random_ppfun", fraction_ppfun)
+    # and the open-set and germ draws made with rng.randint and sorts
+    monkeypatch.setattr(germoid.experiments, "random_open_set", randint_open_set)
+    monkeypatch.setattr(germoid.experiments, "random_germ", randint_germ)
     # and the open-set lattice that normalizes every result twice
     monkeypatch.setattr(OpenStarSet, "union", union_by_renormalizing)
     monkeypatch.setattr(OpenStarSet, "intersect", intersect_by_renormalizing)
@@ -291,6 +349,11 @@ _PINNED_REPORTS = {
         "d5d6fe98f341fdc2b8354d4691d110bb9e8dfcdea647540aa0adb1ccc8ea6b4c",
     ("star", "--n", "5", "--trials", "3"):
         "c5ebff63b24a476e9281d68ed260e4b70bcf913c3fa5168b2844eaa03d97dc19",
+    # computed before the getrandbits draw kernel and the breakpoint tables
+    ("selftest", "--seed", "5"):
+        "461488a80d6d0ded4cf44554fb9981e561a2a416cccb8bc30d5c2a91e70f003c",
+    ("star", "--n", "4", "--tau", "(1 2 3)", "--trials", "20", "--seed", "9"):
+        "4b6bf12b26a05cfdaf0b8da0eca83175e8aa0df58197a716f9a0f341baf8cf79",
 }
 
 

@@ -8,6 +8,7 @@ from germoid.perms import (
     PermGroup,
     Permutation,
     extend_homomorphism,
+    parse_count,
     parse_cycles,
 )
 
@@ -25,6 +26,22 @@ def test_parse_and_print():
 @given(perm4_st)
 def test_print_parse_roundtrip(s):
     assert parse_cycles(s.cycle_string(), 4) == s
+
+
+@pytest.mark.parametrize("value, count", [
+    (4, 4), (4.0, 4), (1e17, 10**17), ("4", 4), (" 12\n", 12), ("\u0663", 3),
+])
+def test_parse_count_reads_integers(value, count):
+    got = parse_count(value, "k")
+    assert got == count and type(got) is int
+
+
+@pytest.mark.parametrize("value", [
+    True, False, 4.5, float("nan"), float("inf"), "4.5", "1_0", "-3", "", "\u00b2", None, [4],
+])
+def test_parse_count_refuses_everything_else(value):
+    with pytest.raises(ValueError, match="^k must be an integer, not "):
+        parse_count(value, "k")
 
 
 def test_parse_rejects_bad_input():

@@ -1,7 +1,8 @@
-"""The integer sampler against the Fraction sampler it replaced, and the
+"""The integer sampler against the Fraction sampler it replaced, the
 one-construction algebra-element sampler against the sheet-by-sheet sum it
-replaced (tests/oracles.py): the same values, the same stored integers and
-the same rng state after."""
+replaced, and the getrandbits draw kernel and index tables against the
+rng.randint and rng.sample draws they replaced (tests/oracles.py): the same
+values, the same stored integers and the same rng state after."""
 
 import random
 
@@ -12,11 +13,15 @@ import germoid.poly
 import germoid.starspace
 from germoid import sampling
 from germoid.germs import GermGroupoid
+from germoid.perms import PermGroup
 from germoid.poly import PiecewisePoly, coeffs
 from oracles import (
     fraction_poly,
     fraction_ppfun,
     fraction_scalar,
+    randint_breaks,
+    randint_germ,
+    randint_open_set,
     random_algebra_element_by_sheets,
     random_poly,
 )
@@ -135,3 +140,67 @@ def test_a_sampled_element_is_built_and_checked_once(monkeypatch):
             assert limits == [groupoid.n] * sheets
             assert elements == [False]
             assert len(gluings) == 1
+
+
+# every (lo, hi) the sampler drew with rng.randint before the draw kernel:
+# random_scalar's spans, the polynomial degree and the breakpoint and
+# interval counts, random_germ's t; (1, 1) at span 1 and (0, 0) at
+# max_interior 0 are the width-1 ranges, where randint still draws one bit
+_RANDINT_RANGES = sorted(
+    {(-span, span) for span in range(1, 7)} | {(1, span) for span in range(1, 7)}
+    | {(0, m) for m in range(6)} | {(1, 24)}
+)
+
+
+@pytest.mark.parametrize("lo, hi", _RANDINT_RANGES)
+def test_the_draw_kernel_is_randint(lo, hi):
+    for seed in SEEDS:
+        mine, theirs = random.Random(seed), random.Random(seed)
+        assert [sampling._randint(mine, lo, hi) for _ in range(8)] == [
+            theirs.randint(lo, hi) for _ in range(8)
+        ]
+        assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("max_deg", range(3))
+def test_polynomial_draws_match_the_fraction_sampler(max_deg):
+    # the degree draw inlined in _poly_entries, down to its width-1 range
+    for seed in SEEDS:
+        mine, theirs = random.Random(seed), random.Random(seed)
+        p, q = random_poly(mine, max_deg), fraction_poly(theirs, max_deg)
+        assert [_triple(c) for c in coeffs(p)] == [_triple(c) for c in q]
+        assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("max_interior", range(6))
+def test_random_breaks_match_the_randint_sampler(max_interior):
+    for seed in SEEDS:
+        mine, theirs = random.Random(seed), random.Random(seed)
+        breaks = sampling.random_breaks(mine, max_interior)
+        assert isinstance(breaks, tuple)
+        assert list(breaks) == randint_breaks(theirs, max_interior)
+        assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_random_open_set_matches_the_randint_sampler(n):
+    for seed in SEEDS:
+        mine, theirs = random.Random(seed), random.Random(seed)
+        a, b = sampling.random_open_set(n, mine), randint_open_set(n, theirs)
+        assert a == b
+        assert (a.contains_center, a.edges) == (b.contains_center, b.edges)
+        assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("groupoid", [
+    *(GermGroupoid.cyclic_star(n) for n in range(1, 6)),
+    GermGroupoid.cross(),
+    GermGroupoid(5, PermGroup.symmetric(5)),
+], ids=["Z1", "Z2", "Z3", "Z4", "Z5", "cross", "S5"])
+def test_random_germ_matches_the_randint_sampler(groupoid):
+    for seed in SEEDS:
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            g, h = sampling.random_germ(groupoid, mine), randint_germ(groupoid, theirs)
+            assert type(g) is type(h) and g == h
+        assert mine.getstate() == theirs.getstate()
