@@ -17,6 +17,12 @@ involution, equality, the gluing sums over the pairs (i, sigma(i)) and the
 product ``group_convolve`` (every product of group elements read from the
 group's Cayley table) all work on those integers; ``Scalar``s and
 ``Permutation``s appear only at its edges.
+
+The paper's first counterexample is the sign element: the center values
+sign(sigma) and no strips.  It glues on any star whose point stabilizers
+each hold an odd permutation (the 4-edge cross, S_n for n >= 3), where it is
+central and spans an ideal missing the diagonal; elsewhere the gluing law
+refuses it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .germs import CenterGerm, EdgeGerm, GermError, GermGroupoid
-from .perms import PermGroup, Permutation, parse_cycles
+from .perms import PermGroup, Permutation
 from .poly import PiecewisePoly, _scalar, coeffs, common_refinement
 from .scalars import ONE, ZERO, Scalar, as_scalar, render_scalar
 from .starspace import CenterPoint, EdgePoint, PPFun, edge_index
@@ -444,7 +450,7 @@ class AlgebraElement:
                 bad.append(pair)
         if bad:
             bad = set(bad)
-            for pair in self.groupoid.admissible_pairs:
+            for pair in self.groupoid.sorted_pairs:
                 if pair in bad:
                     i, j = pair
                     lim = self.strip(i, j).at0()
@@ -666,52 +672,40 @@ def conditional_expectation(f: AlgebraElement) -> UnitSpaceFunction:
 
 
 # ---------------------------------------------------------------------------
-# the cross example: central element and its ideal
-
-
-# built once: every cross-specific operation compares its groupoid with this one
-_CROSS = GermGroupoid.cross()
-_SX = parse_cycles("(1 2)", 4)
-_SY = parse_cycles("(3 4)", 4)
-_SXY = _SX * _SY
-
-
-def _require_cross(groupoid: GermGroupoid):
-    if groupoid != _CROSS:
-        raise AlgebraError("this operation is specific to the 4-edge cross groupoid")
+# the sign element: a central element whose ideal misses the diagonal
 
 
 def cross_generators(groupoid: GermGroupoid):
-    """The four sheet indicators of the cross group, in group order."""
-    _require_cross(groupoid)
-    return [from_sheet(groupoid, s, PPFun.one(4)) for s in groupoid.group]
+    """The sheet indicators of the acting group, in group order."""
+    one = PPFun.one(groupoid.n)
+    return [from_sheet(groupoid, s, one) for s in groupoid.group]
 
 
 def cross_central_element(groupoid: GermGroupoid) -> AlgebraElement:
-    """The alternating sum of the four sheet indicators.
+    """The sign element f = sum of sign(sigma) delta_sigma, with no strips.
 
-    Its strips all cancel, leaving the center value table (1,-1,-1,1); it
-    spans a one-dimensional two-sided ideal meeting the diagonal only in 0.
+    It glues exactly when every point stabilizer holds an odd permutation,
+    since then each set {sigma : sigma(i) = j} is sign-balanced.  Then
+    g*f = f*g = lambda(g) f and f*f = |G| f, so f spans a one-dimensional
+    ideal meeting the diagonal only in 0; on the 4-edge cross its center
+    values are (1,-1,-1,1).  Elsewhere the validating constructor raises
+    ``CompatibilityError`` at the lowest failing pair, on A4 "strip (1,1)
+    has limit 0 at the center but the center values sum to 3".
     """
-    _require_cross(groupoid)
-    one = PPFun.one(4)
-    return (
-        from_sheet(groupoid, groupoid.group.identity, one)
-        - from_sheet(groupoid, _SX, one)
-        - from_sheet(groupoid, _SY, one)
-        + from_sheet(groupoid, _SXY, one)
-    )
+    group = groupoid.group
+    m = len(group)
+    center = _vector(group, tuple(range(m)), group.signs, (0,) * m, 1)
+    return AlgebraElement(groupoid, {}, center)
 
 
 def lambda_scalar(g: AlgebraElement) -> Scalar:
-    """The scalar by which multiplication against the central element acts."""
-    _require_cross(g.groupoid)
-    return (
-        g.center_value(g.groupoid.group.identity)
-        - g.center_value(_SX)
-        - g.center_value(_SY)
-        + g.center_value(_SXY)
-    )
+    """The scalar lambda(g) = sum of sign(sigma) g(sigma) over the center
+    germs, by which g acts on the sign element from either side."""
+    center = g.center
+    signs = center.group.signs
+    re = sum(signs[k] * a for k, a in zip(center.positions, center.re))
+    im = sum(signs[k] * b for k, b in zip(center.positions, center.im))
+    return _scalar(re, im, center.d)
 
 
 def has_nonunit_value(f: AlgebraElement) -> bool:

@@ -79,16 +79,10 @@ def cross_experiment(trials: int = 200, seed: int = DEFAULT_SEED) -> ExperimentR
     G = GermGroupoid.cross()
     f = alg.cross_central_element(G)
     group = list(G.group)
+    # f's center values and the sheet indicators' scalars are both the signs
+    signs = [Scalar(s) for s in G.group.signs]
 
-    ident = G.group.identity
-    sx = parse_cycles("(1 2)", 4)
-    sy = parse_cycles("(3 4)", 4)
-    table = [
-        (CenterGerm(ident), Scalar(1)),
-        (CenterGerm(sx), Scalar(-1)),
-        (CenterGerm(sy), Scalar(-1)),
-        (CenterGerm(sx * sy), Scalar(1)),
-    ]
+    table = [(CenterGerm(s), v) for s, v in zip(group, signs)]
     report.exact(
         "center value table is (1,-1,-1,1)",
         all(f.evaluate(g) == v for g, v in table),
@@ -114,7 +108,7 @@ def cross_experiment(trials: int = 200, seed: int = DEFAULT_SEED) -> ExperimentR
     lam_table = [alg.lambda_scalar(g) for g in gens]
     report.exact(
         "scalar table of the four sheet indicators is (1,-1,-1,1) in group order",
-        lam_table == [Scalar(1), Scalar(-1), Scalar(-1), Scalar(1)],
+        lam_table == signs,
         witness=[str(x) for x in lam_table],
     )
 
@@ -131,7 +125,7 @@ def cross_experiment(trials: int = 200, seed: int = DEFAULT_SEED) -> ExperimentR
         "the line through f meets the diagonal only in 0",
         ideal.span_meets_diagonal_trivially,
     )
-    report.exact("f*f = 4 f", f * f == f.scale(4))
+    report.exact("f*f = 4 f", f * f == f.scale(len(group)))
 
     ep_flag, ep_witnesses = G.essentially_principal_check()
     report.exact("essentially principal", ep_flag and not ep_witnesses)

@@ -339,14 +339,6 @@ class FiniteGroupoid:
         loops = self.src_unit[self.src_unit == self.rng_unit]
         return np.bincount(loops, minlength=len(self.units))
 
-    def isotropy_arrows(self, x):
-        k = self.units.index(x)
-        loops = (self.src_unit == k) & (self.rng_unit == k)
-        return [self.arrows[a] for a in np.flatnonzero(loops)]
-
-    def has_no_isotropy(self, x) -> bool:
-        return self.isotropy_arrows(x) == [self.unit_arrow[x]]
-
     def orbits(self):
         # units in one orbit are joined by an arrow, so each unit's first
         # source over the arrows into it names its orbit

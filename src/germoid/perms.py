@@ -6,10 +6,11 @@ functions: (sigma * tau)(i) = sigma(tau(i)).
 
 Each group also carries an index over the positions of its elements in
 ``elements``, built lazily and cached on the group object: ``index`` (element
-to position), ``inverse_index``, ``fixing`` (the non-identity elements with a
-fixed point), the (i, sigma(i)) incidence ``pair_incidence`` and the integer
-Cayley table ``table``.  Every loop over pairs of group elements reads its
-products from the table instead of multiplying ``Permutation`` objects.
+to position), ``inverse_index``, ``signs`` (each element's sign, the sign
+character), ``fixing`` (the non-identity elements with a fixed point), the
+(i, sigma(i)) incidence ``pair_incidence`` and the integer Cayley table
+``table``.  Every loop over pairs of group elements reads its products from
+the table instead of multiplying ``Permutation`` objects.
 """
 
 from __future__ import annotations
@@ -306,6 +307,11 @@ class PermGroup:
         # elements[k] sends i to img[k, i], so its inverse sends img[k, i] to i
         inv[np.arange(len(img))[:, None], img] = np.arange(self.n)
         return self._positions(inv)
+
+    @cached_property
+    def signs(self) -> tuple:
+        """signs[k] is the sign of elements[k], 1 or -1."""
+        return tuple(s.sign() for s in self.elements)
 
     @cached_property
     def fixing(self) -> np.ndarray:

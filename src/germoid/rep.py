@@ -29,7 +29,6 @@ from .algebra import (
     _support_point_map,
     embed_C0,
     is_bisection_support,
-    open_support,
 )
 from .germs import GermGroupoid
 from .linalg import Matrix, solve
@@ -258,7 +257,6 @@ class NormalizerReport:
     n: int
     tau: Permutation
     tau_is_even: bool
-    v_support_size: int
     center_support: list          # (Permutation, Scalar) pairs
     unitary_ok: bool
     strips_match_tau: bool
@@ -270,7 +268,6 @@ class NormalizerReport:
     point_map_is_tau: bool
     essentially_principal: bool
     isotropy_classes: int
-    support: object = None
     note: str = ""
 
     @property
@@ -349,7 +346,6 @@ def build_strange_normalizer(
         n=n,
         tau=tau,
         tau_is_even=tau.is_even(),
-        v_support_size=len(v),
         center_support=u.center.items(),
         unitary_ok=unitary_ok,
         strips_match_tau=strips_match,
@@ -361,7 +357,6 @@ def build_strange_normalizer(
         point_map_is_tau=point_map_is_tau,
         essentially_principal=ep_flag,
         isotropy_classes=len(G.isotropy_description()),
-        support=open_support(u),
         note=note,
     )
     return u, report

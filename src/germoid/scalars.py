@@ -6,11 +6,11 @@ here ever rounds.
 A scalar (a + b*i)/d is stored as three Python ints a, b, d in canonical
 form: d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1).  Equal values have
 equal fields, which makes equality a compare of three ints and lets the hash
-use the triple.  Arithmetic works on the integers directly; the real part,
-imaginary part and squared modulus are handed out as ``Fraction`` only when
-asked for.  ``algebra.GroupAlgebraElement`` (its constructor, ``scale``,
-the values it hands out and ``from_pair_values``, the step a = P^T y of
-every minimum-norm preimage) and ``poly`` (its ``coeffs``,
+use the triple.  Arithmetic works on the integers directly; the real and
+imaginary parts are handed out as ``Fraction`` only when asked for.
+``algebra.GroupAlgebraElement`` (its constructor, ``scale``, the values it
+hands out and ``from_pair_values``, the step a = P^T y of every
+minimum-norm preimage) and ``poly`` (its ``coeffs``,
 ``from_scalars``, ``pconst``, ``pscale`` and ``peval``) read the triples
 or build them with ``_make``, so they follow any change to this
 representation.  ``_frac`` is the one coercion to an exact rational: an
@@ -118,10 +118,6 @@ class Scalar:
 
     def conjugate(self):
         return _make(self._a, -self._b, self._d)
-
-    def abs2(self) -> Fraction:
-        """Squared modulus, an exact nonnegative rational."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def is_zero(self) -> bool:
         return not self._a and not self._b

@@ -8,6 +8,7 @@ from germoid.algebra import AlgebraElement, from_sheet
 from germoid.finite import DEFAULT_TOL, _diagonal_meets, minimal_central_projections
 from germoid.germs import CenterGerm, EdgeGerm
 from germoid.linalg import Matrix, nullspace, rref, solve
+from germoid.perms import parse_cycles
 from germoid.poly import PiecewisePoly, _canon, from_scalars
 from germoid.rep import (
     GroupAlgebraElement,
@@ -68,6 +69,51 @@ def bitransitive_by_brute_force(group) -> bool:
         if any(p not in reached for p in pairs):
             return False
     return True
+
+
+def abs2(x: Scalar) -> Fraction:
+    """Squared modulus of a scalar, an exact nonnegative rational."""
+    return Fraction(x._a * x._a + x._b * x._b, x._d * x._d)
+
+
+def isotropy_arrows(G, x) -> list:
+    """The arrows of a finite groupoid from the unit x to itself."""
+    k = G.units.index(x)
+    loops = (G.src_unit == k) & (G.rng_unit == k)
+    return [G.arrows[a] for a in loops.nonzero()[0]]
+
+
+def has_no_isotropy(G, x) -> bool:
+    return isotropy_arrows(G, x) == [G.unit_arrow[x]]
+
+
+# -- the cross's central element as it was before the sign character: four
+# -- sheet indicators summed by hand, and lambda read off four center values
+
+def _cross_elements():
+    sx, sy = parse_cycles("(1 2)", 4), parse_cycles("(3 4)", 4)
+    return sx, sy, sx * sy
+
+
+def cross_central_element_by_sheets(groupoid) -> AlgebraElement:
+    sx, sy, sxy = _cross_elements()
+    one = PPFun.one(4)
+    return (
+        from_sheet(groupoid, groupoid.group.identity, one)
+        - from_sheet(groupoid, sx, one)
+        - from_sheet(groupoid, sy, one)
+        + from_sheet(groupoid, sxy, one)
+    )
+
+
+def lambda_scalar_by_four_values(g: AlgebraElement) -> Scalar:
+    sx, sy, sxy = _cross_elements()
+    return (
+        g.center_value(g.groupoid.group.identity)
+        - g.center_value(sx)
+        - g.center_value(sy)
+        + g.center_value(sxy)
+    )
 
 
 # -- group-algebra elements as {Permutation: Scalar} dicts with the zero

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +9,6 @@ import pytest
 import germoid.algebra
 from germoid.algebra import (
     AlgebraElement,
-    AlgebraError,
     CompatibilityError,
     GroupAlgebraElement,
     NotNormalizerError,
@@ -30,7 +32,12 @@ from germoid.poly import PiecewisePoly
 from germoid.sampling import random_algebra_element, random_germ, random_ppfun, random_scalar
 from germoid.scalars import Scalar
 from germoid.starspace import CENTER, EdgePoint, PPFun
-from oracles import convolve_by_dict, is_canonical_vector
+from oracles import (
+    convolve_by_dict,
+    cross_central_element_by_sheets,
+    is_canonical_vector,
+    lambda_scalar_by_four_values,
+)
 
 
 @pytest.fixture
@@ -269,13 +276,32 @@ def test_lambda_values(cross, f):
     assert lambda_scalar(from_sheet(cross, _sx(), 1)) == Scalar(-1)
 
 
-def test_lambda_requires_the_cross(star4):
-    with pytest.raises(Exception):
-        lambda_scalar(AlgebraElement.unit(star4))
+# stars with a point stabilizer of even permutations only, each with the
+# sum of signs over that stabilizer: the gluing law refuses the sign element
+_NO_ODD_STABILIZER = {
+    "A4": (lambda: PermGroup.alternating(4), 3),
+    "Z4": (lambda: PermGroup.cyclic(4), 1),
+    "S2": (lambda: PermGroup.symmetric(2), 1),
+    "Z2_on_3_points": (lambda: PermGroup.generate(3, [parse_cycles("(1 2)", 3)]), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NO_ODD_STABILIZER))
+def test_sign_element_needs_an_odd_permutation_in_every_stabilizer(name):
+    build, total = _NO_ODD_STABILIZER[name]
+    group = build()
+    # the lowest failing pair is named, whatever the pair set's hash order
+    with pytest.raises(
+        CompatibilityError,
+        match=rf"^strip \(1,1\) has limit 0 at the center but the center values sum to {total}$",
+    ):
+        cross_central_element(GermGroupoid(group.n, group))
 
 
 def test_lambda_scalar_builds_no_group(cross, rng, monkeypatch):
     elements = [random_algebra_element(cross, rng) for _ in range(4)]
+    groups = [build() for build, _total in _NO_ODD_STABILIZER.values()]
+    groupoids = [GermGroupoid(g.n, g) for g in groups]
     built = []
     init = PermGroup.__init__
 
@@ -287,13 +313,55 @@ def test_lambda_scalar_builds_no_group(cross, rng, monkeypatch):
     for k in range(100):
         lambda_scalar(elements[k % 4])
     assert built == []
-    for G in (GermGroupoid.star(4), GermGroupoid.cyclic_star(4)):
-        for refused in (lambda: lambda_scalar(AlgebraElement.unit(G)),
-                        lambda: cross_central_element(G)):
-            with pytest.raises(
-                AlgebraError, match="^this operation is specific to the 4-edge cross groupoid$"
-            ):
-                refused()
+    for G in groupoids:
+        with pytest.raises(CompatibilityError):
+            cross_central_element(G)
+    assert built == []
+
+
+def test_import_builds_no_group():
+    script = (
+        "import sys\n"
+        "built = []\n"
+        "def watch(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_qualname == 'PermGroup.__init__':\n"
+        "        built.append(1)\n"
+        "sys.setprofile(watch)\n"
+        "import germoid\n"
+        "sys.setprofile(None)\n"
+        "print(len(built))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+def test_sign_element_is_the_four_sheet_sum_on_the_cross(cross, f, rng):
+    assert f == cross_central_element_by_sheets(cross)
+    tests = [f, AlgebraElement.unit(cross)] + cross_generators(cross) + [
+        random_algebra_element(cross, rng, sheets=3) for _ in range(30)
+    ]
+    for g in tests:
+        assert lambda_scalar(g) == lambda_scalar_by_four_values(g)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sign_element_of_the_symmetric_star(n, rng):
+    G = GermGroupoid(n, PermGroup.symmetric(n))
+    f = cross_central_element(G)
+    assert not f.strips
+    assert f.center.positions == tuple(range(len(G.group)))
+    for _ in range(20):
+        g = random_algebra_element(G, rng, sheets=3)
+        expected = f.scale(lambda_scalar(g))
+        assert g * f == expected
+        assert f * g == expected
+    assert f * f == f.scale(len(G.group))
+    assert has_nonunit_value(f)
 
 
 def test_central_identity_for_generators_and_random_elements(cross, f, rng):

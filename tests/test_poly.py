@@ -118,8 +118,9 @@ def _point_map_oracle(u):
 
 
 def _compatible_oracle(el):
-    """The per-pair center scan: the CompatibilityError text, or None."""
-    for (i, j) in el.groupoid.admissible_pairs:
+    """The per-pair center scan in increasing pair order: the
+    CompatibilityError text for the lowest failing pair, or None."""
+    for (i, j) in sorted(el.groupoid.admissible_pairs):
         lim = el.strips[(i, j)].at0() if (i, j) in el.strips else ZERO
         total = ZERO
         for s, c in el.center.items():

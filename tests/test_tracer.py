@@ -5,7 +5,8 @@
 base class, say) breaks ``bench/run.py --trace 1``.  This runs the tracer's
 ``install`` on a fresh import in a subprocess and three short experiments
 under it; ``star --n 3`` takes the preimage's Gram solve through
-``linalg.rref``.
+``linalg.rref``.  None of the three adds algebra elements, so the script
+makes one ``AlgebraElement.__add__`` call of its own.
 """
 
 import json
@@ -19,7 +20,9 @@ _SCRIPT = """
 import contextlib, io, json, sys
 sys.path[:0] = [{src!r}, {bench!r}]
 import germoid
+from germoid.algebra import AlgebraElement
 from germoid.cli import main
+from germoid.germs import GermGroupoid
 from tracer import Tracer, install
 
 tracer = Tracer()
@@ -27,6 +30,8 @@ install(tracer)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["star", "--n", "4", "--trials", "1"]), main(["cross", "--trials", "2"]),
              main(["star", "--n", "3"])]
+one = AlgebraElement.unit(GermGroupoid.cross())
+one + one
 print(json.dumps({{"codes": codes, "calls": tracer.calls, "counts": tracer.counts}}))
 """
 
