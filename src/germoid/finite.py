@@ -2,9 +2,9 @@
 algebras as explicit matrix algebras.
 
 This module hosts every floating-point computation in the package: operator
-norms, center splitting, and rank tests all carry explicit tolerances and
-report their residuals.  The algebraic layer underneath (composition tables,
-center, diagonal commutant) stays exact.
+norms, center splitting and rank tests report their residuals and share one
+tolerance, ``TOL``.  The structure underneath stays exact: the composition
+index, and the center and diagonal commutant as sets of arrow indices.
 
 A groupoid is one integer index over its arrows, sorted by ``repr``: the
 ``np.intp`` arrays ``src_unit`` and ``rng_unit`` (unit positions),
@@ -20,9 +20,10 @@ time.  The key-inequality trials draw nothing when no unit is isotropy-free.
 
 The center and the diagonal commutant come from closed forms.  A function on
 the arrows is central iff it vanishes off the isotropy bundle and is
-constant on each conjugacy class {g h g^-1}, so the class sums (one per orbit
-and conjugacy class of its isotropy group) are a basis; the commutant of the
-diagonal is spanned by the isotropy-arrow indicators.
+constant on each conjugacy class {g h g^-1}, so the classes (one per orbit
+and conjugacy class of its isotropy group), as arrow-index arrays, give a
+basis of class indicators; the commutant of the diagonal is spanned by the
+indicators of the loops, the arrows from a unit to itself.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ from .perms import (
     parse_count,
     parse_cycles,
 )
-from .scalars import ONE, ZERO
 
-DEFAULT_TOL = 1e-9
+# the rank cut of the diagonal test and the slack of the key inequality
+TOL = 1e-9
+
+# random central elements tried before the center split gives up
+SPLIT_ATTEMPTS = 5
 
 # A transformation spec is refused before its table is built when
 # max(points, group_degree) * |group|^2 exceeds this; for a faithful action
@@ -86,11 +90,13 @@ class FiniteGroupoid:
 
     def _set_arrows(self, units, arrows, unit_arrow):
         self.units = tuple(units)
+        if not self.units:
+            raise ValueError("a finite groupoid needs at least one unit")
         self.arrows = tuple(arrows)
         _check_arrow_count(len(self.arrows))
         self.unit_arrow = dict(unit_arrow)
         self.index = {a: k for k, a in enumerate(self.arrows)}
-        self._splits = {}  # minimal_central_projections by (tol, seed, attempts)
+        self._splits = {}  # minimal_central_projections by seed
 
     @classmethod
     def _from_index(cls, units, arrows, unit_arrow, ia, ib, ic, inv, src, rng):
@@ -449,11 +455,8 @@ def regular_rep(f: FiniteAlgebraElement) -> dict:
 def operator_norm(f: FiniteAlgebraElement) -> float:
     """Largest singular value across the regular-representation blocks."""
     # one batched SVD per block size, over the same gather as regular_rep
-    return max(
-        (float(np.linalg.svd(f.vec[cells], compute_uv=False).max())
-         for cells in f.groupoid.rep_stacks),
-        default=0.0,
-    )
+    return max(float(np.linalg.svd(f.vec[cells], compute_uv=False).max())
+               for cells in f.groupoid.rep_stacks)
 
 
 def restrict_to_units(f: FiniteAlgebraElement) -> dict:
@@ -472,12 +475,13 @@ def random_finite_element(G: FiniteGroupoid, rng: random.Random) -> FiniteAlgebr
 
 
 def center_basis_exact(G: FiniteGroupoid):
-    """Exact rational basis of the center of the convolution algebra.
+    """The conjugacy classes of the isotropy bundle, as ascending arrow-index
+    arrays: their indicators are an exact basis of the center.
 
     f is central iff it vanishes off the isotropy bundle and is constant on
-    each conjugacy class {g h g^-1}, so the basis is the class indicators.
-    They come in the order of each class's last arrow index, the free-column
-    order of row reduction on the commutation constraints."""
+    each conjugacy class {g h g^-1}.  The classes come in the order of their
+    last arrow index, the free-column order of row reduction on the
+    commutation constraints."""
     T, inv = G.table, G.inv_index
     seen = np.zeros(len(G.arrows), dtype=bool)
     classes = []
@@ -489,24 +493,7 @@ def center_basis_exact(G: FiniteGroupoid):
             seen |= in_class
             classes.append(np.flatnonzero(in_class))
     classes.sort(key=lambda members: members[-1])
-    return [_indicator(len(G.arrows), members) for members in classes]
-
-
-def diagonal_commutant_exact(G: FiniteGroupoid):
-    """Exact basis of the commutant of the diagonal subalgebra.
-
-    delta_x f = f delta_x for every unit x forces f to vanish off the
-    isotropy bundle, so the basis is the isotropy-arrow indicators, in index
-    order."""
-    m = len(G.arrows)
-    return [_indicator(m, [k]) for k in np.flatnonzero(G.src_unit == G.rng_unit)]
-
-
-def _indicator(m, support):
-    vec = [ZERO] * m
-    for k in support:
-        vec[k] = ONE
-    return vec
+    return classes
 
 
 @dataclass
@@ -518,12 +505,14 @@ class MasaReport:
 
 
 def diagonal_masa_check(G: FiniteGroupoid) -> MasaReport:
-    """Is the diagonal maximal abelian?  Exact verdict from the commutant."""
-    basis = diagonal_commutant_exact(G)
+    """Is the diagonal maximal abelian?  Exact verdict from the commutant.
+
+    delta_x f = f delta_x for every unit x forces f to vanish off the loops,
+    so the loop indicators span the commutant: the unit arrows, which span
+    the diagonal, and the non-unit loops, each a witness against maximality."""
     loops = _non_unit_loops(G)
     witness = G.arrows[loops[0]] if len(loops) else None
-    is_masa = len(basis) == len(G.units) and witness is None
-    return MasaReport(len(basis), len(G.units), is_masa, witness)
+    return MasaReport(len(G.units) + len(loops), len(G.units), witness is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -557,27 +546,24 @@ def _vec_convolve(G, u, v):
     return out
 
 
-def minimal_central_projections(
-    G: FiniteGroupoid, tol: float = DEFAULT_TOL, seed: int = 0, attempts: int = 5
-) -> CenterSplit:
+def minimal_central_projections(G: FiniteGroupoid, seed: int = 0) -> CenterSplit:
     """Numeric splitting of the exactly computed center into its minimal
     projections: eigen-split a random self-adjoint central element, normalize
     the eigenvectors to idempotents, and report every residual.
 
-    The split is memoized on the groupoid by (tol, seed, attempts), so the
-    checks that need it share one; callers must not modify it."""
-    key = (tol, seed, attempts)
-    if key in G._splits:
-        return G._splits[key]
-    exact = center_basis_exact(G)
-    k = len(exact)
-    Zmat = np.array(
-        [[complex(c) for c in vec] for vec in exact], dtype=complex
-    ).T  # columns are central basis vectors
+    The split is memoized on the groupoid by seed, so the checks that need
+    it share one; callers must not modify it."""
+    if seed in G._splits:
+        return G._splits[seed]
+    classes = center_basis_exact(G)
+    k = len(classes)
+    Zmat = np.zeros((len(G.arrows), k), dtype=complex)  # columns: the class indicators
+    for j, members in enumerate(classes):
+        Zmat[members, j] = 1
     class_sizes = Zmat.real.sum(axis=0)
     rng = random.Random(seed)
     last_gap = None
-    for _ in range(attempts):
+    for _ in range(SPLIT_ATTEMPTS):
         h = np.zeros(len(G.arrows), dtype=complex)
         for j in range(k):
             z = Zmat[:, j]
@@ -624,9 +610,9 @@ def minimal_central_projections(
         part_res = float(np.linalg.norm(total - unit_vec))
         split = CenterSplit(projections, idem_res, sa_res, part_res, central_res)
         worst = max(idem_res, sa_res, part_res, central_res)
-        if worst > tol * 100 and worst > 1e-7:
+        if worst > 1e-7:
             raise CenterSplitError(f"projection residual {worst:.2e} exceeds tolerance")
-        G._splits[key] = split
+        G._splits[seed] = split
         return split
     raise CenterSplitError(
         f"could not separate center eigenvalues (min gap {last_gap:.2e})"
@@ -651,10 +637,9 @@ class IntersectionReport:
         return [b for b in self.blocks if not b.meets_diagonal]
 
 
-def _diagonal_meets(G, zvecs, tol):
-    """Does {c diagonal : z c = c} have a nonzero solution, for z the sum of
-    the given projections?  Rank test over the units."""
-    z = sum(zvecs)
+def _diagonal_meets(G, z):
+    """Does {c diagonal : z c = c} have a nonzero solution, for z a central
+    projection?  Rank test over the units."""
     # column x is z delta_x - delta_x, and z delta_x is z on the source fiber of x
     K = np.zeros((len(G.arrows), len(G.units)), dtype=complex)
     for j, x in enumerate(G.units):
@@ -662,18 +647,16 @@ def _diagonal_meets(G, zvecs, tol):
         K[fiber, j] = z[fiber]
         K[G.index[G.unit_arrow[x]], j] -= 1
     sv = np.linalg.svd(K, compute_uv=False)
-    sv_min = float(sv.min()) if sv.size else 0.0
-    return sv_min < max(tol, 1e-9 * (float(sv.max()) if sv.size else 1.0)), sv_min
+    sv_min = float(sv.min())
+    return sv_min < TOL * max(1.0, float(sv.max())), sv_min
 
 
-def intersection_property_check(
-    G: FiniteGroupoid, tol: float = DEFAULT_TOL, seed: int = 0
-) -> IntersectionReport:
+def intersection_property_check(G: FiniteGroupoid, seed: int = 0) -> IntersectionReport:
     """Does every minimal ideal contain a nonzero diagonal element?"""
-    split = minimal_central_projections(G, tol=tol, seed=seed)
+    split = minimal_central_projections(G, seed)
     blocks = []
     for i, z in enumerate(split.projections):
-        meets, sv_min = _diagonal_meets(G, [z], tol)
+        meets, sv_min = _diagonal_meets(G, z)
         blocks.append(BlockVerdict(i, sv_min, meets))
     residuals = {
         "idempotent": split.idempotent_residual,
@@ -691,9 +674,7 @@ class FaithfulnessReport:
     failing_kernel: object = None
 
 
-def faithfulness_check(
-    G: FiniteGroupoid, tol: float = DEFAULT_TOL, seed: int = 0
-) -> FaithfulnessReport:
+def faithfulness_check(G: FiniteGroupoid, seed: int = 0) -> FaithfulnessReport:
     """Representations are enumerated up to kernel, i.e. by the sums of
     minimal central blocks they kill.  Faithful-on-diagonal implies faithful
     exactly when every candidate kernel meets the diagonal.
@@ -705,9 +686,9 @@ def faithfulness_check(
     its blocks does, and the first of the 2^k - 1 sums in bitmask order to
     miss it is the lowest-index block that misses it.  Trying the k blocks in
     order gives the verdict and the failing kernel of the full enumeration."""
-    split = minimal_central_projections(G, tol=tol, seed=seed)
+    split = minimal_central_projections(G, seed)
     for i, z in enumerate(split.projections):
-        meets, _ = _diagonal_meets(G, [z], tol)
+        meets, _ = _diagonal_meets(G, z)
         if not meets:
             return FaithfulnessReport(False, i + 1, (i,))
     return FaithfulnessReport(True, split.blocks)
@@ -727,7 +708,7 @@ class KeyInequalityReport:
 
 
 def key_inequality_check(
-    G: FiniteGroupoid, trials: int = 1000, seed: int = 0, tol: float = DEFAULT_TOL
+    G: FiniteGroupoid, trials: int = 1000, seed: int = 0
 ) -> KeyInequalityReport:
     """At units with no isotropy, |f(x)| is bounded by the operator norm, and
     the diagonal matrix coefficient at the unit recovers f(x) on the nose.
@@ -749,7 +730,7 @@ def key_inequality_check(
             val = f.coeff(G.unit_arrow[x])
             excess = abs(val) - norm
             report.max_excess = max(report.max_excess, excess)
-            if excess > tol:
+            if excess > TOL:
                 report.violations.append((trial, x, abs(val), norm))
             if blocks[x][diag[x], diag[x]] != val:
                 report.pairing_exact = False
@@ -768,8 +749,9 @@ def parse_finite_spec(spec: dict) -> FiniteGroupoid:
     {"units": [...], "arrows": [{"id":..,"src":..,"rng":..},...],
      "compose": [[a,b,c], ...], "inverse": {a: b}}   (inverse optional)
 
-    A malformed spec raises ``ValueError``, a repeated arrow id included,
-    and so does a transformation spec with max(points, group_degree) * |G|^2
+    A malformed spec raises ``ValueError``, a repeated arrow id, a spec
+    naming more than one of the three forms and a groupoid without units
+    included, and so does a transformation spec with max(points, group_degree) * |G|^2
     > ``MAX_COMPOSE_ENTRIES``: its group build stops at that order, before
     any table is built.
     """
@@ -780,6 +762,12 @@ def parse_finite_spec(spec: dict) -> FiniteGroupoid:
 
 
 def _parse_finite_spec(spec):
+    named = [key for key in ("transformation", "equivalence") if key in spec]
+    if "units" in spec or "arrows" in spec:
+        named.append("units/arrows")
+    if len(named) > 1:
+        raise ValueError(f"spec names {len(named)} constructions ({', '.join(named)}); "
+                         "give exactly one")
     if "transformation" in spec:
         t = spec["transformation"]
         k = parse_count(t["points"], "points")

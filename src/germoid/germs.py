@@ -261,11 +261,11 @@ def parse_star_spec(spec: dict) -> GermGroupoid:
                                           "trivial", "klein_cross"
     {"n": 4, "generators": ["(1 2)", "(3 4)"]}   generated subgroup
 
-    A malformed spec raises ``ValueError``, and so do more than
-    ``MAX_STAR_EDGES`` edges and a group with more than
-    ``MAX_STAR_GROUP_ORDER`` elements (``GroupTooLarge``): a named group's
-    order is computed before the group is built, and a generated group's
-    closure stops at that order.
+    A malformed spec raises ``ValueError``, one naming both a group and
+    generators included, and so do more than ``MAX_STAR_EDGES`` edges and a
+    group with more than ``MAX_STAR_GROUP_ORDER`` elements (``GroupTooLarge``):
+    a named group's order is computed before the group is built, and a
+    generated group's closure stops at that order.
     """
     try:
         return _parse_star_spec(spec)
@@ -284,6 +284,8 @@ def _parse_star_spec(spec):
     if n > MAX_STAR_EDGES:
         raise ValueError(f"edge count {n} exceeds {MAX_STAR_EDGES}")
     if "generators" in spec:
+        if "group" in spec:
+            raise ValueError("star spec names both a group and generators; give one")
         gens = [parse_cycles(s, n) for s in spec["generators"]]
         return GermGroupoid(n, PermGroup.generate(n, gens, limit=MAX_STAR_GROUP_ORDER))
     name = spec.get("group", "trivial")

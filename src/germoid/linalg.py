@@ -139,11 +139,6 @@ def rref(rows):
     return pivots
 
 
-def rank(rows) -> int:
-    work = [list(r) for r in rows]
-    return len(rref(work))
-
-
 def nullspace(rows, ncols: int):
     """Basis of the right nullspace, one vector per free column."""
     work = [list(r) for r in rows] if rows else []

@@ -87,8 +87,8 @@ class ExperimentReport:
             wall_time_s=d.get("wall_time_s", 0.0),
         )
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), indent=2, **kw)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def render_text(self) -> str:
         lines = [f"experiment: {self.experiment}"]

@@ -185,7 +185,6 @@ def _sum(a: int, b: int, d: int, c: int, e: int, f: int) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-IUNIT = Scalar(0, 1)
 
 
 def as_scalar(x) -> Scalar:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 from germoid.algebra import AlgebraElement, from_sheet
-from germoid.finite import DEFAULT_TOL, _diagonal_meets, minimal_central_projections
+from germoid.finite import _diagonal_meets, minimal_central_projections
 from germoid.germs import CenterGerm, EdgeGerm
 from germoid.linalg import Matrix, nullspace, rref, solve
 from germoid.perms import parse_cycles
@@ -23,6 +23,10 @@ from germoid.starspace import OpenStarSet, PPFun
 
 def conj_transpose(m: Matrix) -> Matrix:
     return Matrix([[x.conjugate() for x in row] for row in zip(*m.rows)])
+
+
+def rank(rows) -> int:
+    return len(rref([list(r) for r in rows]))
 
 
 def reduce_basis(vectors):
@@ -472,14 +476,14 @@ def equivalence_by_dicts(blocks) -> dict:
                 compose=compose, inv=inv)
 
 
-def faithfulness_by_subsets(G, tol: float = DEFAULT_TOL, seed: int = 0):
+def faithfulness_by_subsets(G, seed: int = 0):
     """(holds, failing kernel): every one of the 2^k - 1 sums of minimal
     central blocks tried in bitmask order for a nonzero diagonal fixed point."""
-    split = minimal_central_projections(G, tol=tol, seed=seed)
+    split = minimal_central_projections(G, seed)
     k = split.blocks
     for mask in range(1, 1 << k):
         S = [i for i in range(k) if mask >> i & 1]
-        meets, _ = _diagonal_meets(G, [split.projections[i] for i in S], tol)
+        meets, _ = _diagonal_meets(G, sum(split.projections[i] for i in S))
         if not meets:
             return False, tuple(S)
     return True, None

@@ -18,6 +18,7 @@ from germoid.algebra import (
     verify_central_ideal,
 )
 from germoid.finite import (
+    TOL,
     FiniteGroupoid,
     diagonal_masa_check,
     faithfulness_check,
@@ -250,11 +251,12 @@ def test_criterion_09_finite_controls():
         and not diagonal_masa_check(neg).is_masa
         and not principality(neg).principal
     )
-    key = key_inequality_check(z3, trials=1000, seed=SEED, tol=1e-9)
+    key = key_inequality_check(z3, trials=1000, seed=SEED)
     elapsed = time.monotonic() - started
     verdict(
         9,
-        pos_ok and neg_ok and key.holds and len(key.violations) == 0 and elapsed < 30.0,
+        pos_ok and neg_ok and TOL == 1e-9 and key.holds and len(key.violations) == 0
+        and elapsed < 30.0,
         f"positive controls pass and the point-isotropy control fails all three "
         f"properties; 1000-trial key inequality clean at 1e-9; {elapsed:.1f}s (< 30s)",
     )

@@ -52,9 +52,10 @@ def test_cross_holds_one_trial_at_a_time():
         assert f"for {4 + trials} elements" in json.dumps(report.to_dict())
         return traced
 
-    germoid.experiments.cross_experiment(2, 1)  # pay for first calls untraced
-    small = peak(200)
-    assert peak(2000) < 2 * small
+    # pay for first calls and fill the sampler's breakpoint table untraced
+    germoid.experiments.cross_experiment(400, 1)
+    small = peak(60)
+    assert peak(600) < 2 * small
 
 
 def test_star_n4(capsys):
@@ -160,12 +161,42 @@ def test_diagnose_bad_spec(tmp_path, capsys):
     ("finite", {"transformation": {"points": None}}, "points must be an integer, not None"),
 ])
 def test_spec_counts_that_are_not_integers_are_refused(command, spec, message, tmp_path, capsys):
+    _assert_refused(command, spec, message, tmp_path, capsys)
+
+
+def _assert_refused(command, spec, message, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert run([command, "--spec", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: bad {'star' if command == 'diagnose' else 'finite'} spec: {message}\n"
     assert captured.out == ""
+
+
+_TWO_FORMS = "spec names 2 constructions ({}); give exactly one"
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("finite", {"equivalence": {"blocks": []}}, "a finite groupoid needs at least one unit"),
+    ("finite", {"equivalence": {"blocks": [[]]}}, "a finite groupoid needs at least one unit"),
+    ("finite", {"units": [], "arrows": [], "compose": []},
+     "a finite groupoid needs at least one unit"),
+    ("diagnose", {"n": 4, "group": "klein_cross", "generators": ["(1 2 3 4)"]},
+     "star spec names both a group and generators; give one"),
+    ("finite", {"transformation": {"points": 3, "group_generators": ["(1 2 3)"]},
+                "equivalence": {"blocks": [[1, 2, 3]]}},
+     _TWO_FORMS.format("transformation, equivalence")),
+    ("finite", {"equivalence": {"blocks": [["x"]]}, "units": ["x"],
+                "arrows": [{"id": "x", "src": "x", "rng": "x"}], "compose": [["x", "x", "x"]]},
+     _TWO_FORMS.format("equivalence, units/arrows")),
+    ("finite", {"transformation": {"points": 1}, "units": ["x"],
+                "arrows": [{"id": "x", "src": "x", "rng": "x"}], "compose": [["x", "x", "x"]]},
+     _TWO_FORMS.format("transformation, units/arrows")),
+])
+def test_empty_groupoids_and_specs_naming_two_constructions_are_refused(
+    command, spec, message, tmp_path, capsys
+):
+    _assert_refused(command, spec, message, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("command, spec", [

@@ -16,8 +16,8 @@ from germoid.finite import (
     FiniteAlgebraElement,
     FiniteGroupoid,
     GroupoidAxiomError,
+    _non_unit_loops,
     center_basis_exact,
-    diagonal_commutant_exact,
     diagonal_masa_check,
     faithfulness_check,
     intersection_property_check,
@@ -552,11 +552,63 @@ def test_regular_rep_matches_the_loop(name, rng):
         assert np.array_equal(new[x], old[x])  # one coefficient per cell, exactly
 
 
+def _indicators(m, index_sets):
+    vecs = []
+    for members in index_sets:
+        vec = [ZERO] * m
+        for k in members:
+            vec[k] = ONE
+        vecs.append(vec)
+    return vecs
+
+
 @pytest.mark.parametrize("name", ORACLE_SPECS)
 def test_center_and_commutant_equal_the_rref_bases(name):
+    """The conjugacy classes and the loops, as indicators, are the bases row
+    reduction finds, in its order; the masa check counts the loops."""
     G, D = _oracle_groupoid(name), _oracle_dicts(name)
-    assert center_basis_exact(G) == _rref_center(G, D)
-    assert diagonal_commutant_exact(G) == _rref_commutant(G, D)
+    m = len(G.arrows)
+    classes = center_basis_exact(G)
+    assert all(np.all(np.diff(members) > 0) for members in classes)
+    assert _indicators(m, classes) == _rref_center(G, D)
+    units = [G.index[G.unit_arrow[x]] for x in G.units]
+    loops = sorted(units + _non_unit_loops(G).tolist())
+    commutant = _rref_commutant(G, D)
+    assert _indicators(m, [[k] for k in loops]) == commutant
+    assert diagonal_masa_check(G).commutant_dim == len(commutant)
+
+
+# per spec: the principal verdict, which the masa and ideal verdicts repeat,
+# the number of isotropy-free units, and the masa witness (commutant_dim, units)
+_FINITE_VERDICTS = {
+    "s4_on_4": (False, 0, 24, 4),
+    "z5_on_5": (True, 5, 5, 5),
+    "klein_cross_on_4": (False, 0, 8, 4),
+    "equivalence": (True, 6, 6, 6),
+    "s3_trivial_on_1": (False, 0, 6, 1),
+    "explicit_z2": (False, 0, 2, 1),
+    "z2_on_3": (False, 2, 4, 3),
+    "units_only_13": (True, 13, 13, 13),
+}
+
+
+@pytest.mark.parametrize("name", _FINITE_VERDICTS)
+@pytest.mark.parametrize("seed", [1, 7])
+def test_finite_reports_keep_their_exact_fields(name, seed):
+    """Check names, verdicts, exit code and masa witness; the residuals are
+    left out, as their last digits depend on the BLAS build."""
+    principal, free, commutant_dim, units = _FINITE_VERDICTS[name]
+    report = finite_experiment(ORACLE_SPECS[name], 200, seed)
+    assert [(c.name, c.passed) for c in report.checks] == [
+        (f"principal: {principal} (= essentially principal, discrete case)", True),
+        (f"diagonal is maximal abelian: {principal}", True),
+        (f"every minimal ideal meets the diagonal: {principal}", True),
+        ("faithful-on-diagonal implies faithful agrees with the ideal check", True),
+        (f"|f(x)| <= ||f|| at the {free} isotropy-free units (200 trials)", True),
+        ("conditional expectation is positive and faithful", True),
+    ]
+    assert report.exit_code == 0
+    assert report.checks[1].witness == {"commutant_dim": commutant_dim, "units": units}
 
 
 def _loop_key_inequality(G, trials, seed, tol=TOL):

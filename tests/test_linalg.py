@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from germoid.linalg import Matrix, nullspace, rank, rref, solve
+from germoid.linalg import Matrix, nullspace, rref, solve
 from germoid.scalars import ONE, ZERO, Scalar
 
 from conftest import scalars_st
-from oracles import conj_transpose, reduce_basis
+from oracles import conj_transpose, rank, reduce_basis
 from hypothesis import given, strategies as st
 
 

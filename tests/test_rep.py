@@ -4,7 +4,7 @@ import pytest
 
 from germoid.algebra import AlgebraElement, embed_C0, is_bisection_support
 from germoid.germs import CenterGerm, EdgeGerm, GermGroupoid
-from germoid.linalg import Matrix, rank
+from germoid.linalg import Matrix
 from germoid.perms import PermGroup, Permutation, parse_cycles
 import germoid.rep
 from germoid.rep import (
@@ -27,6 +27,7 @@ from oracles import (
     bitransitive_by_brute_force,
     commutant_basis_by_rref,
     conj_transpose,
+    rank,
     rref_preimage,
 )
 
