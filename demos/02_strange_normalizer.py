@@ -28,9 +28,11 @@ print("v is unitary, exactly (verified inside the builder)")
 
 # Step 2: pushing v into the convolution algebra yields u with the 0/1
 # strip pattern of tau; the full pipeline re-verifies everything.
-u, report = build_strange_normalizer(GermGroupoid.star(n), tau, trials=10, seed=0)
+G = GermGroupoid.star(n)
+trials = 10
+u, report = build_strange_normalizer(G, tau, trials=trials, seed=0)
 print("\nu strips match [tau(i) = j]:", report.strips_match_tau)
-print("u* h u = h o tau for", report.conjugation_trials, "random h:", report.conjugation_ok)
+print("u* h u = h o tau for", trials, "random h:", report.conjugation_ok)
 
 # The punchline: u normalizes the diagonal, but its open support packs
 # several center germs with the same source and range.
@@ -39,7 +41,7 @@ print("center germs in the support:", len(report.center_support))
 print("induced point map is the tau edge action:", report.point_map_is_tau)
 print(
     "isotropy at the center has only",
-    report.isotropy_classes,
+    len(G.isotropy_description()),
     "non-unit classes (the even permutations), yet the point map realizes an odd one",
 )
 

@@ -772,23 +772,18 @@ def open_support(f: AlgebraElement) -> SupportDescriptor:
     return SupportDescriptor(strips, tuple(f.center.support()))
 
 
-def _collision_on_common_piece(strips_by_key):
-    """Find two strips sharing an index that are both nonzero somewhere.
-
-    strips_by_key maps the other edge index to a PiecewisePoly; returns
-    (key1, key2, (lo, hi)) or None.  Two continuous piecewise polynomials are
-    simultaneously nonzero at some point iff they are both not identically
-    zero on a common refined piece.
-    """
-    if len(strips_by_key) < 2:
-        return None
+def _live_pieces(strips_by_key):
+    """Walk the common refinement of the strips in strips_by_key, which maps
+    an edge index to a PiecewisePoly, yielding (lo, hi, live): live lists, in
+    key order, the keys whose strip is not identically zero on (lo, hi].  A
+    continuous piecewise polynomial is nonzero somewhere on a refined piece
+    iff its polynomial there is not zero."""
+    if not strips_by_key:
+        return
     keys = sorted(strips_by_key)
     breaks, columns = common_refinement([strips_by_key[k] for k in keys])
     for m in range(len(breaks) - 1):
-        live = [k for k, col in zip(keys, columns) if col[m]]
-        if len(live) >= 2:
-            return live[0], live[1], (breaks[m], breaks[m + 1])
-    return None
+        yield breaks[m], breaks[m + 1], [k for k, col in zip(keys, columns) if col[m]]
 
 
 def is_bisection_support(f: AlgebraElement):
@@ -801,19 +796,12 @@ def is_bisection_support(f: AlgebraElement):
     center = f.center.support()
     if len(center) >= 2:
         return False, ("center", tuple(center))
-    n = f.groupoid.n
-    for i in range(1, n + 1):
-        row = {j: pp for (si, j), pp in f.strips.items() if si == i}
-        hit = _collision_on_common_piece(row)
-        if hit:
-            j1, j2, iv = hit
-            return False, ("source", i, j1, j2, iv)
-    for j in range(1, n + 1):
-        col = {i: pp for (i, sj), pp in f.strips.items() if sj == j}
-        hit = _collision_on_common_piece(col)
-        if hit:
-            i1, i2, iv = hit
-            return False, ("range", j, i1, i2, iv)
+    for side, shared in (("source", 0), ("range", 1)):
+        for e in range(1, f.groupoid.n + 1):
+            others = {pair[1 - shared]: pp for pair, pp in f.strips.items() if pair[shared] == e}
+            for lo, hi, live in _live_pieces(others):
+                if len(live) >= 2:
+                    return False, (side, e, live[0], live[1], (lo, hi))
     return True, None
 
 
@@ -825,7 +813,6 @@ class PointMap:
     n: int
     edge_segments: tuple  # ((i, ((lo, hi, j), ...)), ...)
     center_fixed: bool
-    well_defined: bool = True
 
     def as_permutation(self):
         """The edge permutation inducing this map, if it is one everywhere."""
@@ -851,7 +838,8 @@ class PointMap:
                 for i, segs in self.edge_segments
             ],
             "center_fixed": self.center_fixed,
-            "well_defined": self.well_defined,
+            # a multi-valued support map raises instead of building a PointMap
+            "well_defined": True,
         }
 
 
@@ -872,16 +860,8 @@ def _support_point_map(u: AlgebraElement) -> PointMap:
     G = u.groupoid
     segments = []
     for i in range(1, G.n + 1):
-        row = sorted((j, pp) for (si, j), pp in u.strips.items() if si == i)
         segs = []
-        if not row:
-            segments.append((i, ()))
-            continue
-        keys = [j for j, _pp in row]
-        breaks, columns = common_refinement([pp for _j, pp in row])
-        for m in range(len(breaks) - 1):
-            lo, hi = breaks[m], breaks[m + 1]
-            live = [j for j, col in zip(keys, columns) if col[m]]
+        for lo, hi, live in _live_pieces({j: pp for (si, j), pp in u.strips.items() if si == i}):
             if len(live) > 1:
                 raise NotNormalizerError(
                     f"support map is multi-valued on edge {i} over ({lo},{hi}]"

@@ -42,6 +42,7 @@ from .perms import (
     extend_homomorphism,
     parse_count,
     parse_cycles,
+    refuse_unknown_keys,
 )
 
 # the rank cut of the diagonal test and the slack of the key inequality
@@ -750,10 +751,10 @@ def parse_finite_spec(spec: dict) -> FiniteGroupoid:
      "compose": [[a,b,c], ...], "inverse": {a: b}}   (inverse optional)
 
     A malformed spec raises ``ValueError``, a repeated arrow id, a spec
-    naming more than one of the three forms and a groupoid without units
-    included, and so does a transformation spec with max(points, group_degree) * |G|^2
-    > ``MAX_COMPOSE_ENTRIES``: its group build stops at that order, before
-    any table is built.
+    naming more than one of the three forms, a key its form does not read
+    and a groupoid without units included, and so does a transformation
+    spec with max(points, group_degree) * |G|^2 > ``MAX_COMPOSE_ENTRIES``:
+    its group build stops at that order, before any table is built.
     """
     try:
         return _parse_finite_spec(spec)
@@ -769,7 +770,11 @@ def _parse_finite_spec(spec):
         raise ValueError(f"spec names {len(named)} constructions ({', '.join(named)}); "
                          "give exactly one")
     if "transformation" in spec:
+        refuse_unknown_keys(spec, ("transformation",), "finite spec")
         t = spec["transformation"]
+        refuse_unknown_keys(
+            t, ("points", "group_degree", "group_generators", "action"), "transformation spec"
+        )
         k = parse_count(t["points"], "points")
         degree = parse_count(t.get("group_degree", k), "group_degree")
         if k < 1 or degree < 1:
@@ -796,8 +801,11 @@ def _parse_finite_spec(spec):
             raise ValueError("group_degree differs from points but no action given")
         return FiniteGroupoid.transformation(k, group)
     if "equivalence" in spec:
+        refuse_unknown_keys(spec, ("equivalence",), "finite spec")
+        refuse_unknown_keys(spec["equivalence"], ("blocks",), "equivalence spec")
         return FiniteGroupoid.equivalence(spec["equivalence"]["blocks"])
     if "units" in spec and "arrows" in spec:
+        refuse_unknown_keys(spec, ("units", "arrows", "compose", "inverse"), "finite spec")
         arrow_specs = {}
         for a in spec["arrows"]:
             if a["id"] in arrow_specs:

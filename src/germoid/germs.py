@@ -262,10 +262,11 @@ def parse_star_spec(spec: dict) -> GermGroupoid:
     {"n": 4, "generators": ["(1 2)", "(3 4)"]}   generated subgroup
 
     A malformed spec raises ``ValueError``, one naming both a group and
-    generators included, and so do more than ``MAX_STAR_EDGES`` edges and a
-    group with more than ``MAX_STAR_GROUP_ORDER`` elements (``GroupTooLarge``):
-    a named group's order is computed before the group is built, and a
-    generated group's closure stops at that order.
+    generators or carrying any other key included, and so do more than
+    ``MAX_STAR_EDGES`` edges and a group with more than
+    ``MAX_STAR_GROUP_ORDER`` elements (``GroupTooLarge``): a named group's
+    order is computed before the group is built, and a generated group's
+    closure stops at that order.
     """
     try:
         return _parse_star_spec(spec)
@@ -274,8 +275,9 @@ def parse_star_spec(spec: dict) -> GermGroupoid:
 
 
 def _parse_star_spec(spec):
-    from .perms import parse_count, parse_cycles
+    from .perms import parse_count, parse_cycles, refuse_unknown_keys
 
+    refuse_unknown_keys(spec, ("n", "group", "generators"), "star spec")
     if "n" not in spec:
         raise ValueError("star spec needs an edge count 'n'")
     n = parse_count(spec["n"], "edge count")

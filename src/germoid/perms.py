@@ -181,6 +181,14 @@ def parse_count(value, name: str) -> int:
     return int(value)
 
 
+def refuse_unknown_keys(spec, known, what: str) -> None:
+    """Raise ``ValueError`` naming the first key of a JSON spec object that
+    its form does not read, rather than silently dropping it."""
+    for key in spec:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {what}")
+
+
 def mulclose(generators, limit=None):
     """Breadth-first closure of a generator set under products; raises
     ``GroupTooLarge`` once it holds more than ``limit`` elements."""

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .algebra import (
     AlgebraElement,
     GroupAlgebraElement,
-    NotNormalizerError,
     _support_point_map,
     embed_C0,
     is_bisection_support,
@@ -252,69 +251,60 @@ def phi(a: GroupAlgebraElement, groupoid: GermGroupoid) -> AlgebraElement:
 
 @dataclass
 class NormalizerReport:
-    """What the constructive normalizer pipeline verified, exactly."""
+    """What the constructive normalizer pipeline verified about u, exactly.
+    u is unitary whenever a report exists: the builder raises otherwise."""
 
-    n: int
-    tau: Permutation
-    tau_is_even: bool
+    tau_in_group: bool
     center_support: list          # (Permutation, Scalar) pairs
-    unitary_ok: bool
     strips_match_tau: bool
-    conjugation_trials: int
     conjugation_ok: bool
     bisection_flag: bool
     bisection_witness: object
     point_map: object
     point_map_is_tau: bool
-    essentially_principal: bool
-    isotropy_classes: int
-    note: str = ""
 
     @property
     def ok(self) -> bool:
-        base = (
-            self.unitary_ok
-            and self.strips_match_tau
+        # a tau outside the group lifts to no single delta, so at least two
+        # center coefficients are nonzero and the open support must fail the
+        # bisection test; a tau in the group may lift either way
+        return (
+            self.strips_match_tau
             and self.conjugation_ok
             and self.point_map_is_tau
-            and self.essentially_principal
+            and (self.tau_in_group or not self.bisection_flag)
         )
-        if self.tau_is_even:
-            # the constructed unitary may or may not have bisection support
-            # (center support depends on the preimage convention); no constraint
-            return base
-        # odd tau: at least two center coefficients are forced, so the open
-        # support must fail the bisection test
-        return base and not self.bisection_flag
 
 
 def build_strange_normalizer(
     groupoid: GermGroupoid, tau: Permutation, trials: int = 8, seed: int = 0
 ):
-    """Unitary u in the algebra of a star groupoid (the alternating star in
-    the paper) whose strips are the 0/1 pattern of tau, conjugating diagonal
-    elements to their tau-translates; for odd tau its open support is not a
-    bisection even though the groupoid is essentially principal.  Returns
-    (u, report)."""
+    """Unitary u in the algebra of a star groupoid whose strips are the 0/1
+    pattern of tau, conjugating diagonal elements to their tau-translates.
+
+    Needs pi(tau) in the image of the integrated representation and raises
+    PreimageObstruction otherwise.  For tau outside the acting group the open
+    support of u is not a bisection, though on the alternating star the
+    groupoid is essentially principal.  Returns (u, report).
+    """
     G = groupoid
     n = G.n
-    if n < 4:
-        raise ValueError("the construction needs at least 4 edges")
     if tau.n != n:
         raise ValueError("tau acts on the wrong number of edges")
     from .sampling import random_ppfun
 
-    v = build_unitary_v(G.group, tau)
-    u = phi(v, G)
-
+    u = phi(build_unitary_v(G.group, tau), G)
+    # phi is a *-homomorphism and v is verified unitary, so u is unitary by
+    # construction; a failure here is an internal error, caught before any
+    # trial runs
     one = AlgebraElement.unit(G)
     u_adj = u.adjoint()
-    unitary_ok = (u_adj * u == one) and (u * u_adj == one)
+    if u_adj * u != one or u * u_adj != one:
+        raise InternalCheckError("constructed normalizer is not unitary")
 
     expected_strips = {
         (i, tau(i)): PiecewisePoly.const(1) for i in range(1, n + 1)
     }
-    strips_match = u.strips == expected_strips
 
     import random
 
@@ -329,34 +319,15 @@ def build_strange_normalizer(
             break
 
     bis_flag, bis_witness = is_bisection_support(u)
-    if not unitary_ok:
-        raise NotNormalizerError("element is not unitary")
     pm = _support_point_map(u)
-    point_map_is_tau = pm.as_permutation() == tau and pm.center_fixed
-    ep_flag, _ = G.essentially_principal_check()
-
-    note = ""
-    if tau.is_even():
-        note = (
-            "tau is even: the plain sheet indicator of tau is an alternative "
-            "normalizer whose open support is a bisection"
-        )
-
     report = NormalizerReport(
-        n=n,
-        tau=tau,
-        tau_is_even=tau.is_even(),
+        tau_in_group=tau in G.group,
         center_support=u.center.items(),
-        unitary_ok=unitary_ok,
-        strips_match_tau=strips_match,
-        conjugation_trials=trials,
+        strips_match_tau=u.strips == expected_strips,
         conjugation_ok=conj_ok,
         bisection_flag=bis_flag,
         bisection_witness=bis_witness,
         point_map=pm,
-        point_map_is_tau=point_map_is_tau,
-        essentially_principal=ep_flag,
-        isotropy_classes=len(G.isotropy_description()),
-        note=note,
+        point_map_is_tau=pm.as_permutation() == tau and pm.center_fixed,
     )
     return u, report

@@ -122,6 +122,19 @@ def test_failed_center_split_is_a_one_line_error(tmp_path, monkeypatch, capsys):
     assert "\n" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["star", "--n", "4", "--trials", "1"], ["selftest"]])
+def test_a_non_unitary_normalizer_is_a_one_line_error(command, monkeypatch, capsys):
+    import germoid.rep
+    from germoid.scalars import Scalar
+
+    real_phi = germoid.rep.phi
+    monkeypatch.setattr(germoid.rep, "phi", lambda v, G: real_phi(v, G).scale(Scalar(2)))
+    assert run(command) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: verification failed: ")
+    assert "\n" not in err and "Traceback" not in err
+
+
 def test_bad_flags_exit_one():
     with pytest.raises(SystemExit) as err:
         run(["star", "--n", "notanumber"])
@@ -196,6 +209,24 @@ _TWO_FORMS = "spec names 2 constructions ({}); give exactly one"
 def test_empty_groupoids_and_specs_naming_two_constructions_are_refused(
     command, spec, message, tmp_path, capsys
 ):
+    _assert_refused(command, spec, message, tmp_path, capsys)
+
+
+_EXPLICIT_Z1 = {"units": ["x"], "arrows": [{"id": "x", "src": "x", "rng": "x"}],
+                "compose": [["x", "x", "x"]]}
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("diagnose", {"n": 4, "grup": "A4"}, "unknown key 'grup' in star spec"),
+    ("finite", {"transformation": {"points": 4, "group_generator": ["(1 2)", "(1 2 3 4)"]}},
+     "unknown key 'group_generator' in transformation spec"),
+    ("finite", {"transformation": {"points": 3}, "comment": "z3"},
+     "unknown key 'comment' in finite spec"),
+    ("finite", {"equivalence": {"blocks": [[1, 2]], "block": [[3]]}},
+     "unknown key 'block' in equivalence spec"),
+    ("finite", {**_EXPLICIT_Z1, "inverses": {"x": "x"}}, "unknown key 'inverses' in finite spec"),
+])
+def test_spec_keys_that_name_nothing_are_refused(command, spec, message, tmp_path, capsys):
     _assert_refused(command, spec, message, tmp_path, capsys)
 
 
@@ -332,8 +363,8 @@ def test_json_report_roundtrip_and_determinism(tmp_path):
     assert redumped == d1
 
 
-def _report_without_wall_time(args, path):
-    assert run(args + ["--json", str(path)]) == 0
+def _report_without_wall_time(args, path, exit_code=0):
+    assert run(args + ["--json", str(path)]) == exit_code
     d = json.loads(path.read_text())
     d.pop("wall_time_s")
     return d
@@ -385,12 +416,21 @@ _PINNED_REPORTS = {
         "461488a80d6d0ded4cf44554fb9981e561a2a416cccb8bc30d5c2a91e70f003c",
     ("star", "--n", "4", "--tau", "(1 2 3)", "--trials", "20", "--seed", "9"):
         "4b6bf12b26a05cfdaf0b8da0eca83175e8aa0df58197a716f9a0f341baf8cf79",
+    # computed before the normalizer builder dropped its A_n guards
+    ("star", "--n", "3", "--tau", "(1 2)"):
+        "d0143dd9cc28cadd7f43203126a2275baece5914fa86a9c84bc6b9ea204e7be7",
+    ("star", "--n", "6", "--tau", "(1 2)(3 4 5 6)", "--trials", "5", "--seed", "2"):
+        "ccd8872c90fbcebe4829cd6c969ae40c51f777cca9409ea0657cc682e02e684b",
 }
+# the documented obstruction exits 2, every other pinned report 0
+_PINNED_OBSTRUCTIONS = {("star", "--n", "3", "--tau", "(1 2)")}
 
 
 @pytest.mark.parametrize("args", sorted(_PINNED_REPORTS), ids=" ".join)
 def test_reports_match_their_pinned_digests(args, tmp_path):
-    report = _report_without_wall_time(list(args), tmp_path / "report.json")
+    report = _report_without_wall_time(
+        list(args), tmp_path / "report.json", 2 if args in _PINNED_OBSTRUCTIONS else 0
+    )
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_REPORTS[args]
 

@@ -460,17 +460,19 @@ def test_phi_is_multiplicative(rng):
 
 def test_strange_normalizer_for_odd_tau():
     tau = parse_cycles("(1 2)", 4)
-    u, report = build_strange_normalizer(GermGroupoid.star(4), tau, trials=5, seed=11)
-    assert report.unitary_ok
+    G = GermGroupoid.star(4)
+    u, report = build_strange_normalizer(G, tau, trials=5, seed=11)
+    assert not report.tau_in_group
     assert report.strips_match_tau
     assert report.conjugation_ok
     assert report.bisection_flag is False
     assert report.bisection_witness[0] == "center"
     assert len(report.bisection_witness[1]) >= 2
     assert report.point_map_is_tau
-    assert report.essentially_principal
-    assert report.isotropy_classes == 11
     assert report.ok
+    # the groupoid facts the paper pairs with it
+    assert G.essentially_principal_check()[0]
+    assert len(G.isotropy_description()) == 11
 
 
 def test_strange_normalizer_conjugation_identity(rng):
@@ -485,8 +487,7 @@ def test_strange_normalizer_conjugation_identity(rng):
 def test_strange_normalizer_even_tau_runs():
     tau = parse_cycles("(1 2 3)", 4)
     u, report = build_strange_normalizer(GermGroupoid.star(4), tau, trials=3, seed=5)
-    assert report.unitary_ok and report.strips_match_tau and report.conjugation_ok
-    assert report.note  # points at the plain sheet indicator alternative
+    assert report.tau_in_group and report.strips_match_tau and report.conjugation_ok
     assert report.ok
     # and a Klein-four element lifts to its own sheet indicator exactly
     tau2 = parse_cycles("(1 2)(3 4)", 4)
@@ -516,15 +517,52 @@ def test_strange_normalizer_point_map_matches_the_checked_one():
 
 
 def test_strange_normalizer_rejects_a_non_unitary_lift(monkeypatch):
-    from germoid.algebra import NotNormalizerError
+    import germoid.sampling
+    from germoid.rep import InternalCheckError
     from germoid.scalars import Scalar
 
+    draws = []
     real_phi = germoid.rep.phi
     monkeypatch.setattr(germoid.rep, "phi", lambda v, G: real_phi(v, G).scale(Scalar(2)))
-    with pytest.raises(NotNormalizerError):
+    monkeypatch.setattr(germoid.sampling, "random_ppfun", lambda *args: draws.append(args))
+    with pytest.raises(InternalCheckError):
         build_strange_normalizer(GermGroupoid.star(4), parse_cycles("(1 2)", 4), trials=1, seed=0)
+    assert draws == []  # unitarity is checked before any conjugation trial
 
 
 def test_strange_normalizer_small_n_rejected():
-    with pytest.raises(ValueError):
+    # (1 2) is not in the span of A3's permutation matrices
+    with pytest.raises(PreimageObstruction):
         build_strange_normalizer(GermGroupoid.star(3), parse_cycles("(1 2)", 3))
+
+
+# -- the builder beyond the alternating stars ------------------------------------------------
+
+def test_strange_normalizer_on_the_symmetric_star_of_three_edges():
+    G = GermGroupoid(3, PermGroup.symmetric(3))
+    u, report = build_strange_normalizer(G, parse_cycles("(1 2)", 3), trials=3, seed=1)
+    assert report.tau_in_group and report.ok
+
+
+def test_strange_normalizer_on_s4_has_twenty_center_values():
+    G = GermGroupoid(4, PermGroup.symmetric(4))
+    u, report = build_strange_normalizer(G, parse_cycles("(1 2)", 4), trials=3, seed=1)
+    assert report.tau_in_group and report.ok
+    assert report.bisection_flag is False
+    assert len(report.center_support) == 20
+
+
+def test_strange_normalizer_for_tau_outside_agl_1_5():
+    gens = [parse_cycles("(1 2 3 4 5)", 5), parse_cycles("(2 3 5 4)", 5)]
+    G = GermGroupoid(5, PermGroup.generate(5, gens))
+    assert len(G.group) == 20
+    u, report = build_strange_normalizer(G, parse_cycles("(1 2)", 5), trials=3, seed=1)
+    assert not report.tau_in_group and report.ok
+    assert report.bisection_flag is False
+    assert len(report.center_support) >= 2
+
+
+def test_strange_normalizer_for_a_three_cycle_in_a3():
+    G = GermGroupoid.star(3)
+    u, report = build_strange_normalizer(G, parse_cycles("(1 2 3)", 3), trials=3, seed=1)
+    assert report.tau_in_group and report.ok
