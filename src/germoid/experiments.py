@@ -17,12 +17,11 @@ from .algebra import from_sheet
 from .finite import (
     FiniteGroupoid,
     diagonal_masa_check,
+    expectation_check,
     faithfulness_check,
     intersection_property_check,
     key_inequality_check,
     principality,
-    random_finite_element,
-    restrict_to_units,
 )
 from .germs import (
     CenterGerm,
@@ -335,17 +334,8 @@ def finite_experiment(
         witness=key.violations[:3] or None,
     )
 
-    rng = random.Random(seed)
-    positivity_ok = True
-    faithful_ok = True
-    for _ in range(20):
-        g = random_finite_element(G, rng)
-        e = restrict_to_units(g.adjoint() * g)
-        if any(v.real < -1e-12 or abs(v.imag) > 1e-12 for v in e.values()):
-            positivity_ok = False
-        if g.vec.any() and all(abs(v) < 1e-15 for v in e.values()):
-            faithful_ok = False
-    report.exact("conditional expectation is positive and faithful", positivity_ok and faithful_ok)
+    positive, faithful = expectation_check(G, seed)
+    report.exact("conditional expectation is positive and faithful", positive and faithful)
     return _finish(report, started)
 
 

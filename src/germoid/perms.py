@@ -1,7 +1,8 @@
 """Permutations of edge indices {1..n} and finite permutation groups.
 
 Groups are stored as explicit element sets closed under product and inverse,
-built by breadth-first closure from generators.  Products compose like
+built by breadth-first closure from generators; S_n and A_n are listed
+straight from ``itertools.permutations`` instead.  Products compose like
 functions: (sigma * tau)(i) = sigma(tau(i)).
 
 Each group also carries an index over the positions of its elements in
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import re as _re
 from functools import cached_property
-from math import factorial
+from itertools import permutations
 
 import numpy as np
 
@@ -215,17 +216,20 @@ class PermGroup:
     """A finite group of permutations of {1..n}, closed and with identity."""
 
     def __init__(self, n: int, elements, generators=()):
-        self.n = n
         for g in elements:
             if g.n != n:
                 raise ValueError(f"element {g} does not act on 1..{n}")
-        self.elements = tuple(sorted(set(elements)))
-        self._members = frozenset(self.elements)
-        ident = Permutation.identity(n)
-        if ident not in self._members:
+        self._set(n, tuple(sorted(set(elements))), generators)
+        if self.identity not in self._members:
             raise ValueError("group does not contain the identity")
+
+    def _set(self, n: int, elements: tuple, generators):
+        """Store sorted, distinct elements that act on 1..n."""
+        self.n = n
+        self.elements = elements
+        self._members = frozenset(elements)
         self.generators = tuple(generators)
-        self.identity = ident
+        self.identity = Permutation.identity(n)
 
     @classmethod
     def generate(cls, n: int, generators, limit=None) -> "PermGroup":
@@ -247,24 +251,33 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> "PermGroup":
+        """All permutations, generated by the adjacent transpositions."""
         gens = []
         for i in range(1, n):
             images = list(range(1, n + 1))
             images[i - 1], images[i] = images[i], images[i - 1]
             gens.append(Permutation(images))
-        G = cls.generate(n, gens)
-        assert len(G) == factorial(n)
-        return G
+        return cls._enumerated(n, gens, even_only=False)
 
     @classmethod
     def alternating(cls, n: int) -> "PermGroup":
+        """The even permutations, generated by the 3-cycles (1 2 k)."""
         gens = []
         for k in range(3, n + 1):
             images = list(range(1, n + 1))
             images[0], images[1], images[k - 1] = 2, k, 1
             gens.append(Permutation(images))
-        G = cls.generate(n, gens)
-        assert len(G) == max(1, factorial(n) // 2)
+        return cls._enumerated(n, gens, even_only=True)
+
+    @classmethod
+    def _enumerated(cls, n: int, gens, even_only: bool) -> "PermGroup":
+        """S_n, or A_n if ``even_only``, listed by ``itertools.permutations``
+        in lexicographic order, which is the sorted order of ``elements``."""
+        elements = map(Permutation._trusted, permutations(range(1, n + 1)))
+        if even_only:
+            elements = filter(Permutation.is_even, elements)
+        G = cls.__new__(cls)
+        G._set(n, tuple(elements), gens)
         return G
 
     @classmethod

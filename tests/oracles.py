@@ -4,8 +4,10 @@ by several test modules."""
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from germoid.algebra import AlgebraElement, from_sheet
-from germoid.finite import _diagonal_meets, minimal_central_projections
+from germoid.finite import FiniteAlgebraElement, _diagonal_meets, minimal_central_projections
 from germoid.germs import CenterGerm, EdgeGerm
 from germoid.linalg import Matrix, nullspace, rref, solve
 from germoid.perms import parse_cycles
@@ -89,6 +91,20 @@ def isotropy_arrows(G, x) -> list:
 
 def has_no_isotropy(G, x) -> bool:
     return isotropy_arrows(G, x) == [G.unit_arrow[x]]
+
+
+def random_finite_element(G, rng) -> FiniteAlgebraElement:
+    """A random element of the algebra of G, one ``rng.gauss`` call per real
+    coefficient: a draw path apart from ``finite.gaussians``."""
+    # real then imaginary part, arrow by arrow: the order the batched draw keeps
+    draws = np.array([rng.gauss(0, 1) for _ in range(2 * len(G.arrows))])
+    return FiniteAlgebraElement(G, draws.view(complex))
+
+
+def restrict_to_units(f) -> dict:
+    """Conditional expectation of a finite algebra element: its coefficients
+    at the unit arrows, unit by unit."""
+    return {x: f.coeff(f.groupoid.unit_arrow[x]) for x in f.groupoid.units}
 
 
 # -- the cross's central element as it was before the sign character: four

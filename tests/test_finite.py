@@ -1,6 +1,8 @@
 import json
+import math
 import random
 import time
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -26,9 +28,7 @@ from germoid.finite import (
     operator_norm,
     parse_finite_spec,
     principality,
-    random_finite_element,
     regular_rep,
-    restrict_to_units,
 )
 from germoid.linalg import nullspace
 from germoid.perms import PermGroup, Permutation, extend_homomorphism, parse_cycles
@@ -38,6 +38,8 @@ from oracles import (
     faithfulness_by_subsets,
     has_no_isotropy,
     isotropy_arrows,
+    random_finite_element,
+    restrict_to_units,
     transformation_by_dicts,
 )
 
@@ -282,6 +284,19 @@ def test_expectation_positive_and_faithful(z3_free, rng):
             assert abs(v - expected) < 1e-9
         if f.vec.any():
             assert any(abs(v) > 1e-12 for v in e.values())
+
+
+@pytest.mark.parametrize("name", ["z5_on_5", "s4_on_4", "units_only_13"])
+def test_expectation_check_reads_each_trial(name, monkeypatch):
+    """The batched verdicts: -g* makes E(g* g) negative, 0 makes it vanish
+    for nonzero g, and each failure shows in one verdict only."""
+    G = _oracle_groupoid(name)
+    assert germoid.finite.expectation_check(G, 2) == (True, True)
+    adjoint = germoid.finite._vec_adjoint
+    monkeypatch.setattr(germoid.finite, "_vec_adjoint", lambda G, v: -adjoint(G, v))
+    assert germoid.finite.expectation_check(G, 2) == (False, True)
+    monkeypatch.setattr(germoid.finite, "_vec_adjoint", lambda G, v: 0 * v)
+    assert germoid.finite.expectation_check(G, 2) == (True, False)
 
 
 # -- JSON specs -------------------------------------------------------------------------------
@@ -662,11 +677,110 @@ def test_key_inequality_draws_nothing_without_a_free_unit(name, monkeypatch):
     def forbidden(*args):
         raise AssertionError("no element may be drawn or factored")
 
-    monkeypatch.setattr(germoid.finite, "random_finite_element", forbidden)
-    monkeypatch.setattr(germoid.finite, "operator_norm", forbidden)
+    for attr in ("operator_norm", "gaussians", "_operator_norms"):
+        monkeypatch.setattr(germoid.finite, attr, forbidden)
+    monkeypatch.setattr(germoid.finite.np.linalg, "svd", forbidden)
     report = key_inequality_check(_oracle_groupoid(name), trials=200, seed=0)
     assert (report.trials, report.units_tested, report.violations, report.max_excess,
             report.pairing_exact) == (200, 0, [], 0.0, True)
+
+
+def test_key_inequality_draws_through_the_batched_kernels(monkeypatch):
+    """The check above would pass vacuously if the names it forbids were
+    never called: with a free unit, both are."""
+    calls = []
+    for attr in ("gaussians", "_operator_norms"):
+        real = getattr(germoid.finite, attr)
+        monkeypatch.setattr(germoid.finite, attr,
+                            lambda *args, _real=real, _attr=attr: calls.append(_attr)
+                            or _real(*args))
+    key_inequality_check(_oracle_groupoid("z5_on_5"), trials=10, seed=0)
+    assert calls == ["gaussians", "_operator_norms"]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 1000])
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("pending", [False, True])
+def test_gaussians_are_successive_gauss_calls(count, seed, pending):
+    """Bit for bit, and the generator ends in the same state; ``pending``
+    leaves a ``gauss_next`` behind with one prior call."""
+    fast, slow = random.Random(seed), random.Random(seed)
+    if pending:
+        fast.gauss(0, 1)
+        slow.gauss(0, 1)
+    values = germoid.finite.gaussians(fast, count)
+    assert values.dtype == np.float64 and values.shape == (count,)
+    assert values.tobytes() == np.array([slow.gauss(0, 1) for _ in range(count)]).tobytes()
+    assert fast.getstate() == slow.getstate()
+
+
+def test_gaussians_keep_the_sign_of_zero_as_gauss_does():
+    """At a uniform draw of 0.0 the Box-Muller radius is sqrt(-0.0) = -0.0,
+    and gauss returns 0.0 + z, which is +0.0."""
+
+    class Zeros(random.Random):
+        # every 32-bit output is 0, so every random() is 0.0
+        def random(self):
+            return 0.0
+
+        def getrandbits(self, k):
+            return 0
+
+    values = germoid.finite.gaussians(Zeros(), 3)
+    assert values.tobytes() == np.array([Zeros().gauss(0, 1) for _ in range(3)]).tobytes()
+    assert values.tobytes() == np.zeros(3).tobytes()
+
+
+@pytest.mark.parametrize("name", ["z5_on_5", "equivalence", "units_only_13"])
+def test_trial_chunks_do_not_change_the_report(name, monkeypatch):
+    """The finite report, and the key inequality with every trial a
+    violation, are the same in 2-trial chunks as in one."""
+    G = parse_finite_spec(ORACLE_SPECS[name])
+
+    def run():
+        report = finite_experiment(ORACLE_SPECS[name], 200, 3).to_dict()
+        with monkeypatch.context() as patch:
+            patch.setattr(germoid.finite, "TOL", -math.inf)
+            key = key_inequality_check(G, trials=200, seed=3)
+        return {**report, "wall_time_s": 0}, key
+
+    monkeypatch.setattr(germoid.finite, "CHUNK_CELLS", 200 * len(G.ia))
+    assert len(germoid.finite._trial_chunks(G, 200)) == 1
+    whole = run()
+    monkeypatch.setattr(germoid.finite, "CHUNK_CELLS", 3 * len(G.ia) - 1)
+    assert len(germoid.finite._trial_chunks(G, 200)) == 100
+    assert run() == whole
+
+
+@pytest.mark.parametrize("name", ["z5_on_5", "equivalence", "units_only_13", "z2_on_3"])
+def test_every_trial_violates_below_zero_tolerance(name, monkeypatch):
+    """With TOL = -inf every trial at every free unit is a violation (at
+    TOL = -1 most are not: the excess is about -3 on z5_on_5): the list
+    matches the per-block loop entry for entry, as Python numbers, and the
+    report stays JSON."""
+    monkeypatch.setattr(germoid.finite, "TOL", -math.inf)
+    G = _oracle_groupoid(name)
+    report = key_inequality_check(G, trials=10, seed=4)
+    expected = _loop_key_inequality(G, 10, 4, tol=-math.inf)
+    assert len(report.violations) == 10 * report.units_tested
+    assert report.violations == expected[2]
+    assert all(type(v) in (int, float) for entry in report.violations for v in entry)
+    assert report.max_excess == expected[3] and type(report.max_excess) is float
+    json.dumps(finite_experiment(ORACLE_SPECS[name], 10, 4).to_dict())
+
+
+def test_key_inequality_memory_is_bounded_by_the_chunk(z3_free):
+    """20 000 trials on free Z3 gather 20 000 x 27 complex cells, 8.6 MB in
+    one stack; chunked, the peak stays well below that."""
+    key_inequality_check(z3_free, trials=10, seed=0)  # warm numpy's lazy state
+    tracemalloc.start()
+    try:
+        report = key_inequality_check(z3_free, trials=20_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak < 4 * 2**20
 
 
 def test_centrality_residual_matches_the_pointwise_products():

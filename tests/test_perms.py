@@ -117,6 +117,22 @@ def test_named_groups():
     assert PermGroup.trivial(3).elements == (Permutation.identity(3),)
 
 
+@pytest.mark.parametrize("kind, n", [("A", n) for n in range(1, 8)]
+                         + [("S", n) for n in range(1, 7)])
+def test_enumerated_groups_equal_their_closures(kind, n):
+    """A_n and S_n, listed by enumeration, are the closures of the 3-cycles
+    (1 2 k) and of the adjacent transpositions, and keep those generators."""
+    if kind == "A":
+        G, cycles = PermGroup.alternating(n), [f"(1 2 {k})" for k in range(3, n + 1)]
+    else:
+        G, cycles = PermGroup.symmetric(n), [f"({i} {i + 1})" for i in range(1, n)]
+    gens = [parse_cycles(c, n) for c in cycles]
+    closure = PermGroup.generate(n, gens)
+    assert G.elements == closure.elements
+    assert G.generators == closure.generators == tuple(gens)
+    assert G.identity == closure.identity and G == closure
+
+
 def test_mulclose_matches_group_axioms():
     g = PermGroup.alternating(4)
     for a in g:
