@@ -134,7 +134,7 @@ def main(argv=None) -> int:
         if args.command == "diagnose":
             try:
                 return _emit(diagnose_experiment(_load_spec(args.spec)), args.json)
-            except (ValueError, CycleParseError) as exc:
+            except ValueError as exc:
                 print(f"error: bad star spec: {exc}", file=sys.stderr)
                 return EXIT_FAILURE
         if args.command == "finite":
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
                     finite_experiment(_load_spec(args.spec), args.trials, seed),
                     args.json,
                 )
-            except (ValueError, CycleParseError) as exc:
+            except ValueError as exc:
                 print(f"error: bad finite spec: {exc}", file=sys.stderr)
                 return EXIT_FAILURE
         if args.command == "selftest":

@@ -21,6 +21,7 @@ from .finite import (
     faithfulness_check,
     intersection_property_check,
     key_inequality_check,
+    parse_finite_spec,
     principality,
 )
 from .germs import (
@@ -286,8 +287,6 @@ def diagnose_experiment(spec: dict) -> ExperimentReport:
 def finite_experiment(
     spec: dict, trials: int = 200, seed: int = DEFAULT_SEED
 ) -> ExperimentReport:
-    from .finite import parse_finite_spec
-
     started = time.monotonic()
     report = ExperimentReport("finite", {"spec": spec}, seed=seed)
     G = parse_finite_spec(spec)

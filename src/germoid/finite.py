@@ -56,7 +56,7 @@ from .perms import (
     GroupTooLarge,
     PermGroup,
     Permutation,
-    extend_homomorphism,
+    action_table,
     parse_count,
     parse_cycles,
     refuse_unknown_keys,
@@ -249,37 +249,31 @@ class FiniteGroupoid:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def transformation(cls, points: int, group: PermGroup, action=None) -> "FiniteGroupoid":
+    def transformation(cls, points: int, group: PermGroup, images=None) -> "FiniteGroupoid":
         """Action groupoid of a group acting on {1..points}.
 
-        By default the group must be a permutation group of the points
-        themselves; an explicit ``action`` (a homomorphism, as a dict from
-        group elements to permutations of the points) covers non-faithful
-        cases such as a nontrivial group acting trivially.
+        By default the group permutes the points themselves.  Otherwise
+        ``images`` holds one permutation of the points per entry of
+        ``group.generators``, in order, checked by ``perms.action_table``;
+        non-faithful actions, such as a group acting trivially, are given
+        this way.  A group built without generators, ``PermGroup(n,
+        elements)``, takes only the faithful action; nothing in the package,
+        its tests or its demos builds one with another.
         """
         # the arrow (g, y): y -> g(y), labelled by g's cycle string, is raw
         # arrow k * points + y - 1 for g = elements[k]; (g, g'(y)) (g', y) =
         # (g g', y), and the rows run over composable pairs in raw order
         _check_arrow_count(points * len(group))
         els = group.elements
-        if action is None:
-            if group.n != points:
-                raise ValueError("group does not act on the given points")
-            acts = els
-        else:
-            for g in group:
-                if g not in action or action[g].n != points:
-                    raise ValueError("action must assign every group element a "
-                                     "permutation of the points")
-            acts = [action[g] for g in els]
         n = len(els)
         # act[k, y]: the image of the point y + 1 under elements[k], 0-based
-        act = np.array([p.images for p in acts], dtype=np.intp).reshape(n, points) - 1
+        if images is not None:
+            act = action_table(group, images, points)
+        elif group.n != points:
+            raise ValueError("group does not act on the given points")
+        else:
+            act = np.array([g.images for g in els], dtype=np.intp) - 1
         table = group.table.astype(np.intp)
-        if action is not None and not np.array_equal(
-            act[table], act[np.arange(n)[:, None, None], act]
-        ):
-            raise ValueError("action is not a homomorphism")
         rng = act.ravel()
         src = np.tile(np.arange(points), n)
         # the arrow (k, x) composes with every arrow of range x, in raw order
@@ -297,7 +291,7 @@ class FiniteGroupoid:
     def trivial_action(cls, points: int, group: PermGroup) -> "FiniteGroupoid":
         """Every group element acting as the identity on the points."""
         ident = Permutation.identity(points)
-        return cls.transformation(points, group, {g: ident for g in group})
+        return cls.transformation(points, group, [ident] * len(group.generators))
 
     @classmethod
     def equivalence(cls, blocks) -> "FiniteGroupoid":
@@ -875,11 +869,7 @@ def _parse_finite_spec(spec):
             raise too_large from None
         if "action" in t:
             images = [parse_cycles(s, k) for s in t["action"]]
-            if gens:
-                hom = extend_homomorphism(group, gens, images)
-            else:
-                hom = {group.identity: Permutation.identity(k)}
-            return FiniteGroupoid.transformation(k, group, hom)
+            return FiniteGroupoid.transformation(k, group, images)
         if degree != k:
             raise ValueError("group_degree differs from points but no action given")
         return FiniteGroupoid.transformation(k, group)

@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .perms import GroupTooLarge, PermGroup, Permutation
+from .perms import (
+    GroupTooLarge,
+    PermGroup,
+    Permutation,
+    parse_count,
+    parse_cycles,
+    refuse_unknown_keys,
+)
 from .scalars import _frac
 from .starspace import CENTER, CenterPoint, EdgePoint
 
@@ -275,8 +282,6 @@ def parse_star_spec(spec: dict) -> GermGroupoid:
 
 
 def _parse_star_spec(spec):
-    from .perms import parse_count, parse_cycles, refuse_unknown_keys
-
     refuse_unknown_keys(spec, ("n", "group", "generators"), "star spec")
     if "n" not in spec:
         raise ValueError("star spec needs an edge count 'n'")

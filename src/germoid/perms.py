@@ -12,6 +12,9 @@ character), ``fixing`` (the non-identity elements with a fixed point), the
 (i, sigma(i)) incidence ``pair_incidence`` and the integer Cayley table
 ``table``.  Every loop over pairs of group elements reads its products from
 the table instead of multiplying ``Permutation`` objects.
+
+An action on other points is given by the generators' images, in order;
+``action_table`` walks the Cayley table to the action array and checks it.
 """
 
 from __future__ import annotations
@@ -419,39 +422,39 @@ class PermGroup:
         return f"PermGroup(n={self.n}, order={len(self)})"
 
 
-def extend_homomorphism(group: PermGroup, gens, images) -> dict:
-    """Extend generator assignments gens[k] -> images[k] to a homomorphism
-    defined on the whole group, or fail if the assignment is inconsistent.
+def action_table(group: PermGroup, images, points: int) -> np.ndarray:
+    """The action on {1..points} in which generators[k] acts as images[k]:
+    row j holds the 0-based images of the points under elements[j].
 
-    The generators must generate the group; the images may permute a
-    different symbol set (this is how non-faithful actions are specified).
-
-    The walk checks hom(s g) = hom(s) hom(g) on every generator edge s of
-    every element g, and that proves the homomorphism: writing h as a word in
-    the generators (positive words suffice in a finite group) gives
-    hom(h g) = hom(h) hom(g) by induction on the word length.
+    A walk from the identity sets row g h to images[g] applied to row h, for
+    each generator g and each h on the frontier, and a row reached twice must
+    agree.  So hom(s h) = hom(s) hom(h) on every generator edge, and that
+    proves the homomorphism: writing w as a word in the generators (positive
+    words suffice in a finite group) gives hom(w h) = hom(w) hom(h) by
+    induction on the word length.
     """
-    if len(gens) != len(images):
+    if len(images) != len(group.generators):
         raise ValueError("one image per generator required")
-    target_n = images[0].n if images else group.n
-    els, index, table = group.elements, group.index, group.table
-    gen_rows = [table[index[gen]].tolist() for gen in gens]
-    hom = {group.identity: Permutation.identity(target_n)}
-    frontier = [group.identity]
+    if any(p.n != points for p in images):
+        raise ValueError(f"generator images must permute 1..{points}")
+    img = np.array([p.images for p in images], dtype=np.intp).reshape(len(images), points) - 1
+    # gen_rows[k, h] is the position of generators[k] * elements[h]
+    gen_rows = group.table[[group.index[g] for g in group.generators]]
+    act = np.empty((len(group), points), dtype=np.intp)
+    reached = np.zeros(len(group), dtype=bool)
+    frontier = [group.index[group.identity]]
+    act[frontier] = np.arange(points)
+    reached[frontier] = True
     while frontier:
-        new_frontier = []
-        for g in frontier:
-            k = index[g]
-            for row, img in zip(gen_rows, images):
-                h = els[row[k]]
-                cand = img * hom[g]
-                if h in hom:
-                    if hom[h] != cand:
-                        raise ValueError("generator images do not define a homomorphism")
-                else:
-                    hom[h] = cand
-                    new_frontier.append(h)
-        frontier = new_frontier
-    if len(hom) != len(group):
+        # g h for each generator g, then h; rows[i] = images[g] applied to row h
+        targets = gen_rows[:, frontier].ravel()
+        rows = img[:, act[frontier]].reshape(-1, points)
+        new = ~reached[targets]
+        act[targets[new]] = rows[new]
+        reached[targets] = True
+        if (act[targets] != rows).any():
+            raise ValueError("generator images do not define a homomorphism")
+        frontier = list(set(targets[new].tolist()))
+    if not reached.all():
         raise ValueError("generators do not generate the group")
-    return hom
+    return act

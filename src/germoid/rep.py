@@ -20,6 +20,7 @@ them builds a ``Scalar`` per group element.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .algebra import (
@@ -33,6 +34,7 @@ from .germs import GermGroupoid
 from .linalg import Matrix, solve
 from .perms import PermGroup, Permutation
 from .poly import PiecewisePoly, _scalar
+from .sampling import random_ppfun
 from .scalars import ONE, ZERO, Scalar
 from .starspace import act
 
@@ -291,8 +293,6 @@ def build_strange_normalizer(
     n = G.n
     if tau.n != n:
         raise ValueError("tau acts on the wrong number of edges")
-    from .sampling import random_ppfun
-
     u = phi(build_unitary_v(G.group, tau), G)
     # phi is a *-homomorphism and v is verified unitary, so u is unitary by
     # construction; a failure here is an internal error, caught before any
@@ -305,8 +305,6 @@ def build_strange_normalizer(
     expected_strips = {
         (i, tau(i)): PiecewisePoly.const(1) for i in range(1, n + 1)
     }
-
-    import random
 
     rng = random.Random(seed)
     conj_ok = True

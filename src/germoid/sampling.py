@@ -19,7 +19,7 @@ the index tuple is looked up in a table of finished breakpoint tuples
 the twelve endpoints (``_INTERVALS``).  Both tables fill on first use, one
 entry per index tuple met, so importing the module builds nothing.  They
 are caches of fixed functions of the key and hold immutable tuples: at
-most 101 breakpoint entries at the default max_interior = 2, and 132
+most 101 breakpoint entries, for at most two interior breakpoints, and 132
 endpoint pairs.
 
 Scalars and coefficient functions are built over the integers that
@@ -80,29 +80,29 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
     return lo + r
 
 
-def random_scalar(rng: random.Random, span: int = 4) -> Scalar:
-    """p/q + (r/s) i, drawn in the order p, q, r, s."""
-    p = _randint(rng, -span, span)
-    q = _randint(rng, 1, span)
-    r = _randint(rng, -span, span)
-    s = _randint(rng, 1, span)
+def random_scalar(rng: random.Random) -> Scalar:
+    """p/q + (r/s) i with p, r in -4..4 and q, s in 1..4, drawn in the order
+    p, q, r, s."""
+    p = _randint(rng, -4, 4)
+    q = _randint(rng, 1, 4)
+    r = _randint(rng, -4, 4)
+    s = _randint(rng, 1, 4)
     a, b, d = p * s, r * q, q * s
     g = gcd(a, b, d)
     return _make(a // g, b // g, d // g)
 
 
-def _poly_entries(rng: random.Random, max_deg: int):
-    """[12, a0, b0, a1, b1, ...]: a random polynomial whose coefficients are
-    drawn as random_scalar draws them, each put over 12 = lcm(1, 2, 3, 4), a
-    multiple of every denominator q, s drawn; neither trimmed nor reduced."""
-    # _randint inlined: randint(0, max_deg), then per coefficient
+def _poly_entries(rng: random.Random):
+    """[12, a0, b0, a1, b1, ...]: a random polynomial of degree at most 2
+    whose coefficients are drawn as random_scalar draws them, each put over
+    12 = lcm(1, 2, 3, 4), a multiple of every denominator q, s drawn;
+    neither trimmed nor reduced."""
+    # _randint inlined: randint(0, 2) (3 values, 2 bits), then per coefficient
     # randint(-4, 4) (9 values, 4 bits) and randint(1, 4) (4 values, 3 bits)
     bits = rng.getrandbits
-    n = max_deg + 1
-    k = n.bit_length()
-    deg = bits(k)
-    while deg >= n:
-        deg = bits(k)
+    deg = bits(2)
+    while deg >= 3:
+        deg = bits(2)
     out = [12]
     for _ in range(deg + 1):
         p = bits(4)
@@ -121,23 +121,24 @@ def _poly_entries(rng: random.Random, max_deg: int):
     return out
 
 
-def random_breaks(rng: random.Random, max_interior: int = 2) -> tuple:
-    """(0, sorted distinct breakpoints from the pool, 1)."""
-    key = tuple(rng.sample(_POOL_INDICES, _randint(rng, 0, max_interior)))
+def random_breaks(rng: random.Random) -> tuple:
+    """(0, sorted distinct breakpoints from the pool, 1), with at most two
+    interior breakpoints."""
+    key = tuple(rng.sample(_POOL_INDICES, _randint(rng, 0, 2)))
     breaks = _BREAKS.get(key)
     if breaks is None:
         breaks = _BREAKS[key] = (_F0, *sorted({_BREAK_POOL[i] for i in key}), _F1)
     return breaks
 
 
-def random_piecewise(rng: random.Random, value_at_0: Scalar, max_interior: int = 2) -> PiecewisePoly:
+def random_piecewise(rng: random.Random, value_at_0: Scalar) -> PiecewisePoly:
     """Random continuous piecewise polynomial with the given limit at 0."""
-    breaks = random_breaks(rng, max_interior)
+    breaks = random_breaks(rng)
     polys = []
     # level: the chain's value at lo, as (re + im*i)/d, not reduced
     la, lb, ld = value_at_0._a, value_at_0._b, value_at_0._d
     for lo, hi in zip(breaks, breaks[1:]):
-        p = _poly_entries(rng, 2)
+        p = _poly_entries(rng)
         # shift the constant term by level - p(lo) so the chain stays continuous
         # at lo, over the denominator m = ld*rd (rd is a multiple of p's d)
         ra, rb, rd = _horner(p, lo.numerator, lo.denominator)
@@ -205,8 +206,9 @@ def random_germ(groupoid: GermGroupoid, rng: random.Random):
     return EdgeGerm(Fraction(_randint(rng, 1, 24), 24), i, j)
 
 
-def random_group_algebra_element(group, rng: random.Random, support: int = 3):
+def random_group_algebra_element(group, rng: random.Random):
+    """At most three terms: each draws its value, then its group element."""
     coeffs = {}
-    for _ in range(support):
+    for _ in range(3):
         coeffs[rng.choice(group.elements)] = random_scalar(rng)
     return GroupAlgebraElement(group, coeffs)

@@ -10,7 +10,7 @@ from germoid.algebra import AlgebraElement, from_sheet
 from germoid.finite import FiniteAlgebraElement, _diagonal_meets, minimal_central_projections
 from germoid.germs import CenterGerm, EdgeGerm
 from germoid.linalg import Matrix, nullspace, rref, solve
-from germoid.perms import parse_cycles
+from germoid.perms import Permutation, parse_cycles
 from germoid.poly import PiecewisePoly, _canon, from_scalars
 from germoid.rep import (
     GroupAlgebraElement,
@@ -260,10 +260,10 @@ def scalar_peval(p, t) -> Scalar:
     return acc
 
 
-def random_poly(rng, max_deg: int = 2):
+def random_poly(rng):
     """A random polynomial as a canonical ``poly`` piece, drawn as
     ``random_piecewise`` draws each piece before shifting it."""
-    return _canon(_poly_entries(rng, max_deg))
+    return _canon(_poly_entries(rng))
 
 
 # -- the sampler over Fraction and Scalar arithmetic, as it was before it drew
@@ -439,6 +439,30 @@ def act_on_open_set_by_renormalizing(sigma, x) -> OpenStarSet:
 # -- finite groupoids in dict form, as the constructors built them before the
 # -- index came straight from the Cayley table: keyword arguments of the
 # -- validating ``FiniteGroupoid`` constructor
+
+def hom_by_table(group, gens, images):
+    """The map the generator words assign (first word found wins), if it
+    sends each generator to its image and respects every product of the
+    Cayley table; else None."""
+    hom = {group.identity: Permutation.identity(images[0].n if images else group.n)}
+    frontier = [group.identity]
+    while frontier:
+        new = []
+        for g in frontier:
+            for s, img in zip(gens, images):
+                if s * g not in hom:
+                    hom[s * g] = img * hom[g]
+                    new.append(s * g)
+        frontier = new
+    if any(hom[s] != img for s, img in zip(gens, images)):
+        return None
+    els = group.elements
+    for a, row in enumerate(group.table.tolist()):
+        for b, ab in enumerate(row):
+            if hom[els[ab]] != hom[els[a]] * hom[els[b]]:
+                return None
+    return hom
+
 
 def transformation_by_dicts(points, group, action=None) -> dict:
     """The action groupoid's arrows (g, y): y -> g(y), labelled by g's cycle

@@ -477,10 +477,10 @@ def test_scaled_rows_are_not_unitary(cross):
 
 # -- the group-algebra convolution kernel -------------------------------------------
 
-def _random_function(group, rng, size, span=4):
+def _random_function(group, rng, size):
     out = {}
     for s in rng.sample(group.elements, size):
-        c = random_scalar(rng, span)
+        c = random_scalar(rng)
         out[s] = c if c else Scalar(1)
     return out
 

@@ -177,6 +177,15 @@ def test_spec_counts_that_are_not_integers_are_refused(command, spec, message, t
     _assert_refused(command, spec, message, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("transformation", [
+    {"points": 2, "group_degree": 1, "action": ["(1 2)"]},
+    {"points": 2, "group_degree": 2, "group_generators": ["(1 2)"], "action": ["(1 2)", "()"]},
+], ids=["no generators", "two images for one generator"])
+def test_an_action_needs_one_image_per_generator(transformation, tmp_path, capsys):
+    _assert_refused("finite", {"transformation": transformation},
+                    "one image per generator required", tmp_path, capsys)
+
+
 def _assert_refused(command, spec, message, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -382,6 +391,7 @@ def test_reports_equal_those_of_the_fraction_sampler(args, tmp_path, monkeypatch
                          ("random_ppfun", fraction_ppfun)]:
         monkeypatch.setattr(germoid.sampling, name, oracle)
     monkeypatch.setattr(germoid.experiments, "random_ppfun", fraction_ppfun)
+    monkeypatch.setattr(germoid.rep, "random_ppfun", fraction_ppfun)
     # and the open-set and germ draws made with rng.randint and sorts
     monkeypatch.setattr(germoid.experiments, "random_open_set", randint_open_set)
     monkeypatch.setattr(germoid.experiments, "random_germ", randint_germ)

@@ -31,12 +31,13 @@ from germoid.finite import (
     regular_rep,
 )
 from germoid.linalg import nullspace
-from germoid.perms import PermGroup, Permutation, extend_homomorphism, parse_cycles
+from germoid.perms import PermGroup, Permutation, parse_cycles
 from germoid.scalars import ONE, ZERO
 from oracles import (
     equivalence_by_dicts,
     faithfulness_by_subsets,
     has_no_isotropy,
+    hom_by_table,
     isotropy_arrows,
     random_finite_element,
     restrict_to_units,
@@ -124,11 +125,9 @@ def test_axiom_witnesses_name_the_problem():
 def test_transformation_action_must_be_a_homomorphism():
     z2 = PermGroup.generate(2, [parse_cycles("(1 2)", 2)])
     swap3 = parse_cycles("(1 2 3)", 3)
-    from germoid.perms import Permutation
-
-    bad = {g: (swap3 if not g.is_identity() else Permutation.identity(3)) for g in z2}
-    with pytest.raises(ValueError):
-        FiniteGroupoid.transformation(3, z2, bad)
+    # one image for the one generator, but (1 2 3) does not square to ()
+    with pytest.raises(ValueError, match="^generator images do not define a homomorphism$"):
+        FiniteGroupoid.transformation(3, z2, [swap3])
 
 
 # -- the algebra -------------------------------------------------------------------
@@ -510,6 +509,13 @@ ORACLE_SPECS = {
     "units_only_13": {"equivalence": {"blocks": [[x] for x in range(1, 14)]}},
     # free units 1 and 2 beside the unit 3 with isotropy
     "z2_on_3": {"transformation": {"points": 3, "group_generators": ["(1 2)"]}},
+    # non-faithful, non-trivial actions: S3 through its sign, Z4 through Z4/2Z4
+    "s3_sign_on_2": {"transformation": {"points": 2, "group_degree": 3,
+                                        "group_generators": ["(1 2)", "(1 2 3)"],
+                                        "action": ["(1 2)", "()"]}},
+    "z4_mod2_on_2": {"transformation": {"points": 2, "group_degree": 4,
+                                        "group_generators": ["(1 2 3 4)"],
+                                        "action": ["(1 2)"]}},
 }
 
 
@@ -532,7 +538,7 @@ def _oracle_dicts(name):
     group = PermGroup.generate(t.get("group_degree", points), gens)
     action = None
     if "action" in t:
-        action = extend_homomorphism(group, gens, [parse_cycles(c, points) for c in t["action"]])
+        action = hom_by_table(group, gens, [parse_cycles(c, points) for c in t["action"]])
     return transformation_by_dicts(points, group, action)
 
 
@@ -604,6 +610,8 @@ _FINITE_VERDICTS = {
     "explicit_z2": (False, 0, 2, 1),
     "z2_on_3": (False, 2, 4, 3),
     "units_only_13": (True, 13, 13, 13),
+    "s3_sign_on_2": (False, 0, 6, 2),
+    "z4_mod2_on_2": (False, 0, 4, 2),
 }
 
 

@@ -1,5 +1,7 @@
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,10 +9,11 @@ from germoid.perms import (
     CycleParseError,
     PermGroup,
     Permutation,
-    extend_homomorphism,
+    action_table,
     parse_count,
     parse_cycles,
 )
+from oracles import hom_by_table
 
 perm4_st = st.permutations(range(1, 5)).map(Permutation)
 
@@ -143,41 +146,39 @@ def test_mulclose_matches_group_axioms():
 
 def test_extend_homomorphism_trivial_action():
     z2 = PermGroup.generate(2, [parse_cycles("(1 2)", 2)])
-    hom = extend_homomorphism(
-        z2, [parse_cycles("(1 2)", 2)], [Permutation.identity(1)]
-    )
-    assert all(img.is_identity() for img in hom.values())
+    act = action_table(z2, [Permutation.identity(1)], 1)
+    assert act.tolist() == [[0], [0]]
 
 
 def test_extend_homomorphism_rejects_inconsistent():
     z2 = PermGroup.generate(2, [parse_cycles("(1 2)", 2)])
     # (1 2) has order 2 but a 3-cycle does not: no homomorphism
-    with pytest.raises(ValueError):
-        extend_homomorphism(z2, [parse_cycles("(1 2)", 2)], [parse_cycles("(1 2 3)", 3)])
+    with pytest.raises(ValueError, match="^generator images do not define a homomorphism$"):
+        action_table(z2, [parse_cycles("(1 2 3)", 3)], 3)
 
 
-def _hom_by_table(group, gens, images):
-    """The map the generator words assign (first word found wins), if it
-    sends each generator to its image and respects every product of the
-    Cayley table; else None."""
-    hom = {group.identity: Permutation.identity(images[0].n if images else group.n)}
-    frontier = [group.identity]
-    while frontier:
-        new = []
-        for g in frontier:
-            for s, img in zip(gens, images):
-                if s * g not in hom:
-                    hom[s * g] = img * hom[g]
-                    new.append(s * g)
-        frontier = new
-    if any(hom[s] != img for s, img in zip(gens, images)):
-        return None
-    els = group.elements
-    for a, row in enumerate(group.table.tolist()):
-        for b, ab in enumerate(row):
-            if hom[els[ab]] != hom[els[a]] * hom[els[b]]:
-                return None
-    return hom
+@pytest.mark.parametrize("images, points, message", [
+    ([], 2, "one image per generator required"),
+    (["(1 2)", "()"], 2, "one image per generator required"),
+    (["(1 2)"], 3, "generator images must permute 1..3"),
+])
+def test_action_table_refuses_a_malformed_image_list(images, points, message):
+    z2 = PermGroup.generate(2, [parse_cycles("(1 2)", 2)])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        action_table(z2, [parse_cycles(c, 2) for c in images], points)
+
+
+def test_action_table_refuses_generators_that_miss_elements():
+    s3 = PermGroup.symmetric(3)
+    # S3's elements with generators that reach only a subgroup, or none at all
+    for group in (PermGroup(3, s3.elements, [parse_cycles("(1 2)", 3)]),
+                  PermGroup(3, s3.elements)):
+        images = [Permutation.identity(1)] * len(group.generators)
+        with pytest.raises(ValueError, match="^generators do not generate the group$"):
+            action_table(group, images, 1)
+    # the faithful action, given by the generators' own images
+    assert action_table(s3, list(s3.generators), 3).tolist() == [
+        [i - 1 for i in g.images] for g in s3.elements]
 
 
 def _perms(n):
@@ -202,13 +203,16 @@ def test_extend_homomorphism_accepts_exactly_the_table_homomorphisms(data):
     else:
         c = data.draw(_perms(n), label="conjugator")
         images = [c * s * c.inverse() for s in gens]
-    expected = _hom_by_table(group, gens, images)
+    expected = hom_by_table(group, gens, images)
     try:
-        hom = extend_homomorphism(group, gens, images)
-    except ValueError:
+        act = action_table(group, images, m)
+    except ValueError as exc:
         assert expected is None
+        assert str(exc) == "generator images do not define a homomorphism"
     else:
-        assert hom == expected
+        assert expected is not None
+        assert act.dtype == np.intp
+        assert act.tolist() == [[i - 1 for i in expected[g].images] for g in group.elements]
 
 
 # -- the index over element positions --------------------------------------------

@@ -51,6 +51,7 @@ from germoid.poly import (
 from germoid.sampling import random_algebra_element, random_ppfun, random_scalar
 from germoid.scalars import ZERO, Scalar
 from oracles import (
+    fraction_poly,
     random_poly,
     scalar_padd,
     scalar_pconj,
@@ -222,7 +223,7 @@ def test_merge_returns_equal_break_tuples_as_they_are():
 
 def test_merge_with_the_trivial_breaks():
     rng = random.Random(13)
-    trivial = PiecewisePoly((0, 1), (random_poly(rng, max_deg=3),))
+    trivial = PiecewisePoly((0, 1), (from_scalars(fraction_poly(rng, max_deg=3)),))
     assert trivial.breaks == (0, 1)
     for _ in range(50):
         f = _continuous_strip(rng, _random_breaks(rng))

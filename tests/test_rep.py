@@ -20,7 +20,7 @@ from germoid.rep import (
     perm_rep,
     phi,
 )
-from germoid.sampling import random_group_algebra_element, random_ppfun
+from germoid.sampling import random_group_algebra_element, random_ppfun, random_scalar
 from germoid.scalars import ONE, ZERO
 from germoid.starspace import act
 from oracles import (
@@ -322,6 +322,16 @@ def _generated(n, *cycles):
     return PermGroup.generate(n, [parse_cycles(c, n) for c in cycles])
 
 
+def _five_terms(group, rng):
+    """A group-algebra element drawn as the sampler draws its three terms,
+    with five: each term's value, then its group element."""
+    coeffs = {}
+    for _ in range(5):
+        c = random_scalar(rng)
+        coeffs[rng.choice(group.elements)] = c
+    return GroupAlgebraElement(group, coeffs)
+
+
 @pytest.mark.parametrize("group", [
     _generated(6, "(1 2 3)", "(1 4)(2 5)(3 6)"),   # C3 wr C2, order 18
     _generated(6, "(1 2)", "(1 2 3)", "(4 5)", "(4 5 6)"),   # S3 x S3, order 36
@@ -329,7 +339,7 @@ def _generated(n, *cycles):
 def test_gram_solve_preimage_matches_rref_oracle(group, rng, monkeypatch):
     monkeypatch.delattr(germoid.rep, "_fourier_preimage")
     assert not group.is_two_transitive
-    targets = [integrated_rep(random_group_algebra_element(group, rng, 5)) for _ in range(3)]
+    targets = [integrated_rep(_five_terms(group, rng)) for _ in range(3)]
     targets += [perm_rep(s) for s in group.generators] + [Matrix.identity(group.n)]
     for target in targets:
         assert min_norm_preimage(target, group) == rref_preimage(target, group)
@@ -517,14 +527,13 @@ def test_strange_normalizer_point_map_matches_the_checked_one():
 
 
 def test_strange_normalizer_rejects_a_non_unitary_lift(monkeypatch):
-    import germoid.sampling
     from germoid.rep import InternalCheckError
     from germoid.scalars import Scalar
 
     draws = []
     real_phi = germoid.rep.phi
     monkeypatch.setattr(germoid.rep, "phi", lambda v, G: real_phi(v, G).scale(Scalar(2)))
-    monkeypatch.setattr(germoid.sampling, "random_ppfun", lambda *args: draws.append(args))
+    monkeypatch.setattr(germoid.rep, "random_ppfun", lambda *args: draws.append(args))
     with pytest.raises(InternalCheckError):
         build_strange_normalizer(GermGroupoid.star(4), parse_cycles("(1 2)", 4), trials=1, seed=0)
     assert draws == []  # unitarity is checked before any conjugation trial

@@ -51,20 +51,31 @@ def test_random_ppfun_matches_the_fraction_sampler(n):
         assert mine.getstate() == theirs.getstate()
 
 
-@pytest.mark.parametrize("span", range(1, 7))
-def test_random_scalar_matches_the_fraction_sampler(span):
+def test_random_scalar_matches_the_fraction_sampler():
     for seed in SEEDS:
         mine, theirs = random.Random(seed), random.Random(seed)
-        assert _triple(sampling.random_scalar(mine, span)) == _triple(
-            fraction_scalar(theirs, span)
-        )
+        assert _triple(sampling.random_scalar(mine)) == _triple(fraction_scalar(theirs))
         assert mine.getstate() == theirs.getstate()
 
 
 def test_random_poly_matches_the_fraction_sampler():
+    # the degree draw inlined in _poly_entries, then the coefficients
     for seed in SEEDS:
         mine, theirs = random.Random(seed), random.Random(seed)
-        p, q = random_poly(mine, max_deg=3), fraction_poly(theirs, max_deg=3)
+        p, q = random_poly(mine), fraction_poly(theirs)
+        assert [_triple(c) for c in coeffs(p)] == [_triple(c) for c in q]
+        assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("deg", range(3))
+def test_polynomial_draws_match_the_fraction_sampler(deg):
+    # the degree draw inlined in _poly_entries, one degree at a time: the
+    # seeds whose randint(0, 2) degree draw lands on deg
+    seeds = [seed for seed in SEEDS if random.Random(seed).randint(0, 2) == deg]
+    assert seeds
+    for seed in seeds:
+        mine, theirs = random.Random(seed), random.Random(seed)
+        p, q = random_poly(mine), fraction_poly(theirs)
         assert [_triple(c) for c in coeffs(p)] == [_triple(c) for c in q]
         assert mine.getstate() == theirs.getstate()
 
@@ -142,10 +153,10 @@ def test_a_sampled_element_is_built_and_checked_once(monkeypatch):
             assert len(gluings) == 1
 
 
-# every (lo, hi) the sampler drew with rng.randint before the draw kernel:
-# random_scalar's spans, the polynomial degree and the breakpoint and
-# interval counts, random_germ's t; (1, 1) at span 1 and (0, 0) at
-# max_interior 0 are the width-1 ranges, where randint still draws one bit
+# the draw kernel on every range of the form (-k, k), (1, k) or (0, k) up to
+# k = 6, which holds each range the sampler draws from (spans of 4, counts up
+# to 2), and random_germ's t; (1, 1) and (0, 0) are the width-1 ranges,
+# where randint still draws one bit
 _RANDINT_RANGES = sorted(
     {(-span, span) for span in range(1, 7)} | {(1, span) for span in range(1, 7)}
     | {(0, m) for m in range(6)} | {(1, 24)}
@@ -162,23 +173,12 @@ def test_the_draw_kernel_is_randint(lo, hi):
         assert mine.getstate() == theirs.getstate()
 
 
-@pytest.mark.parametrize("max_deg", range(3))
-def test_polynomial_draws_match_the_fraction_sampler(max_deg):
-    # the degree draw inlined in _poly_entries, down to its width-1 range
+def test_random_breaks_match_the_randint_sampler():
     for seed in SEEDS:
         mine, theirs = random.Random(seed), random.Random(seed)
-        p, q = random_poly(mine, max_deg), fraction_poly(theirs, max_deg)
-        assert [_triple(c) for c in coeffs(p)] == [_triple(c) for c in q]
-        assert mine.getstate() == theirs.getstate()
-
-
-@pytest.mark.parametrize("max_interior", range(6))
-def test_random_breaks_match_the_randint_sampler(max_interior):
-    for seed in SEEDS:
-        mine, theirs = random.Random(seed), random.Random(seed)
-        breaks = sampling.random_breaks(mine, max_interior)
+        breaks = sampling.random_breaks(mine)
         assert isinstance(breaks, tuple)
-        assert list(breaks) == randint_breaks(theirs, max_interior)
+        assert list(breaks) == randint_breaks(theirs)
         assert mine.getstate() == theirs.getstate()
 
 
