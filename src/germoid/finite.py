@@ -282,7 +282,8 @@ class FiniteGroupoid:
         ib = np.tile(into, n)
         ic = table[ia // points, ib // points] * points + ib % points
         inv = group.inverse_index.astype(np.intp).repeat(points) * points + rng
-        arrows = [(g.cycle_string(), y) for g in els for y in range(1, points + 1)]
+        names = [g.cycle_string() for g in els]
+        arrows = [(name, y) for name in names for y in range(1, points + 1)]
         units = list(range(1, points + 1))
         unit_arrow = {x: ("()", x) for x in units}
         return cls._from_index(units, arrows, unit_arrow, ia, ib, ic, inv, src, rng)

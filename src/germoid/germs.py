@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .perms import (
     GroupTooLarge,
     PermGroup,
@@ -94,11 +96,12 @@ class GermGroupoid:
             raise ValueError(f"group acts on {group.n} edges, star has {n}")
         self.n = n
         self.group = group
-        pairs = set()
-        for sigma in group:
-            for i in range(1, n + 1):
-                pairs.add((i, sigma(i)))
-        self.admissible_pairs = frozenset(pairs)
+        # the pair (i, sigma(i)), 0-based, as the code i*n + sigma(i); a mask
+        # over the codes, since np.unique would import numpy.ma on first use
+        seen = np.zeros(n * n, dtype=bool)
+        seen[np.arange(n) * n + group._images] = True
+        self.admissible_pairs = frozenset(
+            (c // n + 1, c % n + 1) for c in np.flatnonzero(seen).tolist())
 
     @cached_property
     def sorted_pairs(self) -> tuple:
@@ -185,7 +188,8 @@ class GermGroupoid:
         Edge germs (t,i,i) have equal source and range but are units, so
         they never appear here.
         """
-        return [CenterGerm(s) for s in self.group if not s.is_identity()]
+        # the identity is elements[0]
+        return [CenterGerm(s) for s in self.group.elements[1:]]
 
     def essentially_principal_check(self):
         """True plus witnesses (non-unit germs interior to the isotropy bundle).
@@ -195,11 +199,9 @@ class GermGroupoid:
         fixes every edge; edge permutations acting as the identity *are* the
         identity, so the witness list is computed and always comes out empty.
         """
-        witnesses = [
-            CenterGerm(s)
-            for s in self.group
-            if not s.is_identity() and len(s.fixed_points()) == self.n
-        ]
+        els = self.group.elements
+        full = np.flatnonzero(self.group.fixed_counts[1:] == self.n) + 1
+        witnesses = [CenterGerm(els[k]) for k in full.tolist()]
         return (not witnesses), witnesses
 
     def hausdorff_check(self) -> HausdorffResult:

@@ -8,7 +8,8 @@ functions: (sigma * tau)(i) = sigma(tau(i)).
 Each group also carries an index over the positions of its elements in
 ``elements``, built lazily and cached on the group object: ``index`` (element
 to position), ``inverse_index``, ``signs`` (each element's sign, the sign
-character), ``fixing`` (the non-identity elements with a fixed point), the
+character), ``fixed_counts`` (each element's number of fixed points),
+``fixing`` (the non-identity elements with a fixed point), the
 (i, sigma(i)) incidence ``pair_incidence`` and the integer Cayley table
 ``table``.  Every loop over pairs of group elements reads its products from
 the table instead of multiplying ``Permutation`` objects.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import re as _re
 from functools import cached_property
-from itertools import permutations
+from itertools import compress, permutations
 
 import numpy as np
 
@@ -275,12 +276,19 @@ class PermGroup:
     @classmethod
     def _enumerated(cls, n: int, gens, even_only: bool) -> "PermGroup":
         """S_n, or A_n if ``even_only``, listed by ``itertools.permutations``
-        in lexicographic order, which is the sorted order of ``elements``."""
-        elements = map(Permutation._trusted, permutations(range(1, n + 1)))
+        in lexicographic order, which is the sorted order of ``elements``.
+
+        The k-th permutation in that order has the parity of the digit sum
+        of k in the factorial base (its Lehmer code), so A_n keeps the
+        positions whose flag, built digit by digit, is even."""
+        images = permutations(range(1, n + 1))
         if even_only:
-            elements = filter(Permutation.is_even, elements)
+            even = [1]
+            for m in range(2, n + 1):
+                even = [(i & 1) ^ e for i in range(m) for e in even]
+            images = compress(images, even)
         G = cls.__new__(cls)
-        G._set(n, tuple(elements), gens)
+        G._set(n, tuple(map(Permutation._trusted, images)), gens)
         return G
 
     @classmethod
@@ -300,7 +308,7 @@ class PermGroup:
         """Burnside's count: the orbits on ordered pairs of points number
         sum_s fix(s)^2 / |G|, and exactly two orbits (the diagonal and its
         complement) means the action is 2-transitive."""
-        return sum(len(s.fixed_points()) ** 2 for s in self.elements) == 2 * len(self)
+        return int((self.fixed_counts ** 2).sum()) == 2 * len(self)
 
     # -- the index over element positions -------------------------------------
 
@@ -338,12 +346,16 @@ class PermGroup:
         return tuple(s.sign() for s in self.elements)
 
     @cached_property
+    def fixed_counts(self) -> np.ndarray:
+        """fixed_counts[k] is the number of points elements[k] fixes; only
+        the identity, elements[0], fixes all n."""
+        return (self._images == np.arange(self.n)).sum(1)
+
+    @cached_property
     def fixing(self) -> np.ndarray:
         """Positions, ascending, of the non-identity elements that fix a point."""
-        return np.array(
-            [k for k, s in enumerate(self.elements) if s.fixed_points() and not s.is_identity()],
-            dtype=np.intp,
-        )
+        counts = self.fixed_counts
+        return np.flatnonzero((counts > 0) & (counts < self.n))
 
     @cached_property
     def pair_incidence(self) -> np.ndarray:

@@ -10,7 +10,12 @@ merging, equality and hashing compare ints.
 The kernels work on the integers.  ``pmul`` is one integer convolution over
 the denominator d_p*d_q and one gcd; a product of nonzero polynomials over
 the Gaussian rationals has a nonzero leading coefficient, so it needs no
-trim.  ``padd`` and ``psub`` bring both operands to the lcm of their
+trim.  There is one straight-line kernel per pair of operand sizes up to
+``PMUL_KERNEL_PAIRS`` = 5 coefficient pairs (degree 4): it unpacks both
+tuples and writes each output pair as one sum.  The kernels come from one
+source template, compiled on the first product of each size and cached, so
+importing the module compiles none; an operand of higher degree takes the
+double loop.  ``padd`` and ``psub`` bring both operands to the lcm of their
 denominators, add, trim trailing zero pairs and divide by one gcd.
 ``pneg``, ``pconj`` and ``pscale`` act on the integers directly, and
 ``_horner`` evaluates a piece at a rational point without reducing.
@@ -168,9 +173,50 @@ def pneg(p):
     return tuple(out)
 
 
+# a piece of at most this many coefficient pairs (degree 4) is multiplied by a
+# straight-line kernel; a longer one takes the loop
+PMUL_KERNEL_PAIRS = 5
+_KERNEL_LEN = 2 * PMUL_KERNEL_PAIRS + 1
+# (len p, len q) -> the kernel for pieces of those tuple lengths, compiled on
+# first use, so importing the module compiles none
+_PMUL_KERNELS: dict = {}
+
+
+def _pmul_kernel(m: int, n: int):
+    """The straight-line product of an m-pair piece p = (d, a0, b0, ...) and
+    an n-pair piece q = (f, c0, e0, ...): pair k of the result is the sum
+    over i + j = k of (a_i c_j - b_i e_j, a_i e_j + b_i c_j), over d*f.
+    Every name in its source is built from integer indices."""
+    terms = ["d * f"]
+    for k in range(m + n - 1):
+        ij = [(i, k - i) for i in range(max(0, k - n + 1), min(m, k + 1))]
+        terms.append(" + ".join(f"a{i} * c{j} - b{i} * e{j}" for i, j in ij))
+        terms.append(" + ".join(f"a{i} * e{j} + b{i} * c{j}" for i, j in ij))
+    name = f"pmul_{m}x{n}"
+    source = "\n".join([
+        f"def {name}(p, q):",
+        "    d, " + ", ".join(f"a{i}, b{i}" for i in range(m)) + " = p",
+        "    f, " + ", ".join(f"c{j}, e{j}" for j in range(n)) + " = q",
+        "    return _reduce([" + ", ".join(terms) + "])",
+    ])
+    namespace = {"_reduce": _reduce}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
 def pmul(p, q):
     if not p or not q:
         return PZERO
+    kernel = _PMUL_KERNELS.get((len(p), len(q)))
+    if kernel is None:
+        if len(p) > _KERNEL_LEN or len(q) > _KERNEL_LEN:
+            return _pmul_loop(p, q)
+        kernel = _PMUL_KERNELS[len(p), len(q)] = _pmul_kernel(len(p) // 2, len(q) // 2)
+    return kernel(p, q)
+
+
+def _pmul_loop(p, q):
+    """The product of nonzero pieces of any length, by the double loop."""
     out = [0] * (len(p) + len(q) - 3)
     out[0] = p[0] * q[0]
     qs = tuple(zip(q[1::2], q[2::2]))

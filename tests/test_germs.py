@@ -138,6 +138,19 @@ def test_essentially_principal(cross, star4):
         assert witnesses == []
 
 
+def test_set_up_and_diagnostics_match_the_per_element_walks():
+    for G in (GermGroupoid.cross(), GermGroupoid.star(4), GermGroupoid.star(6),
+              GermGroupoid.cyclic_star(5), GermGroupoid(3, PermGroup.trivial(3)),
+              GermGroupoid(5, PermGroup.symmetric(5)),
+              GermGroupoid(6, PermGroup.generate(6, [parse_cycles("(1 2)(3 4)", 6)]))):
+        pairs = {(i, s(i)) for s in G.group for i in range(1, G.n + 1)}
+        assert G.admissible_pairs == frozenset(pairs)
+        assert all(x.__class__ is int for pair in G.admissible_pairs for x in pair)
+        assert G.isotropy_description() == [
+            CenterGerm(s) for s in G.group if not s.is_identity()]
+        assert G.essentially_principal_check() == (True, [])
+
+
 def test_hausdorff_cross(cross):
     result = cross.hausdorff_check()
     assert result.hausdorff is False

@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -136,6 +137,13 @@ def test_enumerated_groups_equal_their_closures(kind, n):
     assert G.identity == closure.identity and G == closure
 
 
+def test_alternating_groups_keep_the_even_permutations_in_order():
+    """The Lehmer-code parity flags keep what ``is_even`` keeps, in order."""
+    for n in range(1, 9):
+        listed = map(Permutation._trusted, permutations(range(1, n + 1)))
+        assert PermGroup.alternating(n).elements == tuple(filter(Permutation.is_even, listed))
+
+
 def test_mulclose_matches_group_axioms():
     g = PermGroup.alternating(4)
     for a in g:
@@ -243,6 +251,7 @@ def test_table_and_inverse_index_match_permutation_products(make):
     assert [els[k] for k in G.fixing] == [
         s for s in els if not s.is_identity() and s.fixed_points()
     ]
+    assert G.fixed_counts.tolist() == [len(s.fixed_points()) for s in els]
 
 
 def test_table_sampled_on_a7():

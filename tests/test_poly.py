@@ -1,15 +1,19 @@
 """The exact strip kernel against the implementations it replaced.
 
 The integer piece kernels are checked against the ``Scalar``-tuple kernels
-in tests/oracles.py (``pmul`` against the schoolbook loop), with every
-result in canonical form; the one-pass breakpoint merge against the
+in tests/oracles.py (``pmul`` against the schoolbook loop, and each
+straight-line ``pmul`` kernel against the integer loop), with every result
+in canonical form; the one-pass breakpoint merge against the
 set/sort/bisect alignment, the
 k-way refinement against the collision and point-map scans that bisected
 every strip, the bucketed gluing check against the per-pair center scan, and
 the indexed strip pairing against the all-pairs scan.
 """
 
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
@@ -34,8 +38,12 @@ from germoid.experiments import cross_experiment, selftest_experiment, star_expe
 from germoid.germs import GermGroupoid
 from germoid.perms import parse_cycles
 from germoid.poly import (
+    _PMUL_KERNELS,
+    PMUL_KERNEL_PAIRS,
     PZERO,
     PiecewisePoly,
+    _canon,
+    _pmul_loop,
     coeffs,
     common_refinement,
     from_scalars,
@@ -337,6 +345,83 @@ def test_pmul_of_trimmed_polynomials(p, q):
     p, q = from_scalars(p), from_scalars(q)
     assert coeffs(pmul(p, q)) == scalar_pmul(coeffs(p), coeffs(q))
     assert pmul(p, q) == pmul(q, p)
+
+
+def _piece(pairs, d, numerators):
+    """The canonical piece of ``pairs`` coefficient pairs over d, its
+    numerators drawn by ``numerators()``, with a nonzero last pair."""
+    while True:
+        out = [d] + [numerators() for _ in range(2 * pairs)]
+        if out[-2] or out[-1]:
+            return _canon(out)
+
+
+def _assert_pmul_matches_the_oracles(p, q):
+    product = pmul(p, q)
+    _assert_canonical(product)
+    assert product == _pmul_loop(p, q) == pmul(q, p)
+    assert coeffs(product) == scalar_pmul(coeffs(p), coeffs(q))
+
+
+# (1 + i t)(1 - i t) = 1 + t^2, (1 + t)(1 - t + t^2) = 1 + t^3 and
+# (1 + i)/2 (1 - i) = 1: products whose middle pairs or gcd cancel
+_CANCELLING = [((1, 1, 0, 0, 1), (1, 1, 0, 0, -1)),
+               ((1, 1, 0, 1, 0), (1, 1, 0, -1, 0, 1, 0)),
+               ((2, 1, 1), (1, 1, -1))]
+
+
+def test_every_kernel_size_matches_the_loop_and_the_schoolbook_oracle():
+    rng = random.Random(71)
+    cap = PMUL_KERNEL_PAIRS
+    for m in range(1, cap + 2):
+        for n in range(1, cap + 2):
+            for span in (1, 1, 3, 100):
+                # span 1 draws Gaussian integers from {0, +-1, +-i, +-1 +- i}, which cancel often
+                p = _piece(m, rng.randint(1, 12), lambda: rng.randint(-span, span))
+                q = _piece(n, rng.randint(1, 12), lambda: rng.randint(-span, span))
+                _assert_pmul_matches_the_oracles(p, q)
+            assert ((2 * m + 1, 2 * n + 1) in _PMUL_KERNELS) == (m <= cap and n <= cap)
+    for p, q in _CANCELLING:
+        _assert_pmul_matches_the_oracles(p, q)
+    assert pmul(*_CANCELLING[0]) == (1, 1, 0, 0, 0, 1, 0)
+    assert pmul(*_CANCELLING[2]) == (1, 1, 0)
+
+
+# pieces of 1 to 6 pairs whose numerators are Gaussian integers with parts
+# in {-1, 0, 1}, so that products cancel often
+_unit_pieces = st.builds(
+    lambda d, body, last: _canon([d, *body, *last]),
+    st.integers(1, 30),
+    st.integers(0, PMUL_KERNEL_PAIRS).flatmap(
+        lambda k: st.lists(st.integers(-1, 1), min_size=2 * k, max_size=2 * k)),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)).filter(any),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit_pieces, _unit_pieces)
+def test_pmul_matches_the_loop_on_cancelling_pieces(p, q):
+    _assert_pmul_matches_the_oracles(p, q)
+
+
+def test_no_kernel_above_the_cap_is_cached():
+    rng = random.Random(73)
+    big = _piece(PMUL_KERNEL_PAIRS + 1, 3, lambda: rng.randint(-5, 5))
+    for n in range(1, PMUL_KERNEL_PAIRS + 2):
+        q = _piece(n, 2, lambda: rng.randint(-5, 5))
+        assert pmul(big, q) == _pmul_loop(big, q) and pmul(q, big) == _pmul_loop(q, big)
+    assert selftest_experiment(5).exit_code == 0
+    longest = 2 * PMUL_KERNEL_PAIRS + 1
+    assert _PMUL_KERNELS and all(a <= longest and b <= longest for a, b in _PMUL_KERNELS)
+
+
+def test_import_compiles_no_kernel():
+    script = "import germoid, germoid.poly\nprint(len(germoid.poly._PMUL_KERNELS))\n"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_call_evaluates_the_piece_holding_t():
