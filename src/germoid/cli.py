@@ -9,6 +9,7 @@ one-line error).  GERMOID_SEED sets the default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -104,8 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call, then reused: parse_args keeps no state
+# between calls, and the GERMOID_SEED default is read in main, not stored here
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = _default_seed()

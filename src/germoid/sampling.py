@@ -12,15 +12,21 @@ n = hi - lo + 1 it draws ``getrandbits(n.bit_length())`` until the result r
 is below n and returns lo + r, which is ``_randbelow_with_getrandbits``
 bit for bit.  n = 1 takes no shortcut: it still draws one bit, as CPython
 does.  ``_poly_entries`` inlines that rule, since it draws most of the
-values.  ``rng.sample``'s draws depend only on the population's length and
-k, so breakpoints are drawn as indices, ``rng.sample(range(10), k)``, and
-the index tuple is looked up in a table of finished breakpoint tuples
-(``_BREAKS``); ``random_open_set`` draws its endpoint pair the same way over
-the twelve endpoints (``_INTERVALS``).  Both tables fill on first use, one
-entry per index tuple met, so importing the module builds nothing.  They
-are caches of fixed functions of the key and hold immutable tuples: at
-most 101 breakpoint entries, for at most two interior breakpoints, and 132
-endpoint pairs.
+values.  ``rng.choice(seq)`` is ``seq[randbelow(len(seq))]``, so
+``_choice`` draws its index by the same rule.  ``rng.sample`` over a pool of
+at most 21 entries draws ``randbelow(n)`` and then ``randbelow(n - 1)`` over
+the pool with its first pick swapped for the last entry, so ``_pick(rng, n,
+k)`` returns ``tuple(rng.sample(range(n), k))`` for k <= 2 as ``(j,)`` or
+``(j, n - 1 if m == j else m)``, from the same draws.  Breakpoints are drawn
+as such an index tuple over the ten-entry pool and looked up in a table
+(``_BREAKS``) that holds the finished breakpoint tuple and, per piece, the
+``(numerator, denominator)`` int pairs of its two ends, so the piece loop
+evaluates at them without reading a ``Fraction``.  ``random_open_set`` draws
+its endpoint pair the same way over the twelve endpoints (``_INTERVALS``).
+Both tables fill on first use, one entry per index tuple met, so importing
+the module builds nothing.  They are caches of fixed functions of the key
+and hold immutable tuples: at most 101 breakpoint entries, for at most two
+interior breakpoints, and 132 endpoint pairs.
 
 Scalars and coefficient functions are built over the integers that
 ``Scalar`` and ``poly`` store.  ``random_scalar`` turns its four draws p, q,
@@ -28,7 +34,7 @@ r, s into the canonical triple of p/q + (r/s) i with one gcd.  A
 polynomial's coefficients are drawn the same way, each put straight over
 the common denominator 12, into one integer list; ``random_piecewise``
 shifts that list's constant term by level - p(lo), and takes the next level
-p(hi), from ``poly._horner`` at the rational breakpoint, so each piece
+p(hi), from ``poly._horner`` at the breakpoint's int pair, so each piece
 becomes a canonical integer tuple once, with one gcd.  Its result still
 goes through the validating ``PiecewisePoly`` constructor.
 
@@ -59,11 +65,11 @@ from .starspace import OpenStarSet, PPFun
 _BREAK_POOL = tuple(Fraction(a, b) for b in (2, 3, 4, 5) for a in range(1, b))
 _F0, _F1 = Fraction(0), Fraction(1)
 _ENDPOINTS = (*_BREAK_POOL, _F0, _F1)
-_POOL_INDICES, _ENDPOINT_INDICES = range(len(_BREAK_POOL)), range(len(_ENDPOINTS))
 # (p - 4) * (12 // (q + 1)) at [p << 2 | q]: a numerator drawn in -4..4 over a
 # denominator drawn in 1..4, put over 12, from the raw draws p < 9, q < 4
 _OVER_12 = tuple((p - 4) * (12 // (q + 1)) for p in range(9) for q in range(4))
-# sampled index tuple -> (0, sorted distinct breakpoints, 1)
+# sampled index tuple -> ((0, sorted distinct breakpoints, 1), one
+# ((lo numerator, lo denominator), (hi numerator, hi denominator)) per piece)
 _BREAKS: dict = {}
 # sampled endpoint index pair -> (a, b, b == 1) with a < b, or () where a == b
 _INTERVALS: dict = {}
@@ -121,27 +127,53 @@ def _poly_entries(rng: random.Random):
     return out
 
 
-def random_breaks(rng: random.Random) -> tuple:
-    """(0, sorted distinct breakpoints from the pool, 1), with at most two
-    interior breakpoints."""
-    key = tuple(rng.sample(_POOL_INDICES, _randint(rng, 0, 2)))
-    breaks = _BREAKS.get(key)
-    if breaks is None:
-        breaks = _BREAKS[key] = (_F0, *sorted({_BREAK_POOL[i] for i in key}), _F1)
-    return breaks
+def _choice(rng: random.Random, seq):
+    """rng.choice(seq): the same element and the same rng state after."""
+    n = len(seq)
+    if not n:
+        raise IndexError("Cannot choose from an empty sequence")
+    return seq[_randint(rng, 0, n - 1)]
+
+
+def _pick(rng: random.Random, n: int, k: int) -> tuple:
+    """tuple(rng.sample(range(n), k)) for n <= 21 and k <= 2: the same
+    indices and the same rng state after."""
+    if not k:
+        return ()
+    bits = rng.getrandbits
+    b = n.bit_length()
+    j = bits(b)
+    while j >= n:
+        j = bits(b)
+    if k == 1:
+        return (j,)
+    # the second pick is over the pool with j swapped for its last entry, n - 1
+    n -= 1
+    b = n.bit_length()
+    m = bits(b)
+    while m >= n:
+        m = bits(b)
+    return (j, n if m == j else m)
 
 
 def random_piecewise(rng: random.Random, value_at_0: Scalar) -> PiecewisePoly:
     """Random continuous piecewise polynomial with the given limit at 0."""
-    breaks = random_breaks(rng)
+    # at most two interior breakpoints, drawn as indices into the pool
+    key = _pick(rng, len(_BREAK_POOL), _randint(rng, 0, 2))
+    entry = _BREAKS.get(key)
+    if entry is None:
+        breaks = (_F0, *sorted({_BREAK_POOL[i] for i in key}), _F1)
+        ends = [(t.numerator, t.denominator) for t in breaks]
+        entry = _BREAKS[key] = breaks, tuple(zip(ends, ends[1:]))
+    breaks, spans = entry
     polys = []
     # level: the chain's value at lo, as (re + im*i)/d, not reduced
     la, lb, ld = value_at_0._a, value_at_0._b, value_at_0._d
-    for lo, hi in zip(breaks, breaks[1:]):
+    for (lo_num, lo_den), (hi_num, hi_den) in spans:
         p = _poly_entries(rng)
         # shift the constant term by level - p(lo) so the chain stays continuous
         # at lo, over the denominator m = ld*rd (rd is a multiple of p's d)
-        ra, rb, rd = _horner(p, lo.numerator, lo.denominator)
+        ra, rb, rd = _horner(p, lo_num, lo_den)
         m = ld * rd
         s = m // p[0]
         if s != 1:
@@ -150,7 +182,7 @@ def random_piecewise(rng: random.Random, value_at_0: Scalar) -> PiecewisePoly:
         p[2] += lb * rd - rb * ld
         p = _canon(p)
         polys.append(p)
-        la, lb, ld = _horner(p, hi.numerator, hi.denominator)
+        la, lb, ld = _horner(p, hi_num, hi_den)
     return PiecewisePoly(breaks, polys)
 
 
@@ -164,7 +196,7 @@ def random_open_set(n: int, rng: random.Random) -> OpenStarSet:
     for _ in range(n):
         ivs = []
         for _ in range(_randint(rng, 0, 2)):
-            key = tuple(rng.sample(_ENDPOINT_INDICES, 2))
+            key = _pick(rng, len(_ENDPOINTS), 2)
             iv = _INTERVALS.get(key)
             if iv is None:
                 a, b = sorted(_ENDPOINTS[i] for i in key)
@@ -175,13 +207,13 @@ def random_open_set(n: int, rng: random.Random) -> OpenStarSet:
         edges.append(ivs)
     s = OpenStarSet(n, False, edges)
     if rng.random() < 0.3:
-        eps = rng.choice(_BREAK_POOL)
+        eps = _choice(rng, _BREAK_POOL)
         s = s.union(OpenStarSet(n, True, [[(_F0, eps, False)]] * n))
     return s
 
 
 def random_group_element(group: PermGroup, rng: random.Random):
-    return rng.choice(group.elements)
+    return _choice(rng, group.elements)
 
 
 def random_algebra_element(
@@ -202,7 +234,7 @@ def random_algebra_element(
 def random_germ(groupoid: GermGroupoid, rng: random.Random):
     if rng.random() < 0.3:
         return CenterGerm(random_group_element(groupoid.group, rng))
-    i, j = rng.choice(groupoid.sorted_pairs)
+    i, j = _choice(rng, groupoid.sorted_pairs)
     return EdgeGerm(Fraction(_randint(rng, 1, 24), 24), i, j)
 
 
@@ -210,5 +242,5 @@ def random_group_algebra_element(group, rng: random.Random):
     """At most three terms: each draws its value, then its group element."""
     coeffs = {}
     for _ in range(3):
-        coeffs[rng.choice(group.elements)] = random_scalar(rng)
+        coeffs[random_group_element(group, rng)] = random_scalar(rng)
     return GroupAlgebraElement(group, coeffs)

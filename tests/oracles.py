@@ -18,7 +18,7 @@ from germoid.rep import (
     PreimageObstruction,
     integrated_rep,
 )
-from germoid.sampling import _poly_entries, random_group_element, random_ppfun
+from germoid.sampling import _poly_entries, random_ppfun
 from germoid.scalars import ONE, ZERO, Scalar, as_scalar
 from germoid.starspace import OpenStarSet, PPFun
 
@@ -329,7 +329,7 @@ def randint_open_set(n: int, rng) -> OpenStarSet:
 
 def randint_germ(groupoid, rng):
     if rng.random() < 0.3:
-        return CenterGerm(random_group_element(groupoid.group, rng))
+        return CenterGerm(rng.choice(groupoid.group.elements))
     pair = rng.choice(sorted(groupoid.admissible_pairs))
     t = Fraction(rng.randint(1, 24), 24)
     return EdgeGerm(t, pair[0], pair[1])
@@ -383,7 +383,7 @@ def norm_intervals_by_wrapping(intervals):
 def random_algebra_element_by_sheets(groupoid, rng, sheets: int = 3) -> AlgebraElement:
     out = AlgebraElement.zero(groupoid)
     for _ in range(sheets):
-        sigma = random_group_element(groupoid.group, rng)
+        sigma = rng.choice(groupoid.group.elements)
         out = out + from_sheet(groupoid, sigma, random_ppfun(groupoid.n, rng))
     return out
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -505,3 +508,63 @@ def test_env_seed(tmp_path, monkeypatch, capsys):
     assert "seed: 123" in out
     monkeypatch.setenv("GERMOID_SEED", "xyz")
     assert run(["cross", "--trials", "2"]) == 0  # falls back with a warning
+
+
+def _fresh_process_report(args, path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "germoid.cli", *args, "--json", str(path)],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    d = json.loads(path.read_text())
+    d.pop("wall_time_s")
+    return d
+
+
+def test_a_later_call_reports_as_a_fresh_process(tmp_path):
+    # the parser is built once per process: a second call with another
+    # subcommand and other options sees none of the first call's arguments
+    first = ["star", "--n", "4", "--trials", "2", "--seed", "4"]
+    second = ["cross", "--trials", "3", "--seed", "6"]
+    assert _report_without_wall_time(first, tmp_path / "a.json") == _fresh_process_report(
+        first, tmp_path / "fresh_a.json")
+    assert _report_without_wall_time(second, tmp_path / "b.json") == _fresh_process_report(
+        second, tmp_path / "fresh_b.json")
+
+
+def test_a_usage_error_after_a_call_still_exits_one(capsys):
+    assert run(["cross", "--trials", "1", "--seed", "2"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        run(["cross", "--trials", "many"])
+    assert err.value.code == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("usage: germoid cross")
+    assert err.endswith("\nerror: argument --trials: invalid int value: 'many'")
+    assert err.count("error") == 1 and "Traceback" not in err
+
+
+def test_the_env_seed_is_read_on_every_call(monkeypatch, capsys):
+    for seed in ("17", "18"):
+        monkeypatch.setenv("GERMOID_SEED", seed)
+        assert run(["cross", "--trials", "1"]) == 0
+        assert f"seed: {seed}" in capsys.readouterr().out
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *a, **k):\n"
+        "    built.append(None)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import germoid.cli\n"
+        "print(len(built), germoid.cli._parser.cache_info().currsize)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]

@@ -1,8 +1,9 @@
 """The integer sampler against the Fraction sampler it replaced, the
 one-construction algebra-element sampler against the sheet-by-sheet sum it
-replaced, and the getrandbits draw kernel and index tables against the
-rng.randint and rng.sample draws they replaced (tests/oracles.py): the same
-values, the same stored integers and the same rng state after."""
+replaced, and the getrandbits draw, pick and choice kernels and the index
+tables against the rng.randint, rng.sample and rng.choice draws they replaced
+(tests/oracles.py): the same values, the same stored integers and the same
+rng state after."""
 
 import random
 
@@ -173,13 +174,54 @@ def test_the_draw_kernel_is_randint(lo, hi):
         assert mine.getstate() == theirs.getstate()
 
 
-def test_random_breaks_match_the_randint_sampler():
+@pytest.mark.parametrize("n", [1, 2, 10, 12, 21])
+def test_the_pick_kernel_is_sample(n):
+    # 10 and 12 are the breakpoint pool and the endpoints; 21 is the largest
+    # pool CPython samples from a list
+    swapped = 0
+    for k in range(min(n, 2) + 1):
+        for seed in SEEDS:
+            mine, theirs = random.Random(seed), random.Random(seed)
+            picked = [sampling._pick(mine, n, k) for _ in range(4)]
+            assert picked == [tuple(theirs.sample(range(n), k)) for _ in range(4)]
+            assert mine.getstate() == theirs.getstate()
+            # the second raw draw is below n - 1, so n - 1 comes only from
+            # the swap branch, where it equals the first
+            swapped += sum(k == 2 and key[1] == n - 1 for key in picked)
+    assert swapped or n == 1
+
+
+@pytest.mark.parametrize("length", [1, 4, 12, 60, 360])
+def test_the_choice_rule_is_choice(length):
+    seq = tuple(range(100, 100 + length))
     for seed in SEEDS:
         mine, theirs = random.Random(seed), random.Random(seed)
-        breaks = sampling.random_breaks(mine)
+        assert [sampling._choice(mine, seq) for _ in range(4)] == [
+            theirs.choice(seq) for _ in range(4)
+        ]
+        assert mine.getstate() == theirs.getstate()
+    with pytest.raises(IndexError):
+        sampling._choice(random.Random(0), ())
+
+
+def test_random_breaks_match_the_randint_sampler():
+    # the breakpoint draw random_piecewise makes: the count, then the index
+    # tuple from the pick kernel, read from the table random_piecewise fills
+    rng = random.Random(0)
+    for _ in range(3000):
+        sampling.random_piecewise(rng, sampling.random_scalar(rng))
+    # every key: no index, one of 10, or an ordered pair of distinct ones
+    assert len(sampling._BREAKS) == 1 + 10 + 10 * 9
+    for seed in SEEDS:
+        mine, theirs = random.Random(seed), random.Random(seed)
+        key = sampling._pick(mine, 10, sampling._randint(mine, 0, 2))
+        breaks, spans = sampling._BREAKS[key]
         assert isinstance(breaks, tuple)
         assert list(breaks) == randint_breaks(theirs)
         assert mine.getstate() == theirs.getstate()
+        assert spans == tuple(((a.numerator, a.denominator), (b.numerator, b.denominator))
+                              for a, b in zip(breaks, breaks[1:]))
+        assert all(type(x) is int for span in spans for end in span for x in end)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
