@@ -828,12 +828,15 @@ def parse_finite_spec(spec: dict) -> FiniteGroupoid:
     {"units": [...], "arrows": [{"id":..,"src":..,"rng":..},...],
      "compose": [[a,b,c], ...], "inverse": {a: b}}   (inverse optional)
 
-    A malformed spec raises ``ValueError``, a repeated arrow id, a spec
-    naming more than one of the three forms, a key its form does not read
-    and a groupoid without units included, and so does a transformation
-    spec with max(points, group_degree) * |G|^2 > ``MAX_COMPOSE_ENTRIES``:
-    its group build stops at that order, before any table is built.
+    A malformed spec raises ``ValueError``, one that is not a JSON object,
+    a repeated arrow id, a spec naming more than one of the three forms, a
+    key its form does not read and a groupoid without units included, and
+    so does a transformation spec with max(points, group_degree) * |G|^2 >
+    ``MAX_COMPOSE_ENTRIES``: its group build stops at that order, before any
+    table is built.
     """
+    if not isinstance(spec, dict):
+        raise ValueError("finite spec must be a JSON object")
     try:
         return _parse_finite_spec(spec)
     except (KeyError, TypeError, AttributeError, IndexError, OverflowError) as exc:

@@ -270,13 +270,15 @@ def parse_star_spec(spec: dict) -> GermGroupoid:
                                           "trivial", "klein_cross"
     {"n": 4, "generators": ["(1 2)", "(3 4)"]}   generated subgroup
 
-    A malformed spec raises ``ValueError``, one naming both a group and
-    generators or carrying any other key included, and so do more than
-    ``MAX_STAR_EDGES`` edges and a group with more than
-    ``MAX_STAR_GROUP_ORDER`` elements (``GroupTooLarge``): a named group's
-    order is computed before the group is built, and a generated group's
-    closure stops at that order.
+    A malformed spec raises ``ValueError``, one that is not a JSON object,
+    one naming both a group and generators or one carrying any other key
+    included, and so do more than ``MAX_STAR_EDGES`` edges and a group with
+    more than ``MAX_STAR_GROUP_ORDER`` elements (``GroupTooLarge``): a named
+    group's order is computed before the group is built, and a generated
+    group's closure stops at that order.
     """
+    if not isinstance(spec, dict):
+        raise ValueError("star spec must be a JSON object")
     try:
         return _parse_star_spec(spec)
     except (KeyError, TypeError, AttributeError, IndexError, OverflowError) as exc:

@@ -30,7 +30,14 @@ refinement of the two breakpoint tuples.  ``_merge`` builds it in one linear
 pass, comparing two breakpoints x, y by the integers
 x.numerator*y.denominator and y.numerator*x.denominator; equal tuples come
 back as they are.  ``common_refinement`` folds the same merge over any
-number of piecewise polynomials.
+number of piecewise polynomials.  A product with a constant factor, one
+piece of degree at most 0, takes no merge: the constant 1 returns the other
+factor itself, the constant 0 returns the zero function, and any other
+constant c maps each piece q of the other factor to ``pmul(c, q)`` over its
+breakpoints.  Those are the tuples the merge path gives, since a nonzero
+constant keeps distinct neighbouring pieces distinct.  The unitary
+normalizers' strips are such constants, so their products with a sampled
+function cost no merge and, for the constant 1, no ``pmul``.
 
 There are two constructor paths.  The trusted path,
 ``PiecewisePoly(breaks, polys, _checked=True)``, takes its arguments as
@@ -38,15 +45,17 @@ given.  Its caller must pass ``Fraction`` breakpoints and canonical pieces
 forming a valid continuous function; every caller inside this package does
 (the operations below keep both properties).  Outside input, and every
 function the sampler draws, goes through the validating path,
-``_checked=False``.  Each breakpoint goes through the exact coercion of
-``scalars`` (an int, str or ``Fraction``; a float raises ``TypeError``).
-Each piece is either a sequence of ``Scalar`` coefficients, lowest degree
-first, converted once by ``from_scalars``, or an integer tuple, which is
-kept only if it is already canonical.  Then come four checks, in this
-order: the piece count, the end points 0 and 1, strict increase (cross
-products, as ``_merge`` compares), and continuity (both neighbouring pieces
-evaluated by ``_horner`` at each interior breakpoint, the two values
-compared by cross products).
+``_checked=False``, in one pass over lists.  Each breakpoint goes through
+the exact coercion of ``scalars`` (an int, str or ``Fraction``; a float
+raises ``TypeError``).  Each piece is either a sequence of ``Scalar``
+coefficients, lowest degree first, converted once by ``from_scalars``, or an
+integer tuple, which is kept only if it is already canonical (else
+``ValueError``).  Then come four checks, in this order: the piece count, the
+end points 0 and 1, strict increase (cross products, as ``_merge``
+compares), and continuity (both neighbouring pieces evaluated by ``_horner``
+at each interior breakpoint, the two values compared by cross products).
+The last three read each breakpoint's (numerator, denominator) int pair,
+taken once.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ from operator import eq
 from .scalars import ZERO, Scalar, _frac, _make, as_scalar
 
 PZERO = ()
+_ONE = (1, 1, 0)
 _UNIT_INTERVAL = (Fraction(0), Fraction(1))
 
 
@@ -113,20 +123,6 @@ def from_scalars(cs) -> tuple:
     # every prime of d divides some c._d to its full power, and that c's
     # reduced numerators are not both its multiples: the gcd is already 1
     return tuple(out)
-
-
-def _as_piece(p) -> tuple:
-    """A piece from outside input: a canonical integer tuple as it is, or a
-    sequence of Scalar coefficients converted once."""
-    if p.__class__ is tuple and p and p[0].__class__ is int:
-        try:
-            # gcd also refuses every entry that is not an integer
-            if len(p) % 2 and len(p) > 1 and p[0] > 0 and (p[-2] or p[-1]) and gcd(*p) == 1:
-                return p
-        except TypeError:
-            pass
-        raise ValueError(f"integer piece {p} is not canonical")
-    return from_scalars(p)
 
 
 def pconst(c) -> tuple:
@@ -282,21 +278,38 @@ class PiecewisePoly:
 
     def __init__(self, breaks, polys, _checked=False):
         if not _checked:
-            breaks = tuple(b if b.__class__ is Fraction else _frac(b) for b in breaks)
-            polys = tuple(_as_piece(p) for p in polys)
+            breaks = [b if b.__class__ is Fraction else _frac(b) for b in breaks]
+            pieces = []
+            for p in polys:
+                if p.__class__ is tuple and p and p[0].__class__ is int:
+                    try:
+                        # gcd also refuses every entry that is not an integer
+                        ok = (len(p) % 2 and len(p) > 1 and p[0] > 0 and (p[-2] or p[-1])
+                              and gcd(*p) == 1)
+                    except TypeError:
+                        ok = False
+                    if not ok:
+                        raise ValueError(f"integer piece {p} is not canonical")
+                    pieces.append(p)
+                else:
+                    pieces.append(from_scalars(p))
+            polys = pieces
             if len(breaks) < 2 or len(polys) != len(breaks) - 1:
                 raise ValueError("breakpoint/piece count mismatch")
-            if breaks[0] != 0 or breaks[-1] != 1:
+            ends = [(b.numerator, b.denominator) for b in breaks]
+            if ends[0][0] or ends[-1] != (1, 1):
                 raise ValueError("breakpoints must run from 0 to 1")
-            if any(a.numerator * b.denominator >= b.numerator * a.denominator
-                   for a, b in zip(breaks, breaks[1:])):
-                raise ValueError("breakpoints must be strictly increasing")
+            xn, xd = ends[0]
+            for yn, yd in ends[1:]:
+                if xn * yd >= yn * xd:
+                    raise ValueError("breakpoints must be strictly increasing")
+                xn, xd = yn, yd
             for k in range(1, len(polys)):
-                t = breaks[k]
-                a, b, d = _horner(polys[k - 1], t.numerator, t.denominator)
-                c, e, f = _horner(polys[k], t.numerator, t.denominator)
-                if a * f != c * d or b * f != e * d:
-                    raise ValueError(f"discontinuity at t={t}")
+                n, d = ends[k]
+                a, b, e = _horner(polys[k - 1], n, d)
+                c, f, g = _horner(polys[k], n, d)
+                if a * g != c * e or b * g != f * e:
+                    raise ValueError(f"discontinuity at t={breaks[k]}")
         if len(polys) == 1 or not any(map(eq, polys, polys[1:])):
             self.breaks, self.polys = tuple(breaks), tuple(polys)
             return
@@ -352,7 +365,21 @@ class PiecewisePoly:
         return self._zip(other, psub)
 
     def __mul__(self, other):
-        return self._zip(other, pmul)
+        # a constant factor (one piece of degree at most 0) needs no merge; a
+        # nonzero constant keeps distinct neighbouring pieces distinct, so
+        # these are the tuples the merge path gives
+        if len(self.polys) == 1 and len(self.polys[0]) <= 3:
+            k, f = self, other
+        elif len(other.polys) == 1 and len(other.polys[0]) <= 3:
+            k, f = other, self
+        else:
+            return self._zip(other, pmul)
+        c = k.polys[0]
+        if c == _ONE:
+            return f
+        if not c or f.polys == (_ONE,):
+            return k  # the zero function, or c times the unit
+        return PiecewisePoly(f.breaks, [pmul(c, q) for q in f.polys], _checked=True)
 
     def __neg__(self):
         return PiecewisePoly(self.breaks, [pneg(p) for p in self.polys], _checked=True)

@@ -306,13 +306,18 @@ def build_strange_normalizer(
         (i, tau(i)): PiecewisePoly.const(1) for i in range(1, n + 1)
     }
 
+    # each trial checks u* h u = h o tau in the form h u = u (h o tau): with
+    # u* u = u u* = 1 verified above, multiplying on the left by u (or by u*)
+    # turns each identity into the other.  Both center products then have the
+    # one-element operand h(0) delta_e, so each is one Cayley-table translate,
+    # and every strip product has u's constant-1 strip as a factor.
     rng = random.Random(seed)
+    tau_inv = tau.inverse()
     conj_ok = True
     for _ in range(trials):
         h = random_ppfun(n, rng)
-        lhs = u_adj * embed_C0(G, h) * u
-        rhs = embed_C0(G, act(tau.inverse(), h))  # h composed with the tau action
-        if lhs != rhs:
+        # act(tau^-1, h) is h composed with the tau action
+        if embed_C0(G, h) * u != u * embed_C0(G, act(tau_inv, h)):
             conj_ok = False
             break
 

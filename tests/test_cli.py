@@ -242,6 +242,14 @@ def test_spec_keys_that_name_nothing_are_refused(command, spec, message, tmp_pat
     _assert_refused(command, spec, message, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("command", ["diagnose", "finite"])
+@pytest.mark.parametrize("spec", ["A4", ["n", 4], [], 5, 4.5, True, None],
+                         ids=["string", "list", "empty list", "int", "float", "bool", "null"])
+def test_specs_that_are_not_json_objects_are_refused(command, spec, tmp_path, capsys):
+    what = "star" if command == "diagnose" else "finite"
+    _assert_refused(command, spec, f"{what} spec must be a JSON object", tmp_path, capsys)
+
+
 @pytest.mark.parametrize("command, spec", [
     ("diagnose", {"n": 4.0, "group": "A4"}),
     ("diagnose", {"n": "4", "group": "A4"}),

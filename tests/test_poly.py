@@ -503,6 +503,19 @@ def test_validating_constructor_normalizes_its_input():
     assert all(isinstance(b, Fraction) for b in pp.breaks)
 
 
+def test_validating_constructor_reports_the_first_failing_check():
+    half = Fraction(1, 2)
+    # out of order and discontinuous at 1/2: strict increase is checked first
+    with pytest.raises(ValueError, match="^breakpoints must be strictly increasing$"):
+        PiecewisePoly((0, half, half, 1), ((), (1, 1, 0), (1, 2, 0)))
+    # every breakpoint is coerced before any piece is read
+    with pytest.raises(TypeError):
+        PiecewisePoly((0, 0.5, 1), ((2, 2, 0), (1, 1, 0)))
+    # every piece is read before the count is checked
+    with pytest.raises(ValueError, match=r"^integer piece \(2, 2, 0\) is not canonical$"):
+        PiecewisePoly((0, 1), ((2, 2, 0), (1, 1, 0)))
+
+
 def _merged_oracle(breaks, polys):
     """(breaks, polys) with every run of equal adjacent pieces merged, by the
     loop the trusted path ran on every multi-piece result."""
@@ -560,6 +573,33 @@ def test_random_trusted_products_match_the_validating_constructor():
             trusted = PiecewisePoly(breaks, polys, _checked=True)
             assert trusted == PiecewisePoly(breaks, polys)
             assert (trusted.breaks, trusted.polys) == _merged_oracle(breaks, polys)
+
+
+_CONSTANTS = [PiecewisePoly.zero(), PiecewisePoly.const(1),
+              PiecewisePoly.const(Scalar(Fraction(-3, 4))),
+              PiecewisePoly.const(Scalar(Fraction(1, 2), Fraction(-5, 3)))]
+
+
+def test_a_constant_factor_gives_the_merge_path_tuples():
+    """A product with a one-piece constant factor skips the merge; it must
+    give the tuples the merge path gives, in both operand orders."""
+    rng = random.Random(71)
+    functions = list(_CONSTANTS)
+    for _ in range(40):
+        functions += random_ppfun(3, rng).edges
+        functions.append(_continuous_strip(rng, _random_breaks(rng)))
+        functions.append(_bump_strip(rng, _random_breaks(rng)))
+    assert sum(len(f.polys) > 1 for f in functions) > 100
+    for c in _CONSTANTS:
+        for f in functions:
+            for a, b in ((c, f), (f, c)):
+                product, merged = a * b, a._zip(b, pmul)
+                assert product.breaks.__class__ is tuple and product.polys.__class__ is tuple
+                assert (product.breaks, product.polys) == (merged.breaks, merged.polys)
+    one = PiecewisePoly.const(1)
+    for f in functions:
+        if f != one:  # of two unit factors, either may come back
+            assert one * f is f and f * one is f
 
 
 def _outcome(build, breaks, polys):

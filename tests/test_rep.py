@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from germoid.algebra import AlgebraElement, embed_C0, is_bisection_support
+from germoid.experiments import star_experiment
 from germoid.germs import CenterGerm, EdgeGerm, GermGroupoid
 from germoid.linalg import Matrix
 from germoid.perms import PermGroup, Permutation, parse_cycles
+import germoid.algebra
 import germoid.rep
 from germoid.rep import (
     GroupAlgebraElement,
@@ -492,6 +494,39 @@ def test_strange_normalizer_conjugation_identity(rng):
     for _ in range(5):
         h = random_ppfun(4, rng)
         assert u.adjoint() * embed_C0(G, h) * u == embed_C0(G, act(tau.inverse(), h))
+
+
+def test_the_conjugation_check_fails_when_h_is_not_moved(monkeypatch):
+    # with act the identity the trial compares h u with u h, which differ
+    # for the odd tau (1 2) on A4, while the strips and point map still check
+    monkeypatch.setattr(germoid.rep, "act", lambda sigma, h: h)
+    tau = parse_cycles("(1 2)", 4)
+    _, report = build_strange_normalizer(GermGroupoid.star(4), tau, trials=3, seed=1)
+    assert report.strips_match_tau and report.point_map_is_tau
+    assert report.conjugation_ok is False
+    assert report.ok is False
+    assert star_experiment(4, tau, trials=2, seed=1).exit_code == 1
+
+
+def test_no_conjugation_trial_takes_a_two_sided_center_product(monkeypatch):
+    """Each trial's center products have the one-element operand h(0) delta_e,
+    so more trials make no more products of two operands with >= 2 terms."""
+    real = germoid.algebra.group_convolve
+    two_sided = []
+
+    def counting(f, g):
+        if len(f.positions) >= 2 and len(g.positions) >= 2:
+            two_sided.append((len(f.positions), len(g.positions)))
+        return real(f, g)
+
+    monkeypatch.setattr(germoid.algebra, "group_convolve", counting)
+    counts = []
+    for trials in (2, 8):
+        two_sided.clear()
+        report = star_experiment(4, parse_cycles("(1 2)", 4), trials=trials, seed=3)
+        assert report.exit_code == 0
+        counts.append(len(two_sided))
+    assert counts[0] == counts[1] > 0
 
 
 def test_strange_normalizer_even_tau_runs():
