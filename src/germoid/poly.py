@@ -10,15 +10,19 @@ merging, equality and hashing compare ints.
 The kernels work on the integers.  ``pmul`` is one integer convolution over
 the denominator d_p*d_q and one gcd; a product of nonzero polynomials over
 the Gaussian rationals has a nonzero leading coefficient, so it needs no
-trim.  There is one straight-line kernel per pair of operand sizes up to
+trim.  ``padd`` and ``psub`` bring both operands to the lcm of their
+denominators, d*s with s = f/gcd(d, f), and write pair k as a_k*s + c_k*t
+with t = +-d/gcd(d, f); with unequal lengths the top pair comes from one
+operand alone and cannot cancel, so only equal lengths trim trailing zero
+pairs, and either way one gcd divides.  Each of the three operations has
+one straight-line kernel per pair of operand sizes up to
 ``PMUL_KERNEL_PAIRS`` = 5 coefficient pairs (degree 4): it unpacks both
-tuples and writes each output pair as one sum.  The kernels come from one
-source template, compiled on the first product of each size and cached, so
-importing the module compiles none; an operand of higher degree takes the
-double loop.  ``padd`` and ``psub`` bring both operands to the lcm of their
-denominators, add, trim trailing zero pairs and divide by one gcd.
-``pneg``, ``pconj`` and ``pscale`` act on the integers directly, and
-``_horner`` evaluates a piece at a rational point without reducing.
+tuples and writes each output pair as one sum.  All kernels come from one
+source generator, compiled on the first use of each operation and size and
+cached, so importing the module compiles none; an operand of higher degree
+takes the loop (``_pmul_loop``, ``_combine``).  ``pneg``, ``pconj`` and
+``pscale`` act on the integers directly, and ``_horner`` evaluates a piece
+at a rational point without reducing.
 ``Scalar``s appear only at the edges: ``pconst`` and ``from_scalars`` take
 them in, ``coeffs`` hands a piece's coefficients out, and ``peval`` and
 ``PiecewisePoly.at0`` build one value each.
@@ -29,8 +33,12 @@ breakpoints.  Binary operations work piece by piece on the common
 refinement of the two breakpoint tuples.  ``_merge`` builds it in one linear
 pass, comparing two breakpoints x, y by the integers
 x.numerator*y.denominator and y.numerator*x.denominator; equal tuples come
-back as they are.  ``common_refinement`` folds the same merge over any
-number of piecewise polynomials.  A product with a constant factor, one
+back as they are.  Every such int pair, there, in the validating constructor
+and in ``PiecewisePoly.__call__``, is read by one ``as_integer_ratio()``
+call.  Both constructor paths merge equal neighbouring pieces, so the zero
+function has the one empty piece and ``is_zero`` is one tuple comparison.
+``common_refinement`` folds the same merge over any number of piecewise
+polynomials.  A product with a constant factor, one
 piece of degree at most 0, takes no merge: the constant 1 returns the other
 factor itself, the constant 0 returns the zero function, and any other
 constant c maps each piece q of the other factor to ``pmul(c, q)`` over its
@@ -131,7 +139,8 @@ def pconst(c) -> tuple:
 
 
 def _combine(p, q, sign: int) -> tuple:
-    """p + sign*q for nonzero pieces, over the lcm of their denominators."""
+    """p + sign*q for nonzero pieces of any length, over the lcm of their
+    denominators, by the loop."""
     d, e = p[0], q[0]
     g = gcd(d, e)
     s, t = e // g, sign * (d // g)
@@ -150,7 +159,12 @@ def padd(p, q):
         return q
     if not q:
         return p
-    return _combine(p, q, 1)
+    kernel = _PADD_KERNELS.get((len(p), len(q)))
+    if kernel is None:
+        if len(p) > _KERNEL_LEN or len(q) > _KERNEL_LEN:
+            return _combine(p, q, 1)
+        kernel = _PADD_KERNELS[len(p), len(q)] = _sum_kernel(len(p) // 2, len(q) // 2, 1)
+    return kernel(p, q)
 
 
 def psub(p, q):
@@ -158,7 +172,12 @@ def psub(p, q):
         return p
     if not p:
         return pneg(q)
-    return _combine(p, q, -1)
+    kernel = _PSUB_KERNELS.get((len(p), len(q)))
+    if kernel is None:
+        if len(p) > _KERNEL_LEN or len(q) > _KERNEL_LEN:
+            return _combine(p, q, -1)
+        kernel = _PSUB_KERNELS[len(p), len(q)] = _sum_kernel(len(p) // 2, len(q) // 2, -1)
+    return kernel(p, q)
 
 
 def pneg(p):
@@ -169,35 +188,60 @@ def pneg(p):
     return tuple(out)
 
 
-# a piece of at most this many coefficient pairs (degree 4) is multiplied by a
-# straight-line kernel; a longer one takes the loop
+# a pair of pieces of at most this many coefficient pairs each (degree 4) is
+# multiplied, added or subtracted by a straight-line kernel; a longer one
+# takes the loop
 PMUL_KERNEL_PAIRS = 5
 _KERNEL_LEN = 2 * PMUL_KERNEL_PAIRS + 1
 # (len p, len q) -> the kernel for pieces of those tuple lengths, compiled on
 # first use, so importing the module compiles none
 _PMUL_KERNELS: dict = {}
+_PADD_KERNELS: dict = {}
+_PSUB_KERNELS: dict = {}
+
+
+def _kernel(name: str, m: int, n: int, body, end: str, terms):
+    """The function name(p, q) for an m-pair piece p = (d, a0, b0, ...) and
+    an n-pair piece q = (f, c0, e0, ...): it unpacks both tuples, runs the
+    lines of body, and returns end([terms]).  Every name in its source is
+    built from integer indices."""
+    source = "\n".join([
+        f"def {name}(p, q):",
+        "    d, " + ", ".join(f"a{i}, b{i}" for i in range(m)) + " = p",
+        "    f, " + ", ".join(f"c{j}, e{j}" for j in range(n)) + " = q",
+        *[f"    {line}" for line in body],
+        f"    return {end}([" + ", ".join(terms) + "])",
+    ])
+    namespace = {"_reduce": _reduce, "_canon": _canon, "gcd": gcd}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
 
 
 def _pmul_kernel(m: int, n: int):
-    """The straight-line product of an m-pair piece p = (d, a0, b0, ...) and
-    an n-pair piece q = (f, c0, e0, ...): pair k of the result is the sum
-    over i + j = k of (a_i c_j - b_i e_j, a_i e_j + b_i c_j), over d*f.
-    Every name in its source is built from integer indices."""
+    """The straight-line product of an m-pair and an n-pair piece: pair k of
+    the result is the sum over i + j = k of (a_i c_j - b_i e_j,
+    a_i e_j + b_i c_j), over d*f."""
     terms = ["d * f"]
     for k in range(m + n - 1):
         ij = [(i, k - i) for i in range(max(0, k - n + 1), min(m, k + 1))]
         terms.append(" + ".join(f"a{i} * c{j} - b{i} * e{j}" for i, j in ij))
         terms.append(" + ".join(f"a{i} * e{j} + b{i} * c{j}" for i, j in ij))
-    name = f"pmul_{m}x{n}"
-    source = "\n".join([
-        f"def {name}(p, q):",
-        "    d, " + ", ".join(f"a{i}, b{i}" for i in range(m)) + " = p",
-        "    f, " + ", ".join(f"c{j}, e{j}" for j in range(n)) + " = q",
-        "    return _reduce([" + ", ".join(terms) + "])",
-    ])
-    namespace = {"_reduce": _reduce}
-    exec(compile(source, f"<{name}>", "exec"), namespace)
-    return namespace[name]
+    return _kernel(f"pmul_{m}x{n}", m, n, (), "_reduce", terms)
+
+
+def _sum_kernel(m: int, n: int, sign: int):
+    """The straight-line p + sign*q of an m-pair and an n-pair piece, over
+    lcm(d, f) = d*s with s = f/g, g = gcd(d, f): pair k of the result is
+    (a_k s + c_k t, b_k s + e_k t) with t = sign*d/g, without the terms of a
+    piece shorter than k + 1 pairs.  With unequal lengths the top pair comes
+    from one piece alone and cannot cancel, so only equal lengths trim."""
+    terms = ["d * s"]
+    for k in range(max(m, n)):
+        for x, y in ((f"a{k}", f"c{k}"), (f"b{k}", f"e{k}")):
+            terms.append(" + ".join([f"{x} * s"] * (k < m) + [f"{y} * t"] * (k < n)))
+    body = ("g = gcd(d, f)", "s = f // g", "t = d // g" if sign > 0 else "t = -(d // g)")
+    name = f"{'padd' if sign > 0 else 'psub'}_{m}x{n}"
+    return _kernel(name, m, n, body, "_canon" if m == n else "_reduce", terms)
 
 
 def pmul(p, q):
@@ -262,7 +306,7 @@ def _horner(p, num: int, den: int):
 
 def peval(p, t) -> Scalar:
     t = _frac(t)
-    return _scalar(*_horner(p, t.numerator, t.denominator))
+    return _scalar(*_horner(p, *t.as_integer_ratio()))
 
 
 class PiecewisePoly:
@@ -296,7 +340,7 @@ class PiecewisePoly:
             polys = pieces
             if len(breaks) < 2 or len(polys) != len(breaks) - 1:
                 raise ValueError("breakpoint/piece count mismatch")
-            ends = [(b.numerator, b.denominator) for b in breaks]
+            ends = [b.as_integer_ratio() for b in breaks]
             if ends[0][0] or ends[-1] != (1, 1):
                 raise ValueError("breakpoints must run from 0 to 1")
             xn, xd = ends[0]
@@ -340,14 +384,16 @@ class PiecewisePoly:
 
     def __call__(self, t) -> Scalar:
         t = _frac(t)
-        n, d = t.numerator, t.denominator
+        n, d = t.as_integer_ratio()
         if not 0 < n <= d:
             raise ValueError(f"t={t} outside (0,1]")
         # the piece (b_{k-1}, b_k] with b_k the first breakpoint >= t
         breaks = self.breaks
         k = 1
-        while breaks[k].numerator * d < n * breaks[k].denominator:
+        bn, bd = breaks[1].as_integer_ratio()
+        while bn * d < n * bd:
             k += 1
+            bn, bd = breaks[k].as_integer_ratio()
         return peval(self.polys[k - 1], t)
 
     def _aligned(self, other):
@@ -391,7 +437,9 @@ class PiecewisePoly:
         return PiecewisePoly(self.breaks, [pconj(p) for p in self.polys], _checked=True)
 
     def is_zero(self) -> bool:
-        return all(not p for p in self.polys)
+        # both constructor paths merge equal neighbours, so the zero function
+        # has exactly one piece, the empty one
+        return self.polys == (PZERO,)
 
     def pieces(self):
         for k, p in enumerate(self.polys):
@@ -443,8 +491,8 @@ def _merge(xs, a, ys, b):
     i = j = 1
     last = len(xs) - 1
     x, y = xs[1], ys[1]
-    xn, xd = x.numerator, x.denominator
-    yn, yd = y.numerator, y.denominator
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
     while True:
         ma.append(a[i - 1])
         mb.append(b[j - 1])
@@ -453,12 +501,12 @@ def _merge(xs, a, ys, b):
             breaks.append(x)
             i += 1
             x = xs[i]
-            xn, xd = x.numerator, x.denominator
+            xn, xd = x.as_integer_ratio()
         elif left > right:
             breaks.append(y)
             j += 1
             y = ys[j]
-            yn, yd = y.numerator, y.denominator
+            yn, yd = y.as_integer_ratio()
         else:
             breaks.append(x)
             if i == last:  # both tuples end at 1
@@ -466,8 +514,8 @@ def _merge(xs, a, ys, b):
             i += 1
             j += 1
             x, y = xs[i], ys[j]
-            xn, xd = x.numerator, x.denominator
-            yn, yd = y.numerator, y.denominator
+            xn, xd = x.as_integer_ratio()
+            yn, yd = y.as_integer_ratio()
 
 
 def common_refinement(pps):

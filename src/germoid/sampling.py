@@ -11,9 +11,11 @@ is CPython's ``rng.randint(lo, hi)`` without its three Python frames: with
 n = hi - lo + 1 it draws ``getrandbits(n.bit_length())`` until the result r
 is below n and returns lo + r, which is ``_randbelow_with_getrandbits``
 bit for bit.  n = 1 takes no shortcut: it still draws one bit, as CPython
-does.  ``_poly_entries`` inlines that rule, since it draws most of the
-values.  ``rng.choice(seq)`` is ``seq[randbelow(len(seq))]``, so
-``_choice`` draws its index by the same rule.  ``rng.sample`` over a pool of
+does.  ``random_piecewise`` inlines that rule for its polynomial draws,
+since they are most of the values; ``tests/oracles.py`` keeps the same
+draws as ``_poly_entries``.  ``rng.choice(seq)`` is
+``seq[randbelow(len(seq))]``, so ``_choice`` draws its index by the same
+rule.  ``rng.sample`` over a pool of
 at most 21 entries draws ``randbelow(n)`` and then ``randbelow(n - 1)`` over
 the pool with its first pick swapped for the last entry, so ``_pick(rng, n,
 k)`` returns ``tuple(rng.sample(range(n), k))`` for k <= 2 as ``(j,)`` or
@@ -32,11 +34,17 @@ Scalars and coefficient functions are built over the integers that
 ``Scalar`` and ``poly`` store.  ``random_scalar`` turns its four draws p, q,
 r, s into the canonical triple of p/q + (r/s) i with one gcd.  A
 polynomial's coefficients are drawn the same way, each put straight over
-the common denominator 12, into one integer list; ``random_piecewise``
-shifts that list's constant term by level - p(lo), and takes the next level
-p(hi), from ``poly._horner`` at the breakpoint's int pair, so each piece
-becomes a canonical integer tuple once, with one gcd.  Its result still
-goes through the validating ``PiecewisePoly`` constructor.
+the common denominator 12.  ``random_piecewise`` glues each piece p to the
+level, the value of the chain at the piece's left end lo, as level +
+p(t) - p(lo), in one straight-line pass for the drawn degree, so the drawn
+constant term drops out.  A degree-0 piece is the level itself: its
+canonical triple (the empty piece at level 0), which leaves the level as it
+is.  A piece of degree 1 or 2 takes p(lo) by one inline Horner step at lo's
+int pair, is written as one integer list and made canonical with one gcd;
+the next level, its value at hi, is taken inline for a canonical piece of
+length 5 or 7 and by ``poly._horner`` for a shorter one.  Every function
+still goes through the validating ``PiecewisePoly`` constructor, continuity
+check included.
 
 A random algebra element is one construction, whatever its number of
 sheets.  Each sheet draws sigma and then a ``PPFun`` h, whose constructor
@@ -57,7 +65,7 @@ from math import gcd
 from .algebra import AlgebraElement, GroupAlgebraElement
 from .germs import CenterGerm, EdgeGerm, GermGroupoid
 from .perms import PermGroup
-from .poly import PiecewisePoly, _canon, _horner
+from .poly import PZERO, PiecewisePoly, _canon, _horner, _reduce
 from .scalars import Scalar, _make
 from .starspace import OpenStarSet, PPFun
 
@@ -98,35 +106,6 @@ def random_scalar(rng: random.Random) -> Scalar:
     return _make(a // g, b // g, d // g)
 
 
-def _poly_entries(rng: random.Random):
-    """[12, a0, b0, a1, b1, ...]: a random polynomial of degree at most 2
-    whose coefficients are drawn as random_scalar draws them, each put over
-    12 = lcm(1, 2, 3, 4), a multiple of every denominator q, s drawn;
-    neither trimmed nor reduced."""
-    # _randint inlined: randint(0, 2) (3 values, 2 bits), then per coefficient
-    # randint(-4, 4) (9 values, 4 bits) and randint(1, 4) (4 values, 3 bits)
-    bits = rng.getrandbits
-    deg = bits(2)
-    while deg >= 3:
-        deg = bits(2)
-    out = [12]
-    for _ in range(deg + 1):
-        p = bits(4)
-        while p >= 9:
-            p = bits(4)
-        q = bits(3)
-        while q >= 4:
-            q = bits(3)
-        r = bits(4)
-        while r >= 9:
-            r = bits(4)
-        s = bits(3)
-        while s >= 4:
-            s = bits(3)
-        out += (_OVER_12[p << 2 | q], _OVER_12[r << 2 | s])
-    return out
-
-
 def _choice(rng: random.Random, seq):
     """rng.choice(seq): the same element and the same rng state after."""
     n = len(seq)
@@ -163,26 +142,67 @@ def random_piecewise(rng: random.Random, value_at_0: Scalar) -> PiecewisePoly:
     entry = _BREAKS.get(key)
     if entry is None:
         breaks = (_F0, *sorted({_BREAK_POOL[i] for i in key}), _F1)
-        ends = [(t.numerator, t.denominator) for t in breaks]
+        ends = [t.as_integer_ratio() for t in breaks]
         entry = _BREAKS[key] = breaks, tuple(zip(ends, ends[1:]))
     breaks, spans = entry
+    bits = rng.getrandbits
     polys = []
     # level: the chain's value at lo, as (re + im*i)/d, not reduced
     la, lb, ld = value_at_0._a, value_at_0._b, value_at_0._d
-    for (lo_num, lo_den), (hi_num, hi_den) in spans:
-        p = _poly_entries(rng)
-        # shift the constant term by level - p(lo) so the chain stays continuous
-        # at lo, over the denominator m = ld*rd (rd is a multiple of p's d)
-        ra, rb, rd = _horner(p, lo_num, lo_den)
-        m = ld * rd
-        s = m // p[0]
-        if s != 1:
-            p = [m, *[x * s for x in p[1:]]]
-        p[1] += la * rd - ra * ld
-        p[2] += lb * rd - rb * ld
-        p = _canon(p)
-        polys.append(p)
-        la, lb, ld = _horner(p, hi_num, hi_den)
+    for (lo_n, lo_d), (hi_n, hi_d) in spans:
+        # _randint inlined: randint(0, 2) for the degree (3 values, 2 bits),
+        # then per coefficient p/q + (r/s) i randint(-4, 4) (9 values, 4 bits)
+        # for p and r and randint(1, 4) (4 values, 3 bits) for q and s
+        deg = bits(2)
+        while deg >= 3:
+            deg = bits(2)
+        c = []
+        for _ in range(deg + 1):
+            p = bits(4)
+            while p >= 9:
+                p = bits(4)
+            q = bits(3)
+            while q >= 4:
+                q = bits(3)
+            r = bits(4)
+            while r >= 9:
+                r = bits(4)
+            s = bits(3)
+            while s >= 4:
+                s = bits(3)
+            c += (_OVER_12[p << 2 | q], _OVER_12[r << 2 | s])
+        if not deg:
+            # shifted to the level, the piece is the level, which it keeps at hi
+            polys.append(_reduce([ld, la, lb]) if la or lb else PZERO)
+            continue
+        # the piece is level + (p(t) - p(lo)), with p's coefficients c over 12,
+        # so the drawn constant term drops out; over 12*ld*lo_d**deg, the
+        # constant term is 12*level - ld*(p(lo) - c0/12) by one Horner step
+        if deg == 1:
+            x1, y1 = c[2], c[3]
+            w = ld * lo_d
+            piece = _canon([12 * w, 12 * la * lo_d - ld * x1 * lo_n,
+                            12 * lb * lo_d - ld * y1 * lo_n, x1 * w, y1 * w])
+        else:
+            x1, y1, x2, y2 = c[2:]
+            dd = lo_d * lo_d
+            w = ld * dd
+            piece = _canon([12 * w, 12 * la * dd - ld * (x2 * lo_n + x1 * lo_d) * lo_n,
+                            12 * lb * dd - ld * (y2 * lo_n + y1 * lo_d) * lo_n,
+                            x1 * w, y1 * w, x2 * w, y2 * w])
+        polys.append(piece)
+        # the next level, the piece at hi
+        if len(piece) == 5:
+            d, a0, b0, a1, b1 = piece
+            la, lb, ld = a0 * hi_d + a1 * hi_n, b0 * hi_d + b1 * hi_n, d * hi_d
+        elif len(piece) == 7:
+            d, a0, b0, a1, b1, a2, b2 = piece
+            dd = hi_d * hi_d
+            la = (a2 * hi_n + a1 * hi_d) * hi_n + a0 * dd
+            lb = (b2 * hi_n + b1 * hi_d) * hi_n + b0 * dd
+            ld = d * dd
+        else:
+            la, lb, ld = _horner(piece, hi_n, hi_d)
     return PiecewisePoly(breaks, polys)
 
 

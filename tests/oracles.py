@@ -18,7 +18,7 @@ from germoid.rep import (
     PreimageObstruction,
     integrated_rep,
 )
-from germoid.sampling import _poly_entries, random_ppfun
+from germoid.sampling import _OVER_12, random_ppfun
 from germoid.scalars import ONE, ZERO, Scalar, as_scalar
 from germoid.starspace import OpenStarSet, PPFun
 
@@ -258,6 +258,36 @@ def scalar_peval(p, t) -> Scalar:
     for c in reversed(p):
         acc = acc * t + c
     return acc
+
+
+def _poly_entries(rng):
+    """[12, a0, b0, a1, b1, ...]: a random polynomial of degree at most 2
+    whose coefficients are drawn as random_scalar draws them, each put over
+    12 = lcm(1, 2, 3, 4), a multiple of every denominator q, s drawn;
+    neither trimmed nor reduced.  These are the getrandbits draws that
+    ``random_piecewise`` makes for each piece, in the same order."""
+    # _randint inlined: randint(0, 2) (3 values, 2 bits), then per coefficient
+    # randint(-4, 4) (9 values, 4 bits) and randint(1, 4) (4 values, 3 bits)
+    bits = rng.getrandbits
+    deg = bits(2)
+    while deg >= 3:
+        deg = bits(2)
+    out = [12]
+    for _ in range(deg + 1):
+        p = bits(4)
+        while p >= 9:
+            p = bits(4)
+        q = bits(3)
+        while q >= 4:
+            q = bits(3)
+        r = bits(4)
+        while r >= 9:
+            r = bits(4)
+        s = bits(3)
+        while s >= 4:
+            s = bits(3)
+        out += (_OVER_12[p << 2 | q], _OVER_12[r << 2 | s])
+    return out
 
 
 def random_poly(rng):

@@ -2,8 +2,8 @@
 
 The integer piece kernels are checked against the ``Scalar``-tuple kernels
 in tests/oracles.py (``pmul`` against the schoolbook loop, and each
-straight-line ``pmul`` kernel against the integer loop), with every result
-in canonical form; the one-pass breakpoint merge against the
+straight-line ``pmul``, ``padd`` and ``psub`` kernel against the integer
+loop), with every result in canonical form; the one-pass breakpoint merge against the
 set/sort/bisect alignment, the
 k-way refinement against the collision and point-map scans that bisected
 every strip, the bucketed gluing check against the per-pair center scan, and
@@ -38,11 +38,14 @@ from germoid.experiments import cross_experiment, selftest_experiment, star_expe
 from germoid.germs import GermGroupoid
 from germoid.perms import parse_cycles
 from germoid.poly import (
+    _PADD_KERNELS,
     _PMUL_KERNELS,
+    _PSUB_KERNELS,
     PMUL_KERNEL_PAIRS,
     PZERO,
     PiecewisePoly,
     _canon,
+    _combine,
     _pmul_loop,
     coeffs,
     common_refinement,
@@ -404,24 +407,70 @@ def test_pmul_matches_the_loop_on_cancelling_pieces(p, q):
     _assert_pmul_matches_the_oracles(p, q)
 
 
+def _assert_sums_match_the_oracles(p, q):
+    sp, sq = coeffs(p), coeffs(q)
+    total, difference = padd(p, q), psub(p, q)
+    for mine in (total, difference):
+        _assert_canonical(mine)
+    assert total == _combine(p, q, 1) == padd(q, p)
+    assert difference == _combine(p, q, -1) == pneg(psub(q, p))
+    assert coeffs(total) == scalar_padd(sp, sq)
+    assert coeffs(difference) == scalar_padd(sp, scalar_pscale(-1, sq))
+    assert psub(p, p) == PZERO and padd(p, pneg(p)) == PZERO
+
+
+# (t + i t^2) + (1 - i t^2) = 1 + t, (1 + i)/2 + (1 - i)/2 = 1 and
+# (1/2 + t/3) - (1/2 + t/3) = 0: an equal-length top-pair cancellation, a
+# cancelling gcd and a total cancellation
+_CANCELLING_SUMS = [((1, 0, 0, 1, 0, 0, 1), (1, 1, 0, 0, 0, 0, -1), (1, 1, 0, 1, 0)),
+                    ((2, 1, 1), (2, 1, -1), (1, 1, 0)),
+                    ((6, 3, 0, 2, 0), (6, -3, 0, -2, 0), PZERO)]
+
+
+def test_every_sum_kernel_size_matches_the_loop_and_the_scalar_oracle():
+    rng = random.Random(79)
+    cap = PMUL_KERNEL_PAIRS
+    for m in range(1, cap + 2):
+        for n in range(1, cap + 2):
+            for span in (1, 1, 3, 100):
+                p = _piece(m, rng.randint(1, 12), lambda: rng.randint(-span, span))
+                q = _piece(n, rng.randint(1, 12), lambda: rng.randint(-span, span))
+                _assert_sums_match_the_oracles(p, q)
+                # q's last pair turned into minus p's: the top pairs cancel
+                top = _piece(m, p[0], lambda: rng.randint(-span, span))
+                top = _canon([p[0], *top[1:-2], -p[-2], -p[-1]])
+                _assert_sums_match_the_oracles(p, top)
+                assert len(padd(p, top)) < len(p)
+            for cache in (_PADD_KERNELS, _PSUB_KERNELS):
+                assert ((2 * m + 1, 2 * n + 1) in cache) == (m <= cap and n <= cap)
+    for p, q, total in _CANCELLING_SUMS:
+        _assert_sums_match_the_oracles(p, q)
+        assert padd(p, q) == total
+        assert psub(p, pneg(q)) == total
+
+
 def test_no_kernel_above_the_cap_is_cached():
     rng = random.Random(73)
     big = _piece(PMUL_KERNEL_PAIRS + 1, 3, lambda: rng.randint(-5, 5))
     for n in range(1, PMUL_KERNEL_PAIRS + 2):
         q = _piece(n, 2, lambda: rng.randint(-5, 5))
         assert pmul(big, q) == _pmul_loop(big, q) and pmul(q, big) == _pmul_loop(q, big)
+        assert padd(big, q) == _combine(big, q, 1) and padd(q, big) == _combine(q, big, 1)
+        assert psub(big, q) == _combine(big, q, -1) and psub(q, big) == _combine(q, big, -1)
     assert selftest_experiment(5).exit_code == 0
     longest = 2 * PMUL_KERNEL_PAIRS + 1
-    assert _PMUL_KERNELS and all(a <= longest and b <= longest for a, b in _PMUL_KERNELS)
+    for cache in (_PMUL_KERNELS, _PADD_KERNELS, _PSUB_KERNELS):
+        assert cache and all(a <= longest and b <= longest for a, b in cache)
 
 
 def test_import_compiles_no_kernel():
-    script = "import germoid, germoid.poly\nprint(len(germoid.poly._PMUL_KERNELS))\n"
+    script = ("import germoid, germoid.poly as P\n"
+              "print(len(P._PMUL_KERNELS), len(P._PADD_KERNELS), len(P._PSUB_KERNELS))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"]
+    assert proc.stdout.split() == ["0", "0", "0"]
 
 
 def test_call_evaluates_the_piece_holding_t():
@@ -573,6 +622,28 @@ def test_random_trusted_products_match_the_validating_constructor():
             trusted = PiecewisePoly(breaks, polys, _checked=True)
             assert trusted == PiecewisePoly(breaks, polys)
             assert (trusted.breaks, trusted.polys) == _merged_oracle(breaks, polys)
+
+
+def test_is_zero_is_every_piece_zero():
+    """is_zero compares with the one empty piece, which both constructor
+    paths leave for the zero function, however many zero pieces it is given."""
+    rng = random.Random(83)
+    breaks = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+    functions = [PiecewisePoly.zero(), PiecewisePoly.const(0), PiecewisePoly.const(1)]
+    for checked in (True, False):
+        functions.append(PiecewisePoly(breaks, (PZERO,) * 3, _checked=checked))
+        functions.append(PiecewisePoly(breaks[::2] + breaks[-1:], (PZERO,) * 2, _checked=checked))
+    for _ in range(100):
+        f = _continuous_strip(rng, _random_breaks(rng))
+        g = _bump_strip(rng, _random_breaks(rng))
+        functions += [f, g, f - f, g - g, f + g, (f + g) - g - f, g * (f - f), g.scale(0)]
+        functions += random_ppfun(2, rng).edges
+    zeros = 0
+    for f in functions:
+        zero = all(not p for p in f.polys)
+        assert f.is_zero() == zero
+        zeros += zero
+    assert zeros > 400 and zeros < len(functions) - 400
 
 
 _CONSTANTS = [PiecewisePoly.zero(), PiecewisePoly.const(1),

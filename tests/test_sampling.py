@@ -6,6 +6,7 @@ tables against the rng.randint, rng.sample and rng.choice draws they replaced
 rng state after."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,8 +16,10 @@ import germoid.starspace
 from germoid import sampling
 from germoid.germs import GermGroupoid
 from germoid.perms import PermGroup
-from germoid.poly import PiecewisePoly, coeffs
+from germoid.poly import PiecewisePoly, coeffs, pconst
+from germoid.scalars import ZERO, Scalar
 from oracles import (
+    fraction_piecewise,
     fraction_poly,
     fraction_ppfun,
     fraction_scalar,
@@ -50,6 +53,44 @@ def test_random_ppfun_matches_the_fraction_sampler(n):
         assert f == g
         assert _triples(f) == _triples(g)
         assert mine.getstate() == theirs.getstate()
+
+
+class _DegreeRecorder(random.Random):
+    """A Random that records its randint(0, 2) draws: the interior breakpoint
+    count, then each piece's degree, in fraction_piecewise."""
+
+    def __init__(self, seed):
+        self.drawn = []
+        super().__init__(seed)
+
+    def randint(self, a, b):
+        value = super().randint(a, b)
+        if (a, b) == (0, 2):
+            self.drawn.append(value)
+        return value
+
+
+@pytest.mark.parametrize("level", [ZERO, Scalar(Fraction(-7, 3)), Scalar(0, Fraction(5, 4))],
+                         ids=["zero", "real", "imaginary"])
+def test_random_piecewise_matches_the_fraction_sampler(level):
+    """Each per-degree branch of random_piecewise against the Fraction
+    sampler: a degree-0 first piece, which is the level (the empty piece at
+    level 0), and the inline next level of a degree 1 or 2 piece of length 5
+    and 7."""
+    constants = 0
+    lengths = set()
+    for seed in SEEDS:
+        mine, theirs = random.Random(seed), _DegreeRecorder(seed)
+        f, g = sampling.random_piecewise(mine, level), fraction_piecewise(theirs, level)
+        assert (f.breaks, f.polys) == (g.breaks, g.polys)
+        assert mine.getstate() == theirs.getstate()
+        degrees = theirs.drawn[1:]
+        if not degrees[0]:
+            constants += 1
+            assert f.polys[0] == pconst(level)
+        lengths.update(len(p) for p in f.polys)
+    assert constants > 200
+    assert {5, 7} <= lengths
 
 
 def test_random_scalar_matches_the_fraction_sampler():
