@@ -35,7 +35,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .germs import CenterGerm, EdgeGerm, GermError, GermGroupoid
-from .perms import PermGroup, Permutation
+from .perms import PermGroup, Permutation, _int_array
 from .poly import PiecewisePoly, _scalar, coeffs, common_refinement
 from .scalars import ONE, ZERO, Scalar, as_scalar, render_scalar
 from .starspace import CenterPoint, EdgePoint, PPFun, edge_index
@@ -274,12 +274,6 @@ def _reduced(group, positions, re, im, d) -> GroupAlgebraElement:
         im = [b // g for b in im]
         d //= g
     return _vector(group, tuple(positions), tuple(re), tuple(im), d)
-
-
-def _int_array(values) -> np.ndarray:
-    """values as int64 when any sum of them fits, as Python ints otherwise."""
-    bound = len(values) * max(map(abs, values), default=0)
-    return np.array(values, dtype=np.int64 if bound < 1 << 63 else object)
 
 
 def _translate(group, line, a, b, positions, re, im, d) -> GroupAlgebraElement:

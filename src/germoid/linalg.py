@@ -1,9 +1,10 @@
 """Dense exact linear algebra over Gaussian rationals.
 
 Row reduction, nullspaces, and linear solves with zero rounding; ``solve``
-finds y in the minimum-norm preimage a = P^T y of a group that is not
-2-transitive (one n^2 x n^2 Gram system, ``rep._gram_preimage``), and
-``Matrix`` carries the checks of the star pipeline.
+finds mu's Krylov dependency, the minimal polynomial of the fixed-point
+count behind every minimum-norm preimage
+(``perms.PermGroup.chi_minimal_polynomial``), and ``Matrix`` carries the
+checks of the star pipeline.
 """
 
 from __future__ import annotations

@@ -10,9 +10,11 @@ Each group also carries an index over the positions of its elements in
 to position), ``inverse_index``, ``signs`` (each element's sign, the sign
 character), ``fixed_counts`` (each element's number of fixed points),
 ``fixing`` (the non-identity elements with a fixed point), the
-(i, sigma(i)) incidence ``pair_incidence`` and the integer Cayley table
-``table``.  Every loop over pairs of group elements reads its products from
-the table instead of multiplying ``Permutation`` objects.
+(i, sigma(i)) incidence ``pair_incidence``, the integer Cayley table
+``table`` and ``chi_minimal_polynomial``, the integer minimal polynomial of
+the fixed-point count as an element of the group algebra.  Every loop over
+pairs of group elements reads its products from the table instead of
+multiplying ``Permutation`` objects.
 
 An action on other points is given by the generators' images, in order;
 ``action_table`` walks the Cayley table to the action array and checks it.
@@ -25,6 +27,9 @@ from functools import cached_property
 from itertools import compress, permutations
 
 import numpy as np
+
+from .linalg import solve
+from .scalars import Scalar
 
 
 class CycleParseError(ValueError):
@@ -216,6 +221,12 @@ def mulclose(generators, limit=None):
     return els
 
 
+def _int_array(values) -> np.ndarray:
+    """values as int64 when any sum of them fits, as Python ints otherwise."""
+    bound = len(values) * max(map(abs, values), default=0)
+    return np.array(values, dtype=np.int64 if bound < 1 << 63 else object)
+
+
 class PermGroup:
     """A finite group of permutations of {1..n}, closed and with identity."""
 
@@ -367,6 +378,42 @@ class PermGroup:
         inc = np.zeros((n * n, m), dtype=np.int64)
         inc[np.arange(n) * n + self._images, np.arange(m)[:, None]] = 1
         return inc
+
+    def chi_times(self, x) -> list:
+        """Q x for Q = P^T P, P the pair incidence, and x an integer vector
+        over the element positions.  Q[s, t] = #{i : s(i) = t(i)}, so Q is
+        the convolution by chi, the central element whose value at s is the
+        number of points s fixes.  Two products with ``pair_incidence``."""
+        inc = self.pair_incidence
+        pairs = (inc @ _int_array(x)).tolist()
+        return (_int_array(pairs) @ inc).tolist()
+
+    @cached_property
+    def chi_minimal_polynomial(self) -> tuple:
+        """The coefficients, lowest first, of the minimal polynomial mu of
+        chi (see ``chi_times``).
+
+        chi acts on the isotypic block of an irreducible rho as the scalar
+        |G| m / d, for m the multiplicity of rho in the permutation
+        representation and d its degree (Serre, Linear Representations of
+        Finite Groups, 2.4 and 6.2).  So mu is monic with simple integer
+        roots, and no root has to be found: the Krylov vectors
+        chi^k = Q^k delta_e are stacked until the first that depends on the
+        ones before, and that dependency is mu.  They are class functions,
+        so the exact solve runs on the few distinct rows of the stack.
+        """
+        e = self.index[self.identity]
+        powers = [[int(k == e) for k in range(len(self))]]
+        while True:
+            powers.append(self.chi_times(powers[-1]))
+            rows = set(zip(*powers))
+            c = solve([[Scalar(x) for x in r[:-1]] for r in rows],
+                      [Scalar(r[-1]) for r in rows])
+            if c is not None:
+                break
+        if any(x._d != 1 or x._b for x in c):
+            raise ArithmeticError("chi's minimal polynomial is not integral")
+        return tuple(-x._a for x in c) + (1,)
 
     @cached_property
     def table(self) -> np.ndarray:

@@ -3,19 +3,22 @@ constructive normalizer pipeline.
 
 Everything here is exact.  The commutant of permutation matrices is spanned
 by the indicators of the orbits on matrix cells.  The minimum-norm preimage
-of a target matrix is a = P^T y over the group's (i, sigma(i)) pair
-incidence P, where (P P^T) y is the target's cells: y comes in closed form
-(Fourier inversion) when the group acts 2-transitively, and from one exact
-n^2 x n^2 solve otherwise.  The unitary produced for a target permutation is
-verified algebraically with zero tolerance rather than assumed.
+of a target matrix is Q^+ P^T t over the group's (i, sigma(i)) pair
+incidence P, for t the target's cells and Q = P^T P, the convolution by the
+fixed-point count chi.  One path serves every group: chi is central, so its
+minimal polynomial mu has integer roots and no root has to be found, and
+Q^+ is a polynomial in Q read off mu's coefficients (Serre, Linear
+Representations of Finite Groups, 2.4 and 6.2).  The unitary produced for a
+target permutation is verified algebraically with zero tolerance rather
+than assumed.
 
 Group-algebra elements are ``algebra.GroupAlgebraElement``, re-exported
 here: integer numerators over one denominator, indexed by position in the
 group's elements, with the product ``algebra.group_convolve`` over the
-Cayley table.  The integrated representation, ``phi`` and the step
-a = P^T y are sums over the pair incidence, and the centrality check
-multiplies by the generators' deltas, one table gather per product; none of
-them builds a ``Scalar`` per group element.
+Cayley table.  The integrated representation, ``phi`` and each product by
+Q are sums over the pair incidence, and the centrality check multiplies by
+the generators' deltas, one table gather per product; none of them builds
+a ``Scalar`` per group element.
 """
 
 from __future__ import annotations
@@ -26,16 +29,17 @@ from dataclasses import dataclass
 from .algebra import (
     AlgebraElement,
     GroupAlgebraElement,
+    _reduced,
     _support_point_map,
     embed_C0,
     is_bisection_support,
 )
 from .germs import GermGroupoid
-from .linalg import Matrix, solve
+from .linalg import Matrix
 from .perms import PermGroup, Permutation
 from .poly import PiecewisePoly, _scalar
 from .sampling import random_ppfun
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO
 from .starspace import act
 
 
@@ -131,11 +135,14 @@ def min_norm_preimage(target: Matrix, group: PermGroup) -> GroupAlgebraElement:
     is orthogonal to its kernel in the coefficient inner product.
 
     With P the pair incidence (``group.pair_incidence``, n^2 x |G|) and t the
-    target's entries (j, i) in P's row order, the preimage is a = P^T y for
-    any y with (P P^T) y = t: then P a = t, and a lies in the range of P^T,
-    which is the orthogonal complement of ker P.  A 2-transitive group gets y
-    in closed form from _fourier_preimage, any other group from one exact
-    solve of the n^2 x n^2 Gram system in _gram_preimage.  Raises
+    target's entries (j, i) in P's row order, the preimage is Q^+ b for
+    b = P^T t and Q = P^T P, the convolution by chi (``group.chi_times``).
+    Write chi's minimal polynomial (``group.chi_minimal_polynomial``) as
+    mu = x h when 0 is a root, that is when the representation has a
+    kernel, and as mu = h otherwise, with h = h_0 + x g.  Then h(Q) vanishes
+    on the range of Q, so -g(Q) / h_0 inverts Q there.  b lies in
+    range(P^T) = range(Q), the orthogonal complement of ker Q = ker P, so
+    the preimage is -g(Q) b / h_0 with no projection.  Raises
     PreimageObstruction when the target is outside the image, which is how
     the small-n obstruction shows up.
     """
@@ -143,43 +150,35 @@ def min_norm_preimage(target: Matrix, group: PermGroup) -> GroupAlgebraElement:
     if target.nrows != n or target.ncols != n:
         raise ValueError("target has the wrong shape")
     cells = [row[i] for i in range(n) for row in target.rows]
-    pair_values = _fourier_preimage if group.is_two_transitive else _gram_preimage
-    result = GroupAlgebraElement.from_pair_values(group, pair_values(cells, group))
-    # P P^T y = t makes P a = t; the closed form maps onto the image, so
-    # landing elsewhere than the target means the target was never in it
+    b = GroupAlgebraElement.from_pair_values(group, cells)
+    mu = group.chi_minimal_polynomial
+    h = mu[1:] if mu[0] == 0 else mu
+    result = _chi_polynomial(b, h[1:], -h[0])
+    # P Q^+ P^T is the projection onto the image of P, so landing elsewhere
+    # than the target means the target was never in it
     if integrated_rep(result) != target:
         raise PreimageObstruction(_OUTSIDE_THE_IMAGE)
     return result
 
 
-def _fourier_preimage(cells, group: PermGroup) -> list:
-    """y for a 2-transitive group, in closed form.  2-transitivity makes
-    P P^T equal to |G|/n on the diagonal, |G|/(n(n-1)) between pairs
-    (i, j), (k, l) with i != k and j != l, and 0 elsewhere.  On the image of
-    P (the trivial representation plus one irreducible of degree n-1; Serre,
-    Linear Representations of Finite Groups, 6.2) it is inverted by
-
-        y_(i,j) = (n^2 (n-1) T[j, i] - (n-2) sum(T)) / (n^2 |G|),
-
-    and P^T y is the Fourier inversion
-    a_s = ((n-1) tr(pi(s)^T T) - (n-2) c) / |G| with c = sum(T) / n.
-    """
-    n = group.n
-    shift = (n - 2) * sum(cells, ZERO)
-    scale, den = n * n * (n - 1), n * n * len(group)
-    return [(scale * t - shift) / den for t in cells]
-
-
-def _gram_preimage(cells, group: PermGroup) -> list:
-    """y for any group: one exact solve of (P P^T) y = t.  The Gram entry at
-    pairs (i, j), (k, l) counts the elements sending i to j and k to l, which
-    is |G| over the orbit size of (i, k), or 0."""
-    inc = group.pair_incidence
-    gram = [[Scalar(x) if x else ZERO for x in row] for row in (inc @ inc.T).tolist()]
-    y = solve(gram, cells)
-    if y is None:
-        raise PreimageObstruction(_OUTSIDE_THE_IMAGE)
-    return y
+def _chi_polynomial(x: GroupAlgebraElement, coeffs, den: int) -> GroupAlgebraElement:
+    """g(Q) x / den for a monic g with integer coefficients, lowest first,
+    by Horner's rule on x's integer numerators."""
+    group = x.group
+    m = len(group)
+    parts = []
+    for values in (x.re, x.im):
+        v = [0] * m
+        for k, a in zip(x.positions, values):
+            v[k] = a
+        acc = v
+        if any(v):
+            for c in reversed(coeffs[:-1]):
+                acc = [y + c * a for y, a in zip(group.chi_times(acc), v)]
+        parts.append(acc)
+    if den < 0:
+        parts = [[-a for a in part] for part in parts]
+    return _reduced(group, range(m), *parts, x.d * abs(den))
 
 
 def kernel_projection(group: PermGroup) -> GroupAlgebraElement:

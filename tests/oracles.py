@@ -559,8 +559,8 @@ def faithfulness_by_subsets(G, seed: int = 0):
     return True, None
 
 
-# -- the minimum-norm preimage by rational row reduction over |G| columns, as
-# -- the package computed it for groups that are not 2-transitive before a = P^T y
+# -- the minimum-norm preimage by rational row reduction over |G| columns, and
+# -- in closed form for 2-transitive groups
 
 def _integrated_system(group):
     """Matrix of the integrated representation as a linear map from group
@@ -577,7 +577,8 @@ def _integrated_system(group):
 def rref_preimage(target: Matrix, group) -> GroupAlgebraElement:
     """min_norm_preimage for any group: solve the linear system exactly, then
     subtract the projection of the particular solution onto the kernel (Gram
-    solve, all rational).  The oracle for the closed form."""
+    solve, all rational).  The oracle for min_norm_preimage while |G| is
+    small."""
     elems, rows = _integrated_system(group)
     rhs = target.vec()
     x0 = solve(rows, rhs)
@@ -609,6 +610,27 @@ def rref_preimage(target: Matrix, group) -> GroupAlgebraElement:
     if integrated_rep(result) != target:
         raise InternalCheckError("preimage does not map to the target")
     return result
+
+
+def fourier_preimage(target: Matrix, group) -> GroupAlgebraElement:
+    """min_norm_preimage for a 2-transitive group and a target in the image,
+    in closed form, as P^T y over the pair incidence P.  2-transitivity
+    makes P P^T equal to |G|/n on the diagonal, |G|/(n(n-1)) between pairs
+    (i, j), (k, l) with i != k and j != l, and 0 elsewhere.  On the image of
+    P (the trivial representation plus one irreducible of degree n-1; Serre,
+    Linear Representations of Finite Groups, 6.2) it is inverted by
+
+        y_(i,j) = (n^2 (n-1) T[j, i] - (n-2) sum(T)) / (n^2 |G|),
+
+    and P^T y is the Fourier inversion
+    a_s = ((n-1) tr(pi(s)^T T) - (n-2) c) / |G| with c = sum(T) / n.
+    """
+    assert group.is_two_transitive
+    n = group.n
+    cells = [row[i] for i in range(n) for row in target.rows]
+    shift = (n - 2) * sum(cells, ZERO)
+    scale, den = n * n * (n - 1), n * n * len(group)
+    return GroupAlgebraElement.from_pair_values(group, [(scale * t - shift) / den for t in cells])
 
 
 def _hdot(xs, ys) -> Scalar:

@@ -29,6 +29,7 @@ from oracles import (
     bitransitive_by_brute_force,
     commutant_basis_by_rref,
     conj_transpose,
+    fourier_preimage,
     rank,
     rref_preimage,
 )
@@ -269,15 +270,14 @@ def test_min_norm_preimage_is_the_orthogonal_one(rng):
         assert x == a - p * a
 
 
-def test_obstruction_for_small_n(monkeypatch):
-    # the documented obstruction comes from the Gram solve
-    monkeypatch.delattr(germoid.rep, "_fourier_preimage")
+def test_obstruction_for_small_n():
+    # A3 acts regularly on 3 points, so its image holds only the circulants
     group = PermGroup.alternating(3)
     with pytest.raises(PreimageObstruction):
         min_norm_preimage(perm_rep(parse_cycles("(1 2)", 3)), group)
 
 
-# the closed form for 2-transitive groups against the rref oracle
+# 2-transitive groups against the rref oracle
 
 @pytest.mark.parametrize("n", [4, 5])
 @pytest.mark.parametrize("cycles", ["(1 2)", "(1 2 3)", "()"])
@@ -312,8 +312,7 @@ def test_closed_form_rejects_a_target_outside_the_image(group):
 @pytest.mark.parametrize("group", [
     PermGroup.alternating(3), PermGroup.klein_cross(), PermGroup.cyclic(4)
 ], ids=repr)
-def test_groups_that_are_not_two_transitive_take_the_rref_path(group, monkeypatch):
-    monkeypatch.delattr(germoid.rep, "_fourier_preimage")
+def test_generator_preimage_matches_rref_oracle(group):
     assert not group.is_two_transitive
     target = perm_rep(group.generators[0])
     assert min_norm_preimage(target, group) == rref_preimage(target, group)
@@ -338,8 +337,7 @@ def _five_terms(group, rng):
     _generated(6, "(1 2 3)", "(1 4)(2 5)(3 6)"),   # C3 wr C2, order 18
     _generated(6, "(1 2)", "(1 2 3)", "(4 5)", "(4 5 6)"),   # S3 x S3, order 36
 ], ids=lambda g: f"order {len(g)} on {g.n} points")
-def test_gram_solve_preimage_matches_rref_oracle(group, rng, monkeypatch):
-    monkeypatch.delattr(germoid.rep, "_fourier_preimage")
+def test_preimage_of_random_and_generator_targets_matches_rref_oracle(group, rng):
     assert not group.is_two_transitive
     targets = [integrated_rep(_five_terms(group, rng)) for _ in range(3)]
     targets += [perm_rep(s) for s in group.generators] + [Matrix.identity(group.n)]
@@ -347,10 +345,9 @@ def test_gram_solve_preimage_matches_rref_oracle(group, rng, monkeypatch):
         assert min_norm_preimage(target, group) == rref_preimage(target, group)
 
 
-def test_preimage_past_the_reach_of_the_rref_oracle(rng, monkeypatch):
+def test_preimage_past_the_reach_of_the_rref_oracle(rng):
     # S4 x S4 on 8 points: 576 columns, which the |G|-column oracle cannot
-    # reduce in reasonable time; one 64 x 64 Gram solve can
-    monkeypatch.delattr(germoid.rep, "_fourier_preimage")
+    # reduce in reasonable time; checked against a - p a instead
     group = _generated(8, "(1 2)", "(1 2 3 4)", "(5 6)", "(5 6 7 8)")
     assert len(group) == 576 and not group.is_two_transitive
     p = kernel_projection(group)
@@ -359,13 +356,64 @@ def test_preimage_past_the_reach_of_the_rref_oracle(rng, monkeypatch):
         assert min_norm_preimage(integrated_rep(a), group) == a - p * a
 
 
-def test_gram_solve_rejects_a_target_outside_the_image(monkeypatch):
+def test_klein_cross_preimage_rejects_a_target_outside_the_image():
     # every element of the Klein cross fixes 1 iff it fixes 2, so the image
     # has equal (1, 1) and (2, 2) entries and misses E_11
-    monkeypatch.delattr(germoid.rep, "_fourier_preimage")
     e11 = Matrix([[ONE if r == c == 0 else ZERO for c in range(4)] for r in range(4)])
     with pytest.raises(PreimageObstruction):
         min_norm_preimage(e11, PermGroup.klein_cross())
+
+
+def _dihedral(n):
+    """The symmetries of an n-gon, of order 2n, on its n vertices."""
+    rotation = Permutation([i % n + 1 for i in range(1, n + 1)])
+    reflection = Permutation([-i % n + 1 for i in range(n)])
+    return PermGroup.generate(n, [rotation, reflection])
+
+
+@pytest.mark.parametrize("group, roots", [
+    pytest.param(PermGroup.alternating(3), {3}, id="A3"),
+    pytest.param(PermGroup.alternating(5), {0, 15, 60}, id="A5"),
+    pytest.param(PermGroup.alternating(7), {0, 420, 2520}, id="A7"),
+    pytest.param(PermGroup.symmetric(4), {0, 8, 24}, id="S4"),
+    pytest.param(_dihedral(12), {0, 12, 24}, id="D12"),
+    pytest.param(_generated(9, "(1 2)", "(1 2 3)", "(1 4 7)(2 5 8)(3 6 9)", "(1 4)(2 5)(3 6)"),
+                 {0, 216, 648, 1296}, id="S3 wr S3"),
+    pytest.param(PermGroup.cyclic(5), {5}, id="Z5"),
+    pytest.param(_generated(3, "(1 2)"), {2, 4}, id="Z2 on 3 points"),
+])
+def test_chi_minimal_polynomial_has_the_roots_g_m_over_d(group, roots):
+    # chi acts on the block of an irreducible of degree d and multiplicity m
+    # in the permutation representation as |G| m / d, and as 0 on the
+    # blocks the representation misses
+    expected = [1]
+    for r in roots:
+        expected = [a - r * b for a, b in zip([0] + expected, expected + [0])]
+    assert group.chi_minimal_polynomial == tuple(expected)
+
+
+@pytest.mark.parametrize("group", [
+    PermGroup.alternating(6), PermGroup.alternating(7), PermGroup.symmetric(5)
+], ids=repr)
+@pytest.mark.parametrize("cycles", ["(1 2)", "(1 2 3)", "()"])
+def test_preimage_matches_the_fourier_formula(group, cycles):
+    # past the reach of the |G|-column rref oracle; these groups are
+    # 2-transitive, so the closed form applies
+    target = perm_rep(parse_cycles(cycles, group.n))
+    assert min_norm_preimage(target, group) == fourier_preimage(target, group)
+
+
+def test_dihedral_group_on_100_points():
+    # 100 points, the most a star may have: kernel_projection passes its
+    # exact checks, and each generator's matrix has its preimage d - p d
+    group = _dihedral(100)
+    p = kernel_projection(group)
+    assert not p.is_zero()
+    for s in group.generators:
+        x = min_norm_preimage(perm_rep(s), group)
+        assert integrated_rep(x) == perm_rep(s)
+        d = delta(group, s)
+        assert x == d - p * d
 
 
 def test_kernel_projection_properties():

@@ -4,9 +4,10 @@
 ``__dict__`` and module functions by name, so moving one of them (into a
 base class, say) breaks ``bench/run.py --trace 1``.  This runs the tracer's
 ``install`` on a fresh import in a subprocess and three short experiments
-under it; ``star --n 3`` takes the preimage's Gram solve through
-``linalg.rref``.  None of the three adds algebra elements, so the script
-makes one ``AlgebraElement.__add__`` call of its own.
+under it; each group's first preimage solves for the minimal polynomial
+of its fixed-point count through ``linalg.rref``.  None of the three adds
+algebra elements, so the script makes one ``AlgebraElement.__add__`` call
+of its own.
 """
 
 import json
@@ -47,7 +48,7 @@ def test_the_tracer_installs_and_counts_spans():
     calls = out["calls"]
     for span in ("algebra.convolve", "algebra.check_compatible", "algebra.add",
                  "rep.group_algebra_mul", "rep.phi", "rep.kernel_projection",
-                 # A3 is not 2-transitive: its preimages take the Gram solve
+                 # each group's first preimage finds mu through linalg.rref
                  "rep.min_norm_preimage", "linalg.rref"):
         assert calls.get(span, 0) > 0, span
     assert out["counts"]["algebra.center_products"] > 0
