@@ -14,18 +14,27 @@ it straight from a Cayley table or from blocks; the constructor checks
 dict-form input axiom by axiom and keeps only the index.  An algebra element
 is its complex coefficient vector in arrow order.  Convolution is one
 scatter-add over the rows, the adjoint one scatter, the regular
-representation one gather, the operator norm one batched SVD per block size
-over that gather, and associativity is checked on the table one unit at a
-time.
+representation one gather, and associativity is checked on the table one
+unit at a time.
+
+The source fibers are held in orbit-trivialized order.  The first unit x0 of
+each orbit, its base, lists its fiber in arrow order; every other unit y of
+the orbit lists b g^-1 for b in fiber(x0), where g is the first arrow of
+fiber(x0) with range y.  As a b = c exactly when a (b g^-1) = c g^-1, every
+unit of an orbit gathers the same cells: lambda_y(f) equals lambda_x0(f)
+entry for entry, the closed form of the unitary equivalence of lambda_x and
+lambda_y along an arrow from x to y.  So ``rep_stacks`` keeps one block per
+orbit, its base's, and the operator norm is one batched SVD per block size
+over those blocks; ``rep_blocks`` and ``rep_gather`` still cover every unit.
 
 Random trials are batched.  A check stacks its trials' coefficient vectors
 as the rows of a (trials, m) array, in chunks of at most ``CHUNK_CELLS``
 regular-representation cells, and runs each kernel once per chunk: one
-batched SVD per block size for the operator norms, one scatter-add for the
-products.  ``gaussians(rng, count)`` draws a chunk: ``count`` float64 values
-equal bit for bit to ``count`` successive ``rng.gauss(0, 1)`` calls, leaving
-``rng.getstate()`` as those calls would.  It inlines CPython's Box-Muller
-pair: the two ``rng.random()`` values of each pair come from one
+batched SVD per orbit block size for the operator norms, one scatter-add for
+the products.  ``gaussians(rng, count)`` draws a chunk: ``count`` float64
+values equal bit for bit to ``count`` successive ``rng.gauss(0, 1)`` calls,
+leaving ``rng.getstate()`` as those calls would.  It inlines CPython's
+Box-Muller pair: the two ``rng.random()`` values of each pair come from one
 ``getrandbits`` call, and ``cos``, ``sin`` and ``log`` are mapped from
 ``math`` so that every value goes through the libm calls ``gauss`` makes; a
 pending ``gauss_next`` or an odd last value falls back to ``rng.gauss``.  So
@@ -133,6 +142,7 @@ class FiniteGroupoid:
         G = cls.__new__(cls)
         G._set_arrows(units, [arrows[k] for k in order], unit_arrow)
         G._build_index(pos[ia], pos[ib], pos[ic], pos[inv[order]], src[order], rng[order])
+        G._build_fibers()
         return G
 
     # -- validation -----------------------------------------------------------
@@ -215,34 +225,55 @@ class FiniteGroupoid:
                     "associativity fails",
                     (self.arrows[a[i, 0]], self.arrows[b[i, 0]], self.arrows[c[j]]),
                 )
+        # the fibers are trivialized only once the table is known associative
+        self._build_fibers()
 
     def _build_index(self, ia, ib, ic, inv_index, src_unit, rng_unit):
-        """Store the index, and the fibers and regular-representation gather."""
+        """Store the index and the composition table."""
         m = len(self.arrows)
         self.ia, self.ib, self.ic = ia, ib, ic
         self.inv_index, self.src_unit, self.rng_unit = inv_index, src_unit, rng_unit
         self.table = np.full((m, m), -1, dtype=np.intp)
         self.table[ia, ib] = ic
-        self.fibers = {x: np.flatnonzero(src_unit == k) for k, x in enumerate(self.units)}
+
+    def _build_fibers(self):
+        """The orbit-trivialized source fibers and the regular-representation
+        gather over them."""
+        # the first unit x0 of each orbit, its base, keeps arrow order; every
+        # other unit y of the orbit lists b g^-1 for b in fiber(x0), with g
+        # the first arrow of fiber(x0) into y
+        fibers = [None] * len(self.units)
+        self.orbit_base = np.empty(len(self.units), dtype=np.intp)
+        for k, fiber in enumerate(fibers):
+            if fiber is None:
+                fibers[k] = base = np.flatnonzero(self.src_unit == k)
+                # the first arrow into each unit, by walking the fiber backwards
+                first = dict(zip(self.rng_unit[base[::-1]].tolist(), base[::-1].tolist()))
+                for y, g in first.items():
+                    if y != k:
+                        fibers[y] = self.table[base, self.inv_index[g]]
+                self.orbit_base[list(first)] = k
+        self.fibers = dict(zip(self.units, fibers))
         # the regular representation: the row (a, b, c) with src(b) = x puts
         # f(a) at (c, b) of the block of x, and every cell gets exactly one row
-        pos = np.empty(m, dtype=np.intp)
-        sizes = np.zeros(len(self.units), dtype=np.intp)
-        for k, x in enumerate(self.units):
-            fiber = self.fibers[x]
+        pos = np.empty(len(self.arrows), dtype=np.intp)
+        for fiber in fibers:
             pos[fiber] = np.arange(len(fiber))
-            sizes[k] = len(fiber)
+        sizes = np.bincount(self.src_unit, minlength=len(self.units))
         offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
-        x = src_unit[ib]
-        cell = offsets[x] + pos[ic] * sizes[x] + pos[ib]
-        self.rep_gather = np.empty(len(ia), dtype=np.intp)
-        self.rep_gather[cell] = ia
+        x = self.src_unit[self.ib]
+        cell = offsets[x] + pos[self.ic] * sizes[x] + pos[self.ib]
+        self.rep_gather = np.empty(len(self.ia), dtype=np.intp)
+        self.rep_gather[cell] = self.ia
         self.rep_blocks = [
             (x, int(offsets[k]), int(sizes[k])) for k, x in enumerate(self.units)
         ]
-        # the same cells stacked by block size, for one batched SVD per size
+        # a b = c iff a (b g^-1) = c g^-1, so every unit of an orbit has its
+        # base's cells: the bases' blocks, stacked by size, for one batched
+        # SVD per size
         stacks = {}
-        for x, off, n in self.rep_blocks:
+        for k in dict.fromkeys(self.orbit_base.tolist()):
+            off, n = int(offsets[k]), int(sizes[k])
             stacks.setdefault(n, []).append(self.rep_gather[off:off + n * n])
         self.rep_stacks = [np.concatenate(c).reshape(-1, n, n) for n, c in stacks.items()]
 
@@ -365,12 +396,8 @@ class FiniteGroupoid:
         return np.bincount(loops, minlength=len(self.units))
 
     def orbits(self):
-        # units in one orbit are joined by an arrow, so each unit's first
-        # source over the arrows into it names its orbit
-        first = np.full(len(self.units), len(self.units))
-        np.minimum.at(first, self.rng_unit, self.src_unit)
         groups = {}
-        for x, k in zip(self.units, first.tolist()):
+        for x, k in zip(self.units, self.orbit_base.tolist()):
             groups.setdefault(k, []).append(x)
         return sorted(groups.values())
 
@@ -464,8 +491,9 @@ class FiniteAlgebraElement:
 def regular_rep(f: FiniteAlgebraElement) -> dict:
     """Block matrices of left convolution on the source fibers, one per unit.
 
-    Rows and columns of the block of x follow ``G.fibers[x]``; the entry at
-    (a b, b) is f(a), gathered in one step through the composition index."""
+    Rows and columns of the block of x follow ``G.fibers[x]``, in
+    orbit-trivialized order, so the blocks of one orbit are equal; the entry
+    at (a b, b) is f(a), gathered in one step through the composition index."""
     G = f.groupoid
     flat = f.vec[G.rep_gather]
     return {x: flat[off:off + n * n].reshape(n, n) for x, off, n in G.rep_blocks}
@@ -473,7 +501,9 @@ def regular_rep(f: FiniteAlgebraElement) -> dict:
 
 def _operator_norms(G: FiniteGroupoid, V: np.ndarray) -> np.ndarray:
     """The operator norm of each row of V: its largest singular value across
-    the regular-representation blocks, one batched SVD per block size."""
+    the regular-representation blocks.  The blocks of one orbit are equal in
+    the trivialized fibers, so only each orbit's base block is factored, one
+    batched SVD per block size."""
     return np.max([np.linalg.svd(V[:, cells], compute_uv=False).max(axis=(1, 2))
                    for cells in G.rep_stacks], axis=0)
 

@@ -22,7 +22,7 @@ from .perms import (
     refuse_unknown_keys,
 )
 from .scalars import _frac
-from .starspace import CENTER, CenterPoint, EdgePoint
+from .starspace import CENTER, EdgePoint
 
 # |A7|: star groups past this order are refused before they are built
 MAX_STAR_GROUP_ORDER = 2520
@@ -136,15 +136,6 @@ class GermGroupoid:
         if isinstance(germ, CenterGerm):
             return germ.sigma in self.group
         return False
-
-    def germ_of(self, sigma: Permutation, p):
-        if sigma not in self.group:
-            raise GermError(f"{sigma} is not in the acting group")
-        if isinstance(p, CenterPoint):
-            return CenterGerm(sigma)
-        if isinstance(p, EdgePoint):
-            return EdgeGerm(p.t, p.edge, sigma(p.edge))
-        raise TypeError(f"not a star point: {p!r}")
 
     def source(self, germ):
         self._require(germ)

@@ -210,14 +210,6 @@ class OpenStarSet:
     def empty(cls, n: int) -> "OpenStarSet":
         return cls(n, False, ((),) * n, _checked=True)
 
-    @classmethod
-    def edge_interval(cls, n: int, edge: int, a, b, include_b=False) -> "OpenStarSet":
-        if not 1 <= edge <= n:
-            raise ValueError(f"edge {edge} outside 1..{n}")
-        edges = [[] for _ in range(n)]
-        edges[edge - 1] = [(a, b, include_b)]
-        return cls(n, False, edges)
-
     def union(self, other: "OpenStarSet") -> "OpenStarSet":
         self._check(other)
         edges = tuple(_union_intervals(a, b) for a, b in zip(self.edges, other.edges))

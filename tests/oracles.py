@@ -8,7 +8,7 @@ import numpy as np
 
 from germoid.algebra import AlgebraElement, from_sheet
 from germoid.finite import FiniteAlgebraElement, _diagonal_meets, minimal_central_projections
-from germoid.germs import CenterGerm, EdgeGerm
+from germoid.germs import CenterGerm, EdgeGerm, GermError
 from germoid.linalg import Matrix, nullspace, rref, solve
 from germoid.perms import Permutation, parse_cycles
 from germoid.poly import PiecewisePoly, _canon, from_scalars
@@ -20,7 +20,7 @@ from germoid.rep import (
 )
 from germoid.sampling import _OVER_12, random_ppfun
 from germoid.scalars import ONE, ZERO, Scalar, as_scalar
-from germoid.starspace import OpenStarSet, PPFun
+from germoid.starspace import CenterPoint, EdgePoint, OpenStarSet, PPFun
 
 
 def conj_transpose(m: Matrix) -> Matrix:
@@ -355,6 +355,26 @@ def randint_open_set(n: int, rng) -> OpenStarSet:
         eps = rng.choice(_BREAK_POOL)
         s = s.union(OpenStarSet(n, True, [[(Fraction(0), eps, False)]] * n))
     return s
+
+
+def edge_interval(n: int, edge: int, a, b, include_b=False) -> OpenStarSet:
+    """The open set of one interval on one edge of the n-star."""
+    if not 1 <= edge <= n:
+        raise ValueError(f"edge {edge} outside 1..{n}")
+    edges = [[] for _ in range(n)]
+    edges[edge - 1] = [(a, b, include_b)]
+    return OpenStarSet(n, False, edges)
+
+
+def germ_of(groupoid, sigma: Permutation, p):
+    """The germ of the group element sigma at the star point p."""
+    if sigma not in groupoid.group:
+        raise GermError(f"{sigma} is not in the acting group")
+    if isinstance(p, CenterPoint):
+        return CenterGerm(sigma)
+    if isinstance(p, EdgePoint):
+        return EdgeGerm(p.t, p.edge, sigma(p.edge))
+    raise TypeError(f"not a star point: {p!r}")
 
 
 def randint_germ(groupoid, rng):

@@ -565,12 +565,35 @@ def test_convolution_and_adjoint_match_the_loops(name, rng):
 
 @pytest.mark.parametrize("name", ORACLE_SPECS)
 def test_regular_rep_matches_the_loop(name, rng):
-    G = _oracle_groupoid(name)
+    """The loop's blocks follow arrow order and ``regular_rep``'s follow the
+    orbit-trivialized ``G.fibers``: the same cells up to that permutation."""
+    G, D = _oracle_groupoid(name), _oracle_dicts(name)
     f = random_finite_element(G, rng)
-    new, old = regular_rep(f), _loop_regular_rep(f, _oracle_dicts(name))
+    new, old = regular_rep(f), _loop_regular_rep(f, D)
     assert list(new) == list(old)
     for x in G.units:
-        assert np.array_equal(new[x], old[x])  # one coefficient per cell, exactly
+        fiber = [G.arrows[a] for a in G.fibers[x]]
+        assert sorted(fiber, key=repr) == source_fiber(D, x)
+        pos = {a: k for k, a in enumerate(source_fiber(D, x))}
+        p = [pos[a] for a in fiber]
+        assert np.array_equal(new[x], old[x][np.ix_(p, p)])  # one coefficient per cell
+
+
+@pytest.mark.parametrize("name", ORACLE_SPECS)
+@pytest.mark.parametrize("build", ["arrays", "dicts"])
+def test_units_of_an_orbit_share_one_block(name, build, rng):
+    """Every unit of an orbit gathers its base's cells, so one block per
+    orbit is stacked, and its norms are those of the arrow-order blocks."""
+    G = _oracle_groupoid(name) if build == "arrays" else FiniteGroupoid(**_oracle_dicts(name))
+    segments = {x: G.rep_gather[off:off + n * n] for x, off, n in G.rep_blocks}
+    for orbit in G.orbits():
+        assert all(np.array_equal(segments[x], segments[orbit[0]]) for x in orbit)
+    assert sum(len(cells) for cells in G.rep_stacks) == len(G.orbits())
+    for _ in range(3):
+        f = random_finite_element(G, rng)
+        expected = max(np.linalg.norm(M, 2)
+                       for M in _loop_regular_rep(f, _oracle_dicts(name)).values())
+        assert abs(operator_norm(f) - expected) <= 1e-12 * expected
 
 
 def _indicators(m, index_sets):

@@ -10,7 +10,7 @@ from germoid.scalars import ONE, ZERO, Scalar, parse_scalar, render_scalar
 from germoid.starspace import EdgePoint, OpenStarSet
 
 from conftest import scalars_st
-from oracles import abs2
+from oracles import abs2, edge_interval
 
 
 def test_basic_arithmetic():
@@ -145,7 +145,7 @@ _FLOAT_ENTRY_POINTS = {
     "PiecewisePoly.__call__": lambda x: PiecewisePoly.const(1)(x),
     "PiecewisePoly breakpoint": lambda x: PiecewisePoly((0, x, 1), ((ONE,), (ONE,))),
     "OpenStarSet left endpoint": lambda x: OpenStarSet(2, False, [[(x, 1, False)], []]),
-    "OpenStarSet right endpoint": lambda x: OpenStarSet.edge_interval(2, 1, 0, x),
+    "OpenStarSet right endpoint": lambda x: edge_interval(2, 1, 0, x),
 }
 
 

@@ -18,6 +18,7 @@ from germoid.starspace import (
 )
 from oracles import (
     act_on_open_set_by_renormalizing,
+    edge_interval,
     intersect_by_renormalizing,
     norm_intervals_by_wrapping,
     union_by_renormalizing,
@@ -59,11 +60,11 @@ def test_full_and_empty():
 
 
 def test_interval_merge():
-    a = OpenStarSet.edge_interval(4, 1, Fraction(0), Fraction(1, 2))
-    b = OpenStarSet.edge_interval(4, 1, Fraction(1, 4), Fraction(3, 4))
+    a = edge_interval(4, 1, Fraction(0), Fraction(1, 2))
+    b = edge_interval(4, 1, Fraction(1, 4), Fraction(3, 4))
     assert a.union(b).edges[0] == ((Fraction(0), Fraction(3, 4), False),)
     # touching open intervals do not merge: the shared endpoint is missing
-    c = OpenStarSet.edge_interval(4, 1, Fraction(1, 2), Fraction(3, 4))
+    c = edge_interval(4, 1, Fraction(1, 2), Fraction(3, 4))
     assert len(a.union(c).edges[0]) == 2
     assert EdgePoint(1, Fraction(1, 2)) not in a.union(c)
 
@@ -196,20 +197,20 @@ def test_lookups_refuse_an_edge_beyond_the_star():
         p in OpenStarSet.full(4)
     with pytest.raises(ValueError, match=r"^edge 5 outside 1\.\.4$"):
         PPFun.one(4).eval(p)
-    assert EdgePoint(4, Fraction(1, 2)) in OpenStarSet.edge_interval(4, 4, 0, 1, True)
-    assert EdgePoint(1, Fraction(1, 2)) not in OpenStarSet.edge_interval(4, 4, 0, 1, True)
+    assert EdgePoint(4, Fraction(1, 2)) in edge_interval(4, 4, 0, 1, True)
+    assert EdgePoint(1, Fraction(1, 2)) not in edge_interval(4, 4, 0, 1, True)
     for edge in (0, 5):
         with pytest.raises(ValueError, match=rf"^edge {edge} outside 1\.\.4$"):
-            OpenStarSet.edge_interval(4, edge, 0, 1, True)
+            edge_interval(4, edge, 0, 1, True)
 
 
 def test_membership_endpoints():
-    s = OpenStarSet.edge_interval(4, 2, Fraction(1, 4), Fraction(1), include_b=True)
+    s = edge_interval(4, 2, Fraction(1, 4), Fraction(1), include_b=True)
     assert EdgePoint(2, 1) in s
     assert EdgePoint(2, Fraction(1, 4)) not in s
     assert EdgePoint(2, Fraction(1, 2)) in s
     assert membership(EdgePoint(3, Fraction(1, 2)), s) is False
-    t = OpenStarSet.edge_interval(4, 2, Fraction(1, 4), Fraction(1))
+    t = edge_interval(4, 2, Fraction(1, 4), Fraction(1))
     assert EdgePoint(2, 1) not in t
 
 
@@ -218,7 +219,7 @@ def test_center_requires_initial_segments():
         OpenStarSet(4, True, [[(Fraction(0), 1, True)]] * 3 + [[(Fraction(1, 2), 1, True)]])
     # intersection with a set missing (0,eps) on an edge drops the center
     full = OpenStarSet.full(4)
-    partial = OpenStarSet.edge_interval(4, 2, Fraction(1, 2), Fraction(1), include_b=True)
+    partial = edge_interval(4, 2, Fraction(1, 2), Fraction(1), include_b=True)
     meet = full.intersect(partial)
     assert meet.contains_center is False
     assert meet == partial
