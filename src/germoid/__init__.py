@@ -11,12 +11,9 @@ from .algebra import (
     AlgebraElement,
     CompatibilityError,
     NotNormalizerError,
-    UnitSpaceFunction,
-    conditional_expectation,
     cross_central_element,
     embed_C0,
     from_sheet,
-    induced_point_map,
     is_bisection_support,
     lambda_scalar,
     open_support,
@@ -29,7 +26,6 @@ from .finite import (
     faithfulness_check,
     intersection_property_check,
     key_inequality_check,
-    operator_norm,
     principality,
     regular_rep,
 )

@@ -7,8 +7,10 @@ same values are therefore identified, and equality is decidable.
 
 The normal form must satisfy the gluing law tying each strip's limit at the
 center to the sum of center values over the group elements inducing that
-edge pair; this is the computational signature of a non-Hausdorff groupoid,
-and it is checked on every construction.
+edge pair; this is the computational signature of a non-Hausdorff groupoid.
+It is checked on the validating path, where every element from outside the
+algebra comes in (sheets, the sign element, explicit normal forms); sums,
+scalings, adjoints and products of valid elements obey it by construction.
 
 The center values are a ``GroupAlgebraElement``, the one type of the group
 algebra C[G] here and in ``rep``: integer (re, im) numerators over one
@@ -38,7 +40,7 @@ from .germs import CenterGerm, EdgeGerm, GermError, GermGroupoid
 from .perms import PermGroup, Permutation, _int_array
 from .poly import PiecewisePoly, _scalar, coeffs, common_refinement
 from .scalars import ONE, ZERO, Scalar, as_scalar, render_scalar
-from .starspace import CenterPoint, EdgePoint, PPFun, edge_index
+from .starspace import PPFun
 
 _PPZERO = PiecewisePoly.zero()
 
@@ -396,22 +398,28 @@ class AlgebraElement:
 
     def __init__(self, groupoid: GermGroupoid, strips, center, _checked=False):
         """center is a GroupAlgebraElement of the groupoid's group or a
-        {Permutation: scalar} dict."""
+        {Permutation: scalar} dict.
+
+        ``_checked=True`` is the trusted path of ``zero``, ``+``, ``scale``,
+        ``adjoint`` and ``*``: it takes a GroupAlgebraElement and checks
+        nothing, since each of those operations maps elements that obey the
+        gluing law to one that does.  Every other element is validated."""
         self.groupoid = groupoid
         self.strips = {pair: pp for pair, pp in strips.items() if not pp.is_zero()}
+        if _checked:
+            self.center = center
+            return
         group = groupoid.group
-        if not _checked:
-            for pair in self.strips:
-                if pair not in groupoid.admissible_pairs:
-                    raise AlgebraError(f"strip {pair} is not an admissible edge pair")
-            if isinstance(center, GroupAlgebraElement):
-                if center.group != group:
-                    raise AlgebraError("center values live on another group")
-            else:
-                for s in center:
-                    if s not in group:
-                        raise AlgebraError(f"{s} is not in the acting group")
-        if center.__class__ is not GroupAlgebraElement:
+        for pair in self.strips:
+            if pair not in groupoid.admissible_pairs:
+                raise AlgebraError(f"strip {pair} is not an admissible edge pair")
+        if isinstance(center, GroupAlgebraElement):
+            if center.group != group:
+                raise AlgebraError("center values live on another group")
+        else:
+            for s in center:
+                if s not in group:
+                    raise AlgebraError(f"{s} is not in the acting group")
             center = GroupAlgebraElement(group, center)
         self.center = center
         self.check_compatible()
@@ -614,58 +622,6 @@ def evaluate_convolution_pointwise(f: AlgebraElement, g: AlgebraElement, germ) -
 
 
 # ---------------------------------------------------------------------------
-# conditional expectation onto the unit space
-
-
-class UnitSpaceFunction:
-    """A function on the star that may be discontinuous at the center.
-
-    This is the codomain of the conditional expectation: restricting an
-    algebra element to the unit space keeps the diagonal strips and the
-    identity's center value, and on a non-Hausdorff groupoid those need not
-    glue continuously.
-    """
-
-    __slots__ = ("n", "center", "edges")
-
-    def __init__(self, n: int, center, edges):
-        self.n = n
-        self.center = as_scalar(center)
-        self.edges = tuple(edges)
-
-    def eval(self, p) -> Scalar:
-        if isinstance(p, CenterPoint):
-            return self.center
-        if isinstance(p, EdgePoint):
-            return self.edges[edge_index(p, self.n)](p.t)
-        raise TypeError(f"not a star point: {p!r}")
-
-    __call__ = eval
-
-    def is_zero(self) -> bool:
-        return self.center.is_zero() and all(e.is_zero() for e in self.edges)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnitSpaceFunction)
-            and (self.n, self.center, self.edges) == (other.n, other.center, other.edges)
-        )
-
-    def __repr__(self):
-        return f"UnitSpaceFunction(n={self.n}, center={self.center})"
-
-
-def conditional_expectation(f: AlgebraElement) -> UnitSpaceFunction:
-    """Restriction to the unit space: diagonal strips plus the identity's value."""
-    G = f.groupoid
-    return UnitSpaceFunction(
-        G.n,
-        f.center_value(G.group.identity),
-        [f.strip(i, i) for i in range(1, G.n + 1)],
-    )
-
-
-# ---------------------------------------------------------------------------
 # the sign element: a central element whose ideal misses the diagonal
 
 
@@ -837,20 +793,10 @@ class PointMap:
         }
 
 
-def induced_point_map(u: AlgebraElement) -> PointMap:
-    """The source-to-range map over the open support of a unitary u.
-
-    Requires u*u = uu* = 1 and a single-valued map; a multi-valued support
-    map means u does not implement a transformation of the star.
-    """
-    one = AlgebraElement.unit(u.groupoid)
-    if u.adjoint() * u != one or u * u.adjoint() != one:
-        raise NotNormalizerError("element is not unitary")
-    return _support_point_map(u)
-
-
 def _support_point_map(u: AlgebraElement) -> PointMap:
-    """induced_point_map for a u already checked to be unitary."""
+    """The source-to-range map over the open support of a u already checked
+    to be unitary; a multi-valued support map means u does not implement a
+    transformation of the star."""
     G = u.groupoid
     segments = []
     for i in range(1, G.n + 1):

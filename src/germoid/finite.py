@@ -508,11 +508,6 @@ def _operator_norms(G: FiniteGroupoid, V: np.ndarray) -> np.ndarray:
                    for cells in G.rep_stacks], axis=0)
 
 
-def operator_norm(f: FiniteAlgebraElement) -> float:
-    """Largest singular value across the regular-representation blocks."""
-    return float(_operator_norms(f.groupoid, f.vec[None])[0])
-
-
 def gaussians(rng: random.Random, count: int) -> np.ndarray:
     """``count`` successive ``rng.gauss(0, 1)`` values, bit for bit, with the
     same rng state after."""

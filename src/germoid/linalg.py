@@ -36,10 +36,6 @@ class Matrix:
     def zeros(cls, r: int, c: int) -> "Matrix":
         return cls([[ZERO] * c for _ in range(r)])
 
-    @classmethod
-    def ones(cls, n: int) -> "Matrix":
-        return cls([[ONE] * n for _ in range(n)])
-
     def __getitem__(self, rc):
         r, c = rc
         return self.rows[r][c]

@@ -315,11 +315,16 @@ class PermGroup:
         return cls.generate(4, [parse_cycles("(1 2)", 4), parse_cycles("(3 4)", 4)])
 
     @cached_property
+    def orbital_count(self) -> int:
+        """Burnside's count of the orbitals, the orbits on ordered pairs of
+        points: sum_s fix(s)^2 / |G|.  It is the dimension of the commutant
+        of the permutation representation, spanned by the orbital indicators."""
+        return int((self.fixed_counts ** 2).sum()) // len(self)
+
+    @property
     def is_two_transitive(self) -> bool:
-        """Burnside's count: the orbits on ordered pairs of points number
-        sum_s fix(s)^2 / |G|, and exactly two orbits (the diagonal and its
-        complement) means the action is 2-transitive."""
-        return int((self.fixed_counts ** 2).sum()) == 2 * len(self)
+        """Two orbitals, the diagonal and its complement."""
+        return self.orbital_count == 2
 
     # -- the index over element positions -------------------------------------
 

@@ -2,7 +2,8 @@
 constructive normalizer pipeline.
 
 Everything here is exact.  The commutant of permutation matrices is spanned
-by the indicators of the orbits on matrix cells.  The minimum-norm preimage
+by the indicators of the orbits on matrix cells; its dimension alone is
+Burnside's orbital count ``PermGroup.orbital_count``.  The minimum-norm preimage
 of a target matrix is Q^+ P^T t over the group's (i, sigma(i)) pair
 incidence P, for t the target's cells and Q = P^T P, the convolution by the
 fixed-point count chi.  One path serves every group: chi is central, so its
@@ -71,7 +72,8 @@ def integrated_rep(a: GroupAlgebraElement) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# commutants and bi-transitivity
+# commutants; their dimension, and so bi-transitivity, is the closed form
+# PermGroup.orbital_count, which the tests check against this walk
 
 
 def commutant_basis(mats):

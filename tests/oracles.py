@@ -6,8 +6,13 @@ from math import gcd
 
 import numpy as np
 
-from germoid.algebra import AlgebraElement, from_sheet
-from germoid.finite import FiniteAlgebraElement, _diagonal_meets, minimal_central_projections
+from germoid.algebra import AlgebraElement, NotNormalizerError, _support_point_map, from_sheet
+from germoid.finite import (
+    FiniteAlgebraElement,
+    _diagonal_meets,
+    _operator_norms,
+    minimal_central_projections,
+)
 from germoid.germs import CenterGerm, EdgeGerm, GermError
 from germoid.linalg import Matrix, nullspace, rref, solve
 from germoid.perms import Permutation, parse_cycles
@@ -20,7 +25,12 @@ from germoid.rep import (
 )
 from germoid.sampling import _OVER_12, random_ppfun
 from germoid.scalars import ONE, ZERO, Scalar, as_scalar
-from germoid.starspace import CenterPoint, EdgePoint, OpenStarSet, PPFun
+from germoid.starspace import CenterPoint, EdgePoint, OpenStarSet, PPFun, edge_index
+
+
+def all_ones(n: int) -> Matrix:
+    """The n x n matrix J with every entry 1."""
+    return Matrix([[ONE] * n for _ in range(n)])
 
 
 def conj_transpose(m: Matrix) -> Matrix:
@@ -105,6 +115,75 @@ def restrict_to_units(f) -> dict:
     """Conditional expectation of a finite algebra element: its coefficients
     at the unit arrows, unit by unit."""
     return {x: f.coeff(f.groupoid.unit_arrow[x]) for x in f.groupoid.units}
+
+
+def operator_norm(f: FiniteAlgebraElement) -> float:
+    """Largest singular value across the regular-representation blocks."""
+    return float(_operator_norms(f.groupoid, f.vec[None])[0])
+
+
+# -- the unit space of a star groupoid: the conditional expectation and the
+# -- point map of a unitary, checked to be unitary first
+
+
+class UnitSpaceFunction:
+    """A function on the star that may be discontinuous at the center.
+
+    This is the codomain of the conditional expectation: restricting an
+    algebra element to the unit space keeps the diagonal strips and the
+    identity's center value, and on a non-Hausdorff groupoid those need not
+    glue continuously.
+    """
+
+    __slots__ = ("n", "center", "edges")
+
+    def __init__(self, n: int, center, edges):
+        self.n = n
+        self.center = as_scalar(center)
+        self.edges = tuple(edges)
+
+    def eval(self, p) -> Scalar:
+        if isinstance(p, CenterPoint):
+            return self.center
+        if isinstance(p, EdgePoint):
+            return self.edges[edge_index(p, self.n)](p.t)
+        raise TypeError(f"not a star point: {p!r}")
+
+    __call__ = eval
+
+    def is_zero(self) -> bool:
+        return self.center.is_zero() and all(e.is_zero() for e in self.edges)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, UnitSpaceFunction)
+            and (self.n, self.center, self.edges) == (other.n, other.center, other.edges)
+        )
+
+    def __repr__(self):
+        return f"UnitSpaceFunction(n={self.n}, center={self.center})"
+
+
+def conditional_expectation(f: AlgebraElement) -> UnitSpaceFunction:
+    """Restriction to the unit space: diagonal strips plus the identity's value."""
+    G = f.groupoid
+    return UnitSpaceFunction(
+        G.n,
+        f.center_value(G.group.identity),
+        [f.strip(i, i) for i in range(1, G.n + 1)],
+    )
+
+
+def induced_point_map(u: AlgebraElement):
+    """The source-to-range map over the open support of a unitary u.
+
+    Requires u*u = uu* = 1 and a single-valued map; a multi-valued support
+    map means u does not implement a transformation of the star.
+    """
+    one = AlgebraElement.unit(u.groupoid)
+    if u.adjoint() * u != one or u * u.adjoint() != one:
+        raise NotNormalizerError("element is not unitary")
+    return _support_point_map(u)
 
 
 # -- the cross's central element as it was before the sign character: four

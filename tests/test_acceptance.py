@@ -46,7 +46,7 @@ from germoid.sampling import (
 )
 from germoid.scalars import Scalar
 from germoid.starspace import act
-from oracles import bitransitive_by_brute_force
+from oracles import all_ones, bitransitive_by_brute_force
 
 SEED = 1729
 
@@ -122,7 +122,7 @@ def test_criterion_04_commutant_dimension_and_bitransitivity():
     for n in (4, 5):
         group = PermGroup.alternating(n)
         basis, dim = commutant_basis([perm_rep(s) for s in group])
-        ok = ok and dim == 2 and basis == [Matrix.identity(n), Matrix.ones(n) - Matrix.identity(n)]
+        ok = ok and dim == 2 and basis == [Matrix.identity(n), all_ones(n) - Matrix.identity(n)]
     bt = (
         bitransitive_by_brute_force(PermGroup.alternating(4))
         and bitransitive_by_brute_force(PermGroup.alternating(5))

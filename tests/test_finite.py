@@ -25,7 +25,6 @@ from germoid.finite import (
     intersection_property_check,
     key_inequality_check,
     minimal_central_projections,
-    operator_norm,
     parse_finite_spec,
     principality,
     regular_rep,
@@ -39,6 +38,7 @@ from oracles import (
     has_no_isotropy,
     hom_by_table,
     isotropy_arrows,
+    operator_norm,
     random_finite_element,
     restrict_to_units,
     transformation_by_dicts,
@@ -708,7 +708,7 @@ def test_key_inequality_draws_nothing_without_a_free_unit(name, monkeypatch):
     def forbidden(*args):
         raise AssertionError("no element may be drawn or factored")
 
-    for attr in ("operator_norm", "gaussians", "_operator_norms"):
+    for attr in ("gaussians", "_operator_norms"):
         monkeypatch.setattr(germoid.finite, attr, forbidden)
     monkeypatch.setattr(germoid.finite.np.linalg, "svd", forbidden)
     report = key_inequality_check(_oracle_groupoid(name), trials=200, seed=0)

@@ -6,7 +6,7 @@ from germoid.linalg import Matrix, nullspace, rref, solve
 from germoid.scalars import ONE, ZERO, Scalar
 
 from conftest import scalars_st
-from oracles import conj_transpose, rank, reduce_basis
+from oracles import all_ones, conj_transpose, rank, reduce_basis
 from hypothesis import given, strategies as st
 
 
@@ -73,7 +73,7 @@ def test_matrix_ops():
     assert a + b - b == a
     assert (a * Matrix.identity(2)) == a
     assert transpose(a) == Matrix(rows((1, 3), (2, 4)))
-    assert Matrix.ones(2) - Matrix.identity(2) == b
+    assert all_ones(2) - Matrix.identity(2) == b
     assert a.vec() == [S(1), S(2), S(3), S(4)]
 
 

@@ -26,10 +26,12 @@ from germoid.sampling import random_group_algebra_element, random_ppfun, random_
 from germoid.scalars import ONE, ZERO
 from germoid.starspace import act
 from oracles import (
+    all_ones,
     bitransitive_by_brute_force,
     commutant_basis_by_rref,
     conj_transpose,
     fourier_preimage,
+    induced_point_map,
     rank,
     rref_preimage,
 )
@@ -147,7 +149,7 @@ def test_commutant_of_alternating_action(n):
     basis, dim = commutant_basis([perm_rep(s) for s in group])
     assert dim == 2 == _pair_orbit_count(group)
     ident = Matrix.identity(n)
-    offdiag = Matrix.ones(n) - ident
+    offdiag = all_ones(n) - ident
     assert basis == [ident, offdiag]
     for b in basis:
         for s in group:
@@ -171,23 +173,33 @@ def test_generators_span_the_whole_commutant(group):
     )
 
 
+def _generated(n, *cycles):
+    return PermGroup.generate(n, [parse_cycles(c, n) for c in cycles])
+
+
 @pytest.mark.parametrize("group", [
     *(PermGroup.alternating(n) for n in range(2, 8)),
     *(PermGroup.symmetric(n) for n in range(2, 6)),
     PermGroup.klein_cross(),
     PermGroup.cyclic(5),
     PermGroup.trivial(3),
+    _generated(5, "(1 2 3 4 5)", "(2 5)(3 4)"),   # D5
+    _generated(5, "(1 2)", "(3 4 5)"),
+    _generated(6, "(1 2 3)(4 5 6)", "(1 4)(2 5)"),
 ], ids=repr)
 def test_orbital_commutant_equals_the_rref_basis(group):
     mats = [perm_rep(s) for s in group.generators or (group.identity,)]
-    assert commutant_basis(mats) == commutant_basis_by_rref(mats)
+    basis, dim = commutant_basis(mats)
+    assert (basis, dim) == commutant_basis_by_rref(mats)
+    # Burnside's closed form counts the orbits on cells that the walk finds
+    assert group.orbital_count == dim
 
 
 def test_commutant_basis_refuses_other_matrices():
     with pytest.raises(ValueError, match="permutation matrices"):
         commutant_basis([Matrix.identity(2) + Matrix.identity(2)])
     with pytest.raises(ValueError, match="permutation matrices"):
-        commutant_basis([Matrix.ones(2)])
+        commutant_basis([all_ones(2)])
 
 
 def test_commutant_of_identity_is_everything():
@@ -212,7 +224,7 @@ def test_double_commutant_dimensions():
     # and for n = 4 the two actions share one commutant, the z/y algebra
     basis_a, _ = commutant_basis([perm_rep(s) for s in PermGroup.alternating(4)])
     basis_s, _ = commutant_basis([perm_rep(s) for s in PermGroup.symmetric(4)])
-    assert basis_a == basis_s == [Matrix.identity(4), Matrix.ones(4) - Matrix.identity(4)]
+    assert basis_a == basis_s == [Matrix.identity(4), all_ones(4) - Matrix.identity(4)]
 
 
 # -- bi-transitivity ---------------------------------------------------------------------
@@ -317,10 +329,6 @@ def test_generator_preimage_matches_rref_oracle(group):
     target = perm_rep(group.generators[0])
     assert min_norm_preimage(target, group) == rref_preimage(target, group)
     kernel_projection(group)
-
-
-def _generated(n, *cycles):
-    return PermGroup.generate(n, [parse_cycles(c, n) for c in cycles])
 
 
 def _five_terms(group, rng):
@@ -602,8 +610,6 @@ def test_strange_normalizer_identity_tau():
 
 
 def test_strange_normalizer_point_map_matches_the_checked_one():
-    from germoid.algebra import induced_point_map
-
     tau = parse_cycles("(1 2)", 5)
     u, report = build_strange_normalizer(GermGroupoid.star(5), tau, trials=1, seed=2)
     assert report.point_map == induced_point_map(u)
