@@ -9,16 +9,17 @@ The normal form must satisfy the gluing law tying each strip's limit at the
 center to the sum of center values over the group elements inducing that
 edge pair; this is the computational signature of a non-Hausdorff groupoid.
 It is checked on the validating path, where every element from outside the
-algebra comes in (sheets, the sign element, explicit normal forms); sums,
+algebra comes in (the sign element, explicit normal forms); sheets, sums,
 scalings, adjoints and products of valid elements obey it by construction.
 
 The center values are a ``GroupAlgebraElement``, the one type of the group
 algebra C[G] here and in ``rep``: integer (re, im) numerators over one
 denominator, indexed by position in ``group.elements``.  Its sum, scale,
 involution, equality, the gluing sums over the pairs (i, sigma(i)) and the
-product ``group_convolve`` (every product of group elements read from the
-group's Cayley table) all work on those integers; ``Scalar``s and
-``Permutation``s appear only at its edges.
+product ``group_convolve`` (a scaling when one operand is c delta_e, every
+other product of group elements read from the group's Cayley table) all
+work on those integers; ``Scalar``s and ``Permutation``s appear only at
+its edges.
 
 The paper's first counterexample is the sign element: the center values
 sign(sigma) and no strips.  It glues on any star whose point stabilizers
@@ -209,13 +210,7 @@ class GroupAlgebraElement:
         c = as_scalar(c)
         if not c or not self.positions:
             return GroupAlgebraElement.zero(self.group)
-        x, y = c._a, c._b
-        return _reduced(
-            self.group, self.positions,
-            [a * x - b * y for a, b in zip(self.re, self.im)],
-            [a * y + b * x for a, b in zip(self.re, self.im)],
-            self.d * c._d,
-        )
+        return _scaled(self, c._a, c._b, c._d)
 
     def adjoint(self) -> "GroupAlgebraElement":
         """a*(s) = conj a(s^-1): every value moves to its inverse's position."""
@@ -278,28 +273,43 @@ def _reduced(group, positions, re, im, d) -> GroupAlgebraElement:
     return _vector(group, tuple(positions), tuple(re), tuple(im), d)
 
 
-def _translate(group, line, a, b, positions, re, im, d) -> GroupAlgebraElement:
-    """The values (re + im i)/d times (a + b i), each moved from position k
-    to line[k] for a row or column line of the Cayley table."""
-    at = line.item
-    moved = [at(k) for k in positions]
+def _scaled(x: GroupAlgebraElement, a, b, e) -> GroupAlgebraElement:
+    """x times (a + b i)/e for a nonzero scalar: the positions stay, and no
+    value vanishes since Gaussian integers have no zero divisors."""
     if b:
-        nre = [a * x - b * y for x, y in zip(re, im)]
-        nim = [a * y + b * x for x, y in zip(re, im)]
+        re = [p * a - q * b for p, q in zip(x.re, x.im)]
+        im = [p * b + q * a for p, q in zip(x.re, x.im)]
+    elif a == e == 1:
+        return x
     else:
-        nre = [a * x for x in re]
-        nim = [a * y for y in im]
-    if len(moved) > 1:
-        moved, nre, nim = zip(*sorted(zip(moved, nre, nim)))
-    return _reduced(group, moved, nre, nim, d)
+        re = [p * a for p in x.re]
+        im = [q * a for q in x.im]
+    d = x.d * e
+    g = gcd(d, *re, *im)
+    if g != 1:
+        re = [p // g for p in re]
+        im = [q // g for q in im]
+        d //= g
+    return _vector(x.group, x.positions, tuple(re), tuple(im), d)
+
+
+def _translate(x: GroupAlgebraElement, moved, a, b, e) -> GroupAlgebraElement:
+    """x times (a + b i)/e, the value at x.positions[k] moved to moved[k],
+    for a nonzero scalar and a relabelling ``moved`` of x's positions."""
+    y = _scaled(x, a, b, e)
+    if len(moved) == 1:
+        return _vector(x.group, tuple(moved), y.re, y.im, y.d)
+    positions, re, im = zip(*sorted(zip(moved, y.re, y.im)))
+    return _vector(x.group, positions, re, im, y.d)
 
 
 def group_convolve(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebraElement:
     """The group-algebra product (f*g)(t) = sum of f(a) g(b) over ab = t.
 
     The kernel is exact and works on the numerators, over the denominator
-    f.d * g.d, reading the position of every product ab from
-    ``group.table``.  A one-element operand translates the other through
+    f.d * g.d.  An operand c delta_e scales the other, and reads no table.
+    Every other product reads the position of each product ab from
+    ``group.table``: a one-element operand translates the other through
     one row or column of the table.  Otherwise a small product is summed in
     a Python loop.  A larger one walks the smaller support in steps: for x
     in f's support it gathers g(x^-1 t) for every t from table row x^-1
@@ -313,12 +323,19 @@ def group_convolve(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgeb
     fp, gp = f.positions, g.positions
     if not fp or not gp:
         return GroupAlgebraElement.zero(group)
-    d = f.d * g.d
+    # the identity is elements[0], so c delta_e has the positions (0,)
+    if fp == (0,):
+        return _scaled(g, f.re[0], f.im[0], f.d)
+    if gp == (0,):
+        return _scaled(f, g.re[0], g.im[0], g.d)
     table = group.table
     if len(fp) == 1:
-        return _translate(group, table[fp[0]], f.re[0], f.im[0], gp, g.re, g.im, d)
+        at = table[fp[0]].item
+        return _translate(g, [at(k) for k in gp], f.re[0], f.im[0], f.d)
     if len(gp) == 1:
-        return _translate(group, table[:, gp[0]], g.re[0], g.im[0], fp, f.re, f.im, d)
+        at = table[:, gp[0]].item
+        return _translate(f, [at(k) for k in fp], g.re[0], g.im[0], g.d)
+    d = f.d * g.d
     if len(fp) * len(gp) <= SMALL_PRODUCT:
         product = table.item
         sums = {}
@@ -401,9 +418,11 @@ class AlgebraElement:
         {Permutation: scalar} dict.
 
         ``_checked=True`` is the trusted path of ``zero``, ``+``, ``scale``,
-        ``adjoint`` and ``*``: it takes a GroupAlgebraElement and checks
-        nothing, since each of those operations maps elements that obey the
-        gluing law to one that does.  Every other element is validated."""
+        ``adjoint``, ``*`` and ``from_sheet``: it takes a
+        GroupAlgebraElement and checks nothing, since each of those
+        operations maps elements that obey the gluing law to one that does,
+        and a sheet glues by construction.  Every other element is
+        validated."""
         self.groupoid = groupoid
         self.strips = {pair: pp for pair, pp in strips.items() if not pp.is_zero()}
         if _checked:
@@ -582,17 +601,25 @@ def from_sheet(groupoid: GermGroupoid, sigma: Permutation, h) -> "AlgebraElement
 
     The constant-1 case is the unitary indicator of sigma's sheet; sheets
     generate the implemented class.
+
+    Once sigma is in the group and h, a ``PPFun``, lives on the groupoid's
+    star, the result is built on the trusted path: sigma alone contributes
+    to the n pairs (i, sigma(i)), and there the strip is h's edge i, whose
+    limit at 0 is h's center value because ``PPFun`` checks that.  So the
+    gluing law holds by construction.
     """
-    if sigma not in groupoid.group:
+    group = groupoid.group
+    if sigma not in group:
         raise AlgebraError(f"{sigma} is not in the acting group")
     if isinstance(h, (int, Fraction, Scalar)):
         h = PPFun.const(groupoid.n, h)
+    if not isinstance(h, PPFun):
+        raise AlgebraError("the coefficient is not a continuous function on the star")
     if h.n != groupoid.n:
         raise AlgebraError("coefficient function lives on the wrong star")
-    strips = {}
-    for i in range(1, groupoid.n + 1):
-        strips[(i, sigma(i))] = h.edges[i - 1]
-    return AlgebraElement(groupoid, strips, GroupAlgebraElement(groupoid.group, {sigma: h.center}))
+    strips = dict(zip(enumerate(sigma.images, 1), h.edges))
+    center = GroupAlgebraElement(group, {sigma: h.center})
+    return AlgebraElement(groupoid, strips, center, _checked=True)
 
 
 def embed_C0(groupoid: GermGroupoid, h) -> "AlgebraElement":

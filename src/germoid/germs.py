@@ -24,8 +24,8 @@ from .perms import (
 from .scalars import _frac
 from .starspace import CENTER, EdgePoint
 
-# |A7|: star groups past this order are refused before they are built
-MAX_STAR_GROUP_ORDER = 2520
+# |A8|: star groups past this order are refused before they are built
+MAX_STAR_GROUP_ORDER = 20160
 # star specs with more edges are refused before any permutation is built
 MAX_STAR_EDGES = 100
 # hausdorff_check lists at most this many inseparable pairs
@@ -205,19 +205,23 @@ class GermGroupoid:
         sigma' = sigma g for some g in F, the non-identity elements fixing
         an edge, so there are |G||F|/2 such pairs and the groupoid is
         Hausdorff exactly when F is empty.  The witnesses are listed by the
-        position a of sigma, then of sigma' = sigma g, read off row a of
-        the Cayley table.
+        position a of sigma, then of sigma' = sigma g.  Row a, the positions
+        of sigma g for g in F, is looked up from the image arrays only until
+        ``WITNESS_LIMIT`` pairs are listed, so no Cayley table is built.
         """
         group = self.group
         fixing = group.fixing
         count = len(group) * len(fixing) // 2
         witnesses = []
         if len(fixing):
-            els, table = group.elements, group.table
+            els, img = group.elements, group._images
+            fixing_images = img[fixing]
             for a in range(len(els)):
                 if len(witnesses) >= WITNESS_LIMIT:
                     break
-                partners = sorted(b for b in table[a, fixing].tolist() if b > a)
+                # sigma g sends i to sigma(g(i))
+                row = group._positions(img[a][fixing_images]).tolist()
+                partners = sorted(b for b in row if b > a)
                 witnesses.extend(
                     (els[a], els[b]) for b in partners[: WITNESS_LIMIT - len(witnesses)]
                 )

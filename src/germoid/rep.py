@@ -15,17 +15,27 @@ than assumed.
 
 Group-algebra elements are ``algebra.GroupAlgebraElement``, re-exported
 here: integer numerators over one denominator, indexed by position in the
-group's elements, with the product ``algebra.group_convolve`` over the
-Cayley table.  The integrated representation, ``phi`` and each product by
-Q are sums over the pair incidence, and the centrality check multiplies by
-the generators' deltas, one table gather per product; none of them builds
-a ``Scalar`` per group element.
+group's elements.  The integrated representation, ``phi`` and each product
+by Q are sums over the pair incidence; none of them builds a ``Scalar`` per
+group element.
+
+The pipeline reads no Cayley table.  The kernel projection p multiplies
+as x - r(Q) x, for r(Q) the projection onto the range of Q read off mu, so
+p = p delta_e and p p = p are checked by round trips through the pair
+incidence, and centrality is invariance under conjugation by the
+generators, a relabelling of positions.  Unitarity is not checked by
+products either: pi is injective on (1 - p) C[G], so an element w with
+pi(w) unitary and p w = p is unitary.  That decides v in the group
+algebra, and the center of u once its constant strips form a unitary
+matrix.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import (
     AlgebraElement,
@@ -183,53 +193,107 @@ def _chi_polynomial(x: GroupAlgebraElement, coeffs, den: int) -> GroupAlgebraEle
     return _reduced(group, range(m), *parts, x.d * abs(den))
 
 
+def _kernel_part(x: GroupAlgebraElement) -> GroupAlgebraElement:
+    """p x, for p the kernel projection of x's group, by round trips through
+    the pair incidence rather than a product with p.
+
+    Write mu = x (h_0 + x g) when 0 is a root of mu.  Then r(Q) =
+    -Q g(Q) / h_0 is the orthogonal projection onto range(Q), as in
+    ``min_norm_preimage``, and E = 1 - r(Q) is the orthogonal projection
+    onto ker Q = ker P, the kernel of the integrated representation; E x
+    takes deg mu - 1 products by Q.  E is a polynomial in Q, the left
+    multiplication by chi, so it is the left multiplication by E delta_e,
+    and that is p (``kernel_projection`` checks it).  When 0 is not a root
+    the representation is injective and p = 0.
+    """
+    mu = x.group.chi_minimal_polynomial
+    if mu[0]:
+        return GroupAlgebraElement.zero(x.group)
+    return x - _chi_polynomial(x, (0, *mu[2:]), -mu[1])
+
+
 def kernel_projection(group: PermGroup) -> GroupAlgebraElement:
     """The central projection p with: ker of the integrated representation
     equal to p times the group algebra.  Built as delta_id minus the
-    minimum-norm preimage of the identity matrix, then verified exactly."""
+    minimum-norm preimage of the identity matrix, then verified exactly by
+    ``_is_kernel_projection``."""
     q = min_norm_preimage(Matrix.identity(group.n), group)
     p = GroupAlgebraElement.unit(group) - q
-    if p * p != p or p.adjoint() != p:
-        raise InternalCheckError("kernel projection is not a self-adjoint idempotent")
-    if not _is_central(p):
-        raise InternalCheckError("kernel projection is not central")
-    if not integrated_rep(p).is_zero():
-        raise InternalCheckError("kernel projection is not killed by the representation")
+    if not _is_kernel_projection(p):
+        raise InternalCheckError("kernel projection fails its exact checks")
     return p
 
 
+def _is_kernel_projection(p: GroupAlgebraElement) -> bool:
+    """Whether p is the central projection onto the kernel of the integrated
+    representation, with no product in the group algebra.
+
+    p = p delta_e by ``_kernel_part`` makes multiplying by p the round trips
+    of ``_kernel_part``, so p p = p is one more round trip.  Then p* = p,
+    centrality (``_is_central``) and pi(p) = 0 are checked as they are.
+    """
+    unit = GroupAlgebraElement.unit(p.group)
+    return (
+        _kernel_part(unit) == p
+        and _kernel_part(p) == p
+        and p.adjoint() == p
+        and _is_central(p)
+        and integrated_rep(p).is_zero()
+    )
+
+
 def _is_central(x: GroupAlgebraElement) -> bool:
-    """Whether x commutes with every delta_s.  The deltas of a generating set
-    generate the group algebra, so those of the generators decide it; a group
-    built without recorded generators is checked on all its elements.  Each
-    product with a delta is one gather through a row or column of the
-    Cayley table."""
+    """Whether x commutes with every delta_s, that is whether x is invariant
+    under conjugation: x(s t s^-1) = x(t).  The deltas of a generating set
+    generate the group algebra, so those of the generators decide it; a
+    group built without recorded generators is checked on all its elements.
+    Conjugation by s relabels the positions of x's support, read from the
+    image arrays."""
     group = x.group
+    support = group._images[list(x.positions)]
+    values = list(zip(x.positions, x.re, x.im))
     for s in group.generators or group.elements:
-        d = GroupAlgebraElement.delta(group, s)
-        if x * d != d * x:
+        images = np.array(s.images) - 1
+        inverse = np.argsort(images)
+        # (s t s^-1)(i) = s(t(s^-1(i))), on 0-based image rows
+        moved = group._positions(images[support[:, inverse]]).tolist()
+        if sorted(zip(moved, x.re, x.im)) != values:
             return False
     return True
+
+
+def _is_unitary_lift(w: GroupAlgebraElement) -> bool:
+    """Whether p w = p, for p the kernel projection of w's group, which
+    makes w unitary once pi(w) is unitary.  Both sides are round trips
+    (``_kernel_part``): p is p delta_e, as ``kernel_projection`` verifies.
+
+    p is central, so w = p + (1 - p) w and w* w = p + (1 - p) w* w.  The
+    second term lies in (1 - p) C[G], where pi is injective since p C[G] is
+    its kernel, and maps to pi(w)* pi(w) = I = pi(1 - p).  So it is 1 - p,
+    and w* w = 1; likewise w w* = 1.
+    """
+    return _kernel_part(w) == _kernel_part(GroupAlgebraElement.unit(w.group))
 
 
 def build_unitary_v(group: PermGroup, tau: Permutation) -> GroupAlgebraElement:
     """A unitary group-algebra element mapping to the permutation matrix of tau.
 
-    The minimum-norm preimage of pi(tau) is unitary in the corner complementary
-    to the kernel (the representation is a *-isomorphism there and the target
-    is unitary); adding the kernel projection makes it unitary outright.
-    Every step is verified exactly and failures are hard errors.
+    The minimum-norm preimage v_0 of pi(tau) lies in the corner
+    complementary to the kernel, where the representation is injective;
+    adding the kernel projection p makes v = v_0 + p unitary.  Both facts
+    it rests on are verified exactly, pi(v) = pi(tau) and p v_0 = 0 (as
+    p v = p), and unitarity follows by ``_is_unitary_lift``, with no
+    product in the group algebra; failures are hard errors.
     """
     if tau.n != group.n:
         raise ValueError("tau acts on the wrong number of points")
     p = kernel_projection(group)
-    v0 = min_norm_preimage(perm_rep(tau), group)
-    v = v0 + p
-    unit = GroupAlgebraElement.unit(group)
-    if v.adjoint() * v != unit or v * v.adjoint() != unit:
-        raise InternalCheckError("constructed element is not unitary")
-    if integrated_rep(v) != perm_rep(tau):
+    target = perm_rep(tau)
+    v = min_norm_preimage(target, group) + p
+    if integrated_rep(v) != target:
         raise InternalCheckError("constructed element misses the target")
+    if not _is_unitary_lift(v):
+        raise InternalCheckError("constructed element is not unitary")
     return v
 
 
@@ -250,6 +314,28 @@ def phi(a: GroupAlgebraElement, groupoid: GermGroupoid) -> AlgebraElement:
         for pair, (re, im) in a.pair_sums().items()
     }
     return AlgebraElement(groupoid, strips, a)
+
+
+def _is_unitary(u: AlgebraElement) -> bool:
+    """Whether u* u = u u* = 1, for a u whose strips are constants, as
+    ``phi`` builds them.
+
+    The (i, j) strip of u* u is the sum over k of conj(u_(j,k)) u_(i,k), so
+    the strip half is U* U = U U* = I, exact products of the n x n matrix U
+    with U[j, i] the value of the (i, j) strip.  The gluing law makes U the
+    image pi(w) of u's center w, so the center half holds when p w = p
+    (``_is_unitary_lift``).  No product in the group algebra is taken.
+    """
+    n = u.groupoid.n
+    rows = [[ZERO] * n for _ in range(n)]
+    for (i, j), pp in u.strips.items():
+        if len(pp.polys) != 1 or len(pp.polys[0]) > 3:
+            raise InternalCheckError(f"normalizer strip ({i},{j}) is not constant")
+        rows[j - 1][i - 1] = pp.at0()
+    U = Matrix(rows)
+    U_adj = Matrix([[x.conjugate() for x in col] for col in zip(*rows)])
+    one = Matrix.identity(n)
+    return U_adj * U == one and U * U_adj == one and _is_unitary_lift(u.center)
 
 
 @dataclass
@@ -298,9 +384,7 @@ def build_strange_normalizer(
     # phi is a *-homomorphism and v is verified unitary, so u is unitary by
     # construction; a failure here is an internal error, caught before any
     # trial runs
-    one = AlgebraElement.unit(G)
-    u_adj = u.adjoint()
-    if u_adj * u != one or u * u_adj != one:
+    if not _is_unitary(u):
         raise InternalCheckError("constructed normalizer is not unitary")
 
     expected_strips = {

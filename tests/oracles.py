@@ -273,17 +273,45 @@ def is_canonical_vector(v) -> bool:
     )
 
 
-def inseparable_pairs(groupoid) -> list:
-    """Every pair of group elements that agree on some edge, enumerated:
-    (a, b) with a before b in group order."""
+def inseparable_pairs(groupoid):
+    """Every pair of group elements that agree on some edge, enumerated
+    lazily: (a, b) with a before b in group order."""
     els = groupoid.group.elements
-    pairs = []
     for a in range(len(els)):
         for b in range(a + 1, len(els)):
             s, sp = els[a], els[b]
             if any(s(i) == sp(i) for i in range(1, groupoid.n + 1)):
-                pairs.append((s, sp))
-    return pairs
+                yield s, sp
+
+
+# -- the star pipeline's checks as they were before it read no Cayley table:
+# -- products in the group algebra and in the convolution algebra
+
+def is_central_by_deltas(x) -> bool:
+    """Whether x commutes with the delta of every generator (of every element
+    for a group built without recorded generators), one product each way."""
+    group = x.group
+    for s in group.generators or group.elements:
+        d = GroupAlgebraElement.delta(group, s)
+        if x * d != d * x:
+            return False
+    return True
+
+
+def is_kernel_projection_by_products(p) -> bool:
+    """p p = p = p*, p central and pi(p) = 0, by products."""
+    return (p * p == p == p.adjoint() and is_central_by_deltas(p)
+            and integrated_rep(p).is_zero())
+
+
+def is_unitary_by_products(x) -> bool:
+    """x* x = x x* = 1 for a group-algebra or a convolution-algebra element."""
+    if isinstance(x, GroupAlgebraElement):
+        one = GroupAlgebraElement.unit(x.group)
+    else:
+        one = AlgebraElement.unit(x.groupoid)
+    x_adj = x.adjoint()
+    return x_adj * x == one and x * x_adj == one
 
 
 # -- polynomials as trimmed tuples of Scalar coefficients, lowest degree first,

@@ -9,6 +9,7 @@ import pytest
 import germoid.algebra
 from germoid.algebra import (
     AlgebraElement,
+    AlgebraError,
     CompatibilityError,
     GroupAlgebraElement,
     NotNormalizerError,
@@ -31,6 +32,7 @@ from germoid.sampling import random_algebra_element, random_germ, random_ppfun, 
 from germoid.scalars import Scalar
 from germoid.starspace import CENTER, EdgePoint, PPFun
 from oracles import (
+    UnitSpaceFunction,
     conditional_expectation,
     convolve_by_dict,
     cross_central_element_by_sheets,
@@ -91,6 +93,40 @@ def test_zero_sheet(cross):
 def test_from_sheet_requires_group_membership(cross):
     with pytest.raises(Exception):
         from_sheet(cross, parse_cycles("(1 3)", 4), PPFun.one(4))
+
+
+@pytest.mark.parametrize(
+    "groupoid", [GermGroupoid.cross(), GermGroupoid.star(4), GermGroupoid.star(5)],
+    ids=["cross", "A4", "A5"],
+)
+def test_sheets_glue_by_construction(groupoid, rng, monkeypatch):
+    check = AlgebraElement.check_compatible
+    calls = []
+    monkeypatch.setattr(AlgebraElement, "check_compatible",
+                        lambda self: calls.append(self) or check(self))
+    n = groupoid.n
+    sheets = []
+    for sigma in groupoid.group:
+        for k in range(20):
+            h = random_ppfun(n, rng)
+            if k % 2:
+                h = h - PPFun.const(n, h.center)  # h(0) = 0
+            sheets.append((sigma, h, from_sheet(groupoid, sigma, h)))
+    # the trusted path checks nothing ...
+    assert calls == []
+    for sigma, h, f in sheets:
+        # ... and builds what the validating constructor accepts
+        check(f)
+        strips = {(i, sigma(i)): e for i, e in enumerate(h.edges, 1)}
+        assert f == AlgebraElement(groupoid, strips, {sigma: h.center})
+        assert is_canonical_vector(f.center)
+
+
+def test_from_sheet_refuses_a_coefficient_that_is_not_continuous(cross):
+    # a unit-space function may jump at the center, so its sheet need not glue
+    jump = UnitSpaceFunction(4, 1, [PiecewisePoly.zero()] * 4)
+    with pytest.raises(AlgebraError, match="continuous"):
+        from_sheet(cross, cross.group.identity, jump)
 
 
 def test_embed_is_multiplicative(cross, rng):

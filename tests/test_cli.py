@@ -12,6 +12,7 @@ import germoid.experiments
 import germoid.sampling
 from germoid.algebra import AlgebraElement
 from germoid.cli import main
+from germoid.perms import PermGroup
 from germoid.reports import ExperimentReport
 from germoid.starspace import OpenStarSet, act
 from oracles import (
@@ -278,8 +279,8 @@ def test_integral_spec_counts_are_read_as_integers(command, spec, tmp_path, caps
 @pytest.mark.parametrize(
     "argv",
     [
-        ["star", "--n", "9"],
-        ["star", "--n", "8", "--trials", "1"],
+        ["star", "--n", "10"],
+        ["star", "--n", "9", "--trials", "1"],
         ["diagnose", {"n": 9, "group": "S9"}],
         ["diagnose", {"n": 9, "generators": ["(1 2)", "(1 2 3 4 5 6 7 8 9)"]}],
     ],
@@ -295,7 +296,7 @@ def test_oversized_star_groups_exit_one_fast(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     err = captured.err.strip()
     assert err.startswith("error: ") and "\n" not in err
-    assert "more than 2520" in err or "exceeded 2520" in err
+    assert "more than 20160" in err or "exceeded 20160" in err
     assert captured.out == ""
 
 
@@ -305,9 +306,9 @@ def test_oversized_star_is_refused_before_tau_is_built(monkeypatch, capsys):
         raise AssertionError(f"parse_cycles called with n={n}")
 
     monkeypatch.setattr(germoid.cli, "parse_cycles", refuse)
-    assert run(["star", "--n", "8"]) == 1
+    assert run(["star", "--n", "9"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.strip() == "error: --n: group A8 has more than 2520 elements"
+    assert captured.err.strip() == "error: --n: group A9 has more than 20160 elements"
     assert captured.out == ""
 
 
@@ -317,7 +318,7 @@ def test_diagnose_renders_each_pair_as_before(tmp_path):
     from oracles import inseparable_pairs
 
     spec = {"n": 5, "group": "A5"}
-    pairs = inseparable_pairs(parse_star_spec(spec))
+    pairs = list(inseparable_pairs(parse_star_spec(spec)))
     report = diagnose_experiment(spec)
     check = next(c for c in report.checks if c.name.startswith("hausdorff"))
     assert check.witness == [f"{{{a}, {b}}}" for a, b in pairs[:WITNESS_LIMIT]]
@@ -454,6 +455,10 @@ _PINNED_REPORTS = {
         "31de3c2d2d6e3e9d091addb9205a581c8de51cf1c227f80cabb51a18a96a3545",
     ("star", "--n", "6", "--tau", "(1 2)(3 4 5 6)", "--trials", "5", "--seed", "2"):
         "4375436e60ab6a99623f2fe74ad1e319ca043e621689a72bc290d3b602af70d3",
+    # taken when the star pipeline stopped reading the Cayley table and the
+    # cap rose to |A8|
+    ("star", "--n", "8", "--tau", "(1 2)", "--trials", "2", "--seed", "1"):
+        "77c78608a11970a04fd615603d17ab70968ca7a9175d69ecfc3ae214e70f67be",
 }
 # the documented obstruction exits 2, every other pinned report 0
 _PINNED_OBSTRUCTIONS = {("star", "--n", "3", "--tau", "(1 2)")}
@@ -466,12 +471,35 @@ def test_reports_match_their_pinned_digests(args, tmp_path):
     )
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_REPORTS[args]
+    # u's center is serialized in full, one entry per nonzero value
+    for check in report["checks"]:
+        if check["name"] == "constructed normalizer (exact serialized form)":
+            assert len(check["witness"]["center"]) == report["inputs"]["center_support_size"]
+
+
+def test_star_and_diagnose_read_no_cayley_table(tmp_path, monkeypatch):
+    monkeypatch.setattr(PermGroup, "table",
+                        property(lambda self: pytest.fail("the Cayley table was read")))
+    for n in range(4, 8):
+        for tau in ("(1 2)", "(1 2 3)"):  # odd, even
+            assert run(["star", "--n", str(n), "--tau", tau, "--trials", "2"]) == 0
+    assert run(["star", "--n", "3"]) == 2
+    spec = tmp_path / "star.json"
+    for group in ("A6", "S5", "A8"):
+        spec.write_text(json.dumps({"n": int(group[1:]), "group": group}))
+        assert run(["diagnose", "--spec", str(spec)]) == 0
+    out = tmp_path / "a8.json"
+    argv = ["star", "--n", "8", "--tau", "(1 2)", "--trials", "2", "--json", str(out)]
+    assert run(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["checks"] and all(c["passed"] and c["kind"] == "exact" for c in report["checks"])
 
 
 @pytest.mark.parametrize("seed", [5, 11, 12])
 def test_selftest_computes_each_convolution_once(seed, monkeypatch):
     # per draw: f*g, (f*g)*h, g*h, f*(g*h) and the adjoint product, 12 draws;
-    # the normalizer pipeline adds 8
+    # the normalizer pipeline adds two per conjugation trial, 6, and checks
+    # unitarity without a product
     calls = []
     mul = AlgebraElement.__mul__
 
@@ -481,7 +509,7 @@ def test_selftest_computes_each_convolution_once(seed, monkeypatch):
 
     monkeypatch.setattr(AlgebraElement, "__mul__", counted)
     assert germoid.experiments.selftest_experiment(seed).exit_code == 0
-    assert len(calls) == 68
+    assert len(calls) == 66
 
 
 @pytest.mark.parametrize("args", [

@@ -11,8 +11,12 @@ import germoid.algebra
 import germoid.rep
 from germoid.rep import (
     GroupAlgebraElement,
+    InternalCheckError,
     PreimageObstruction,
     _is_central,
+    _is_kernel_projection,
+    _is_unitary,
+    _is_unitary_lift,
     build_strange_normalizer,
     build_unitary_v,
     commutant_basis,
@@ -32,6 +36,9 @@ from oracles import (
     conj_transpose,
     fourier_preimage,
     induced_point_map,
+    is_central_by_deltas,
+    is_kernel_projection_by_products,
+    is_unitary_by_products,
     rank,
     rref_preimage,
 )
@@ -401,7 +408,8 @@ def test_chi_minimal_polynomial_has_the_roots_g_m_over_d(group, roots):
 
 
 @pytest.mark.parametrize("group", [
-    PermGroup.alternating(6), PermGroup.alternating(7), PermGroup.symmetric(5)
+    PermGroup.alternating(6), PermGroup.alternating(7), PermGroup.alternating(8),
+    PermGroup.symmetric(5)
 ], ids=repr)
 @pytest.mark.parametrize("cycles", ["(1 2)", "(1 2 3)", "()"])
 def test_preimage_matches_the_fourier_formula(group, cycles):
@@ -422,6 +430,13 @@ def test_dihedral_group_on_100_points():
         assert integrated_rep(x) == perm_rep(s)
         d = delta(group, s)
         assert x == d - p * d
+
+
+def test_a_kernel_projection_from_a_doubled_preimage_is_refused(monkeypatch):
+    real = germoid.rep.min_norm_preimage
+    monkeypatch.setattr(germoid.rep, "min_norm_preimage", lambda t, g: real(t, g).scale(2))
+    with pytest.raises(InternalCheckError, match="kernel projection"):
+        kernel_projection(PermGroup.alternating(5))
 
 
 def test_kernel_projection_properties():
@@ -450,20 +465,75 @@ def test_generator_centrality_matches_all_elements(group, rng):
         return all(x * delta(group, s) == delta(group, s) * x for s in group)
 
     p = kernel_projection(group)
-    assert _is_central(p) and central_on_all(p)
+    assert _is_central(p) and central_on_all(p) and is_central_by_deltas(p)
     samples = [delta(group, s) for s in group.elements[:24]]
     samples += [random_group_algebra_element(group, rng) for _ in range(3)]
     for x in samples:
-        assert _is_central(x) == central_on_all(x)
+        assert _is_central(x) == central_on_all(x) == is_central_by_deltas(x)
     if not group.generators:
         assert _is_central(GroupAlgebraElement.unit(group))  # vacuous on a trivial group
+
+
+def _one_per_cycle_type(n):
+    """One permutation of 1..n per cycle type, as consecutive cycles."""
+    def partitions(m, top):
+        if m == 0:
+            yield ()
+        for k in range(min(m, top), 0, -1):
+            for rest in partitions(m - k, k):
+                yield (k, *rest)
+
+    out = []
+    for parts in partitions(n, n):
+        images, start = [], 1
+        for k in parts:
+            images += [*range(start + 1, start + k), start]
+            start += k
+        out.append(Permutation(images))
+    return out
+
+
+# the pipeline commutes with relabelling the points, so on A_n and S_n, which
+# S_n normalizes, one tau per cycle type decides every tau; the two groups on
+# 6 points are normalized by less, so there every tau is tried
+@pytest.mark.parametrize("group, taus", [
+    *(pytest.param(PermGroup.alternating(n), _one_per_cycle_type(n), id=f"A{n}")
+      for n in range(4, 8)),
+    *(pytest.param(PermGroup.symmetric(n), _one_per_cycle_type(n), id=f"S{n}") for n in (4, 5)),
+    pytest.param(_generated(6, "(1 2 3)", "(1 2 4)"), PermGroup.symmetric(6).elements,
+                 id="A4 on 4 of 6 points"),
+    pytest.param(_generated(6, "(1 2 3)(4 5 6)", "(1 4)(2 5)"), PermGroup.symmetric(6).elements,
+                 id="order 12 on 6 points, no kernel"),
+])
+def test_table_free_checks_agree_with_the_dense_products(group, taus):
+    p = kernel_projection(group)  # its table-free checks raise on failure
+    unit = GroupAlgebraElement.unit(group)
+    # twice p is in the kernel, self-adjoint and central, but not idempotent
+    for x, verdict in ((p, True), (p.scale(2), p.is_zero()), (p + unit, False)):
+        assert _is_kernel_projection(x) is is_kernel_projection_by_products(x) is verdict
+    assert _is_central(p) and is_central_by_deltas(p)
+    G = GermGroupoid(group.n, group)
+    lifted = 0
+    for tau in taus:
+        try:
+            v = build_unitary_v(group, tau)
+        except PreimageObstruction:
+            continue
+        lifted += 1
+        # doubling the p-part keeps pi(v) but breaks unitarity, unless p = 0
+        for w, unitary in ((v, True), (v + p, p.is_zero())):
+            assert integrated_rep(w) == perm_rep(tau)
+            assert _is_unitary_lift(w) is is_unitary_by_products(w) is unitary
+            u = phi(w, G)
+            assert _is_unitary(u) is is_unitary_by_products(u) is unitary
+    assert lifted > 0
 
 
 def test_centrality_without_recorded_generators_checks_every_element():
     full = PermGroup.symmetric(4)
     bare = PermGroup(4, full.elements)
     x = delta(bare, parse_cycles("(1 2)", 4))
-    assert not bare.generators and not _is_central(x)
+    assert not bare.generators and not _is_central(x) and not is_central_by_deltas(x)
     assert _is_central(kernel_projection(bare))
 
 
@@ -566,7 +636,8 @@ def test_the_conjugation_check_fails_when_h_is_not_moved(monkeypatch):
 
 def test_no_conjugation_trial_takes_a_two_sided_center_product(monkeypatch):
     """Each trial's center products have the one-element operand h(0) delta_e,
-    so more trials make no more products of two operands with >= 2 terms."""
+    and unitarity is checked without products, so no run takes a product of
+    two operands with >= 2 terms."""
     real = germoid.algebra.group_convolve
     two_sided = []
 
@@ -582,7 +653,7 @@ def test_no_conjugation_trial_takes_a_two_sided_center_product(monkeypatch):
         report = star_experiment(4, parse_cycles("(1 2)", 4), trials=trials, seed=3)
         assert report.exit_code == 0
         counts.append(len(two_sided))
-    assert counts[0] == counts[1] > 0
+    assert counts == [0, 0]
 
 
 def test_strange_normalizer_even_tau_runs():

@@ -6,8 +6,10 @@ base class, say) breaks ``bench/run.py --trace 1``.  This runs the tracer's
 ``install`` on a fresh import in a subprocess and three short experiments
 under it; each group's first preimage solves for the minimal polynomial
 of its fixed-point count through ``linalg.rref``.  None of the three adds
-algebra elements, so the script makes one ``AlgebraElement.__add__`` call
-of its own.
+algebra elements or multiplies group-algebra elements (the star pipeline
+checks unitarity without products), so the script makes one
+``AlgebraElement.__add__`` and one ``GroupAlgebraElement.__mul__`` call of
+its own.
 """
 
 import json
@@ -33,6 +35,7 @@ with contextlib.redirect_stdout(io.StringIO()):
              main(["star", "--n", "3"])]
 one = AlgebraElement.unit(GermGroupoid.cross())
 one + one
+one.center * one.center
 print(json.dumps({{"codes": codes, "calls": tracer.calls, "counts": tracer.counts}}))
 """
 
