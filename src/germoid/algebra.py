@@ -39,8 +39,8 @@ import numpy as np
 
 from .germs import CenterGerm, EdgeGerm, GermError, GermGroupoid
 from .perms import PermGroup, Permutation, _int_array
-from .poly import PiecewisePoly, _scalar, coeffs, common_refinement
-from .scalars import ONE, ZERO, Scalar, as_scalar, render_scalar
+from .poly import PiecewisePoly, _scalar, common_refinement
+from .scalars import ONE, ZERO, Scalar, as_scalar, render_parts
 from .starspace import PPFun
 
 _PPZERO = PiecewisePoly.zero()
@@ -418,10 +418,10 @@ class AlgebraElement:
         {Permutation: scalar} dict.
 
         ``_checked=True`` is the trusted path of ``zero``, ``+``, ``scale``,
-        ``adjoint``, ``*`` and ``from_sheet``: it takes a
-        GroupAlgebraElement and checks nothing, since each of those
-        operations maps elements that obey the gluing law to one that does,
-        and a sheet glues by construction.  Every other element is
+        ``adjoint`` and ``*``: it takes a GroupAlgebraElement and checks
+        nothing, since each of those operations maps elements that obey the
+        gluing law to one that does.  ``from_sheet`` sets the fields itself,
+        since a sheet glues by construction.  Every other element is
         validated."""
         self.groupoid = groupoid
         self.strips = {pair: pp for pair, pp in strips.items() if not pp.is_zero()}
@@ -576,18 +576,23 @@ class AlgebraElement:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """Strips and center values rendered from their integers: a piece
+        is (d, a0, b0, a1, b1, ...), a center value (re + im i)/d."""
         strips = [
             {
                 "source": i,
                 "range": j,
                 "breaks": [str(b) for b in pp.breaks],
-                "pieces": [[render_scalar(c) for c in coeffs(p)] for p in pp.polys],
+                "pieces": [[render_parts(a, b, p[0]) for a, b in zip(p[1::2], p[2::2])]
+                           for p in pp.polys],
             }
             for (i, j), pp in sorted(self.strips.items())
         ]
+        c = self.center
+        els, d = c.group.elements, c.d
         center = [
-            {"perm": s.cycle_string(), "value": render_scalar(v)}
-            for s, v in self.center.items()
+            {"perm": els[k].cycle_string(), "value": render_parts(a, b, d)}
+            for k, a, b in zip(c.positions, c.re, c.im)
         ]
         return {"strips": strips, "center": center}
 
@@ -603,13 +608,15 @@ def from_sheet(groupoid: GermGroupoid, sigma: Permutation, h) -> "AlgebraElement
     generate the implemented class.
 
     Once sigma is in the group and h, a ``PPFun``, lives on the groupoid's
-    star, the result is built on the trusted path: sigma alone contributes
-    to the n pairs (i, sigma(i)), and there the strip is h's edge i, whose
-    limit at 0 is h's center value because ``PPFun`` checks that.  So the
-    gluing law holds by construction.
+    star, the result is built without a check: sigma alone contributes to
+    the n pairs (i, sigma(i)), and there the strip is h's edge i, whose
+    limit at 0 is h's center value, as in every ``PPFun``.  So the gluing
+    law holds by construction.  The strips are h's nonzero edges and the
+    center is h(0)'s canonical triple at sigma's position.
     """
     group = groupoid.group
-    if sigma not in group:
+    k = group.index.get(sigma)
+    if k is None:
         raise AlgebraError(f"{sigma} is not in the acting group")
     if isinstance(h, (int, Fraction, Scalar)):
         h = PPFun.const(groupoid.n, h)
@@ -617,9 +624,14 @@ def from_sheet(groupoid: GermGroupoid, sigma: Permutation, h) -> "AlgebraElement
         raise AlgebraError("the coefficient is not a continuous function on the star")
     if h.n != groupoid.n:
         raise AlgebraError("coefficient function lives on the wrong star")
-    strips = dict(zip(enumerate(sigma.images, 1), h.edges))
-    center = GroupAlgebraElement(group, {sigma: h.center})
-    return AlgebraElement(groupoid, strips, center, _checked=True)
+    c = h.center
+    f = _new(AlgebraElement)
+    f.groupoid = groupoid
+    f.strips = {pair: e for pair, e in zip(enumerate(sigma.images, 1), h.edges)
+                if not e.is_zero()}
+    f.center = (_vector(group, (k,), (c._a,), (c._b,), c._d) if c
+                else GroupAlgebraElement.zero(group))
+    return f
 
 
 def embed_C0(groupoid: GermGroupoid, h) -> "AlgebraElement":

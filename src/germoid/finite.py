@@ -621,8 +621,10 @@ def _vec_convolve(G, u, v):
     out = np.zeros(u.shape, dtype=complex)
     # row t of a stack scatters into t * m + c of the flat output
     offsets = np.arange(0, out.size, len(G.arrows))[:, None]
+    # take along the last axis: a stack indexed as u[..., ia] takes numpy's
+    # general fancy-indexing path, several times slower
     np.add.at(out.reshape(-1), (offsets + G.ic).reshape(-1),
-              (u[..., G.ia] * v[..., G.ib]).reshape(-1))
+              (u.take(G.ia, axis=-1) * v.take(G.ib, axis=-1)).reshape(-1))
     return out
 
 
@@ -650,10 +652,12 @@ def minimal_central_projections(G: FiniteGroupoid, seed: int = 0) -> CenterSplit
             z = Zmat[:, j]
             zs = _vec_adjoint(G, z)
             h += coeffs[2 * j] * (z + zs) / 2 + coeffs[2 * j + 1] * (z - zs) / 2j
-        # matrix of multiplication by h on the center: the basis columns are
-        # disjoint 0/1 class indicators, so the least-squares coordinates of
-        # each product are its means over the classes
-        prods = np.column_stack([_vec_convolve(G, h, Zmat[:, j]) for j in range(k)])
+        # matrix of multiplication by h on the center, from h's products with
+        # the class indicators in one stacked scatter-add: the basis columns
+        # are disjoint 0/1 class indicators, so the least-squares coordinates
+        # of each product are its means over the classes
+        prods = np.ascontiguousarray(
+            _vec_convolve(G, np.broadcast_to(h, (k, len(h))), Zmat.T).T)
         T = (Zmat.T @ prods) / class_sizes[:, None]
         max_res = float(np.linalg.norm(Zmat @ T - prods, axis=0).max())
         if max_res > 1e-8:
@@ -667,18 +671,21 @@ def minimal_central_projections(G: FiniteGroupoid, seed: int = 0) -> CenterSplit
         last_gap = float(gaps.min()) if len(gaps) else float("inf")
         if len(eigvals) > 1 and last_gap < 1e-6:
             continue  # retry with a new random central element
+        # the eigenvectors as rows, each its own matrix-vector product (a
+        # matrix-matrix product may sum in another order), and their squares
+        # in one stacked product
+        V = np.stack([Zmat @ eigvecs[:, i] for i in range(k)])
+        V2 = _vec_convolve(G, V, V)
         projections = []
-        idem_res = sa_res = central_res = 0.0
-        for i in range(k):
-            v = Zmat @ eigvecs[:, i]
-            v2 = _vec_convolve(G, v, v)
-            denom = np.vdot(v, v)
-            c = np.vdot(v, v2) / denom
+        for v, v2 in zip(V, V2):
+            c = np.vdot(v, v2) / np.vdot(v, v)
             if abs(c) < 1e-8:
                 raise CenterSplitError("eigenvector squares to zero; cannot normalize")
-            z = v / c
-            projections.append(z)
-            idem_res = max(idem_res, float(np.linalg.norm(_vec_convolve(G, z, z) - z)))
+            projections.append(v / c)
+        Z = np.stack(projections)
+        idem_res = sa_res = central_res = 0.0
+        for z, zz in zip(Z, _vec_convolve(G, Z, Z)):
+            idem_res = max(idem_res, float(np.linalg.norm(zz - z)))
             sa_res = max(sa_res, float(np.linalg.norm(_vec_adjoint(G, z) - z)))
             # column a is z delta_a - delta_a z: the row (p, a, c) puts z(p)
             # at (c, a), the row (a, q, c) puts -z(q) there
@@ -824,16 +831,33 @@ def key_inequality_check(
     return report
 
 
+def _unit_values_of_squares(G: FiniteGroupoid, V: np.ndarray) -> np.ndarray:
+    """(g* g)(x) at each unit arrow x, in ``G.units`` order, for each row g
+    of V.  Only the composition rows a b = c with c a unit are scattered,
+    in row order, so each cell sums the terms of the full ``_vec_convolve``
+    in its order."""
+    units = [G.index[G.unit_arrow[x]] for x in G.units]
+    column = np.full(len(G.arrows), -1)
+    column[units] = np.arange(len(units))
+    rows = np.flatnonzero(column[G.ic] >= 0)
+    out = np.zeros((len(V), len(units)), dtype=complex)
+    # row t of the stack scatters into t * len(units) + column
+    offsets = np.arange(0, out.size, len(units))[:, None]
+    np.add.at(out.reshape(-1), (offsets + column[G.ic[rows]]).reshape(-1),
+              (_vec_adjoint(G, V).take(G.ia[rows], axis=1) * V.take(G.ib[rows], axis=1))
+              .reshape(-1))
+    return out
+
+
 def expectation_check(G: FiniteGroupoid, seed: int):
     """(positive, faithful) for the conditional expectation E(g* g) of 20
     random elements g: positive if every value at a unit is real and >= 0 up to
     1e-12, faithful if it is not all below 1e-15 for a nonzero g."""
-    units = [G.index[G.unit_arrow[x]] for x in G.units]
     rng = random.Random(seed)
     positive = faithful = True
     for start, stop in _trial_chunks(G, 20):
         V = _random_vectors(G, rng, stop - start)
-        e = _vec_convolve(G, _vec_adjoint(G, V), V)[:, units]
+        e = _unit_values_of_squares(G, V)
         if np.any((e.real < -1e-12) | (np.abs(e.imag) > 1e-12)):
             positive = False
         if np.any(V.any(axis=1) & (np.hypot(e.real, e.imag) < 1e-15).all(axis=1)):

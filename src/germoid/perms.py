@@ -92,38 +92,35 @@ class Permutation:
         return [i for i, j in enumerate(self.images, start=1) if i == j]
 
     def cycles(self):
-        """Nontrivial cycles, each rotated to start at its minimum, sorted."""
-        seen = set()
+        """Nontrivial cycles, each rotated to start at its minimum, sorted:
+        one walk over ``images``, which ``sign`` and ``cycle_string`` share."""
+        images = self.images
+        seen = [False] * len(images)
         out = []
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            j = self(start)
-            while j != start:
-                cyc.append(j)
-                seen.add(j)
-                j = self(j)
-            if len(cyc) > 1:
+        for start, j in enumerate(images, 1):
+            # each cycle is met first at its minimum, so a start needs no
+            # seen flag: the walk never comes back to it
+            if j != start and not seen[start - 1]:
+                cyc = [start]
+                while j != start:
+                    seen[j - 1] = True
+                    cyc.append(j)
+                    j = images[j - 1]
                 out.append(tuple(cyc))
         return out
 
     def sign(self) -> int:
-        s = 1
-        for cyc in self.cycles():
-            if len(cyc) % 2 == 0:
-                s = -s
-        return s
+        # a k-cycle is a product of k - 1 transpositions
+        cycs = self.cycles()
+        return -1 if (sum(map(len, cycs)) - len(cycs)) & 1 else 1
 
     def is_even(self) -> bool:
         return self.sign() == 1
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(i) for i in cyc) + ")" for cyc in cycs)
+        # a tuple of two or more ints prints as "(1, 2, ...)"
+        return "".join(map(str, cycs)).replace(",", "") if cycs else "()"
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -225,6 +222,16 @@ def _int_array(values) -> np.ndarray:
     """values as int64 when any sum of them fits, as Python ints otherwise."""
     bound = len(values) * max(map(abs, values), default=0)
     return np.array(values, dtype=np.int64 if bound < 1 << 63 else object)
+
+
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row of 0-based images of a permutation of n points as one
+    fixed-width byte string: big-endian unsigned ints of the smallest width
+    that holds n - 1, so that byte order is the lexicographic order of the
+    rows."""
+    width = 1 if n <= 1 << 8 else 2 if n <= 1 << 16 else 4
+    rows = np.ascontiguousarray(rows, dtype=f">u{width}")
+    return rows.view(np.dtype((np.void, n * width))).reshape(rows.shape[:-1])
 
 
 class PermGroup:
@@ -339,13 +346,21 @@ class PermGroup:
         return np.array([s.images for s in self.elements], dtype=np.intp) - 1
 
     @cached_property
-    def _image_positions(self) -> dict:
-        return {row: k for k, row in enumerate(map(tuple, self._images.tolist()))}
+    def _image_keys(self) -> np.ndarray:
+        """``_row_keys`` of the image rows, ascending: ``elements`` is sorted
+        by its image tuples."""
+        return _row_keys(self._images, self.n)
 
     def _positions(self, images: np.ndarray) -> np.ndarray:
-        """Positions of the elements whose 0-based image rows are given."""
-        pos = self._image_positions
-        return np.array([pos[row] for row in map(tuple, images.tolist())], dtype=np.int32)
+        """Positions of the elements whose 0-based image rows are given, by
+        one binary search over the row keys; raises ``KeyError`` on a row
+        that is no element's."""
+        pos = np.searchsorted(self._image_keys, _row_keys(images, self.n)).astype(np.int32)
+        # a row past the last key, or between two, is no element's
+        found = (self._images[np.minimum(pos, len(self) - 1)] == images).all(axis=1)
+        if not found.all():
+            raise KeyError(tuple(images[np.argmin(found)].tolist()))
+        return pos
 
     @cached_property
     def inverse_index(self) -> np.ndarray:

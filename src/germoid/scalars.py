@@ -7,10 +7,11 @@ A scalar (a + b*i)/d is stored as three Python ints a, b, d in canonical
 form: d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1).  Equal values have
 equal fields, which makes equality a compare of three ints and lets the hash
 use the triple.  Arithmetic works on the integers directly; the real and
-imaginary parts are handed out as ``Fraction`` only when asked for.
+imaginary parts are handed out as ``Fraction`` only when asked for, and
+``render_parts`` writes a value from its integers, with no ``Fraction``.
 ``algebra.GroupAlgebraElement`` (its constructor, ``scale``, the values it
 hands out and ``from_pair_values``, the step a = P^T y of every
-minimum-norm preimage) and ``poly`` (its ``coeffs``,
+minimum-norm preimage), ``algebra.from_sheet`` and ``poly`` (its ``coeffs``,
 ``from_scalars``, ``pconst``, ``pscale`` and ``peval``) read the triples
 or build them with ``_make``, so they follow any change to this
 representation.  ``_frac`` is the one coercion to an exact rational: an
@@ -197,13 +198,28 @@ def as_scalar(x) -> Scalar:
 
 def render_scalar(s: Scalar) -> str:
     """Bit-exact rendering "p/q+r/si"; round-trips through parse_scalar."""
-    re, im = s.re, s.im
-    if im == 0:
-        return str(re)
-    if re == 0:
-        return f"{im}i"
-    sign = "+" if im > 0 else "-"
-    return f"{re}{sign}{abs(im)}i"
+    return render_parts(s._a, s._b, s._d)
+
+
+def _ratio(a: int, d: int) -> str:
+    """a/d in lowest terms, as ``str(Fraction(a, d))`` writes it, for d > 0."""
+    g = gcd(a, d)
+    if g != 1:
+        a //= g
+        d //= g
+    return f"{a}/{d}" if d != 1 else str(a)
+
+
+def render_parts(a: int, b: int, d: int) -> str:
+    """``render_scalar`` of (a + b*i)/d for d > 0, in any terms: each part
+    is reduced by its own gcd, so no ``Fraction`` is built."""
+    if not b:
+        return _ratio(a, d)
+    if not a:
+        return _ratio(b, d) + "i"
+    if b > 0:
+        return f"{_ratio(a, d)}+{_ratio(b, d)}i"
+    return f"{_ratio(a, d)}-{_ratio(-b, d)}i"
 
 
 _PURE_RE = _re.compile(r"^\s*([+-]?\d+(?:/\d+)?)\s*$")

@@ -28,6 +28,8 @@ from .perms import Permutation
 from .poly import PiecewisePoly
 from .scalars import Scalar, _frac, as_scalar
 
+_new = object.__new__
+
 
 class CenterPoint:
     __slots__ = ()
@@ -266,17 +268,42 @@ class PPFun:
 
     Closed under sum, product, conjugation, scaling, and the edge action,
     which is what the convolution algebra needs of its coefficients.
+
+    The constructor checks the center value against every edge's limit
+    (``check_continuous``); outside input and every sampled function come
+    in that way.  ``_trusted`` checks nothing.  It builds ``const`` and the
+    results of ``+``, ``-``, ``*``, negation, ``scale``, ``conj`` and
+    ``act``: each maps functions whose limits match their centers to one
+    whose limits match too, since the limit at 0 of a sum, product,
+    multiple or conjugate is the sum, product, multiple or conjugate of
+    the limits, and ``act`` only permutes the edges.
     """
 
     __slots__ = ("n", "center", "edges")
 
     def __init__(self, n: int, center, edges):
-        center = as_scalar(center)
         edges = tuple(edges)
         if len(edges) != n:
             raise ValueError(f"expected {n} edge functions")
+        self.n = n
+        self.center = as_scalar(center)
+        self.edges = edges
+        self.check_continuous()
+
+    @classmethod
+    def _trusted(cls, n: int, center: Scalar, edges: tuple) -> "PPFun":
+        """A function whose n edges are known to have the limit ``center``."""
+        f = _new(cls)
+        f.n = n
+        f.center = center
+        f.edges = edges
+        return f
+
+    def check_continuous(self):
+        """Raise unless every edge's limit at 0 equals the center value."""
+        center = self.center
         ca, cb, cd = center._a, center._b, center._d
-        for i, e in enumerate(edges, start=1):
+        for i, e in enumerate(self.edges, start=1):
             # the limit at 0 is the constant term (a0 + b0 i)/d of the first piece
             p = e.polys[0]
             d, a, b = p[:3] if p else (1, 0, 0)
@@ -284,14 +311,11 @@ class PPFun:
                 raise ValueError(
                     f"edge {i} limit {e.at0()} at the center differs from center value {center}"
                 )
-        self.n = n
-        self.center = center
-        self.edges = edges
 
     @classmethod
     def const(cls, n: int, c) -> "PPFun":
         c = as_scalar(c)
-        return cls(n, c, [PiecewisePoly.const(c)] * n)
+        return cls._trusted(n, c, (PiecewisePoly.const(c),) * n)
 
     @classmethod
     def zero(cls, n: int) -> "PPFun":
@@ -316,28 +340,29 @@ class PPFun:
 
     def __add__(self, other):
         self._check(other)
-        return PPFun(self.n, self.center + other.center,
-                     [a + b for a, b in zip(self.edges, other.edges)])
+        return PPFun._trusted(self.n, self.center + other.center,
+                              tuple([a + b for a, b in zip(self.edges, other.edges)]))
 
     def __sub__(self, other):
         self._check(other)
-        return PPFun(self.n, self.center - other.center,
-                     [a - b for a, b in zip(self.edges, other.edges)])
+        return PPFun._trusted(self.n, self.center - other.center,
+                              tuple([a - b for a, b in zip(self.edges, other.edges)]))
 
     def __mul__(self, other):
         self._check(other)
-        return PPFun(self.n, self.center * other.center,
-                     [a * b for a, b in zip(self.edges, other.edges)])
+        return PPFun._trusted(self.n, self.center * other.center,
+                              tuple([a * b for a, b in zip(self.edges, other.edges)]))
 
     def __neg__(self):
-        return PPFun(self.n, -self.center, [-e for e in self.edges])
+        return PPFun._trusted(self.n, -self.center, tuple([-e for e in self.edges]))
 
     def scale(self, c) -> "PPFun":
         c = as_scalar(c)
-        return PPFun(self.n, c * self.center, [e.scale(c) for e in self.edges])
+        return PPFun._trusted(self.n, c * self.center, tuple([e.scale(c) for e in self.edges]))
 
     def conj(self) -> "PPFun":
-        return PPFun(self.n, self.center.conjugate(), [e.conj() for e in self.edges])
+        return PPFun._trusted(self.n, self.center.conjugate(),
+                              tuple([e.conj() for e in self.edges]))
 
     def is_zero(self) -> bool:
         return self.center.is_zero() and all(e.is_zero() for e in self.edges)
@@ -373,5 +398,5 @@ def act(sigma: Permutation, x):
         edges = [None] * x.n
         for i in range(1, x.n + 1):
             edges[sigma(i) - 1] = x.edges[i - 1]
-        return PPFun(x.n, x.center, edges)
+        return PPFun._trusted(x.n, x.center, tuple(edges))
     raise TypeError(f"cannot act on {x!r}")

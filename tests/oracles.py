@@ -766,3 +766,48 @@ def _hdot(xs, ys) -> Scalar:
         if x and y:
             acc = acc + x * y.conjugate()
     return acc
+
+
+def render_scalar_by_fractions(s: Scalar) -> str:
+    """``render_scalar`` through the ``Fraction`` parts ``re`` and ``im``."""
+    re, im = s.re, s.im
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    sign = "+" if im > 0 else "-"
+    return f"{re}{sign}{abs(im)}i"
+
+
+def cycles_by_set_walk(s: Permutation) -> list:
+    """The nontrivial cycles of s from its minima, one set lookup per point."""
+    seen = set()
+    out = []
+    for start in range(1, s.n + 1):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        j = s(start)
+        while j != start:
+            cyc.append(j)
+            seen.add(j)
+            j = s(j)
+        if len(cyc) > 1:
+            out.append(tuple(cyc))
+    return out
+
+
+def cycle_string_by_cycles(s: Permutation) -> str:
+    cycs = cycles_by_set_walk(s)
+    if not cycs:
+        return "()"
+    return "".join("(" + " ".join(str(i) for i in cyc) + ")" for cyc in cycs)
+
+
+def sign_by_cycles(s: Permutation) -> int:
+    sign = 1
+    for cyc in cycles_by_set_walk(s):
+        if len(cyc) % 2 == 0:
+            sign = -sign
+    return sign

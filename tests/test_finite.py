@@ -298,6 +298,34 @@ def test_expectation_check_reads_each_trial(name, monkeypatch):
     assert germoid.finite.expectation_check(G, 2) == (True, False)
 
 
+@pytest.mark.parametrize("name", ["s4_on_4", "z5_on_5", "equivalence", "explicit_z2",
+                                  "units_only_13"])
+def test_unit_values_of_squares_are_the_full_products_bit_for_bit(name):
+    """The restricted scatter sums each unit cell's terms in the order of
+    the full convolution, so the expectation's values do not move."""
+    G = _oracle_groupoid(name)
+    V = germoid.finite._random_vectors(G, random.Random(7), 5)
+    units = [G.index[G.unit_arrow[x]] for x in G.units]
+    full = germoid.finite._vec_convolve(G, germoid.finite._vec_adjoint(G, V), V)
+    assert np.array_equal(germoid.finite._unit_values_of_squares(G, V), full[:, units])
+
+
+@pytest.mark.parametrize("name", ["s4_on_4", "klein_cross_on_4", "s3_trivial_on_1",
+                                  "equivalence"])
+def test_stacked_convolutions_are_the_row_by_row_ones_bit_for_bit(name):
+    """The center split stacks its products; each row keeps its cells'
+    summation order, so its residuals do not move."""
+    G = _oracle_groupoid(name)
+    convolve = germoid.finite._vec_convolve
+    U = germoid.finite._random_vectors(G, random.Random(3), 4)
+    W = germoid.finite._random_vectors(G, random.Random(4), 4)
+    assert np.array_equal(convolve(G, U, W),
+                          np.stack([convolve(G, u, w) for u, w in zip(U, W)]))
+    h = U[0]
+    assert np.array_equal(convolve(G, np.broadcast_to(h, W.shape), W),
+                          np.stack([convolve(G, h, w) for w in W]))
+
+
 # -- JSON specs -------------------------------------------------------------------------------
 
 def test_parse_transformation_spec():

@@ -14,7 +14,7 @@ from germoid.perms import (
     parse_count,
     parse_cycles,
 )
-from oracles import hom_by_table
+from oracles import cycle_string_by_cycles, cycles_by_set_walk, hom_by_table, sign_by_cycles
 
 perm4_st = st.permutations(range(1, 5)).map(Permutation)
 
@@ -94,6 +94,41 @@ def test_sign():
     assert parse_cycles("(1 2 3)", 4).sign() == 1
     assert parse_cycles("(1 2)(3 4)", 4).sign() == 1
     assert Permutation.identity(4).sign() == 1
+
+
+def test_cycle_walk_matches_the_set_walk():
+    rng = random.Random(29)
+    perms = list(map(Permutation, permutations(range(1, 6))))
+    for n in (9, 12):
+        for _ in range(200):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            perms.append(Permutation(images))
+    for s in perms:
+        assert s.cycles() == cycles_by_set_walk(s)
+        assert s.cycle_string() == cycle_string_by_cycles(s)
+        assert s.sign() == sign_by_cycles(s)
+        assert parse_cycles(s.cycle_string(), s.n) == s
+
+
+@pytest.mark.parametrize("group", [
+    PermGroup.symmetric(5), PermGroup.alternating(6), PermGroup.klein_cross(),
+    PermGroup.trivial(1), PermGroup.cyclic(300),  # 300 points: two-byte keys
+    PermGroup.generate(6, [parse_cycles("(1 2 3)(4 5 6)", 6), parse_cycles("(1 4)(2 5)", 6)]),
+], ids=lambda G: f"{len(G)}_on_{G.n}")
+def test_positions_search_the_image_rows(group):
+    rng = random.Random(len(group))
+    order = list(range(len(group)))
+    rng.shuffle(order)
+    images = group._images[order]
+    assert group._positions(images).tolist() == order
+    assert group._positions(images[:0]).tolist() == []
+    # a row that is no element's, below, between or past the keys
+    for row in ([group.n - 1 - i for i in range(group.n)],
+                [0] * group.n, [group.n - 1] * group.n):
+        if tuple(x + 1 for x in row) not in {s.images for s in group}:
+            with pytest.raises(KeyError):
+                group._positions(np.vstack([group._images[:1], [row]]))
 
 
 def test_build_group_closures():

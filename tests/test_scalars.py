@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 
 from germoid.germs import EdgeGerm
 from germoid.poly import PiecewisePoly
-from germoid.scalars import ONE, ZERO, Scalar, parse_scalar, render_scalar
+from germoid.scalars import ONE, ZERO, Scalar, parse_scalar, render_parts, render_scalar
 from germoid.starspace import EdgePoint, OpenStarSet
 
 from conftest import scalars_st
-from oracles import abs2, edge_interval
+from oracles import abs2, edge_interval, render_scalar_by_fractions
 
 
 def test_basic_arithmetic():
@@ -69,6 +69,20 @@ def test_render_forms():
     assert parse_scalar("1/2+3/4i") == Scalar(Fraction(1, 2), Fraction(3, 4))
     with pytest.raises(ValueError):
         parse_scalar("nonsense")
+    # zero parts, negative imaginary parts and integers, against the
+    # Fraction rendering
+    parts = (0, 1, -1, 7, -12, Fraction(1, 2), Fraction(-3, 4), Fraction(10, 6))
+    for re in parts:
+        for im in parts:
+            s = Scalar(re, im)
+            text = render_scalar(s)
+            assert text == render_scalar_by_fractions(s)
+            # any terms of the same value render the same
+            for k in (1, 2, 15):
+                assert render_parts(k * s._a, k * s._b, k * s._d) == text
+    assert render_parts(0, -6, 4) == "-3/2i"
+    assert render_parts(10, 0, 5) == "2"
+    assert render_parts(-4, 6, 8) == "-1/2+3/4i"
 
 
 # -- the (a + b*i)/d integer representation, against two-Fraction references --
@@ -211,5 +225,6 @@ _wide_fractions = st.fractions(max_denominator=10**12).filter(lambda x: abs(x) <
 def test_render_parse_roundtrip_on_wide_fractions(re, im):
     s = Scalar(re, im)
     text = render_scalar(s)
+    assert text == render_scalar_by_fractions(s)
     assert parse_scalar(text) == s
     assert render_scalar(parse_scalar(text)) == text

@@ -365,6 +365,31 @@ def test_ppfun_ring_laws_on_random_functions(rng):
         assert (f * g).conj() == f.conj() * g.conj()
 
 
+def test_ppfun_operations_keep_continuity_without_rechecking(rng, monkeypatch):
+    from germoid.sampling import random_ppfun
+
+    check = PPFun.check_continuous
+    calls = []
+    monkeypatch.setattr(PPFun, "check_continuous",
+                        lambda self: calls.append(self) or check(self))
+    c = Scalar(Fraction(2, 3), Fraction(-1, 5))
+    for n in (2, 4, 6):
+        for _ in range(10):
+            f = random_ppfun(n, rng)
+            g = random_ppfun(n, rng)
+            # outside input is validated: each sampled function once
+            assert calls[-2:] == [f, g]
+            sampled = len(calls)
+            sigma = Permutation(rng.sample(range(1, n + 1), n))
+            results = (f + g, f - g, f * g, -f, f.scale(c), f.conj(), act(sigma, f),
+                       PPFun.const(n, c), PPFun.zero(n), PPFun.one(n))
+            # each result inherits matching limits from its operands
+            assert len(calls) == sampled
+            for result in results:
+                check(result)  # raises on a limit off the center value
+                assert type(result.edges) is tuple and len(result.edges) == n
+
+
 def test_piecewise_poly_normalization():
     # same polynomial on both pieces collapses to one piece
     p = (Scalar(1), Scalar(2))
