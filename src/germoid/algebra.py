@@ -10,7 +10,8 @@ center to the sum of center values over the group elements inducing that
 edge pair; this is the computational signature of a non-Hausdorff groupoid.
 It is checked on the validating path, where every element from outside the
 algebra comes in (the sign element, explicit normal forms); sheets, sums,
-scalings, adjoints and products of valid elements obey it by construction.
+scalings, adjoints and products of valid elements, sampled sums of sheets
+and the images of ``rep.phi`` obey it by construction.
 
 The center values are a ``GroupAlgebraElement``, the one type of the group
 algebra C[G] here and in ``rep``: integer (re, im) numerators over one
@@ -293,29 +294,17 @@ def _scaled(x: GroupAlgebraElement, a, b, e) -> GroupAlgebraElement:
     return _vector(x.group, x.positions, tuple(re), tuple(im), d)
 
 
-def _translate(x: GroupAlgebraElement, moved, a, b, e) -> GroupAlgebraElement:
-    """x times (a + b i)/e, the value at x.positions[k] moved to moved[k],
-    for a nonzero scalar and a relabelling ``moved`` of x's positions."""
-    y = _scaled(x, a, b, e)
-    if len(moved) == 1:
-        return _vector(x.group, tuple(moved), y.re, y.im, y.d)
-    positions, re, im = zip(*sorted(zip(moved, y.re, y.im)))
-    return _vector(x.group, positions, re, im, y.d)
-
-
 def group_convolve(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebraElement:
     """The group-algebra product (f*g)(t) = sum of f(a) g(b) over ab = t.
 
     The kernel is exact and works on the numerators, over the denominator
     f.d * g.d.  An operand c delta_e scales the other, and reads no table.
     Every other product reads the position of each product ab from
-    ``group.table``: a one-element operand translates the other through
-    one row or column of the table.  Otherwise a small product is summed in
-    a Python loop.  A larger one walks the smaller support in steps: for x
-    in f's support it gathers g(x^-1 t) for every t from table row x^-1
-    (for y in g's, f(t y^-1) from table column y^-1) and contracts them
-    with matrix products, leaving out the imaginary parts of an operand with
-    real values.  That is int64 when
+    ``group.table``.  A small product is summed in a Python loop.  A larger
+    one walks the smaller support in steps: for x in f's support it gathers
+    g(x^-1 t) for every t from table row x^-1 (for y in g's, f(t y^-1) from
+    table column y^-1) and contracts them with matrix products, leaving out
+    the imaginary parts of an operand with real values.  That is int64 when
     2 min(|f|, |g|) max|f| max|g| < 2^63 bounds every partial sum, and
     Python ints held in object arrays otherwise.
     """
@@ -329,12 +318,6 @@ def group_convolve(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgeb
     if gp == (0,):
         return _scaled(f, g.re[0], g.im[0], g.d)
     table = group.table
-    if len(fp) == 1:
-        at = table[fp[0]].item
-        return _translate(g, [at(k) for k in gp], f.re[0], f.im[0], f.d)
-    if len(gp) == 1:
-        at = table[:, gp[0]].item
-        return _translate(f, [at(k) for k in fp], g.re[0], g.im[0], g.d)
     d = f.d * g.d
     if len(fp) * len(gp) <= SMALL_PRODUCT:
         product = table.item
@@ -420,9 +403,11 @@ class AlgebraElement:
         ``_checked=True`` is the trusted path of ``zero``, ``+``, ``scale``,
         ``adjoint`` and ``*``: it takes a GroupAlgebraElement and checks
         nothing, since each of those operations maps elements that obey the
-        gluing law to one that does.  ``from_sheet`` sets the fields itself,
-        since a sheet glues by construction.  Every other element is
-        validated."""
+        gluing law to one that does.  ``sampling.random_algebra_element``
+        and ``rep.phi`` take it too: they build each strip with the
+        center's pair sum as its limit at 0.  ``from_sheet`` sets the
+        fields itself, since a sheet glues by construction.  Every other
+        element is validated."""
         self.groupoid = groupoid
         self.strips = {pair: pp for pair, pp in strips.items() if not pp.is_zero()}
         if _checked:

@@ -83,7 +83,7 @@ SPLIT_ATTEMPTS = 5
 # 72,000, S6 on 6 points 3.1M.
 MAX_COMPOSE_ENTRIES = 100_000
 
-# The composition table and the centrality check hold m x m arrays.
+# The composition table is an m x m array.
 MAX_ARROWS = 2000
 
 # A batch of random trials gathers at most this many regular-representation
@@ -600,7 +600,6 @@ class CenterSplit:
     idempotent_residual: float
     selfadjoint_residual: float
     partition_residual: float
-    centrality_residual: float
 
     @property
     def blocks(self) -> int:
@@ -683,21 +682,15 @@ def minimal_central_projections(G: FiniteGroupoid, seed: int = 0) -> CenterSplit
                 raise CenterSplitError("eigenvector squares to zero; cannot normalize")
             projections.append(v / c)
         Z = np.stack(projections)
-        idem_res = sa_res = central_res = 0.0
+        idem_res = sa_res = 0.0
         for z, zz in zip(Z, _vec_convolve(G, Z, Z)):
             idem_res = max(idem_res, float(np.linalg.norm(zz - z)))
             sa_res = max(sa_res, float(np.linalg.norm(_vec_adjoint(G, z) - z)))
-            # column a is z delta_a - delta_a z: the row (p, a, c) puts z(p)
-            # at (c, a), the row (a, q, c) puts -z(q) there
-            D = np.zeros((len(G.arrows), len(G.arrows)), dtype=complex)
-            D[G.ic, G.ib] = z[G.ia]
-            D[G.ic, G.ia] -= z[G.ib]
-            central_res = max(central_res, float(np.linalg.norm(D, axis=0).max()))
         total = sum(projections)
         unit_vec = FiniteAlgebraElement.unit(G).vec
         part_res = float(np.linalg.norm(total - unit_vec))
-        split = CenterSplit(projections, idem_res, sa_res, part_res, central_res)
-        worst = max(idem_res, sa_res, part_res, central_res)
+        split = CenterSplit(projections, idem_res, sa_res, part_res)
+        worst = max(idem_res, sa_res, part_res)
         if worst > 1e-7:
             raise CenterSplitError(f"projection residual {worst:.2e} exceeds tolerance")
         G._splits[seed] = split
@@ -750,7 +743,6 @@ def intersection_property_check(G: FiniteGroupoid, seed: int = 0) -> Intersectio
         "idempotent": split.idempotent_residual,
         "selfadjoint": split.selfadjoint_residual,
         "partition": split.partition_residual,
-        "centrality": split.centrality_residual,
     }
     return IntersectionReport(all(b.meets_diagonal for b in blocks), blocks, residuals)
 

@@ -51,8 +51,8 @@ There are two constructor paths.  The trusted path,
 ``PiecewisePoly(breaks, polys, _checked=True)``, takes its arguments as
 given.  Its caller must pass ``Fraction`` breakpoints and canonical pieces
 forming a valid continuous function; every caller inside this package does
-(the operations below keep both properties).  Outside input, and every
-function the sampler draws, goes through the validating path,
+(the operations below keep both properties, and the sampler glues each
+piece to its neighbour).  Outside input goes through the validating path,
 ``_checked=False``, in one pass over lists.  Each breakpoint goes through
 the exact coercion of ``scalars`` (an int, str or ``Fraction``; a float
 raises ``TypeError``).  Each piece is either a sequence of ``Scalar``

@@ -26,8 +26,9 @@ incidence, and centrality is invariance under conjugation by the
 generators, a relabelling of positions.  Unitarity is not checked by
 products either: pi is injective on (1 - p) C[G], so an element w with
 pi(w) unitary and p w = p is unitary.  That decides v in the group
-algebra, and the center of u once its constant strips form a unitary
-matrix.
+algebra.  The normalizer u = phi(v) is not checked again: phi is a
+*-homomorphism, so u is unitary once u is phi(v), which the builder checks
+by comparing u's center with v and its strips with tau's pattern.
 """
 
 from __future__ import annotations
@@ -305,7 +306,9 @@ def phi(a: GroupAlgebraElement, groupoid: GermGroupoid) -> AlgebraElement:
     """Send sum a_s delta_s to sum a_s (indicator of s's sheet).
 
     The strip over (i,j) is the constant sum of a_s over s(i)=j, which is
-    exactly the (j,i) entry of the integrated representation.
+    exactly the (j,i) entry of the integrated representation.  Each strip's
+    limit at 0 is then its pair sum of a, so the gluing law holds by
+    construction and the element takes the trusted path.
     """
     if groupoid.group != a.group:
         raise ValueError("group algebra and groupoid do not match")
@@ -313,29 +316,7 @@ def phi(a: GroupAlgebraElement, groupoid: GermGroupoid) -> AlgebraElement:
         pair: PiecewisePoly.const(_scalar(re, im, a.d))
         for pair, (re, im) in a.pair_sums().items()
     }
-    return AlgebraElement(groupoid, strips, a)
-
-
-def _is_unitary(u: AlgebraElement) -> bool:
-    """Whether u* u = u u* = 1, for a u whose strips are constants, as
-    ``phi`` builds them.
-
-    The (i, j) strip of u* u is the sum over k of conj(u_(j,k)) u_(i,k), so
-    the strip half is U* U = U U* = I, exact products of the n x n matrix U
-    with U[j, i] the value of the (i, j) strip.  The gluing law makes U the
-    image pi(w) of u's center w, so the center half holds when p w = p
-    (``_is_unitary_lift``).  No product in the group algebra is taken.
-    """
-    n = u.groupoid.n
-    rows = [[ZERO] * n for _ in range(n)]
-    for (i, j), pp in u.strips.items():
-        if len(pp.polys) != 1 or len(pp.polys[0]) > 3:
-            raise InternalCheckError(f"normalizer strip ({i},{j}) is not constant")
-        rows[j - 1][i - 1] = pp.at0()
-    U = Matrix(rows)
-    U_adj = Matrix([[x.conjugate() for x in col] for col in zip(*rows)])
-    one = Matrix.identity(n)
-    return U_adj * U == one and U * U_adj == one and _is_unitary_lift(u.center)
+    return AlgebraElement(groupoid, strips, a, _checked=True)
 
 
 @dataclass
@@ -380,22 +361,24 @@ def build_strange_normalizer(
     n = G.n
     if tau.n != n:
         raise ValueError("tau acts on the wrong number of edges")
-    u = phi(build_unitary_v(G.group, tau), G)
-    # phi is a *-homomorphism and v is verified unitary, so u is unitary by
-    # construction; a failure here is an internal error, caught before any
-    # trial runs
-    if not _is_unitary(u):
-        raise InternalCheckError("constructed normalizer is not unitary")
-
+    v = build_unitary_v(G.group, tau)
+    u = phi(v, G)
     expected_strips = {
         (i, tau(i)): PiecewisePoly.const(1) for i in range(1, n + 1)
     }
+    # v is verified unitary with pi(v) = pi(tau), and phi is a
+    # *-homomorphism, so u is unitary once it is phi(v): its center is v and
+    # its strips are tau's pattern.  A failure is an internal error, caught
+    # before any trial runs
+    strips_match_tau = u.strips == expected_strips
+    if u.center != v or not strips_match_tau:
+        raise InternalCheckError("constructed normalizer is not phi(v)")
 
     # each trial checks u* h u = h o tau in the form h u = u (h o tau): with
-    # u* u = u u* = 1 verified above, multiplying on the left by u (or by u*)
-    # turns each identity into the other.  Both center products then have the
-    # one-element operand h(0) delta_e, so each is one Cayley-table translate,
-    # and every strip product has u's constant-1 strip as a factor.
+    # u* u = u u* = 1, multiplying on the left by u (or by u*) turns each
+    # identity into the other.  Both center products then have the operand
+    # h(0) delta_e, so each is a scaling that reads no table, and every
+    # strip product has u's constant-1 strip as a factor.
     rng = random.Random(seed)
     tau_inv = tau.inverse()
     conj_ok = True
@@ -411,7 +394,7 @@ def build_strange_normalizer(
     report = NormalizerReport(
         tau_in_group=tau in G.group,
         center_support=u.center.items(),
-        strips_match_tau=u.strips == expected_strips,
+        strips_match_tau=strips_match_tau,
         conjugation_ok=conj_ok,
         bisection_flag=bis_flag,
         bisection_witness=bis_witness,

@@ -42,18 +42,21 @@ canonical triple (the empty piece at level 0), which leaves the level as it
 is.  A piece of degree 1 or 2 takes p(lo) by one inline Horner step at lo's
 int pair, is written as one integer list and made canonical with one gcd;
 the next level, its value at hi, is taken inline for a canonical piece of
-length 5 or 7 and by ``poly._horner`` for a shorter one.  Every function
-still goes through the validating ``PiecewisePoly`` constructor, continuity
-check included.
+length 5 or 7 and by ``poly._horner`` for a shorter one.
+
+What the sampler builds is trusted, as sums and products are: it is not
+outside input.  Each piece starts at the level the previous one ends at, so
+a sampled function is continuous by construction and takes the trusted
+``PiecewisePoly`` path.  Every edge of a ``random_ppfun`` starts at its
+center value, so the function is built by ``PPFun._trusted``.
 
 A random algebra element is one construction, whatever its number of
-sheets.  Each sheet draws sigma and then a ``PPFun`` h, whose constructor
-checks every edge's limit at 0 against h's center value.  h's edge
+sheets.  Each sheet draws sigma and then a ``PPFun`` h.  h's edge
 functions are summed into the strips (i, sigma(i)), adding
 ``PiecewisePoly``s only where a pair repeats, and its center value into
-sigma's.  The sums become one ``AlgebraElement`` through the validating
-path, which checks the strips' edge pairs and the center's group, and the
-gluing law once, at zero tolerance.
+sigma's.  Every pair (i, sigma(i)) is admissible, and each strip's limit at
+0 is the sum of the center values of the sheets through it, so the sums
+glue by construction and become one ``AlgebraElement`` on the trusted path.
 """
 
 from __future__ import annotations
@@ -203,12 +206,12 @@ def random_piecewise(rng: random.Random, value_at_0: Scalar) -> PiecewisePoly:
             ld = d * dd
         else:
             la, lb, ld = _horner(piece, hi_n, hi_d)
-    return PiecewisePoly(breaks, polys)
+    return PiecewisePoly(breaks, polys, _checked=True)
 
 
 def random_ppfun(n: int, rng: random.Random) -> PPFun:
     center = random_scalar(rng)
-    return PPFun(n, center, [random_piecewise(rng, center) for _ in range(n)])
+    return PPFun._trusted(n, center, tuple(random_piecewise(rng, center) for _ in range(n)))
 
 
 def random_open_set(n: int, rng: random.Random) -> OpenStarSet:
@@ -239,7 +242,7 @@ def random_group_element(group: PermGroup, rng: random.Random):
 def random_algebra_element(
     groupoid: GermGroupoid, rng: random.Random, sheets: int = 3
 ) -> AlgebraElement:
-    """Random sum of sheet elements, built as one validated element."""
+    """Random sum of sheet elements, built as one element."""
     group, n = groupoid.group, groupoid.n
     strips, center = {}, {}
     for _ in range(sheets):
@@ -248,7 +251,7 @@ def random_algebra_element(
         for pair, e in zip(enumerate(sigma.images, 1), h.edges):
             strips[pair] = strips[pair] + e if pair in strips else e
         center[sigma] = center[sigma] + h.center if sigma in center else h.center
-    return AlgebraElement(groupoid, strips, center)
+    return AlgebraElement(groupoid, strips, GroupAlgebraElement(group, center), _checked=True)
 
 
 def random_germ(groupoid: GermGroupoid, rng: random.Random):

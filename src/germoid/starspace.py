@@ -14,9 +14,10 @@ arguments as given.  Its caller must pass a tuple of n normal interval
 tuples, each starting at 0 if the set contains the center; ``act``,
 ``union`` and ``intersect`` do (``union`` merges two normal tuples in one
 linear pass, ``intersect`` sweeps them with two pointers).  Outside input,
-and every set the sampler draws, goes through the validating path,
-``_norm_intervals``: it checks each interval, sorts them by left endpoint
-over one common denominator, and merges.
+and every set the sampler draws (its intervals unsorted and possibly
+overlapping), goes through the validating path, ``_norm_intervals``: it
+checks each interval, sorts them by left endpoint over one common
+denominator, and merges.
 """
 
 from __future__ import annotations
@@ -270,8 +271,9 @@ class PPFun:
     which is what the convolution algebra needs of its coefficients.
 
     The constructor checks the center value against every edge's limit
-    (``check_continuous``); outside input and every sampled function come
-    in that way.  ``_trusted`` checks nothing.  It builds ``const`` and the
+    (``check_continuous``); outside input comes in that way.  ``_trusted``
+    checks nothing.  It builds every sampled function, whose edges the
+    sampler starts at its center value.  It also builds ``const`` and the
     results of ``+``, ``-``, ``*``, negation, ``scale``, ``conj`` and
     ``act``: each maps functions whose limits match their centers to one
     whose limits match too, since the limit at 0 of a sum, product,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -13,8 +14,9 @@ import germoid.sampling
 from germoid.algebra import AlgebraElement
 from germoid.cli import main
 from germoid.perms import PermGroup
+from germoid.poly import PiecewisePoly
 from germoid.reports import ExperimentReport
-from germoid.starspace import OpenStarSet, act
+from germoid.starspace import OpenStarSet, PPFun, act
 from oracles import (
     act_on_open_set_by_renormalizing,
     fraction_piecewise,
@@ -374,8 +376,60 @@ def test_finite_s5_on_5_points(tmp_path, capsys):
     assert "[FAIL]" not in out
 
 
+def test_an_intersection_verdict_off_principality_fails(tmp_path, monkeypatch, capsys):
+    import germoid.finite
+
+    # Z3 acting freely on 3 points is principal with one central block,
+    # which meets the diagonal; the flipped SVD verdict must not pass
+    meets = germoid.finite._diagonal_meets
+
+    def flipped(G, z):
+        verdict, sv_min = meets(G, z)
+        return not verdict, sv_min
+
+    monkeypatch.setattr(germoid.finite, "_diagonal_meets", flipped)
+    spec = tmp_path / "z3.json"
+    spec.write_text(
+        json.dumps({"transformation": {"points": 3, "group_generators": ["(1 2 3)"]}})
+    )
+    assert run(["finite", "--spec", str(spec), "--trials", "2"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+    assert len(failed) == 1 and "every minimal ideal meets the diagonal: False" in failed[0]
+
+
 def test_selftest():
     assert run(["selftest", "--seed", "5"]) == 0
+
+
+def test_what_the_program_builds_is_not_validated_again(monkeypatch):
+    # validation is for outside input: of everything the experiments sample
+    # and build, only the cross's sign element has its gluing checked
+    counts = Counter()
+    check, continuity = AlgebraElement.check_compatible, PPFun.check_continuous
+    init = PiecewisePoly.__init__
+
+    def counted_check(self):
+        counts["gluing"] += 1
+        check(self)
+
+    def counted_continuity(self):
+        counts["continuity"] += 1
+        continuity(self)
+
+    def counted_init(self, breaks, polys, _checked=False):
+        counts["validating PiecewisePoly"] += not _checked
+        init(self, breaks, polys, _checked)
+
+    monkeypatch.setattr(AlgebraElement, "check_compatible", counted_check)
+    monkeypatch.setattr(PPFun, "check_continuous", counted_continuity)
+    monkeypatch.setattr(PiecewisePoly, "__init__", counted_init)
+    for args, gluings in ((["cross", "--trials", "20"], 1),
+                          (["star", "--n", "5", "--trials", "3"], 0),
+                          (["selftest"], 0)):
+        counts.clear()
+        assert run(args) == 0
+        assert (counts["gluing"], counts["continuity"], counts["validating PiecewisePoly"]) == (
+            gluings, 0, 0), args
 
 
 def test_json_report_roundtrip_and_determinism(tmp_path):

@@ -14,6 +14,7 @@ import germoid.algebra
 import germoid.poly
 import germoid.starspace
 from germoid import sampling
+from germoid.algebra import AlgebraElement
 from germoid.germs import GermGroupoid
 from germoid.perms import PermGroup
 from germoid.poly import PiecewisePoly, coeffs, pconst
@@ -123,6 +124,8 @@ def test_polynomial_draws_match_the_fraction_sampler(deg):
 
 
 def test_every_sampled_edge_function_is_validated(monkeypatch):
+    # the sampler builds on the trusted path; each edge it glues passes the
+    # validating constructor here, unchanged
     validated = []
     init = PiecewisePoly.__init__
 
@@ -131,11 +134,14 @@ def test_every_sampled_edge_function_is_validated(monkeypatch):
         init(self, breaks, polys, _checked)
 
     monkeypatch.setattr(germoid.poly.PiecewisePoly, "__init__", counting_init)
-    rng = random.Random(4)
-    for n in (1, 4, 5):
-        validated.clear()
-        sampling.random_ppfun(n, rng)
-        assert validated.count(True) == n
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for n in (1, 4, 5):
+            validated.clear()
+            f = sampling.random_ppfun(n, rng)
+            assert not any(validated)
+            for e in f.edges:
+                assert PiecewisePoly(e.breaks, e.polys) == e
 
 
 @pytest.mark.parametrize("groupoid", [GermGroupoid.cross(), GermGroupoid.star(4),
@@ -188,11 +194,12 @@ def test_a_sampled_element_is_built_and_checked_once(monkeypatch):
         for sheets in (1, 3):
             for lst in (pieces, limits, elements, gluings):
                 lst.clear()
-            sampling.random_algebra_element(groupoid, rng, sheets)
-            assert pieces.count(True) == groupoid.n * sheets
-            assert limits == [groupoid.n] * sheets
-            assert elements == [False]
-            assert len(gluings) == 1
+            f = sampling.random_algebra_element(groupoid, rng, sheets)
+            # built once, on the trusted path, and checked by nothing
+            assert not any(pieces) and not limits and not gluings
+            assert elements == [True]
+            f.check_compatible()  # raises on a strip that does not glue
+            assert AlgebraElement(groupoid, f.strips, f.center) == f
 
 
 # the draw kernel on every range of the form (-k, k), (1, k) or (0, k) up to
