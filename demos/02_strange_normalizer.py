@@ -8,9 +8,7 @@ from germoid import (
     GermGroupoid,
     build_strange_normalizer,
     build_unitary_v,
-    integrated_rep,
     parse_cycles,
-    perm_rep,
 )
 from germoid.perms import PermGroup
 
@@ -23,7 +21,10 @@ print(f"target permutation tau = {tau} (odd, so outside the alternating group)")
 # n >= 4 its image is the full commutant of the {zI + y(J-I)} algebra.
 v = build_unitary_v(PermGroup.alternating(n), tau)
 print("\nv =", v)
-print("pi~(v) == pi(tau):", integrated_rep(v) == perm_rep(tau))
+# pi~(v) is read off v's pair sums: the numerators, over v's denominator,
+# of the sums of v over the s with s(i) = j; pi(tau) is 1 at (i, tau(i))
+tau_pattern = {(i, tau(i)): (v.d, 0) for i in range(1, n + 1)}
+print("pi~(v) == pi(tau):", v.pair_sums() == tau_pattern)
 print("v is unitary, exactly (verified inside the builder)")
 
 # Step 2: pushing v into the convolution algebra yields u with the 0/1

@@ -38,9 +38,7 @@ from .rep import (
     build_strange_normalizer,
     build_unitary_v,
     commutant_basis,
-    integrated_rep,
     min_norm_preimage,
-    perm_rep,
     phi,
 )
 from .scalars import Scalar, parse_scalar, render_scalar

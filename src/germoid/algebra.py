@@ -159,17 +159,6 @@ class GroupAlgebraElement:
             (q // n + 1, q % n + 1): (a, b) for q, (a, b) in enumerate(zip(re, im)) if a or b
         }
 
-    @classmethod
-    def from_pair_values(cls, group: PermGroup, values) -> "GroupAlgebraElement":
-        """The transpose of ``pair_sums``: the element whose value at s is the
-        sum of the values at the pairs (i, s(i)), for n^2 scalars in the row
-        order of ``group.pair_incidence``."""
-        d = lcm(*[x._d for x in values])
-        inc = group.pair_incidence
-        re = (_int_array([x._a * (d // x._d) for x in values]) @ inc).tolist()
-        im = (_int_array([x._b * (d // x._d) for x in values]) @ inc).tolist()
-        return _reduced(group, range(len(group)), re, im, d)
-
     # -- linear structure ------------------------------------------------------------
 
     def _check(self, other):

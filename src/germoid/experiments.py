@@ -12,6 +12,8 @@ import time
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
+
 from . import algebra as alg
 from .algebra import from_sheet
 from .finite import (
@@ -37,7 +39,6 @@ from .rep import (
     PreimageObstruction,
     build_strange_normalizer,
     build_unitary_v,
-    integrated_rep,
     phi,
 )
 from .reports import ExperimentReport
@@ -49,7 +50,7 @@ from .sampling import (
     random_open_set,
     random_ppfun,
 )
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
 from .starspace import act
 
 DEFAULT_SEED = 7
@@ -332,6 +333,17 @@ def finite_experiment(
 # the selftest: condensed invariant suites with a fixed seed
 
 
+def _pi_numerators(x):
+    """d pi(x) for x over the denominator d, as exact integer n x n arrays
+    of the real and imaginary parts: entry [j - 1, i - 1] is x's pair sum
+    at (i, j)."""
+    n = x.group.n
+    parts = np.zeros((2, n, n), dtype=object)
+    for (i, j), (re, im) in x.pair_sums().items():
+        parts[:, j - 1, i - 1] = re, im
+    return parts
+
+
 def selftest_experiment(seed: int = DEFAULT_SEED) -> ExperimentReport:
     started = time.monotonic()
     report = ExperimentReport("selftest", {}, seed=seed)
@@ -404,14 +416,21 @@ def selftest_experiment(seed: int = DEFAULT_SEED) -> ExperimentReport:
     for _ in range(20):
         a = random_group_algebra_element(group, rng)
         b = random_group_algebra_element(group, rng)
-        rep_a = integrated_rep(a)
-        if integrated_rep(a * b) != rep_a * integrated_rep(b):
+        ab = a * b
+        # pi(ab) = pi(a) pi(b) over the denominators: d_a d_b (d_ab pi(ab))
+        # = d_ab (d_a pi(a)) (d_b pi(b)), real and imaginary parts apart
+        (ab_re, ab_im), (a_re, a_im), (b_re, b_im) = map(_pi_numerators, (ab, a, b))
+        den, den_ab = a.d * b.d, ab.d
+        if ((den * ab_re != den_ab * (a_re @ b_re - a_im @ b_im)).any()
+                or (den * ab_im != den_ab * (a_re @ b_im + a_im @ b_re)).any()):
             ok = False
         u = phi(a, G)
         for _ in range(4):
             germ = random_germ(G, rng)
             if isinstance(germ, EdgeGerm):
-                if u.evaluate(germ) != rep_a[germ.j - 1, germ.i - 1]:
+                # the strip over (i, j) sums a over the s with s(i) = j
+                hits = (c for s, c in a.items() if s(germ.i) == germ.j)
+                if u.evaluate(germ) != sum(hits, ZERO):
                     ok = False
     report.exact("integration is multiplicative and matches sheet sums", ok)
 

@@ -3,8 +3,9 @@
 Row reduction, nullspaces, and linear solves with zero rounding; ``solve``
 finds mu's Krylov dependency, the minimal polynomial of the fixed-point
 count behind every minimum-norm preimage
-(``perms.PermGroup.chi_minimal_polynomial``), and ``Matrix`` carries the
-checks of the star pipeline.
+(``perms.PermGroup.chi_minimal_polynomial``).  ``Matrix`` holds the
+orbital commutant basis of ``rep.commutant_basis``; the star pipeline
+checks pi by integer pair sums and builds none.
 """
 
 from __future__ import annotations

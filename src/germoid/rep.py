@@ -1,23 +1,25 @@
-"""Permutation representations, group-algebra elements, commutants, and the
-constructive normalizer pipeline.
+"""Group-algebra elements, commutants, and the constructive normalizer
+pipeline.
 
 Everything here is exact.  The commutant of permutation matrices is spanned
 by the indicators of the orbits on matrix cells; its dimension alone is
-Burnside's orbital count ``PermGroup.orbital_count``.  The minimum-norm preimage
-of a target matrix is Q^+ P^T t over the group's (i, sigma(i)) pair
-incidence P, for t the target's cells and Q = P^T P, the convolution by the
-fixed-point count chi.  One path serves every group: chi is central, so its
-minimal polynomial mu has integer roots and no root has to be found, and
-Q^+ is a polynomial in Q read off mu's coefficients (Serre, Linear
-Representations of Finite Groups, 2.4 and 6.2).  The unitary produced for a
-target permutation is verified algebraically with zero tolerance rather
-than assumed.
+Burnside's orbital count ``PermGroup.orbital_count``.  The integrated
+representation pi has one form: its entries are the pair sums
+``GroupAlgebraElement.pair_sums``, integer numerators over one
+denominator, and pi(x) is the permutation matrix of tau exactly when they
+are 1 at the pairs (i, tau(i)) and 0 elsewhere.  The minimum-norm preimage
+of pi(tau) is Q^+ P^T t over the group's (i, sigma(i)) pair incidence P,
+for t tau's 0/1 pattern and Q = P^T P, the convolution by the fixed-point
+count chi.  One path serves every group: chi is central, so its minimal
+polynomial mu has integer roots and no root has to be found, and Q^+ is a
+polynomial in Q read off mu's coefficients (Serre, Linear Representations
+of Finite Groups, 2.4 and 6.2).  The unitary produced for tau is verified
+algebraically with zero tolerance rather than assumed.
 
 Group-algebra elements are ``algebra.GroupAlgebraElement``, re-exported
 here: integer numerators over one denominator, indexed by position in the
-group's elements.  The integrated representation, ``phi`` and each product
-by Q are sums over the pair incidence; none of them builds a ``Scalar`` per
-group element.
+group's elements.  Pair sums, ``phi`` and each product by Q are sums over
+the pair incidence; none of them builds a ``Scalar`` per group element.
 
 The pipeline reads no Cayley table.  The kernel projection p multiplies
 as x - r(Q) x, for r(Q) the projection onto the range of Q read off mu, so
@@ -61,25 +63,6 @@ class PreimageObstruction(ValueError):
 
 class InternalCheckError(AssertionError):
     """An exact runtime verification of a constructed object failed."""
-
-
-def perm_rep(sigma: Permutation) -> Matrix:
-    """The 0/1 matrix sending basis vector e_i to e_{sigma(i)}."""
-    n = sigma.n
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        rows[sigma(i) - 1][i - 1] = ONE
-    return Matrix(rows)
-
-
-def integrated_rep(a: GroupAlgebraElement) -> Matrix:
-    """Extend the permutation representation linearly; entry (j,i) is the sum
-    of the coefficients of the elements sending i to j."""
-    n, d = a.group.n, a.d
-    rows = [[ZERO] * n for _ in range(n)]
-    for (i, j), (re, im) in a.pair_sums().items():
-        rows[j - 1][i - 1] = _scalar(re, im, d)
-    return Matrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -143,35 +126,42 @@ def _permutation_of(m: Matrix):
 _OUTSIDE_THE_IMAGE = "target is not in the span of the group's permutation matrices"
 
 
-def min_norm_preimage(target: Matrix, group: PermGroup) -> GroupAlgebraElement:
-    """The unique preimage of target under the integrated representation that
-    is orthogonal to its kernel in the coefficient inner product.
+def min_norm_preimage(group: PermGroup, tau: Permutation) -> GroupAlgebraElement:
+    """The unique preimage of the permutation matrix pi(tau) under the
+    integrated representation that is orthogonal to its kernel in the
+    coefficient inner product.
 
-    With P the pair incidence (``group.pair_incidence``, n^2 x |G|) and t the
-    target's entries (j, i) in P's row order, the preimage is Q^+ b for
-    b = P^T t and Q = P^T P, the convolution by chi (``group.chi_times``).
+    With P the pair incidence (``group.pair_incidence``, n^2 x |G|) and t
+    tau's 0/1 pattern, the preimage is Q^+ b for b = P^T t and Q = P^T P,
+    the convolution by chi (``group.chi_times``); b(s) = #{i : s(i) = tau(i)}.
     Write chi's minimal polynomial (``group.chi_minimal_polynomial``) as
     mu = x h when 0 is a root, that is when the representation has a
     kernel, and as mu = h otherwise, with h = h_0 + x g.  Then h(Q) vanishes
     on the range of Q, so -g(Q) / h_0 inverts Q there.  b lies in
     range(P^T) = range(Q), the orthogonal complement of ker Q = ker P, so
     the preimage is -g(Q) b / h_0 with no projection.  Raises
-    PreimageObstruction when the target is outside the image, which is how
+    PreimageObstruction when pi(tau) is outside the image, which is how
     the small-n obstruction shows up.
     """
-    n = group.n
-    if target.nrows != n or target.ncols != n:
-        raise ValueError("target has the wrong shape")
-    cells = [row[i] for i in range(n) for row in target.rows]
-    b = GroupAlgebraElement.from_pair_values(group, cells)
+    if tau.n != group.n:
+        raise ValueError("tau acts on the wrong number of points")
+    m = len(group)
+    agree = (group._images == np.array(tau.images) - 1).sum(1).tolist()
+    b = _reduced(group, range(m), agree, [0] * m, 1)
     mu = group.chi_minimal_polynomial
     h = mu[1:] if mu[0] == 0 else mu
     result = _chi_polynomial(b, h[1:], -h[0])
     # P Q^+ P^T is the projection onto the image of P, so landing elsewhere
-    # than the target means the target was never in it
-    if integrated_rep(result) != target:
+    # than pi(tau) means it was never in it
+    if not _maps_to(result, tau):
         raise PreimageObstruction(_OUTSIDE_THE_IMAGE)
     return result
+
+
+def _maps_to(x: GroupAlgebraElement, tau: Permutation) -> bool:
+    """Whether pi(x) is the permutation matrix of tau: x's pair sums are 1
+    at the pairs (i, tau(i)) and 0 elsewhere."""
+    return x.pair_sums() == {pair: (x.d, 0) for pair in enumerate(tau.images, 1)}
 
 
 def _chi_polynomial(x: GroupAlgebraElement, coeffs, den: int) -> GroupAlgebraElement:
@@ -218,7 +208,7 @@ def kernel_projection(group: PermGroup) -> GroupAlgebraElement:
     equal to p times the group algebra.  Built as delta_id minus the
     minimum-norm preimage of the identity matrix, then verified exactly by
     ``_is_kernel_projection``."""
-    q = min_norm_preimage(Matrix.identity(group.n), group)
+    q = min_norm_preimage(group, group.identity)
     p = GroupAlgebraElement.unit(group) - q
     if not _is_kernel_projection(p):
         raise InternalCheckError("kernel projection fails its exact checks")
@@ -231,7 +221,8 @@ def _is_kernel_projection(p: GroupAlgebraElement) -> bool:
 
     p = p delta_e by ``_kernel_part`` makes multiplying by p the round trips
     of ``_kernel_part``, so p p = p is one more round trip.  Then p* = p,
-    centrality (``_is_central``) and pi(p) = 0 are checked as they are.
+    centrality (``_is_central``) and pi(p) = 0, no nonzero pair sum, are
+    checked as they are.
     """
     unit = GroupAlgebraElement.unit(p.group)
     return (
@@ -239,7 +230,7 @@ def _is_kernel_projection(p: GroupAlgebraElement) -> bool:
         and _kernel_part(p) == p
         and p.adjoint() == p
         and _is_central(p)
-        and integrated_rep(p).is_zero()
+        and not p.pair_sums()
     )
 
 
@@ -286,12 +277,9 @@ def build_unitary_v(group: PermGroup, tau: Permutation) -> GroupAlgebraElement:
     p v = p), and unitarity follows by ``_is_unitary_lift``, with no
     product in the group algebra; failures are hard errors.
     """
-    if tau.n != group.n:
-        raise ValueError("tau acts on the wrong number of points")
     p = kernel_projection(group)
-    target = perm_rep(tau)
-    v = min_norm_preimage(target, group) + p
-    if integrated_rep(v) != target:
+    v = min_norm_preimage(group, tau) + p
+    if not _maps_to(v, tau):
         raise InternalCheckError("constructed element misses the target")
     if not _is_unitary_lift(v):
         raise InternalCheckError("constructed element is not unitary")

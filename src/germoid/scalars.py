@@ -9,9 +9,8 @@ equal fields, which makes equality a compare of three ints and lets the hash
 use the triple.  Arithmetic works on the integers directly; the real and
 imaginary parts are handed out as ``Fraction`` only when asked for, and
 ``render_parts`` writes a value from its integers, with no ``Fraction``.
-``algebra.GroupAlgebraElement`` (its constructor, ``scale``, the values it
-hands out and ``from_pair_values``, the step a = P^T y of every
-minimum-norm preimage), ``algebra.from_sheet`` and ``poly`` (its ``coeffs``,
+``algebra.GroupAlgebraElement`` (its constructor, ``scale`` and the values
+it hands out), ``algebra.from_sheet`` and ``poly`` (its ``coeffs``,
 ``from_scalars``, ``pconst``, ``pscale`` and ``peval``) read the triples
 or build them with ``_make``, so they follow any change to this
 representation.  ``_frac`` is the one coercion to an exact rational: an

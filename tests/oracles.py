@@ -2,11 +2,17 @@
 by several test modules."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
-from germoid.algebra import AlgebraElement, NotNormalizerError, _support_point_map, from_sheet
+from germoid.algebra import (
+    AlgebraElement,
+    NotNormalizerError,
+    _reduced,
+    _support_point_map,
+    from_sheet,
+)
 from germoid.finite import (
     FiniteAlgebraElement,
     _diagonal_meets,
@@ -15,17 +21,32 @@ from germoid.finite import (
 )
 from germoid.germs import CenterGerm, EdgeGerm, GermError
 from germoid.linalg import Matrix, nullspace, rref, solve
-from germoid.perms import Permutation, parse_cycles
-from germoid.poly import PiecewisePoly, _canon, from_scalars
-from germoid.rep import (
-    GroupAlgebraElement,
-    InternalCheckError,
-    PreimageObstruction,
-    integrated_rep,
-)
+from germoid.perms import Permutation, _int_array, parse_cycles
+from germoid.poly import PiecewisePoly, _canon, _scalar, from_scalars
+from germoid.rep import GroupAlgebraElement, InternalCheckError, PreimageObstruction
 from germoid.sampling import _OVER_12, random_ppfun
 from germoid.scalars import ONE, ZERO, Scalar, as_scalar
 from germoid.starspace import CenterPoint, EdgePoint, OpenStarSet, PPFun, edge_index
+
+
+def perm_rep(sigma: Permutation) -> Matrix:
+    """The 0/1 matrix sending basis vector e_i to e_{sigma(i)}."""
+    n = sigma.n
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        rows[sigma(i) - 1][i - 1] = ONE
+    return Matrix(rows)
+
+
+def integrated_rep(a: GroupAlgebraElement) -> Matrix:
+    """The permutation representation extended linearly, as a ``Matrix``:
+    entry (j, i) is the sum of the coefficients of the elements sending i
+    to j, read off ``pair_sums``."""
+    n, d = a.group.n, a.d
+    rows = [[ZERO] * n for _ in range(n)]
+    for (i, j), (re, im) in a.pair_sums().items():
+        rows[j - 1][i - 1] = _scalar(re, im, d)
+    return Matrix(rows)
 
 
 def all_ones(n: int) -> Matrix:
@@ -757,7 +778,13 @@ def fourier_preimage(target: Matrix, group) -> GroupAlgebraElement:
     cells = [row[i] for i in range(n) for row in target.rows]
     shift = (n - 2) * sum(cells, ZERO)
     scale, den = n * n * (n - 1), n * n * len(group)
-    return GroupAlgebraElement.from_pair_values(group, [(scale * t - shift) / den for t in cells])
+    y = [(scale * t - shift) / den for t in cells]
+    # P^T y over the lcm of y's denominators, in the row order of P
+    d = lcm(*[x._d for x in y])
+    inc = group.pair_incidence
+    re = (_int_array([x._a * (d // x._d) for x in y]) @ inc).tolist()
+    im = (_int_array([x._b * (d // x._d) for x in y]) @ inc).tolist()
+    return _reduced(group, range(len(group)), re, im, d)
 
 
 def _hdot(xs, ys) -> Scalar:

@@ -34,8 +34,6 @@ from germoid.rep import (
     build_strange_normalizer,
     build_unitary_v,
     commutant_basis,
-    integrated_rep,
-    perm_rep,
     phi,
 )
 from germoid.sampling import (
@@ -46,7 +44,7 @@ from germoid.sampling import (
 )
 from germoid.scalars import Scalar
 from germoid.starspace import act
-from oracles import all_ones, bitransitive_by_brute_force
+from oracles import all_ones, bitransitive_by_brute_force, integrated_rep, perm_rep
 
 SEED = 1729
 

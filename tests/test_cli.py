@@ -10,8 +10,9 @@ import pytest
 
 import germoid.cli
 import germoid.experiments
+import germoid.linalg
 import germoid.sampling
-from germoid.algebra import AlgebraElement
+from germoid.algebra import AlgebraElement, GroupAlgebraElement
 from germoid.cli import main
 from germoid.perms import PermGroup
 from germoid.poly import PiecewisePoly
@@ -547,6 +548,25 @@ def test_star_and_diagnose_read_no_cayley_table(tmp_path, monkeypatch):
     assert run(argv) == 0
     report = json.loads(out.read_text())
     assert report["checks"] and all(c["passed"] and c["kind"] == "exact" for c in report["checks"])
+
+
+def test_star_cross_and_selftest_build_no_matrix(monkeypatch):
+    # pi is checked by its integer pair sums, never as a Matrix of Scalars
+    monkeypatch.setattr(germoid.linalg.Matrix, "__init__",
+                        lambda self, rows: pytest.fail("a Matrix was built"))
+    for args, code in ((["star", "--n", "5"], 0), (["star", "--n", "3"], 2),
+                       (["selftest"], 0), (["cross", "--trials", "5"], 0)):
+        assert run(args) == code, args
+
+
+def test_the_integration_line_of_selftest_can_fail(monkeypatch, capsys):
+    # a group-algebra product off by delta_e breaks pi(ab) = pi(a) pi(b)
+    mul = GroupAlgebraElement.__mul__
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__",
+                        lambda a, b: mul(a, b) + GroupAlgebraElement.unit(a.group))
+    assert run(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] integration is multiplicative and matches sheet sums" in out
 
 
 @pytest.mark.parametrize("seed", [5, 11, 12])

@@ -16,13 +16,12 @@ from germoid.rep import (
     _is_central,
     _is_kernel_projection,
     _is_unitary_lift,
+    _kernel_part,
     build_strange_normalizer,
     build_unitary_v,
     commutant_basis,
-    integrated_rep,
     kernel_projection,
     min_norm_preimage,
-    perm_rep,
     phi,
 )
 from germoid.sampling import random_group_algebra_element, random_ppfun, random_scalar
@@ -35,9 +34,11 @@ from oracles import (
     conj_transpose,
     fourier_preimage,
     induced_point_map,
+    integrated_rep,
     is_central_by_deltas,
     is_kernel_projection_by_products,
     is_unitary_by_products,
+    perm_rep,
     rank,
     rref_preimage,
 )
@@ -262,20 +263,15 @@ def test_burnside_count_agrees_with_brute_force(group):
 
 
 # -- minimum-norm preimages ---------------------------------------------------------------
+# min_norm_preimage takes a permutation tau; its Horner step is the one of
+# _kernel_part, whose a - p a is the minimum-norm preimage of pi(a) for any
+# complex a, so general inputs are checked through _kernel_part
 
 def test_min_norm_preimage_roundtrip(rng):
     group = PermGroup.alternating(4)
     for _ in range(10):
         a = random_group_algebra_element(group, rng)
-        target = integrated_rep(a)
-        x = min_norm_preimage(target, group)
-        assert integrated_rep(x) == target
-
-
-def test_min_norm_preimage_zero():
-    group = PermGroup.alternating(4)
-    x = min_norm_preimage(Matrix.zeros(4, 4), group)
-    assert x.is_zero()
+        assert integrated_rep(a - _kernel_part(a)) == integrated_rep(a)
 
 
 def test_min_norm_preimage_is_the_orthogonal_one(rng):
@@ -283,16 +279,35 @@ def test_min_norm_preimage_is_the_orthogonal_one(rng):
     p = kernel_projection(group)
     for _ in range(8):
         a = random_group_algebra_element(group, rng)
-        x = min_norm_preimage(integrated_rep(a), group)
-        # x equals a minus its kernel component
-        assert x == a - p * a
+        # the kernel component of a is p a, so the preimage a - p a is
+        # orthogonal to the kernel
+        assert _kernel_part(a) == p * a
+
+
+def test_min_norm_preimage_refuses_tau_on_other_points():
+    group = PermGroup.alternating(4)
+    # one point would broadcast against every image row
+    for tau in (Permutation.identity(1), parse_cycles("(1 2)", 5)):
+        with pytest.raises(ValueError, match="wrong number of points"):
+            min_norm_preimage(group, tau)
+        with pytest.raises(ValueError, match="wrong number of points"):
+            build_unitary_v(group, tau)
 
 
 def test_obstruction_for_small_n():
     # A3 acts regularly on 3 points, so its image holds only the circulants
     group = PermGroup.alternating(3)
     with pytest.raises(PreimageObstruction):
-        min_norm_preimage(perm_rep(parse_cycles("(1 2)", 3)), group)
+        min_norm_preimage(group, parse_cycles("(1 2)", 3))
+
+
+def test_a_horner_result_off_the_pattern_of_tau_is_refused(monkeypatch):
+    # the pattern check is what raises: a doubled Horner result misses pi(tau)
+    # on A5, where every tau lifts
+    real = germoid.rep._chi_polynomial
+    monkeypatch.setattr(germoid.rep, "_chi_polynomial", lambda *args: real(*args).scale(2))
+    with pytest.raises(PreimageObstruction):
+        min_norm_preimage(PermGroup.alternating(5), parse_cycles("(1 2)", 5))
 
 
 # 2-transitive groups against the rref oracle
@@ -302,8 +317,8 @@ def test_obstruction_for_small_n():
 def test_closed_form_preimage_matches_rref_oracle(n, cycles):
     group = PermGroup.alternating(n)
     assert group.is_two_transitive
-    target = perm_rep(parse_cycles(cycles, n))
-    assert min_norm_preimage(target, group) == rref_preimage(target, group)
+    tau = parse_cycles(cycles, n)
+    assert min_norm_preimage(group, tau) == rref_preimage(perm_rep(tau), group)
 
 
 @pytest.mark.parametrize("group, samples", [
@@ -312,19 +327,8 @@ def test_closed_form_preimage_matches_rref_oracle(n, cycles):
 ], ids=repr)
 def test_closed_form_preimage_of_random_complex_targets(group, samples, rng):
     for _ in range(samples):
-        target = integrated_rep(random_group_algebra_element(group, rng))
-        assert min_norm_preimage(target, group) == rref_preimage(target, group)
-
-
-@pytest.mark.parametrize("group", [
-    PermGroup.alternating(4), PermGroup.symmetric(4), PermGroup.alternating(5)
-], ids=repr)
-def test_closed_form_rejects_a_target_outside_the_image(group):
-    # the image is the commutant of {I, J}, and E_11 does not commute with J
-    e11 = Matrix([[ONE if r == c == 0 else ZERO for c in range(group.n)]
-                  for r in range(group.n)])
-    with pytest.raises(PreimageObstruction):
-        min_norm_preimage(e11, group)
+        a = random_group_algebra_element(group, rng)
+        assert a - _kernel_part(a) == rref_preimage(integrated_rep(a), group)
 
 
 @pytest.mark.parametrize("group", [
@@ -332,8 +336,8 @@ def test_closed_form_rejects_a_target_outside_the_image(group):
 ], ids=repr)
 def test_generator_preimage_matches_rref_oracle(group):
     assert not group.is_two_transitive
-    target = perm_rep(group.generators[0])
-    assert min_norm_preimage(target, group) == rref_preimage(target, group)
+    tau = group.generators[0]
+    assert min_norm_preimage(group, tau) == rref_preimage(perm_rep(tau), group)
     kernel_projection(group)
 
 
@@ -353,29 +357,29 @@ def _five_terms(group, rng):
 ], ids=lambda g: f"order {len(g)} on {g.n} points")
 def test_preimage_of_random_and_generator_targets_matches_rref_oracle(group, rng):
     assert not group.is_two_transitive
-    targets = [integrated_rep(_five_terms(group, rng)) for _ in range(3)]
-    targets += [perm_rep(s) for s in group.generators] + [Matrix.identity(group.n)]
-    for target in targets:
-        assert min_norm_preimage(target, group) == rref_preimage(target, group)
+    for _ in range(3):
+        a = _five_terms(group, rng)
+        assert a - _kernel_part(a) == rref_preimage(integrated_rep(a), group)
+    for tau in (*group.generators, group.identity):
+        assert min_norm_preimage(group, tau) == rref_preimage(perm_rep(tau), group)
 
 
 def test_preimage_past_the_reach_of_the_rref_oracle(rng):
     # S4 x S4 on 8 points: 576 columns, which the |G|-column oracle cannot
-    # reduce in reasonable time; checked against a - p a instead
+    # reduce in reasonable time; checked against p a instead
     group = _generated(8, "(1 2)", "(1 2 3 4)", "(5 6)", "(5 6 7 8)")
     assert len(group) == 576 and not group.is_two_transitive
     p = kernel_projection(group)
     for _ in range(3):
         a = random_group_algebra_element(group, rng)
-        assert min_norm_preimage(integrated_rep(a), group) == a - p * a
+        assert _kernel_part(a) == p * a
 
 
 def test_klein_cross_preimage_rejects_a_target_outside_the_image():
     # every element of the Klein cross fixes 1 iff it fixes 2, so the image
-    # has equal (1, 1) and (2, 2) entries and misses E_11
-    e11 = Matrix([[ONE if r == c == 0 else ZERO for c in range(4)] for r in range(4)])
+    # has equal (1, 1) and (2, 2) entries and misses pi((2 3))
     with pytest.raises(PreimageObstruction):
-        min_norm_preimage(e11, PermGroup.klein_cross())
+        min_norm_preimage(PermGroup.klein_cross(), parse_cycles("(2 3)", 4))
 
 
 def _dihedral(n):
@@ -383,6 +387,35 @@ def _dihedral(n):
     rotation = Permutation([i % n + 1 for i in range(1, n + 1)])
     reflection = Permutation([-i % n + 1 for i in range(n)])
     return PermGroup.generate(n, [rotation, reflection])
+
+
+# every tau on the group's points, against the rref oracle (the Fourier
+# formula on A5, past the oracle's reach); tau lifts exactly when pi(tau)
+# is in the image, so the sweep covers every input on these groups
+@pytest.mark.parametrize("group, lifted, oracle", [
+    pytest.param(PermGroup.alternating(3), 3, rref_preimage, id="A3"),
+    pytest.param(PermGroup.alternating(4), 24, rref_preimage, id="A4"),
+    pytest.param(PermGroup.symmetric(4), 24, rref_preimage, id="S4"),
+    pytest.param(PermGroup.alternating(5), 120, fourier_preimage, id="A5"),
+    pytest.param(PermGroup.klein_cross(), 4, rref_preimage, id="Klein cross"),
+    pytest.param(PermGroup.cyclic(4), 4, rref_preimage, id="Z4"),
+    pytest.param(PermGroup.cyclic(5), 5, rref_preimage, id="Z5"),
+    pytest.param(_dihedral(5), 10, rref_preimage, id="D5"),
+    pytest.param(_generated(5, "(1 2 3 4 5)", "(2 3 5 4)"), 120, rref_preimage, id="AGL(1,5)"),
+])
+def test_every_tau_preimage_matches_the_oracle(group, lifted, oracle):
+    def preimage(solve, *args):
+        try:
+            return solve(*args)
+        except PreimageObstruction:
+            return None
+
+    count = 0
+    for tau in PermGroup.symmetric(group.n):
+        x = preimage(min_norm_preimage, group, tau)
+        assert x == preimage(oracle, perm_rep(tau), group), tau
+        count += x is not None
+    assert count == lifted
 
 
 @pytest.mark.parametrize("group, roots", [
@@ -414,8 +447,8 @@ def test_chi_minimal_polynomial_has_the_roots_g_m_over_d(group, roots):
 def test_preimage_matches_the_fourier_formula(group, cycles):
     # past the reach of the |G|-column rref oracle; these groups are
     # 2-transitive, so the closed form applies
-    target = perm_rep(parse_cycles(cycles, group.n))
-    assert min_norm_preimage(target, group) == fourier_preimage(target, group)
+    tau = parse_cycles(cycles, group.n)
+    assert min_norm_preimage(group, tau) == fourier_preimage(perm_rep(tau), group)
 
 
 def test_dihedral_group_on_100_points():
@@ -425,7 +458,7 @@ def test_dihedral_group_on_100_points():
     p = kernel_projection(group)
     assert not p.is_zero()
     for s in group.generators:
-        x = min_norm_preimage(perm_rep(s), group)
+        x = min_norm_preimage(group, s)
         assert integrated_rep(x) == perm_rep(s)
         d = delta(group, s)
         assert x == d - p * d
@@ -433,7 +466,7 @@ def test_dihedral_group_on_100_points():
 
 def test_a_kernel_projection_from_a_doubled_preimage_is_refused(monkeypatch):
     real = germoid.rep.min_norm_preimage
-    monkeypatch.setattr(germoid.rep, "min_norm_preimage", lambda t, g: real(t, g).scale(2))
+    monkeypatch.setattr(germoid.rep, "min_norm_preimage", lambda g, t: real(g, t).scale(2))
     with pytest.raises(InternalCheckError, match="kernel projection"):
         kernel_projection(PermGroup.alternating(5))
 
