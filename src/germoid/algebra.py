@@ -39,7 +39,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .germs import CenterGerm, EdgeGerm, GermError, GermGroupoid
-from .perms import PermGroup, Permutation, _int_array
+from .perms import PermGroup, Permutation
 from .poly import PiecewisePoly, _scalar, common_refinement
 from .scalars import ONE, ZERO, Scalar, as_scalar, render_parts
 from .starspace import PPFun
@@ -49,10 +49,6 @@ _PPZERO = PiecewisePoly.zero()
 # products with at most this many pairs of support elements are summed in a
 # Python loop; past it, numpy's fixed cost per call is the smaller one
 SMALL_PRODUCT = 64
-# gluing sums with at most this many (element, edge) terms are taken in a
-# Python loop, larger ones with one product against the pair incidence; the
-# two cost the same at about 50 terms on A4, A5 and A6 (CHANGES.md)
-SMALL_SUMS = 48
 # the numpy product gathers at most this many table entries per step
 _CHUNK = 1 << 16
 
@@ -137,24 +133,18 @@ class GroupAlgebraElement:
         over d, of the sum of the values at the elements sending i to j.
 
         These are the entries (j, i) of the integrated representation, and
-        the center-value sums of the gluing law.
+        the center-value sums of the gluing law, added up at the codes
+        q = (i-1)*n + j-1 of the support's ``pair_codes`` rows.
         """
         group = self.group
         n = group.n
-        if len(self.positions) * n <= SMALL_SUMS:
-            els = group.elements
-            sums = {}
-            for k, a, b in zip(self.positions, self.re, self.im):
-                for pair in enumerate(els[k].images, 1):
-                    if pair in sums:
-                        x, y = sums[pair]
-                        sums[pair] = (x + a, y + b)
-                    else:
-                        sums[pair] = (a, b)
-            return {pair: v for pair, v in sums.items() if v[0] or v[1]}
-        inc = group.pair_incidence[:, self.positions]
-        re = (inc @ _int_array(self.re)).tolist()
-        im = (inc @ _int_array(self.im)).tolist()
+        rows = group.pair_code_rows
+        re, im = [0] * (n * n), [0] * (n * n)
+        for acc, values in ((re, self.re), (im, self.im)):
+            if any(values):
+                for k, a in zip(self.positions, values):
+                    for q in rows[k]:
+                        acc[q] += a
         return {
             (q // n + 1, q % n + 1): (a, b) for q, (a, b) in enumerate(zip(re, im)) if a or b
         }

@@ -68,6 +68,7 @@ from .perms import (
     action_table,
     parse_count,
     parse_cycles,
+    parse_list,
     refuse_unknown_keys,
 )
 
@@ -871,7 +872,8 @@ def parse_finite_spec(spec: dict) -> FiniteGroupoid:
 
     A malformed spec raises ``ValueError``, one that is not a JSON object,
     a repeated arrow id, a spec naming more than one of the three forms, a
-    key its form does not read and a groupoid without units included, and
+    key its form does not read, a string or other non-list where the form
+    takes a list and a groupoid without units included, and
     so does a transformation spec with max(points, group_degree) * |G|^2 >
     ``MAX_COMPOSE_ENTRIES``: its group build stops at that order, before any
     table is built.
@@ -907,13 +909,14 @@ def _parse_finite_spec(spec):
         )
         if max_order < 1:
             raise too_large
-        gens = [parse_cycles(s, degree) for s in t.get("group_generators", [])]
+        gens = [parse_cycles(s, degree)
+                for s in parse_list(t.get("group_generators", []), "group_generators")]
         try:
             group = PermGroup.generate(degree, gens, limit=max_order)
         except GroupTooLarge:
             raise too_large from None
         if "action" in t:
-            images = [parse_cycles(s, k) for s in t["action"]]
+            images = [parse_cycles(s, k) for s in parse_list(t["action"], "action")]
             return FiniteGroupoid.transformation(k, group, images)
         if degree != k:
             raise ValueError("group_degree differs from points but no action given")
@@ -921,17 +924,23 @@ def _parse_finite_spec(spec):
     if "equivalence" in spec:
         refuse_unknown_keys(spec, ("equivalence",), "finite spec")
         refuse_unknown_keys(spec["equivalence"], ("blocks",), "equivalence spec")
-        return FiniteGroupoid.equivalence(spec["equivalence"]["blocks"])
+        blocks = parse_list(spec["equivalence"]["blocks"], "blocks")
+        return FiniteGroupoid.equivalence([parse_list(b, "block") for b in blocks])
     if "units" in spec and "arrows" in spec:
         refuse_unknown_keys(spec, ("units", "arrows", "compose", "inverse"), "finite spec")
         arrow_specs = {}
-        for a in spec["arrows"]:
+        for a in parse_list(spec["arrows"], "arrows"):
             if a["id"] in arrow_specs:
                 raise GroupoidAxiomError("repeated arrow id", a["id"])
             arrow_specs[a["id"]] = (a["src"], a["rng"])
-        triples = [tuple(t) for t in spec.get("compose", [])]
+        triples = [tuple(parse_list(t, "compose entry"))
+                   for t in parse_list(spec.get("compose", []), "compose")]
         inverse = spec.get("inverse")
-        if inverse is not None:
-            inverse = dict(inverse.items()) if isinstance(inverse, dict) else dict(inverse)
-        return FiniteGroupoid.explicit(spec["units"], arrow_specs, triples, inverse)
+        if isinstance(inverse, dict):
+            inverse = dict(inverse.items())
+        elif inverse is not None:
+            inverse = dict(parse_list(pair, "inverse entry")
+                           for pair in parse_list(inverse, "inverse"))
+        units = parse_list(spec["units"], "units")
+        return FiniteGroupoid.explicit(units, arrow_specs, triples, inverse)
     raise ValueError("unrecognized finite-groupoid spec")

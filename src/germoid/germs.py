@@ -19,6 +19,7 @@ from .perms import (
     Permutation,
     parse_count,
     parse_cycles,
+    parse_list,
     refuse_unknown_keys,
 )
 from .scalars import _frac
@@ -96,10 +97,9 @@ class GermGroupoid:
             raise ValueError(f"group acts on {group.n} edges, star has {n}")
         self.n = n
         self.group = group
-        # the pair (i, sigma(i)), 0-based, as the code i*n + sigma(i); a mask
-        # over the codes, since np.unique would import numpy.ma on first use
+        # a mask, since np.unique would import numpy.ma on first use
         seen = np.zeros(n * n, dtype=bool)
-        seen[np.arange(n) * n + group._images] = True
+        seen[group.pair_codes] = True
         self.admissible_pairs = frozenset(
             (c // n + 1, c % n + 1) for c in np.flatnonzero(seen).tolist())
 
@@ -266,9 +266,10 @@ def parse_star_spec(spec: dict) -> GermGroupoid:
     {"n": 4, "generators": ["(1 2)", "(3 4)"]}   generated subgroup
 
     A malformed spec raises ``ValueError``, one that is not a JSON object,
-    one naming both a group and generators or one carrying any other key
-    included, and so do more than ``MAX_STAR_EDGES`` edges and a group with
-    more than ``MAX_STAR_GROUP_ORDER`` elements (``GroupTooLarge``): a named
+    one naming both a group and generators, one carrying any other key and
+    one whose generators are not a list included, and so do more than
+    ``MAX_STAR_EDGES`` edges and a group with more than
+    ``MAX_STAR_GROUP_ORDER`` elements (``GroupTooLarge``): a named
     group's order is computed before the group is built, and a generated
     group's closure stops at that order.
     """
@@ -292,7 +293,7 @@ def _parse_star_spec(spec):
     if "generators" in spec:
         if "group" in spec:
             raise ValueError("star spec names both a group and generators; give one")
-        gens = [parse_cycles(s, n) for s in spec["generators"]]
+        gens = [parse_cycles(s, n) for s in parse_list(spec["generators"], "generators")]
         return GermGroupoid(n, PermGroup.generate(n, gens, limit=MAX_STAR_GROUP_ORDER))
     name = spec.get("group", "trivial")
     if name == "trivial":

@@ -10,7 +10,7 @@ Each group also carries an index over the positions of its elements in
 to position), ``inverse_index``, ``signs`` (each element's sign, the sign
 character), ``fixed_counts`` (each element's number of fixed points),
 ``fixing`` (the non-identity elements with a fixed point), the
-(i, sigma(i)) incidence ``pair_incidence``, the integer Cayley table
+(i, sigma(i)) codes ``pair_codes``, the integer Cayley table
 ``table`` and ``chi_minimal_polynomial``, the integer minimal polynomial of
 the fixed-point count as an element of the group algebra.  Every loop over
 pairs of group elements reads its products from the table instead of
@@ -186,6 +186,15 @@ def parse_count(value, name: str) -> int:
             or isinstance(value, str) and value.strip().isdecimal()):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(value)
+
+
+def parse_list(value, name: str):
+    """A list from a JSON spec.  A string, which iteration would read
+    character by character, or any other value that is not a list raises
+    ``ValueError`` naming the key."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, not {value!r}")
+    return value
 
 
 def refuse_unknown_keys(spec, known, what: str) -> None:
@@ -389,24 +398,28 @@ class PermGroup:
         return np.flatnonzero((counts > 0) & (counts < self.n))
 
     @cached_property
-    def pair_incidence(self) -> np.ndarray:
-        """The (i, sigma(i)) incidence, as int64: entry [(i-1)*n + (j-1), k]
-        is 1 when elements[k] sends i to j.  ``pair_incidence @ x`` sums a
-        vector x over the elements sending i to j, and ``y @ pair_incidence``
-        is the transposed map."""
-        n, m = self.n, len(self)
-        inc = np.zeros((n * n, m), dtype=np.int64)
-        inc[np.arange(n) * n + self._images, np.arange(m)[:, None]] = 1
-        return inc
+    def pair_codes(self) -> np.ndarray:
+        """The (i, sigma(i)) incidence as codes: row k holds the 0-based codes
+        (i-1)*n + sigma(i)-1, i = 1..n, for sigma = elements[k]."""
+        return np.arange(self.n) * self.n + self._images
+
+    @cached_property
+    def pair_code_rows(self) -> tuple:
+        """``pair_codes`` as a tuple of int tuples, for Python loops."""
+        return tuple(map(tuple, self.pair_codes.tolist()))
 
     def chi_times(self, x) -> list:
         """Q x for Q = P^T P, P the pair incidence, and x an integer vector
         over the element positions.  Q[s, t] = #{i : s(i) = t(i)}, so Q is
         the convolution by chi, the central element whose value at s is the
-        number of points s fixes.  Two products with ``pair_incidence``."""
-        inc = self.pair_incidence
-        pairs = (inc @ _int_array(x)).tolist()
-        return (_int_array(pairs) @ inc).tolist()
+        number of points s fixes.  P x is one exact ``np.add.at`` scatter over
+        ``pair_codes`` and P^T a gather-sum over them, in int64 while
+        ``_int_array`` admits it and in Python ints past it."""
+        codes = self.pair_codes
+        x = _int_array(x)
+        pairs = np.zeros(self.n * self.n, dtype=x.dtype)
+        np.add.at(pairs, codes.ravel(), x.repeat(self.n))
+        return _int_array(pairs.tolist())[codes].sum(1).tolist()
 
     @cached_property
     def chi_minimal_polynomial(self) -> tuple:

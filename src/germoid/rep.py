@@ -9,28 +9,29 @@ representation pi has one form: its entries are the pair sums
 denominator, and pi(x) is the permutation matrix of tau exactly when they
 are 1 at the pairs (i, tau(i)) and 0 elsewhere.  The minimum-norm preimage
 of pi(tau) is Q^+ P^T t over the group's (i, sigma(i)) pair incidence P,
-for t tau's 0/1 pattern and Q = P^T P, the convolution by the fixed-point
-count chi.  One path serves every group: chi is central, so its minimal
-polynomial mu has integer roots and no root has to be found, and Q^+ is a
-polynomial in Q read off mu's coefficients (Serre, Linear Representations
-of Finite Groups, 2.4 and 6.2).  The unitary produced for tau is verified
-algebraically with zero tolerance rather than assumed.
+held as the codes ``PermGroup.pair_codes``, for t tau's 0/1 pattern and
+Q = P^T P, the convolution by the fixed-point count chi.  One path serves
+every group: chi is central, so its minimal polynomial mu has integer
+roots and no root has to be found, and Q^+ is a polynomial in Q read off
+mu's coefficients (Serre, Linear Representations of Finite Groups, 2.4
+and 6.2).  The unitary produced for tau is verified algebraically with
+zero tolerance rather than assumed.
 
 Group-algebra elements are ``algebra.GroupAlgebraElement``, re-exported
 here: integer numerators over one denominator, indexed by position in the
 group's elements.  Pair sums, ``phi`` and each product by Q are sums over
-the pair incidence; none of them builds a ``Scalar`` per group element.
+the pair codes; none of them builds a ``Scalar`` per group element.
 
 The pipeline reads no Cayley table.  The kernel projection p multiplies
 as x - r(Q) x, for r(Q) the projection onto the range of Q read off mu, so
-p = p delta_e and p p = p are checked by round trips through the pair
-incidence, and centrality is invariance under conjugation by the
-generators, a relabelling of positions.  Unitarity is not checked by
-products either: pi is injective on (1 - p) C[G], so an element w with
-pi(w) unitary and p w = p is unitary.  That decides v in the group
-algebra.  The normalizer u = phi(v) is not checked again: phi is a
-*-homomorphism, so u is unitary once u is phi(v), which the builder checks
-by comparing u's center with v and its strips with tau's pattern.
+p = p delta_e and p p = p are checked by products by Q, each a scatter and
+a gather over the pair codes, and centrality is invariance under
+conjugation by the generators, a relabelling of positions.  Unitarity is
+not checked by products either: pi is injective on (1 - p) C[G], so an
+element w with pi(w) unitary and p w = p is unitary.  That decides v in
+the group algebra.  The normalizer u = phi(v) is not checked again: phi is
+a *-homomorphism, so u is unitary once u is phi(v), which the builder
+checks by comparing u's center with v and its strips with tau's pattern.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def min_norm_preimage(group: PermGroup, tau: Permutation) -> GroupAlgebraElement
     integrated representation that is orthogonal to its kernel in the
     coefficient inner product.
 
-    With P the pair incidence (``group.pair_incidence``, n^2 x |G|) and t
+    With P the pair incidence (|G| x n codes ``group.pair_codes``) and t
     tau's 0/1 pattern, the preimage is Q^+ b for b = P^T t and Q = P^T P,
     the convolution by chi (``group.chi_times``); b(s) = #{i : s(i) = tau(i)}.
     Write chi's minimal polynomial (``group.chi_minimal_polynomial``) as
@@ -185,8 +186,8 @@ def _chi_polynomial(x: GroupAlgebraElement, coeffs, den: int) -> GroupAlgebraEle
 
 
 def _kernel_part(x: GroupAlgebraElement) -> GroupAlgebraElement:
-    """p x, for p the kernel projection of x's group, by round trips through
-    the pair incidence rather than a product with p.
+    """p x, for p the kernel projection of x's group, by products by Q
+    (``group.chi_times``) rather than a product with p.
 
     Write mu = x (h_0 + x g) when 0 is a root of mu.  Then r(Q) =
     -Q g(Q) / h_0 is the orthogonal projection onto range(Q), as in
@@ -254,17 +255,17 @@ def _is_central(x: GroupAlgebraElement) -> bool:
     return True
 
 
-def _is_unitary_lift(w: GroupAlgebraElement) -> bool:
+def _is_unitary_lift(w: GroupAlgebraElement, p: GroupAlgebraElement) -> bool:
     """Whether p w = p, for p the kernel projection of w's group, which
-    makes w unitary once pi(w) is unitary.  Both sides are round trips
-    (``_kernel_part``): p is p delta_e, as ``kernel_projection`` verifies.
+    makes w unitary once pi(w) is unitary.  p w is ``_kernel_part(w)``:
+    p is p delta_e, as ``kernel_projection`` verifies.
 
     p is central, so w = p + (1 - p) w and w* w = p + (1 - p) w* w.  The
     second term lies in (1 - p) C[G], where pi is injective since p C[G] is
     its kernel, and maps to pi(w)* pi(w) = I = pi(1 - p).  So it is 1 - p,
     and w* w = 1; likewise w w* = 1.
     """
-    return _kernel_part(w) == _kernel_part(GroupAlgebraElement.unit(w.group))
+    return _kernel_part(w) == p
 
 
 def build_unitary_v(group: PermGroup, tau: Permutation) -> GroupAlgebraElement:
@@ -281,7 +282,7 @@ def build_unitary_v(group: PermGroup, tau: Permutation) -> GroupAlgebraElement:
     v = min_norm_preimage(group, tau) + p
     if not _maps_to(v, tau):
         raise InternalCheckError("constructed element misses the target")
-    if not _is_unitary_lift(v):
+    if not _is_unitary_lift(v, p):
         raise InternalCheckError("constructed element is not unitary")
     return v
 

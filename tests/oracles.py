@@ -760,6 +760,18 @@ def rref_preimage(target: Matrix, group) -> GroupAlgebraElement:
     return result
 
 
+def pair_incidence(group) -> np.ndarray:
+    """The dense (i, sigma(i)) incidence P, n^2 x |G|, read off the
+    elements' images: entry [(i-1)*n + (j-1), k] is 1 when elements[k]
+    sends i to j.  An object array, so products with it are exact."""
+    n = group.n
+    inc = np.zeros((n * n, len(group)), dtype=object)
+    for k, s in enumerate(group.elements):
+        for i, j in enumerate(s.images, 1):
+            inc[(i - 1) * n + (j - 1), k] = 1
+    return inc
+
+
 def fourier_preimage(target: Matrix, group) -> GroupAlgebraElement:
     """min_norm_preimage for a 2-transitive group and a target in the image,
     in closed form, as P^T y over the pair incidence P.  2-transitivity
@@ -781,7 +793,7 @@ def fourier_preimage(target: Matrix, group) -> GroupAlgebraElement:
     y = [(scale * t - shift) / den for t in cells]
     # P^T y over the lcm of y's denominators, in the row order of P
     d = lcm(*[x._d for x in y])
-    inc = group.pair_incidence
+    inc = pair_incidence(group)
     re = (_int_array([x._a * (d // x._d) for x in y]) @ inc).tolist()
     im = (_int_array([x._b * (d // x._d) for x in y]) @ inc).tolist()
     return _reduced(group, range(len(group)), re, im, d)

@@ -394,6 +394,38 @@ def test_explicit_spec_rejects_repeated_ids(spec, message, witness, tmp_path, ca
     assert line.startswith(f"error: bad finite spec: {message};") and "\n" not in line
 
 
+_EXPLICIT_Z2 = {"units": ["x"], "arrows": _Z2_ARROWS, "compose": _Z2_COMPOSE}
+
+
+# each string here used to be read character by character, or to fail as
+# malformed cycle notation; a string (or any non-list) is refused by key
+_STRINGS_FOR_LISTS = {
+    "group_generators": {"transformation": {"points": 3, "group_generators": "(1 2 3)"}},
+    "action": {"transformation": {"points": 1, "group_degree": 3,
+                                  "group_generators": ["(1 2)"], "action": "()"}},
+    "blocks": {"equivalence": {"blocks": "ab"}},
+    "block": {"equivalence": {"blocks": ["ab"]}},
+    "units": {**_EXPLICIT_Z2, "units": "x"},
+    "arrows": {**_EXPLICIT_Z2, "arrows": "xg"},
+    "compose": {**_EXPLICIT_Z2, "compose": "xxx"},
+    "compose entry": {**_EXPLICIT_Z2, "compose": _Z2_COMPOSE[:3] + ["ggx"]},
+    "inverse": {**_EXPLICIT_Z2, "inverse": "xxgg"},
+    "inverse entry": {**_EXPLICIT_Z2, "inverse": ["xx", "gg"]},
+}
+
+
+@pytest.mark.parametrize("key", list(_STRINGS_FOR_LISTS))
+def test_a_string_where_a_list_belongs_is_refused_by_key(key, tmp_path, capsys):
+    spec = _STRINGS_FOR_LISTS[key]
+    with pytest.raises(ValueError, match=f"^{key} must be a list, not '"):
+        parse_finite_spec(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli_main(["finite", "--spec", str(path)]) == 1
+    line = capsys.readouterr().err.strip()
+    assert line.startswith(f"error: bad finite spec: {key} must be a list") and "\n" not in line
+
+
 def test_parse_rejects_unknown():
     with pytest.raises(ValueError):
         parse_finite_spec({"nonsense": 1})

@@ -1,3 +1,4 @@
+import json
 import time
 from itertools import islice
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from germoid.cli import main as cli_main
 from germoid.germs import (
     MAX_STAR_EDGES,
     MAX_STAR_GROUP_ORDER,
@@ -264,6 +266,19 @@ def test_oversized_star_groups_are_refused_fast(spec):
     with pytest.raises(GroupTooLarge):
         parse_star_spec(spec)
     assert time.monotonic() - started < 1.0
+
+
+def test_star_generators_given_as_a_string_are_refused_by_key(tmp_path, capsys):
+    # a string used to be read character by character, and failed as the
+    # malformed cycle notation "("
+    spec = {"n": 3, "generators": "(1 2 3)"}
+    with pytest.raises(ValueError, match="^generators must be a list, not '"):
+        parse_star_spec(spec)
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(spec))
+    assert cli_main(["diagnose", "--spec", str(path)]) == 1
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("error: bad star spec: generators must be a list") and "\n" not in line
 
 
 @pytest.mark.parametrize("n", [MAX_STAR_EDGES + 1, 10**6, 1e17, "33660080802"])

@@ -1,8 +1,8 @@
 """The integer group-algebra vector against the {Permutation: Scalar} dict
 forms in tests/oracles.py: product, sum, scale, involution, gluing sums,
 equality and hash, on the cross, A4, A5 and a group without recorded
-generators, through the Python loop, the int64 numpy product and the
-object-array product past int64."""
+generators.  Products run through the Python loop, the int64 numpy product
+and the object-array product past int64."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -30,8 +30,8 @@ GROUPS = {
     "A5": PermGroup.alternating(5),
     "S4 without generators": PermGroup(4, PermGroup.symmetric(4).elements),
 }
-# SMALL_PRODUCT and SMALL_SUMS per path: every product and gluing sum of two
-# or more values through the Python loop, or all of them through numpy
+# SMALL_PRODUCT per path: every product of two or more values through the
+# Python loop, or all of them through numpy
 PATHS = {"python": 10**9, "numpy": 0}
 # numerators near 2^40 over small denominators push every product past int64
 SPANS = {"int64": 4, "object": 2**40}
@@ -39,12 +39,12 @@ SPANS = {"int64": 4, "object": 2**40}
 
 @contextmanager
 def _path(name):
-    saved = germoid.algebra.SMALL_PRODUCT, germoid.algebra.SMALL_SUMS
-    germoid.algebra.SMALL_PRODUCT = germoid.algebra.SMALL_SUMS = PATHS[name]
+    saved = germoid.algebra.SMALL_PRODUCT
+    germoid.algebra.SMALL_PRODUCT = PATHS[name]
     try:
         yield
     finally:
-        germoid.algebra.SMALL_PRODUCT, germoid.algebra.SMALL_SUMS = saved
+        germoid.algebra.SMALL_PRODUCT = saved
 
 
 def _scalars(span):

@@ -14,7 +14,13 @@ from germoid.perms import (
     parse_count,
     parse_cycles,
 )
-from oracles import cycle_string_by_cycles, cycles_by_set_walk, hom_by_table, sign_by_cycles
+from oracles import (
+    cycle_string_by_cycles,
+    cycles_by_set_walk,
+    hom_by_table,
+    pair_incidence,
+    sign_by_cycles,
+)
 
 perm4_st = st.permutations(range(1, 5)).map(Permutation)
 
@@ -305,3 +311,20 @@ def test_index_is_built_once_per_group():
     assert G.table is G.table
     assert G.inverse_index is G.inverse_index
     assert G.fixing is G.fixing
+
+
+# values whose sums fit int64; whose P x fits but whose P^T P x may not, on
+# the larger groups; whose P x does not; and values past int64 themselves
+@pytest.mark.parametrize("span", [9, 2**53, 2**62, 2**70])
+@pytest.mark.parametrize("group", [
+    *(pytest.param(PermGroup.alternating(n), id=f"A{n}") for n in range(3, 7)),
+    pytest.param(PermGroup(4, PermGroup.symmetric(4).elements), id="S4 without generators"),
+    pytest.param(PermGroup.generate(3, [parse_cycles("(1 2)", 3)]), id="Z2 on 3 points"),
+])
+def test_chi_times_is_p_transpose_p_over_the_dense_incidence(group, span):
+    rng = random.Random(span)
+    x = [rng.randint(-span, span) for _ in group]
+    inc = pair_incidence(group)
+    got = group.chi_times(x)
+    assert got == ((inc @ np.array(x, dtype=object)) @ inc).tolist()
+    assert all(type(v) is int for v in got)

@@ -555,7 +555,7 @@ def test_table_free_checks_agree_with_the_dense_products(group, taus):
         # doubling the p-part keeps pi(v) but breaks unitarity, unless p = 0
         for w, unitary in ((v, True), (v + p, p.is_zero())):
             assert integrated_rep(w) == perm_rep(tau)
-            assert _is_unitary_lift(w) is is_unitary_by_products(w) is unitary
+            assert _is_unitary_lift(w, p) is is_unitary_by_products(w) is unitary
             assert is_unitary_by_products(phi(w, G)) is unitary
     assert lifted > 0
 
