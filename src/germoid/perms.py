@@ -159,10 +159,10 @@ def parse_cycles(text: str, n: int) -> Permutation:
         parts = m.group(1).split()
         if not parts:
             continue  # "()" term: identity
-        try:
-            entries = [int(p) for p in parts]
-        except ValueError:
-            raise CycleParseError(f"malformed cycle notation: {text!r}") from None
+        # decimal digits only: int() would also read "1_0" as 10 and "+1" as 1
+        if not all(p.isdecimal() for p in parts):
+            raise CycleParseError(f"malformed cycle notation: {text!r}")
+        entries = [int(p) for p in parts]
         for e in entries:
             if not 1 <= e <= n:
                 raise CycleParseError(f"symbol {e} out of range 1..{n}")

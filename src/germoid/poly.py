@@ -16,9 +16,12 @@ with t = +-d/gcd(d, f); with unequal lengths the top pair comes from one
 operand alone and cannot cancel, so only equal lengths trim trailing zero
 pairs, and either way one gcd divides.  Each of the three operations has
 one straight-line kernel per pair of operand sizes up to
-``PMUL_KERNEL_PAIRS`` = 5 coefficient pairs (degree 4): it unpacks both
-tuples and writes each output pair as one sum.  All kernels come from one
-source generator, compiled on the first use of each operation and size and
+``PMUL_KERNEL_PAIRS`` = 5 coefficient pairs (degree 4).  It unpacks both
+tuples, writes each output pair as one sum into locals, takes one gcd of
+them all, and returns the canonical tuple, divided when the gcd is above 1.
+It builds no list: only an equal-length sum whose top pair cancels hands
+its terms to ``_canon`` to trim.  All kernels come from one source
+generator, compiled on the first use of each operation and size and
 cached, so importing the module compiles none; an operand of higher degree
 takes the loop (``_pmul_loop``, ``_combine``).  ``pneg``, ``pconj`` and
 ``pscale`` act on the integers directly, and ``_horner`` evaluates a piece
@@ -29,23 +32,27 @@ them in, ``coeffs`` hands a piece's coefficients out, and ``peval`` and
 
 A PiecewisePoly carries rational breakpoints 0 = b0 < ... < bm = 1 and one
 piece per interval (b_k, b_{k+1}], with matching values at interior
-breakpoints.  Binary operations work piece by piece on the common
-refinement of the two breakpoint tuples.  ``_merge`` builds it in one linear
-pass, comparing two breakpoints x, y by the integers
-x.numerator*y.denominator and y.numerator*x.denominator; equal tuples come
-back as they are.  Every such int pair, there, in the validating constructor
-and in ``PiecewisePoly.__call__``, is read by one ``as_integer_ratio()``
-call.  Both constructor paths merge equal neighbouring pieces, so the zero
+breakpoints.  A binary operation is one walk over the breakpoints:
+``_merge`` steps through both tuples once, applies the operation to each
+pair of pieces over the common refinement as it goes, and returns the
+refined breakpoints with the results.  These go to the trusted
+constructor, which still merges equal neighbours.  The walk compares two
+breakpoints x, y by the integers x.numerator*y.denominator and
+y.numerator*x.denominator; equal tuples come back as they are.  Every such
+int pair, there, in the validating constructor and in
+``PiecewisePoly.__call__``, is read by one ``as_integer_ratio()`` call.
+Both constructor paths merge equal neighbouring pieces, so the zero
 function has the one empty piece and ``is_zero`` is one tuple comparison.
-``common_refinement`` folds the same merge over any number of piecewise
-polynomials.  A product with a constant factor, one
-piece of degree at most 0, takes no merge: the constant 1 returns the other
-factor itself, the constant 0 returns the zero function, and any other
-constant c maps each piece q of the other factor to ``pmul(c, q)`` over its
-breakpoints.  Those are the tuples the merge path gives, since a nonzero
+``common_refinement`` runs the same walker, with an operation that pairs
+each refined piece's index with its polynomial, over any number of
+piecewise polynomials.  A product with a constant factor, one piece of
+degree at most 0, takes no walk: the constant 1 returns the other factor
+itself, the constant 0 returns the zero function, and any other constant c
+maps each piece q of the other factor to ``pmul(c, q)`` over its
+breakpoints.  Those are the tuples the walk gives, since a nonzero
 constant keeps distinct neighbouring pieces distinct.  The unitary
 normalizers' strips are such constants, so their products with a sampled
-function cost no merge and, for the constant 1, no ``pmul``.
+function cost no walk and, for the constant 1, no ``pmul``.
 
 There are two constructor paths.  The trusted path,
 ``PiecewisePoly(breaks, polys, _checked=True)``, takes its arguments as
@@ -200,19 +207,30 @@ _PADD_KERNELS: dict = {}
 _PSUB_KERNELS: dict = {}
 
 
-def _kernel(name: str, m: int, n: int, body, end: str, terms):
+def _kernel(name: str, m: int, n: int, body, terms, trim: bool):
     """The function name(p, q) for an m-pair piece p = (d, a0, b0, ...) and
-    an n-pair piece q = (f, c0, e0, ...): it unpacks both tuples, runs the
-    lines of body, and returns end([terms]).  Every name in its source is
-    built from integer indices."""
+    an n-pair piece q = (f, c0, e0, ...).  It unpacks both tuples, runs the
+    lines of body, writes the denominator ``terms[0]`` to w and pair k
+    ``terms[2k+1], terms[2k+2]`` to xk, yk, takes one gcd g of them all, and
+    returns the canonical tuple (w, x0, y0, ...), divided by g when g > 1.
+    With trim it first hands a cancelled top pair to ``_canon``.  Every name
+    in its source is built from integer indices."""
+    names = ["w"] + [f"{v}{k}" for k in range(len(terms) // 2) for v in "xy"]
+    out = ", ".join(names)
     source = "\n".join([
         f"def {name}(p, q):",
         "    d, " + ", ".join(f"a{i}, b{i}" for i in range(m)) + " = p",
         "    f, " + ", ".join(f"c{j}, e{j}" for j in range(n)) + " = q",
         *[f"    {line}" for line in body],
-        f"    return {end}([" + ", ".join(terms) + "])",
+        *[f"    {v} = {t}" for v, t in zip(names, terms)],
+        *([f"    if not ({names[-2]} or {names[-1]}):", f"        return _canon([{out}])"]
+          if trim else []),
+        f"    g = gcd({out})",
+        "    if g == 1:",
+        f"        return ({out})",
+        "    return (" + ", ".join(f"{v} // g" for v in names) + ")",
     ])
-    namespace = {"_reduce": _reduce, "_canon": _canon, "gcd": gcd}
+    namespace = {"_canon": _canon, "gcd": gcd}
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace[name]
 
@@ -220,13 +238,14 @@ def _kernel(name: str, m: int, n: int, body, end: str, terms):
 def _pmul_kernel(m: int, n: int):
     """The straight-line product of an m-pair and an n-pair piece: pair k of
     the result is the sum over i + j = k of (a_i c_j - b_i e_j,
-    a_i e_j + b_i c_j), over d*f."""
+    a_i e_j + b_i c_j), over d*f.  A product of nonzero pieces has a nonzero
+    top pair, so it never trims."""
     terms = ["d * f"]
     for k in range(m + n - 1):
         ij = [(i, k - i) for i in range(max(0, k - n + 1), min(m, k + 1))]
         terms.append(" + ".join(f"a{i} * c{j} - b{i} * e{j}" for i, j in ij))
         terms.append(" + ".join(f"a{i} * e{j} + b{i} * c{j}" for i, j in ij))
-    return _kernel(f"pmul_{m}x{n}", m, n, (), "_reduce", terms)
+    return _kernel(f"pmul_{m}x{n}", m, n, (), terms, trim=False)
 
 
 def _sum_kernel(m: int, n: int, sign: int):
@@ -234,14 +253,15 @@ def _sum_kernel(m: int, n: int, sign: int):
     lcm(d, f) = d*s with s = f/g, g = gcd(d, f): pair k of the result is
     (a_k s + c_k t, b_k s + e_k t) with t = sign*d/g, without the terms of a
     piece shorter than k + 1 pairs.  With unequal lengths the top pair comes
-    from one piece alone and cannot cancel, so only equal lengths trim."""
+    from one piece alone and cannot cancel, so only equal lengths check it
+    and, when it cancels, trim by ``_canon``."""
     terms = ["d * s"]
     for k in range(max(m, n)):
         for x, y in ((f"a{k}", f"c{k}"), (f"b{k}", f"e{k}")):
             terms.append(" + ".join([f"{x} * s"] * (k < m) + [f"{y} * t"] * (k < n)))
     body = ("g = gcd(d, f)", "s = f // g", "t = d // g" if sign > 0 else "t = -(d // g)")
     name = f"{'padd' if sign > 0 else 'psub'}_{m}x{n}"
-    return _kernel(name, m, n, body, "_canon" if m == n else "_reduce", terms)
+    return _kernel(name, m, n, body, terms, trim=m == n)
 
 
 def pmul(p, q):
@@ -396,13 +416,9 @@ class PiecewisePoly:
             bn, bd = breaks[k].as_integer_ratio()
         return peval(self.polys[k - 1], t)
 
-    def _aligned(self, other):
-        """(breaks, mine, theirs): both functions' pieces on the common refinement."""
-        return _merge(self.breaks, self.polys, other.breaks, other.polys)
-
     def _zip(self, other, op):
-        breaks, mine, theirs = self._aligned(other)
-        return PiecewisePoly(breaks, [op(p, q) for p, q in zip(mine, theirs)], _checked=True)
+        return PiecewisePoly(*_merge(self.breaks, self.polys, other.breaks, other.polys, op),
+                             _checked=True)
 
     def __add__(self, other):
         return self._zip(other, padd)
@@ -411,9 +427,9 @@ class PiecewisePoly:
         return self._zip(other, psub)
 
     def __mul__(self, other):
-        # a constant factor (one piece of degree at most 0) needs no merge; a
+        # a constant factor (one piece of degree at most 0) needs no walk; a
         # nonzero constant keeps distinct neighbouring pieces distinct, so
-        # these are the tuples the merge path gives
+        # these are the tuples the walk gives
         if len(self.polys) == 1 and len(self.polys[0]) <= 3:
             k, f = self, other
         elif len(other.polys) == 1 and len(other.polys[0]) <= 3:
@@ -472,30 +488,31 @@ class PiecewisePoly:
         return f"PiecewisePoly[{bits}]"
 
 
-def _merge(xs, a, ys, b):
-    """Align the per-piece sequences a (over breaks xs) and b (over ys).
+def _merge(xs, a, ys, b, op):
+    """Walk the common refinement of xs and ys once, applying op.
 
-    xs and ys are strictly increasing Fraction tuples from 0 to 1.  Returns
-    (breaks, a', b') where breaks is their common refinement and a'[k], b'[k]
-    are the entries of a and b whose pieces contain refined piece k.
+    xs and ys are strictly increasing Fraction tuples from 0 to 1, and a and
+    b hold one entry per piece of xs and of ys.  Returns (breaks, results):
+    breaks is the common refinement, and results[k] is op(a_i, b_j) for the
+    entries whose pieces contain refined piece k.
     """
     if len(xs) == 2:
-        return ys, [a[0]] * len(b), b
+        p = a[0]
+        return ys, [op(p, q) for q in b]
     if len(ys) == 2:
-        return xs, a, [b[0]] * len(a)
+        q = b[0]
+        return xs, [op(p, q) for p in a]
     if len(xs) == len(ys) and xs == ys:
-        return xs, a, b
+        return xs, list(map(op, a, b))
     breaks = [xs[0]]
-    ma = []
-    mb = []
+    out = []
     i = j = 1
     last = len(xs) - 1
     x, y = xs[1], ys[1]
     xn, xd = x.as_integer_ratio()
     yn, yd = y.as_integer_ratio()
     while True:
-        ma.append(a[i - 1])
-        mb.append(b[j - 1])
+        out.append(op(a[i - 1], b[j - 1]))
         left, right = xn * yd, yn * xd
         if left < right:
             breaks.append(x)
@@ -510,12 +527,17 @@ def _merge(xs, a, ys, b):
         else:
             breaks.append(x)
             if i == last:  # both tuples end at 1
-                return breaks, ma, mb
+                return breaks, out
             i += 1
             j += 1
             x, y = xs[i], ys[j]
             xn, xd = x.as_integer_ratio()
             yn, yd = y.as_integer_ratio()
+
+
+def _pair(k, p):
+    """The walker's op for ``common_refinement``: an index with a piece."""
+    return k, p
 
 
 def common_refinement(pps):
@@ -525,7 +547,8 @@ def common_refinement(pps):
     breaks = pps[0].breaks
     columns = [pps[0].polys]
     for pp in pps[1:]:
-        merged, left, right = _merge(breaks, range(len(breaks) - 1), pp.breaks, pp.polys)
+        merged, pairs = _merge(breaks, range(len(breaks) - 1), pp.breaks, pp.polys, _pair)
+        left, right = zip(*pairs)
         if len(merged) != len(breaks):
             columns = [[col[k] for k in left] for col in columns]
         columns.append(right)

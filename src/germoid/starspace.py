@@ -8,7 +8,9 @@ An open set keeps each edge's intervals in normal form: sorted by left
 endpoint, with overlapping intervals merged (touching open intervals (a,b)
 and (b,c) stay apart, since b is missing).  Endpoints are ``Fraction``s and
 are compared over the integers: x < y is x.numerator*y.denominator <
-y.numerator*x.denominator, as in ``poly._merge``.  Trusted path:
+y.numerator*x.denominator, as in ``poly._merge``.  Each sweep reads an
+endpoint's int pair once, with one ``as_integer_ratio()`` call, and keeps
+it while the endpoint stays current.  Trusted path:
 ``OpenStarSet(n, contains_center, edges, _checked=True)`` takes its
 arguments as given.  Its caller must pass a tuple of n normal interval
 tuples, each starting at 0 if the set contains the center; ``act``,
@@ -87,10 +89,10 @@ def _norm_intervals(intervals):
     ivs = []
     for a, b, inc in intervals:
         a, b = _frac(a), _frac(b)
-        bn, bd = b.numerator, b.denominator
+        bn, bd = b.as_integer_ratio()
         if inc and bn != bd:
             raise ValueError("a closed right endpoint is only allowed at 1")
-        an, ad = a.numerator, a.denominator
+        an, ad = a.as_integer_ratio()
         if not (an >= 0 and an * bd < bn * ad and bn <= bd):
             raise ValueError(f"bad interval ({a},{b})")
         ivs.append((a, b, bool(inc)))
@@ -104,33 +106,44 @@ def _merge_sorted(ivs):
     """Normal form of valid intervals given in order of left endpoint."""
     out = []
     for a, b, inc in ivs:
+        bn, bd = b.as_integer_ratio()
         if out:
-            pa, pb, pinc = out[-1]
-            pn, pd = pb.numerator, pb.denominator
-            if a.numerator * pd < pn * a.denominator:
-                x, y = b.numerator * pd, pn * b.denominator
+            # pn/pd is the right endpoint of out[-1]
+            an, ad = a.as_integer_ratio()
+            if an * pd < pn * ad:
+                x, y = bn * pd, pn * bd
                 if x > y:
-                    out[-1] = (pa, b, inc)
+                    out[-1] = (out[-1][0], b, inc)
+                    pn, pd = bn, bd
                 elif x == y:
+                    pa, pb, pinc = out[-1]
                     out[-1] = (pa, pb, pinc or inc)
                 # else the new interval is contained in the previous one
                 continue
         out.append((a, b, inc))
+        pn, pd = bn, bd
     return tuple(out)
 
 
 def _interleave(xs, ys):
-    """The intervals of two normal tuples in order of left endpoint."""
+    """The intervals of two nonempty normal tuples in order of left endpoint."""
     i = j = 0
     nx, ny = len(xs), len(ys)
-    while i < nx and j < ny:
-        x, y = xs[i][0], ys[j][0]
-        if y.numerator * x.denominator < x.numerator * y.denominator:
+    xn, xd = xs[0][0].as_integer_ratio()
+    yn, yd = ys[0][0].as_integer_ratio()
+    while True:
+        if yn * xd < xn * yd:
             yield ys[j]
             j += 1
+            if j == ny:
+                break
+            yn, yd = ys[j][0].as_integer_ratio()
         else:
             yield xs[i]
             i += 1
+            if i == nx:
+                break
+            xn, xd = xs[i][0].as_integer_ratio()
     yield from xs[i:]
     yield from ys[j:]
 
@@ -148,26 +161,46 @@ def _intersect_intervals(xs, ys):
     they come out sorted and disjoint, so already normal."""
     if xs is ys:
         return xs
+    if not xs or not ys:
+        return ()
     out = []
     i = j = 0
     nx, ny = len(xs), len(ys)
-    while i < nx and j < ny:
-        a1, b1, c1 = xs[i]
-        a2, b2, c2 = ys[j]
-        a = a2 if a1.numerator * a2.denominator < a2.numerator * a1.denominator else a1
-        x, y = b1.numerator * b2.denominator, b2.numerator * b1.denominator
-        if x < y:
-            b, inc = b1, c1
-            i += 1
-        elif y < x:
-            b, inc = b2, c2
-            j += 1
+    a1, b1, c1 = xs[0]
+    a1n, a1d = a1.as_integer_ratio()
+    b1n, b1d = b1.as_integer_ratio()
+    a2, b2, c2 = ys[0]
+    a2n, a2d = a2.as_integer_ratio()
+    b2n, b2d = b2.as_integer_ratio()
+    while True:
+        # (a, b] or (a, b) is the intersection of the current two intervals
+        if a1n * a2d < a2n * a1d:
+            a, an, ad = a2, a2n, a2d
         else:
-            b, inc = b1, c1 and c2
-            i += 1
-            j += 1
-        if a.numerator * b.denominator < b.numerator * a.denominator:
+            a, an, ad = a1, a1n, a1d
+        x, y = b1n * b2d, b2n * b1d
+        if x < y:
+            b, bn, bd, inc = b1, b1n, b1d, c1
+        elif y < x:
+            b, bn, bd, inc = b2, b2n, b2d, c2
+        else:
+            b, bn, bd, inc = b1, b1n, b1d, c1 and c2
+        if an * bd < bn * ad:
             out.append((a, b, inc))
+        if x <= y:
+            i += 1
+            if i == nx:
+                break
+            a1, b1, c1 = xs[i]
+            a1n, a1d = a1.as_integer_ratio()
+            b1n, b1d = b1.as_integer_ratio()
+        if y <= x:
+            j += 1
+            if j == ny:
+                break
+            a2, b2, c2 = ys[j]
+            a2n, a2d = a2.as_integer_ratio()
+            b2n, b2d = b2.as_integer_ratio()
     return tuple(out)
 
 

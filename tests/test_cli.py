@@ -100,6 +100,8 @@ def test_malformed_tau_is_a_real_failure(capsys):
     assert run(["star", "--n", "4", "--tau", "(1 2"]) == 1
     assert run(["star", "--n", "4", "--tau", "(1 9)"]) == 1
     assert run(["star", "--n", "1", "--tau", "()"]) == 1
+    assert run(["star", "--n", "4", "--tau", "(+1 2)"]) == 1
+    assert capsys.readouterr().err.endswith("error: --tau: malformed cycle notation: '(+1 2)'\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -192,6 +194,18 @@ def test_diagnose_bad_spec(tmp_path, capsys):
     ("finite", {"transformation": {"points": None}}, "points must be an integer, not None"),
 ])
 def test_spec_counts_that_are_not_integers_are_refused(command, spec, message, tmp_path, capsys):
+    _assert_refused(command, spec, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("diagnose", {"n": 10, "generators": ["(1_0 2)", "(1 2 3)"]},
+     "malformed cycle notation: '(1_0 2)'"),
+    ("finite", {"transformation": {"points": 3, "group_generators": ["(+1 2)"]}},
+     "malformed cycle notation: '(+1 2)'"),
+])
+def test_cycle_symbols_that_are_not_decimal_digits_are_refused(
+    command, spec, message, tmp_path, capsys
+):
     _assert_refused(command, spec, message, tmp_path, capsys)
 
 

@@ -69,6 +69,14 @@ def test_parse_rejects_bad_input():
         parse_cycles("(1 x)", 4)
 
 
+@pytest.mark.parametrize("text, n", [("(1_0 2)", 10), ("(+1 2)", 4), ("(1 -2)", 4)])
+def test_parse_reads_symbols_as_decimal_digits_only(text, n):
+    """int() would read "1_0" as 10 and "+1" as 1; like parse_count, the
+    parser takes only strings of decimal digits."""
+    with pytest.raises(CycleParseError, match=r"^malformed cycle notation: "):
+        parse_cycles(text, n)
+
+
 @given(perm4_st, perm4_st, st.integers(min_value=1, max_value=4))
 def test_product_composes_like_functions(s, t, i):
     assert (s * t)(i) == s(t(i))

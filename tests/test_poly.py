@@ -46,6 +46,8 @@ from germoid.poly import (
     PiecewisePoly,
     _canon,
     _combine,
+    _merge,
+    _pair,
     _pmul_loop,
     coeffs,
     common_refinement,
@@ -193,8 +195,14 @@ def _bump_strip(rng, breaks):
 
 # -- the merge ------------------------------------------------------------------------
 
+def _aligned(f, g):
+    """(breaks, mine, theirs) from one walk with the pairing op."""
+    breaks, pairs = _merge(f.breaks, f.polys, g.breaks, g.polys, _pair)
+    return breaks, [p for p, _ in pairs], [q for _, q in pairs]
+
+
 def _same_alignment(f, g):
-    breaks, mine, theirs = f._aligned(g)
+    breaks, mine, theirs = _aligned(f, g)
     o_breaks, o_mine, o_theirs = _aligned_oracle(f, g)
     assert tuple(breaks) == tuple(o_breaks)
     assert all(isinstance(b, Fraction) for b in breaks)
@@ -227,8 +235,8 @@ def test_merge_returns_equal_break_tuples_as_they_are():
     f = _continuous_strip(rng, breaks)
     g = _continuous_strip(rng, tuple(Fraction(b) for b in breaks))
     assert f.breaks == g.breaks
-    merged, mine, theirs = f._aligned(g)
-    assert merged is f.breaks and mine is f.polys and theirs is g.polys
+    merged, pairs = _merge(f.breaks, f.polys, g.breaks, g.polys, _pair)
+    assert merged is f.breaks and pairs == list(zip(f.polys, g.polys))
     _same_alignment(f, g)
 
 
@@ -240,7 +248,7 @@ def test_merge_with_the_trivial_breaks():
         f = _continuous_strip(rng, _random_breaks(rng))
         _same_alignment(trivial, f)
         _same_alignment(f, trivial)
-        merged, _, _ = trivial._aligned(f)
+        merged, _, _ = _aligned(trivial, f)
         assert merged is f.breaks
     _same_alignment(trivial, PiecewisePoly.zero())
 
@@ -611,17 +619,31 @@ def test_trusted_construction_merges_equal_neighbours():
 
 
 def test_random_trusted_products_match_the_validating_constructor():
+    """f * g, f + g and f - g against the validating constructor's rebuild of
+    the kernels applied to the oracle alignment, merged by the oracle loop."""
     rng = random.Random(67)
+    merged = {pmul: 0, padd: 0, psub: 0}
     for _ in range(300):
         f = _continuous_strip(rng, _random_breaks(rng))
-        g = _bump_strip(rng, _random_breaks(rng)) if rng.random() < 0.5 else (
-            _continuous_strip(rng, _random_breaks(rng)))
-        breaks, mine, theirs = f._aligned(g)
-        for op in (pmul, padd, psub):
+        kind = rng.randrange(4)
+        if kind == 0:
+            g = _bump_strip(rng, _random_breaks(rng))
+        elif kind == 1:
+            g = _continuous_strip(rng, _random_breaks(rng))
+        else:
+            # g = h - f or f - h, so that f + g or f - g is h over breaks
+            # finer than h's: its equal neighbours merge
+            h = _continuous_strip(rng, _random_breaks(rng))
+            breaks, hs, fs = _aligned_oracle(h, f)
+            pairs = zip(hs, fs) if kind == 2 else zip(fs, hs)
+            g = PiecewisePoly(breaks, [psub(p, q) for p, q in pairs])
+        breaks, mine, theirs = _aligned_oracle(f, g)
+        for op, result in ((pmul, f * g), (padd, f + g), (psub, f - g)):
             polys = [op(p, q) for p, q in zip(mine, theirs)]
-            trusted = PiecewisePoly(breaks, polys, _checked=True)
-            assert trusted == PiecewisePoly(breaks, polys)
-            assert (trusted.breaks, trusted.polys) == _merged_oracle(breaks, polys)
+            assert result == PiecewisePoly(breaks, polys)
+            assert (result.breaks, result.polys) == _merged_oracle(breaks, polys)
+            merged[op] += len(result.polys) < len(polys)
+    assert min(merged.values()) > 20
 
 
 def test_is_zero_is_every_piece_zero():

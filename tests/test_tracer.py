@@ -9,7 +9,10 @@ of its fixed-point count through ``linalg.rref``.  None of the three adds
 algebra elements or multiplies group-algebra elements (the star pipeline
 checks unitarity without products), so the script makes one
 ``AlgebraElement.__add__`` and one ``GroupAlgebraElement.__mul__`` call of
-its own.
+its own.  It also multiplies two sampled elements of the 4-edge star whose
+strips are all non-constant, so each strip product walks both breakpoint
+tuples; that product must reach ``poly.pmul``, which the walker calls by
+its module name.
 """
 
 import json
@@ -20,12 +23,13 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, random, sys
 sys.path[:0] = [{src!r}, {bench!r}]
 import germoid
 from germoid.algebra import AlgebraElement
 from germoid.cli import main
 from germoid.germs import GermGroupoid
+from germoid.sampling import random_algebra_element
 from tracer import Tracer, install
 
 tracer = Tracer()
@@ -36,7 +40,16 @@ with contextlib.redirect_stdout(io.StringIO()):
 one = AlgebraElement.unit(GermGroupoid.cross())
 one + one
 one.center * one.center
-print(json.dumps({{"codes": codes, "calls": tracer.calls, "counts": tracer.counts}}))
+rng = random.Random(1)
+star = GermGroupoid.star(4)
+f, g = random_algebra_element(star, rng), random_algebra_element(star, rng)
+strips = [*f.strips.values(), *g.strips.values()]
+assert not any(len(pp.polys) == 1 and len(pp.polys[0]) <= 3 for pp in strips)
+before = tracer.calls.get("poly.pmul", 0)
+f * g
+strip_pmuls = tracer.calls.get("poly.pmul", 0) - before
+print(json.dumps({{"codes": codes, "calls": tracer.calls, "counts": tracer.counts,
+                  "strip_pmuls": strip_pmuls}}))
 """
 
 
@@ -52,6 +65,8 @@ def test_the_tracer_installs_and_counts_spans():
     for span in ("algebra.convolve", "algebra.check_compatible", "algebra.add",
                  "rep.group_algebra_mul", "rep.phi", "rep.kernel_projection",
                  # each group's first preimage finds mu through linalg.rref
-                 "rep.min_norm_preimage", "linalg.rref"):
+                 "rep.min_norm_preimage", "linalg.rref",
+                 "poly.pmul", "poly.peval", "poly.piecewise"):
         assert calls.get(span, 0) > 0, span
+    assert out["strip_pmuls"] > 0
     assert out["counts"]["algebra.center_products"] > 0
