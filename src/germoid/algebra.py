@@ -606,21 +606,31 @@ def embed_C0(groupoid: GermGroupoid, h) -> "AlgebraElement":
 def evaluate_convolution_pointwise(f: AlgebraElement, g: AlgebraElement, germ) -> Scalar:
     """Sum f(a)g(b) over factorizations ab = germ, straight from the definition.
 
-    Independent of the normal-form convolution; used as its oracle.
+    Independent of the normal-form convolution; used as its oracle.  The sum
+    runs over the supports, since every term it skips is exactly zero.  At a
+    center germ sigma it runs over the b in g's center support, with
+    a = sigma b^-1 from one ``Permutation`` product per b.  At (t, i, j) it
+    runs over the k where g has a stored strip (i, k) and f a stored strip
+    (k, j), stored strips being the nonzero ones, each evaluated at t.  No
+    Cayley table and no strip product is used, so the sum stays independent
+    of ``group_convolve`` and of ``AlgebraElement.__mul__``.  A germ outside
+    the groupoid raises ``GermError``.
     """
     G = f.groupoid
+    if not G.contains(germ):
+        raise GermError(f"{germ!r} is not a germ of this groupoid")
     if isinstance(germ, CenterGerm):
+        sigma = germ.sigma
         total = ZERO
-        for b in G.group:
-            a = germ.sigma * b.inverse()
-            total = total + f.evaluate(CenterGerm(a)) * g.evaluate(CenterGerm(b))
+        for b, gb in g.center.items():
+            total = total + f.center_value(sigma * b.inverse()) * gb
         return total
+    t, i, j = germ.t, germ.i, germ.j
+    fs, gs = f.strips, g.strips
     total = ZERO
     for k in range(1, G.n + 1):
-        if (germ.i, k) in G.admissible_pairs and (k, germ.j) in G.admissible_pairs:
-            a = EdgeGerm(germ.t, k, germ.j)
-            b = EdgeGerm(germ.t, germ.i, k)
-            total = total + f.evaluate(a) * g.evaluate(b)
+        if (i, k) in gs and (k, j) in fs:
+            total = total + fs[k, j](t) * gs[i, k](t)
     return total
 
 

@@ -12,8 +12,6 @@ import time
 from fractions import Fraction
 from itertools import chain
 
-import numpy as np
-
 from . import algebra as alg
 from .algebra import from_sheet
 from .finite import (
@@ -333,15 +331,25 @@ def finite_experiment(
 # the selftest: condensed invariant suites with a fixed seed
 
 
-def _pi_numerators(x):
-    """d pi(x) for x over the denominator d, as exact integer n x n arrays
-    of the real and imaginary parts: entry [j - 1, i - 1] is x's pair sum
-    at (i, j)."""
-    n = x.group.n
-    parts = np.zeros((2, n, n), dtype=object)
-    for (i, j), (re, im) in x.pair_sums().items():
-        parts[:, j - 1, i - 1] = re, im
-    return parts
+def _pi_is_multiplicative(a, b, ab) -> bool:
+    """pi(ab) = pi(a) pi(b) for the integrated permutation representation pi,
+    read off the integer pair sums: entry (j, i) of d_x pi(x) is S_x(i, j),
+    so entry (j, i) of d_a d_b pi(a) pi(b) is the sum over k of
+    S_a(k, j) S_b(i, k).  The two sides, times d_a d_b and d_ab, are
+    compared as sparse dicts of Gaussian-integer entries."""
+    # b's pair sums by range edge: S_a(k, j) meets S_b(i, k)
+    by_range = {}
+    for (i, k), v in b.pair_sums().items():
+        by_range.setdefault(k, []).append((i, v))
+    product = {}
+    for (k, j), (p, q) in a.pair_sums().items():
+        for i, (r, s) in by_range.get(k, ()):
+            x, y = product.get((i, j), (0, 0))
+            product[i, j] = (x + p * r - q * s, y + p * s + q * r)
+    den, den_ab = a.d * b.d, ab.d
+    lhs = {pair: (den * re, den * im) for pair, (re, im) in ab.pair_sums().items()}
+    rhs = {pair: (den_ab * re, den_ab * im) for pair, (re, im) in product.items() if re or im}
+    return lhs == rhs
 
 
 def selftest_experiment(seed: int = DEFAULT_SEED) -> ExperimentReport:
@@ -416,13 +424,7 @@ def selftest_experiment(seed: int = DEFAULT_SEED) -> ExperimentReport:
     for _ in range(20):
         a = random_group_algebra_element(group, rng)
         b = random_group_algebra_element(group, rng)
-        ab = a * b
-        # pi(ab) = pi(a) pi(b) over the denominators: d_a d_b (d_ab pi(ab))
-        # = d_ab (d_a pi(a)) (d_b pi(b)), real and imaginary parts apart
-        (ab_re, ab_im), (a_re, a_im), (b_re, b_im) = map(_pi_numerators, (ab, a, b))
-        den, den_ab = a.d * b.d, ab.d
-        if ((den * ab_re != den_ab * (a_re @ b_re - a_im @ b_im)).any()
-                or (den * ab_im != den_ab * (a_re @ b_im + a_im @ b_re)).any()):
+        if not _pi_is_multiplicative(a, b, a * b):
             ok = False
         u = phi(a, G)
         for _ in range(4):

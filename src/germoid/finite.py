@@ -601,6 +601,7 @@ class CenterSplit:
     idempotent_residual: float
     selfadjoint_residual: float
     partition_residual: float
+    verdicts: list = None      # BlockVerdicts, filled in by _block_verdicts
 
     @property
     def blocks(self) -> int:
@@ -733,13 +734,23 @@ def _diagonal_meets(G, z):
     return sv_min < TOL * max(1.0, float(sv.max())), sv_min
 
 
+def _block_verdicts(G: FiniteGroupoid, split: CenterSplit) -> list:
+    """One ``BlockVerdict`` per minimal central block of the split.  Each
+    block's rank test runs once and is kept on the split, so the
+    intersection and faithfulness checks read the same verdicts."""
+    if split.verdicts is None:
+        verdicts = []
+        for i, z in enumerate(split.projections):
+            meets, sv_min = _diagonal_meets(G, z)
+            verdicts.append(BlockVerdict(i, sv_min, meets))
+        split.verdicts = verdicts
+    return split.verdicts
+
+
 def intersection_property_check(G: FiniteGroupoid, seed: int = 0) -> IntersectionReport:
     """Does every minimal ideal contain a nonzero diagonal element?"""
     split = minimal_central_projections(G, seed)
-    blocks = []
-    for i, z in enumerate(split.projections):
-        meets, sv_min = _diagonal_meets(G, z)
-        blocks.append(BlockVerdict(i, sv_min, meets))
+    blocks = _block_verdicts(G, split)
     residuals = {
         "idempotent": split.idempotent_residual,
         "selfadjoint": split.selfadjoint_residual,
@@ -766,13 +777,14 @@ def faithfulness_check(G: FiniteGroupoid, seed: int = 0) -> FaithfulnessReport:
     z meets the diagonal too.  So a sum misses the diagonal only if each of
     its blocks does, and the first of the 2^k - 1 sums in bitmask order to
     miss it is the lowest-index block that misses it.  Trying the k blocks in
-    order gives the verdict and the failing kernel of the full enumeration."""
-    split = minimal_central_projections(G, seed)
-    for i, z in enumerate(split.projections):
-        meets, _ = _diagonal_meets(G, z)
-        if not meets:
-            return FaithfulnessReport(False, i + 1, (i,))
-    return FaithfulnessReport(True, split.blocks)
+    order gives the verdict and the failing kernel of the full enumeration.
+    The block verdicts are computed once per split and shared with
+    ``intersection_property_check``."""
+    blocks = _block_verdicts(G, minimal_central_projections(G, seed))
+    for b in blocks:
+        if not b.meets_diagonal:
+            return FaithfulnessReport(False, b.block + 1, (b.block,))
+    return FaithfulnessReport(True, len(blocks))
 
 
 @dataclass

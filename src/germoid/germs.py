@@ -44,7 +44,8 @@ class EdgeGerm:
 
     def __init__(self, t, i: int, j: int):
         t = _frac(t)
-        if not 0 < t.numerator <= t.denominator:
+        p, q = t.as_integer_ratio()
+        if not 0 < p <= q:
             raise GermError(f"edge coordinate {t} outside (0,1]")
         self.t = t
         self.i = i
@@ -303,7 +304,8 @@ def _parse_star_spec(spec):
             raise ValueError("klein_cross requires n=4")
         return GermGroupoid.cross()
     kind, num = name[0], name[1:]
-    if not num.isdigit() or int(num) != n or kind not in "ASZ":
+    # ASCII digits only: int() also reads other scripts' digits, "A\u0664" as A4
+    if not (num.isascii() and num.isdecimal()) or int(num) != n or kind not in "ASZ":
         raise ValueError(f"unknown group name {name!r} for n={n}")
     require_star_group_order(kind, n)
     maker = {"A": PermGroup.alternating, "S": PermGroup.symmetric, "Z": PermGroup.cyclic}[kind]

@@ -159,8 +159,9 @@ def parse_cycles(text: str, n: int) -> Permutation:
         parts = m.group(1).split()
         if not parts:
             continue  # "()" term: identity
-        # decimal digits only: int() would also read "1_0" as 10 and "+1" as 1
-        if not all(p.isdecimal() for p in parts):
+        # ASCII decimal digits only: int() would also read "1_0" as 10, "+1"
+        # as 1 and the Arabic-Indic digit one as 1
+        if not all(p.isascii() and p.isdecimal() for p in parts):
             raise CycleParseError(f"malformed cycle notation: {text!r}")
         entries = [int(p) for p in parts]
         for e in entries:
@@ -178,12 +179,13 @@ def parse_cycles(text: str, n: int) -> Permutation:
 
 def parse_count(value, name: str) -> int:
     """A count from a JSON spec: an int, an integral float or a string of
-    decimal digits.  Anything else, a bool, 4.5 or "1_0" among them, raises
-    ``ValueError`` naming the count, rather than being read as 1, truncated
-    or read by ``int``'s wider rules."""
+    ASCII decimal digits.  Anything else, a bool, 4.5, "1_0" or digits of
+    another script among them, raises ``ValueError`` naming the count,
+    rather than being read as 1, truncated or read by ``int``'s wider
+    rules."""
     if not (isinstance(value, int) and not isinstance(value, bool)
             or isinstance(value, float) and value.is_integer()
-            or isinstance(value, str) and value.strip().isdecimal()):
+            or isinstance(value, str) and (s := value.strip()).isascii() and s.isdecimal()):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(value)
 

@@ -236,6 +236,27 @@ def lambda_scalar_by_four_values(g: AlgebraElement) -> Scalar:
     )
 
 
+def evaluate_convolution_densely(f: AlgebraElement, g: AlgebraElement, germ) -> Scalar:
+    """Sum f(a)g(b) over every factorization ab = germ, zero terms included:
+    at a center germ one term per element of the group, at an edge germ
+    (t, i, j) one per k with (i, k) and (k, j) admissible, each factor read
+    through ``evaluate`` at a germ built for it."""
+    G = f.groupoid
+    if isinstance(germ, CenterGerm):
+        total = ZERO
+        for b in G.group:
+            a = germ.sigma * b.inverse()
+            total = total + f.evaluate(CenterGerm(a)) * g.evaluate(CenterGerm(b))
+        return total
+    total = ZERO
+    for k in range(1, G.n + 1):
+        if (germ.i, k) in G.admissible_pairs and (k, germ.j) in G.admissible_pairs:
+            a = EdgeGerm(germ.t, k, germ.j)
+            b = EdgeGerm(germ.t, germ.i, k)
+            total = total + f.evaluate(a) * g.evaluate(b)
+    return total
+
+
 # -- group-algebra elements as {Permutation: Scalar} dicts with the zero
 # -- values dropped: the operations as they were before the integer vector
 

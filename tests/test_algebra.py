@@ -36,6 +36,8 @@ from oracles import (
     conditional_expectation,
     convolve_by_dict,
     cross_central_element_by_sheets,
+    evaluate_convolution_densely,
+    fraction_piecewise,
     induced_point_map,
     is_canonical_vector,
     lambda_scalar_by_four_values,
@@ -245,6 +247,71 @@ def test_convolution_matches_pointwise_sums(star4, rng):
             assert ab.evaluate(g) == evaluate_convolution_pointwise(a, b, g)
             samples += 1
     assert samples >= 150
+
+
+def _strip_only(groupoid, rng, sheets=2):
+    """A sum of sheets whose coefficients vanish at the center: strips, no
+    center values."""
+    x = AlgebraElement.zero(groupoid)
+    for _ in range(sheets):
+        h = PPFun(groupoid.n, 0, [fraction_piecewise(rng, Fraction(0)) for _ in range(groupoid.n)])
+        x = x + from_sheet(groupoid, rng.choice(groupoid.group.elements), h)
+    return x
+
+
+def _all_germs(groupoid):
+    """Every center germ, and every admissible edge pair at three points."""
+    germs = [CenterGerm(s) for s in groupoid.group]
+    return germs + [EdgeGerm(Fraction(k, 7), i, j)
+                    for i, j in groupoid.sorted_pairs for k in (1, 4, 7)]
+
+
+@pytest.mark.parametrize("make", [GermGroupoid.cross, lambda: GermGroupoid.star(4),
+                                  lambda: GermGroupoid(4, PermGroup.symmetric(4))],
+                         ids=["cross", "A4", "S4"])
+def test_pointwise_oracle_matches_the_dense_sum(make, rng):
+    G = make()
+    special = [AlgebraElement.zero(G), _strip_only(G, rng)]
+    if G.group == PermGroup.klein_cross():
+        special.append(cross_central_element(G))  # center values only
+    randoms = [random_algebra_element(G, rng, sheets=rng.randint(1, 3)) for _ in range(6)]
+    germs = _all_germs(G)
+    nonzero = 0
+    for f in special + randoms:
+        for g in special + randoms[:3]:
+            for germ in germs:
+                value = evaluate_convolution_pointwise(f, g, germ)
+                assert value == evaluate_convolution_densely(f, g, germ)
+                nonzero += bool(value)
+    assert nonzero > 500
+
+
+def test_pointwise_oracle_refuses_a_germ_outside_the_groupoid(cross, f, rng):
+    g = random_algebra_element(cross, rng)
+    foreign = CenterGerm(parse_cycles("(1 3)", 4))
+    for oracle in (evaluate_convolution_pointwise, evaluate_convolution_densely):
+        with pytest.raises(GermError):
+            oracle(f, g, foreign)
+        with pytest.raises(GermError):
+            oracle(AlgebraElement.zero(cross), AlgebraElement.zero(cross), foreign)
+    # the pair (1, 3) is not admissible: the dense sum finds no k there and
+    # reads 0, the support sum refuses the germ as evaluate does
+    with pytest.raises(GermError):
+        evaluate_convolution_pointwise(f, g, EdgeGerm(Fraction(1, 2), 1, 3))
+
+
+def test_pointwise_oracle_multiplies_only_over_the_support(star4, rng, monkeypatch):
+    products = []
+    mul = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__",
+                        lambda s, t: products.append(None) or mul(s, t))
+    for _ in range(10):
+        f = random_algebra_element(star4, rng, sheets=2)
+        g = random_algebra_element(star4, rng, sheets=2)
+        for s in star4.group:
+            products.clear()
+            evaluate_convolution_pointwise(f, g, CenterGerm(s))
+            assert len(products) <= len(g.center) < len(star4.group)
 
 
 def test_associativity_and_star_antimultiplicativity(star4, rng):

@@ -17,6 +17,7 @@ from germoid.cli import main
 from germoid.perms import PermGroup
 from germoid.poly import PiecewisePoly
 from germoid.reports import ExperimentReport
+from germoid.scalars import Scalar
 from germoid.starspace import OpenStarSet, PPFun, act
 from oracles import (
     act_on_open_set_by_renormalizing,
@@ -102,6 +103,12 @@ def test_malformed_tau_is_a_real_failure(capsys):
     assert run(["star", "--n", "1", "--tau", "()"]) == 1
     assert run(["star", "--n", "4", "--tau", "(+1 2)"]) == 1
     assert capsys.readouterr().err.endswith("error: --tau: malformed cycle notation: '(+1 2)'\n")
+    # an Arabic-Indic digit one: one line, no report
+    capsys.readouterr()
+    assert run(["star", "--n", "4", "--tau", "(\u0661 2)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --tau: malformed cycle notation: '(\u0661 2)'\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", [
@@ -192,6 +199,9 @@ def test_diagnose_bad_spec(tmp_path, capsys):
      "group_degree must be an integer, not 3.7"),
     ("finite", {"transformation": {"points": True}}, "points must be an integer, not True"),
     ("finite", {"transformation": {"points": None}}, "points must be an integer, not None"),
+    ("diagnose", {"n": "\u0664", "group": "A4"}, "edge count must be an integer, not '\u0664'"),
+    ("diagnose", {"n": 4, "group": "A\u0664"}, "unknown group name 'A\u0664' for n=4"),
+    ("finite", {"transformation": {"points": "\uff13"}}, "points must be an integer, not '\uff13'"),
 ])
 def test_spec_counts_that_are_not_integers_are_refused(command, spec, message, tmp_path, capsys):
     _assert_refused(command, spec, message, tmp_path, capsys)
@@ -202,6 +212,7 @@ def test_spec_counts_that_are_not_integers_are_refused(command, spec, message, t
      "malformed cycle notation: '(1_0 2)'"),
     ("finite", {"transformation": {"points": 3, "group_generators": ["(+1 2)"]}},
      "malformed cycle notation: '(+1 2)'"),
+    ("diagnose", {"n": 4, "generators": ["(\u0661 2)"]}, "malformed cycle notation: '(\u0661 2)'"),
 ])
 def test_cycle_symbols_that_are_not_decimal_digits_are_refused(
     command, spec, message, tmp_path, capsys
@@ -581,6 +592,17 @@ def test_the_integration_line_of_selftest_can_fail(monkeypatch, capsys):
     assert run(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] integration is multiplicative and matches sheet sums" in out
+
+
+def test_the_integration_line_of_selftest_sees_the_imaginary_part(monkeypatch, capsys):
+    # a product off by i delta_e has the right real part everywhere
+    mul = GroupAlgebraElement.__mul__
+    i = Scalar(0, 1)
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__",
+                        lambda a, b: mul(a, b) + GroupAlgebraElement.unit(a.group).scale(i))
+    assert run(["selftest"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+    assert failed == ["[FAIL] integration is multiplicative and matches sheet sums"]
 
 
 @pytest.mark.parametrize("seed", [5, 11, 12])

@@ -903,6 +903,22 @@ def test_one_center_split_serves_both_checks(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("spec", BENCH_CORPUS)
+def test_each_block_is_rank_tested_once(spec, monkeypatch):
+    # the intersection and faithfulness checks read one verdict per block
+    calls = []
+    meets = germoid.finite._diagonal_meets
+    monkeypatch.setattr(germoid.finite, "_diagonal_meets",
+                        lambda G, z: calls.append(None) or meets(G, z))
+    G = parse_finite_spec(spec)
+    inter = intersection_property_check(G, seed=2)
+    faith = faithfulness_check(G, seed=2)
+    blocks = minimal_central_projections(G, seed=2).blocks
+    assert len(calls) == blocks == len(inter.blocks)
+    assert faith.holds == inter.holds
+    assert faith.kernels_checked == (blocks if faith.holds else inter.witnesses[0].block + 1)
+
+
 # -- every axiom failure of the constructor, with its witness ---------------------
 
 # one unit x and one self-inverse arrow g: the explicit_z2 spec in dict form

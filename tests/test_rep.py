@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from germoid.algebra import AlgebraElement, embed_C0, is_bisection_support
-from germoid.experiments import star_experiment
+from germoid.experiments import _pi_is_multiplicative, star_experiment
 from germoid.germs import CenterGerm, EdgeGerm, GermGroupoid
 from germoid.linalg import Matrix
 from germoid.perms import PermGroup, Permutation, parse_cycles
@@ -25,7 +25,7 @@ from germoid.rep import (
     phi,
 )
 from germoid.sampling import random_group_algebra_element, random_ppfun, random_scalar
-from germoid.scalars import ONE, ZERO
+from germoid.scalars import ONE, ZERO, Scalar
 from germoid.starspace import act
 from oracles import (
     all_ones,
@@ -130,6 +130,26 @@ def test_integrated_rep_is_a_star_homomorphism(rng):
         b = random_group_algebra_element(g, rng)
         assert integrated_rep(a * b) == integrated_rep(a) * integrated_rep(b)
         assert integrated_rep(a.adjoint()) == conj_transpose(integrated_rep(a))
+
+
+@pytest.mark.parametrize("group", [PermGroup.alternating(4), PermGroup.symmetric(4),
+                                   PermGroup.klein_cross()], ids=["A4", "S4", "cross"])
+def test_the_sparse_integration_check_agrees_with_matrix_products(group, rng):
+    # the selftest's pi(ab) = pi(a) pi(b) on pair-sum dicts, against Matrix
+    # products, for the true product and for products pushed off it
+    i = GroupAlgebraElement.unit(group).scale(Scalar(0, 1))
+    verdicts = []
+    for _ in range(15):
+        a = random_group_algebra_element(group, rng)
+        b = random_group_algebra_element(group, rng)
+        ab = a * b
+        expected = integrated_rep(a) * integrated_rep(b)
+        s = delta(group, rng.choice(group.elements))
+        for c in (ab, ab + i, ab - s, ab + s.scale(Scalar(0, 2)), ab.scale(2), a.scale(0) * b):
+            verdict = _pi_is_multiplicative(a, b, c)
+            assert verdict == (integrated_rep(c) == expected)
+            verdicts.append(verdict)
+    assert verdicts.count(True) >= 15 and verdicts.count(False) >= 60
 
 
 # -- commutants ------------------------------------------------------------------------
